@@ -207,8 +207,6 @@ def _green_first_order(cfg: RunConfig, args) -> list[str]:
     factory = build_factory(cfg, grid)
     state = build_initial_state(cfg, grid, seed=args.seed)
     s, t = cfg.green.source_time, cfg.green.target_time
-    if not t > s:
-        raise ConfigError(f"green target-time {t} must exceed source-time {s}")
     dt = (t - s) / cfg.evolution.steps
     evolved = evolve(state, factory, dt=dt, steps=cfg.evolution.steps, t0=s,
                      method="midpoint-exponential")
@@ -254,8 +252,6 @@ def _green_scalar_field(cfg: RunConfig, args) -> list[str]:
     factory = build_factory(cfg, grid)
     state = build_initial_state(cfg, grid, seed=args.seed)
     s, t = cfg.green.source_time, cfg.green.target_time
-    if not t > s:
-        raise ConfigError(f"green target-time {t} must exceed source-time {s}")
     m = cfg.model
     kernel = ScalarFieldKernel.build(
         grid, m.mass, m.hbar, m.light_speed,

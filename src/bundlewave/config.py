@@ -14,6 +14,7 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from .bundle import Trivialization
+from .green import MAX_BORN_ORDER
 from .grid import SpatialGrid1D, GridFunction, discrete_delta
 from .reduction import (
     HamiltonianFactory,
@@ -291,6 +292,26 @@ def _validate(cfg: RunConfig) -> None:
     _validate_samples_slot(init.profile, init.samples, "samples", n, complex)
     if init.profile == "gaussian" and init.width <= 0:
         raise ConfigError(f"initial width must be positive, got {init.width}")
+    green = cfg.green
+    if not 0 <= green.born_order <= MAX_BORN_ORDER:
+        raise ConfigError(
+            f"green born-order must lie in 0..{MAX_BORN_ORDER}, got {green.born_order}"
+        )
+    if green.quadrature_points < 3:
+        raise ConfigError(
+            f"green quadrature-points must be >= 3, got {green.quadrature_points}"
+        )
+    for key, value in (
+        ("perturbation-scale", green.perturbation_scale),
+        ("source-time", green.source_time),
+        ("target-time", green.target_time),
+    ):
+        if not np.isfinite(value):
+            raise ConfigError(f"green {key} must be finite, got {value}")
+    if green.target_time <= green.source_time:
+        raise ConfigError(
+            f"green target-time {green.target_time} must exceed source-time {green.source_time}"
+        )
     if cfg.output.snapshot_every < 0:
         raise ConfigError(f"snapshot-every must be >= 0, got {cfg.output.snapshot_every}")
     for name in resolved_observables(cfg):

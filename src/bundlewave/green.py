@@ -16,7 +16,11 @@ gets a sine kernel over the spatial frequency operator plus a two-slot form
 whose first slot is a source-time derivative, taken by central difference
 over adjacent source slices.  A Born iteration builds kernels of a perturbed
 operator from the free ones by trapezoidal time quadrature, with the
-coincidence limit Id/(i hbar h) at the interval ends.
+coincidence limit Id/(i hbar h) at the interval ends.  It runs in the
+eigenbasis of the free Hamiltonian, where the free kernel is diagonal and,
+on the uniform quadrature grid, a function of the lag between nodes only:
+the perturbation enters as one coupling matrix and every free kernel as a
+vector of phases.
 """
 
 from __future__ import annotations
@@ -284,8 +288,23 @@ def born_kernel(
 
         G_k(t, s) = G_0(t, s) + h * integral_s^t G_0(t, s') W G_{k-1}(s', s) ds'
 
-    with trapezoidal quadrature and the coincidence limit Id/(i hbar h) at
-    the interval ends."""
+    with trapezoidal quadrature on `quad_points` uniform nodes t_j and the
+    coincidence limit Id/(i hbar h) at the interval ends.
+
+    The iteration runs in the eigenbasis U = `basis.modes` of H0.  There the
+    free kernel is G_0(tau) = U diag(p(tau)) U^dag / (i hbar) with phases
+    p(tau) = exp(-i E tau / hbar), and the coincidence limit is the lag-zero
+    case p(0) = 1.  Each iterate is held as coefficients X_j with
+    G(t_j, s) = U X_j U^dag / (i hbar), starting from X_j = diag(p(t_j - s)),
+    and the perturbation enters once, as M = U^dag W U / (i hbar):
+
+        X_j <- diag(p_j) + h * sum_i w_ij * p(t_j - t_i)[:, None] * (M X_i).
+
+    The phases factor as p(t_j - t_i) = p_j * conj(p_i), so the trapezoid sums
+    over i <= j are running sums of conj(p_i)[:, None] * (M X_i).  The cost is
+    O(order * Q) matrix products of size mN plus O(order * Q * (mN)^2)
+    elementwise work, holding Q coefficient matrices; the last level keeps
+    only the endpoint, which two products map back to the grid."""
     if not t > s:
         raise GreenError(f"the Born iteration needs t > s, got t={t}, s={s}")
     if order < 0 or order > MAX_BORN_ORDER:
@@ -297,30 +316,28 @@ def born_kernel(
         raise GreenError(
             f"perturbation shape {perturbation.shape} does not match state size {size}"
         )
-    h = basis.grid.spacing
-    coincidence = np.eye(size, dtype=complex) / (1j * basis.hbar * h)
-    times = np.linspace(s, t, quad_points)
-    dt = times[1] - times[0]
-
-    def free(a: float, b: float) -> np.ndarray:
-        return coincidence.copy() if a <= b else retarded_kernel(basis, a, b)
-
-    # level[j] = G_level(times[j], s); j = 0 carries the coincidence limit.
-    level = [free(tj, s) for tj in times]
-    level[0] = coincidence
-    for _ in range(order):
-        new = []
-        for j, tj in enumerate(times):
+    if order == 0:
+        return retarded_kernel(basis, t, s)
+    modes, hbar = basis.modes, basis.hbar
+    dt = (t - s) / (quad_points - 1)
+    # phases[j] = p(t_j - s) = p(j dt), the free kernel at lag j.
+    phases = np.exp(-1j * np.outer(dt * np.arange(quad_points), basis.energies) / hbar)
+    coupling = modes.conj().T @ perturbation @ modes / (1j * hbar)
+    step = basis.grid.spacing * dt
+    coefficients = [np.diag(p) for p in phases]
+    for level in range(1, order + 1):
+        # X_j is overwritten once its own term has entered the running sum;
+        # later nodes need only the sum.
+        running = np.zeros((size, size), dtype=complex)
+        for j, p in enumerate(phases):
+            term = p.conj()[:, None] * (coupling @ coefficients[j])
+            running += term
             if j == 0:
-                new.append(coincidence)
-                continue
-            integrand = [free(tj, times[i]) @ perturbation @ level[i] for i in range(j + 1)]
-            weights = np.full(j + 1, dt)
-            weights[0] = weights[-1] = dt / 2.0
-            integral = sum(w * g for w, g in zip(weights, integrand))
-            new.append(free(tj, s) + h * integral)
-        level = new
-    return level[-1]
+                first = term
+            elif level < order or j == quad_points - 1:
+                trapezoid = running - 0.5 * (first + term)
+                coefficients[j] = np.diag(p) + step * (p[:, None] * trapezoid)
+    return (modes @ coefficients[-1]) @ modes.conj().T / (1j * hbar)
 
 
 def green_morphism(

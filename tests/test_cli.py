@@ -253,6 +253,17 @@ def test_green_first_order_reports_duality_and_born(tmp_path, capsys):
     assert "born-defect-order-1" in table
 
 
+@pytest.mark.parametrize(
+    "green", ["born-order = 7", "perturbation-scale = nan", "target-time = -1"]
+)
+def test_green_rejects_bad_green_section_before_any_work(tmp_path, capsys, green):
+    cfg = _run_cfg(tmp_path, extra=f"[green]\n{green}\n")
+    out = tmp_path / "out"
+    assert main(["green", "--config", cfg, "--out", str(out)]) == EXIT_CONFIG
+    assert "configuration error" in capsys.readouterr().err
+    assert not (out / "green.csv").exists()
+
+
 def test_green_scalar_field_duality(tmp_path, capsys):
     cfg = _write(
         tmp_path,

@@ -18,6 +18,7 @@ from bundlewave.config import (
     parse_config,
     resolved_observables,
 )
+from bundlewave.green import MAX_BORN_ORDER
 
 
 def test_defaults_round_trip_through_emission():
@@ -123,11 +124,27 @@ def test_missing_equals_is_rejected():
         "[model]\nkind = dirac\n[output]\nobservables = charge\n",
         "[model]\nkind = kg-canonical\n[frame]\nprofile = phase\namplitude = 0.1\n"
         "[output]\nobservables = charge\n",
+        "[green]\nborn-order = -1\n",
+        f"[green]\nborn-order = {MAX_BORN_ORDER + 1}\n",
+        "[green]\nquadrature-points = 2\n",
+        "[green]\nperturbation-scale = nan\n",
+        "[green]\nperturbation-scale = inf\n",
+        "[green]\nsource-time = -inf\n",
+        "[green]\ntarget-time = nan\n",
+        "[green]\nsource-time = 0.5\ntarget-time = 0.5\n",
+        "[green]\nsource-time = 0.6\ntarget-time = 0.5\n",
     ],
 )
 def test_semantic_validation(snippet):
     with pytest.raises(ConfigError):
         parse_config(snippet)
+
+
+def test_green_limits_are_accepted():
+    for order in (0, MAX_BORN_ORDER):
+        assert parse_config(f"[green]\nborn-order = {order}\n").green.born_order == order
+    cfg = parse_config("[green]\nquadrature-points = 3\nsource-time = -1\ntarget-time = -0.5\n")
+    assert (cfg.green.quadrature_points, cfg.green.source_time) == (3, -1.0)
 
 
 def test_reflecting_grids_may_use_any_point_count():

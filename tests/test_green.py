@@ -224,6 +224,67 @@ def test_born_first_order_error_scales_quadratically():
     assert 3.3 < ratio < 4.7
 
 
+def _born_reference(basis, perturbation, t, s, order, quad_points):
+    """The direct route: one dense free kernel per quadrature pair, summed by
+    the trapezoid rule in the grid basis."""
+    size = basis.modes.shape[0]
+    h = basis.grid.spacing
+    coincidence = np.eye(size, dtype=complex) / (1j * basis.hbar * h)
+    times = np.linspace(s, t, quad_points)
+    dt = times[1] - times[0]
+
+    def free(a, b):
+        return coincidence if a <= b else retarded_kernel(basis, a, b)
+
+    level = [free(tj, s) for tj in times]
+    for _ in range(order):
+        new = [coincidence]
+        for j in range(1, quad_points):
+            weights = np.full(j + 1, dt)
+            weights[0] = weights[-1] = dt / 2.0
+            integral = sum(
+                w * (free(times[j], times[i]) @ perturbation @ level[i])
+                for i, w in enumerate(weights)
+            )
+            new.append(free(times[j], s) + h * integral)
+        level = new
+    return level[-1]
+
+
+BORN_FACTORIES = {
+    "schrodinger": schrodinger_hamiltonian(1.0, potential=0.4 * np.cos(GRID.points)),
+    "dirac": dirac_hamiltonian(mass=1.0),
+}
+
+
+def _born_problem(model):
+    """Free basis of the model and a dense random Hermitian perturbation."""
+    basis = EigenBasis.from_factory(BORN_FACTORIES[model], GRID)
+    size = basis.modes.shape[0]
+    rng = np.random.default_rng(23)
+    a = rng.normal(size=(size, size)) + 1j * rng.normal(size=(size, size))
+    return basis, 0.05 * (a + a.conj().T)
+
+
+@pytest.mark.parametrize("quad_points", [3, 4, 33])
+@pytest.mark.parametrize("order", [1, 2, 3])
+@pytest.mark.parametrize("model", sorted(BORN_FACTORIES))
+def test_born_kernel_matches_the_per_pair_quadrature(model, order, quad_points):
+    basis, perturbation = _born_problem(model)
+    t, s = 0.7, 0.2
+    expected = _born_reference(basis, perturbation, t, s, order, quad_points)
+    approx = born_kernel(basis, perturbation, t, s, order=order, quad_points=quad_points)
+    assert np.max(np.abs(approx - expected)) <= 1e-12 * np.max(np.abs(expected))
+
+
+@pytest.mark.parametrize("model", sorted(BORN_FACTORIES))
+def test_born_order_zero_is_the_free_kernel_at_a_shifted_source(model):
+    basis, perturbation = _born_problem(model)
+    assert np.array_equal(
+        born_kernel(basis, perturbation, 0.7, 0.2, order=0), retarded_kernel(basis, 0.7, 0.2)
+    )
+
+
 def test_born_guards():
     _, basis = _schrodinger_basis()
     w = np.eye(GRID.npoints)

@@ -1,0 +1,25 @@
+"""Smoke tests for the experiment scripts under scripts/."""
+
+import importlib.util
+from pathlib import Path
+
+SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
+
+
+def _load(name):
+    spec = importlib.util.spec_from_file_location(name, SCRIPTS / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_born_scaling_first_order_ratio_is_quadratic(capsys):
+    script = _load("born_scaling")
+    argv = ["--orders", "1", "--epsilons", "0.1", "0.05", "--quadrature-points", "33"]
+    assert script.main(argv) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "order,epsilon,error,ratio_to_previous"
+    assert len(lines) == 3
+    ratio = float(lines[2].split(",")[3])
+    # c11's bound: the ratio lies within a factor 1.5 of 2^(order+1) = 4.
+    assert max(ratio / 4.0, 4.0 / ratio) < 1.5
