@@ -23,7 +23,6 @@ from .algebra import (
     DerivativeOp,
     GammaSet,
     IdentityOp,
-    LaplacianOp,
     LinearGridOperator,
     MatrixOperator,
     METRIC_SIGNATURE,

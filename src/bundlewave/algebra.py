@@ -151,16 +151,6 @@ class DerivativeOp(LinearGridOperator):
         return f"d^{self.order}/dx^{self.order}" if self.order > 1 else "d/dx"
 
 
-class LaplacianOp(DerivativeOp):
-    kind = "laplacian"
-
-    def __init__(self):
-        super().__init__(order=2)
-
-    def __repr__(self):
-        return "laplacian"
-
-
 class ComposeOp(LinearGridOperator):
     """Composition; factors apply right to left."""
 

@@ -269,7 +269,3 @@ def run_checks(suite: str = "all", seed: int = 0, tolerance_scale: float = 1.0) 
             CheckResult(r.name, r.value, r.tolerance * tolerance_scale) for r in results
         ]
     return results
-
-
-def run_all_checks(seed: int = 0, tolerance_scale: float = 1.0) -> list[CheckResult]:
-    return run_checks("all", seed=seed, tolerance_scale=tolerance_scale)

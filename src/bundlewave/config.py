@@ -271,6 +271,16 @@ def _validate(cfg: RunConfig) -> None:
         raise ConfigError(f"grid length must be positive, got {cfg.grid.length}")
     if cfg.evolution.steps < 1:
         raise ConfigError(f"evolution steps must be >= 1, got {cfg.evolution.steps}")
+    green = cfg.green
+    for key, value in (
+        ("evolution time-step", cfg.evolution.time_step),
+        ("evolution start-time", cfg.evolution.start_time),
+        ("green perturbation-scale", green.perturbation_scale),
+        ("green source-time", green.source_time),
+        ("green target-time", green.target_time),
+    ):
+        if not np.isfinite(value):
+            raise ConfigError(f"{key} must be finite, got {value}")
     if cfg.evolution.time_step <= 0:
         raise ConfigError(f"evolution time-step must be positive, got {cfg.evolution.time_step}")
     dim = MODEL_DIMENSIONS[cfg.model.kind]
@@ -292,7 +302,6 @@ def _validate(cfg: RunConfig) -> None:
     _validate_samples_slot(init.profile, init.samples, "samples", n, complex)
     if init.profile == "gaussian" and init.width <= 0:
         raise ConfigError(f"initial width must be positive, got {init.width}")
-    green = cfg.green
     if not 0 <= green.born_order <= MAX_BORN_ORDER:
         raise ConfigError(
             f"green born-order must lie in 0..{MAX_BORN_ORDER}, got {green.born_order}"
@@ -301,13 +310,6 @@ def _validate(cfg: RunConfig) -> None:
         raise ConfigError(
             f"green quadrature-points must be >= 3, got {green.quadrature_points}"
         )
-    for key, value in (
-        ("perturbation-scale", green.perturbation_scale),
-        ("source-time", green.source_time),
-        ("target-time", green.target_time),
-    ):
-        if not np.isfinite(value):
-            raise ConfigError(f"green {key} must be finite, got {value}")
     if green.target_time <= green.source_time:
         raise ConfigError(
             f"green target-time {green.target_time} must exceed source-time {green.source_time}"

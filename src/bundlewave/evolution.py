@@ -1,13 +1,17 @@
 """Time stepping for first-order systems i*hbar dpsi/dt = H(t) psi.
 
-Two interchangeable one-step schemes:
+Two interchangeable one-step schemes, with H_mid evaluated at the interval
+midpoint and K = i dt H_mid / 2 hbar:
 
-* Crank-Nicolson: (I + i dt H_mid / 2 hbar) psi' = (I - i dt H_mid / 2 hbar) psi,
-  with H_mid evaluated at the interval midpoint.  Unconditionally stable,
+* Crank-Nicolson: (I + K) psi' = (I - K) psi.  Unconditionally stable,
   second order, exactly norm-conserving for Hermitian H and exactly
   form-conserving for pseudo-Hermitian H.
 * Midpoint exponential: psi' = expm(-i dt H_mid / hbar) psi, exact for
   time-independent H; useful as an independent route when cross-checking.
+
+`step_matrix` is the one place a one-step propagator is made; it forms the
+Crank-Nicolson one as 2 (I + K)^-1 - I from an in-place LU of I + K and a
+solve against the identity.  `evolve` builds one per static H, once.
 
 `EvolutionOperator` materialises the propagator between lattice times as a
 dense matrix so that composition, inversion, and derivative probes can be
@@ -16,7 +20,7 @@ taken literally; it refuses off-lattice times and oversized systems.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
@@ -44,6 +48,15 @@ def _check_method(method: str) -> None:
         raise EvolutionError(f"unknown evolution method {method!r}, expected one of {METHODS}")
 
 
+def _cayley_lu(h_mid: np.ndarray, coeff: complex):
+    """LU of (I + coeff H)^T, factored in place in H_mid's C-ordered storage."""
+    h_mid *= coeff
+    h_mid[np.diag_indices_from(h_mid)] += 1.0
+    if not np.all(np.isfinite(h_mid)):
+        raise EvolutionError("the Crank-Nicolson matrix left the finite range; reduce the time step")
+    return scipy.linalg.lu_factor(h_mid.T, overwrite_a=True, check_finite=False)
+
+
 def step_matrix(
     factory: HamiltonianFactory,
     grid: SpatialGrid1D,
@@ -54,17 +67,21 @@ def step_matrix(
     """Dense one-step propagator over [t, t + dt] (dt may be negative)."""
     _check_method(method)
     h_mid = hamiltonian_dense(factory, grid, t + dt / 2.0)
-    if method == "midpoint-exponential":
-        return scipy.linalg.expm((-1j * dt / factory.hbar) * h_mid)
-    eye = np.eye(h_mid.shape[0], dtype=complex)
-    coeff = 1j * dt / (2.0 * factory.hbar)
-    return np.linalg.solve(eye + coeff * h_mid, eye - coeff * h_mid)
-
-
-@dataclass
-class _CrankNicolsonCache:
-    lu: object = None
-    minus: np.ndarray | None = None
+    # Overflow surfaces as non-finite entries, refused below.
+    with np.errstate(over="ignore", invalid="ignore"):
+        if method == "midpoint-exponential":
+            h_mid *= -1j * dt / factory.hbar
+            unit = scipy.linalg.expm(h_mid)
+        else:
+            eye = np.eye(h_mid.shape[0], dtype=complex, order="F")
+            lu = _cayley_lu(h_mid, 1j * dt / (2.0 * factory.hbar))
+            # The transposed system gives (I + K)^-T; its transpose is C-ordered.
+            unit = scipy.linalg.lu_solve(lu, eye, overwrite_b=True, check_finite=False).T
+            unit *= 2.0
+            unit[np.diag_indices_from(unit)] -= 1.0
+    if not np.all(np.isfinite(unit)):
+        raise EvolutionError("the step matrix left the finite range; reduce the time step")
+    return unit
 
 
 def evolve(
@@ -78,8 +95,10 @@ def evolve(
 ) -> GridFunction:
     """March `steps` steps of size dt from t0; returns the final state.
 
-    `callback(t, state)`, if given, is invoked after every step.  The factory
-    matrices are LU-cached when the Hamiltonian is time-independent.
+    `callback(t, state)`, if given, is invoked after every step.  A static H
+    gets one step matrix, built once by `step_matrix` in O((mN)^3), then one
+    O((mN)^2) matvec per step; a time-dependent H is realized and factored
+    at every step midpoint.
     """
     _check_method(method)
     if initial.components != factory.dimension:
@@ -94,25 +113,20 @@ def evolve(
     psi = initial.flatten()
     if not np.all(np.isfinite(psi)):
         raise EvolutionError("initial state is outside the finite range")
-    cache = _CrankNicolsonCache()
-    static = not factory.time_dependent
-    unit = None  # cached exponential propagator for static factories
+    unit = None if factory.time_dependent or steps < 1 else step_matrix(factory, grid, t0, dt, method)
 
     for k in range(steps):
-        t_mid = t0 + (k + 0.5) * dt
-        if method == "midpoint-exponential":
-            if unit is None or not static:
-                h_mid = hamiltonian_dense(factory, grid, t_mid)
-                unit = scipy.linalg.expm((-1j * dt / factory.hbar) * h_mid)
-            psi = unit @ psi
-        else:
-            if cache.lu is None or not static:
-                h_mid = hamiltonian_dense(factory, grid, t_mid)
-                eye = np.eye(h_mid.shape[0], dtype=complex)
+        # Overflow surfaces as a non-finite state, checked right after.
+        with np.errstate(over="ignore", invalid="ignore"):
+            if unit is not None:
+                psi = unit @ psi
+            elif method == "crank-nicolson":
+                h_mid = hamiltonian_dense(factory, grid, t0 + (k + 0.5) * dt)
                 coeff = 1j * dt / (2.0 * factory.hbar)
-                cache.lu = scipy.linalg.lu_factor(eye + coeff * h_mid)
-                cache.minus = eye - coeff * h_mid
-            psi = scipy.linalg.lu_solve(cache.lu, cache.minus @ psi)
+                rhs = psi - coeff * (h_mid @ psi)
+                psi = scipy.linalg.lu_solve(_cayley_lu(h_mid, coeff), rhs, trans=1, check_finite=False)
+            else:
+                psi = step_matrix(factory, grid, t0 + k * dt, dt, method) @ psi
         if not np.all(np.isfinite(psi)):
             raise EvolutionError(f"state left the finite range at step {k + 1}")
         if callback is not None:
@@ -162,14 +176,12 @@ class EvolutionOperator:
         return k
 
     def _step(self, k: int) -> np.ndarray:
-        if k not in self._step_cache:
-            if not self.factory.time_dependent and self._step_cache:
-                self._step_cache[k] = next(iter(self._step_cache.values()))
-            else:
-                self._step_cache[k] = step_matrix(
-                    self.factory, self.grid, self.times[k], self.dt, self.method
-                )
-        return self._step_cache[k]
+        key = k if self.factory.time_dependent else 0
+        if key not in self._step_cache:
+            self._step_cache[key] = step_matrix(
+                self.factory, self.grid, self.times[key], self.dt, self.method
+            )
+        return self._step_cache[key]
 
     def matrix(self, t_from: float, t_to: float) -> np.ndarray:
         """Dense U(t_to <- t_from) between two lattice times."""

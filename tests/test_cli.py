@@ -1,6 +1,7 @@
 """Exit codes, determinism, and output shapes of the command line."""
 
 import textwrap
+import warnings
 
 import pytest
 
@@ -352,3 +353,32 @@ def test_oversize_request_is_a_numerical_failure(tmp_path, capsys):
     )
     assert main(["run", "--config", cfg]) == EXIT_NUMERICAL
     assert "numerical failure" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("method", ["crank-nicolson", "midpoint-exponential"])
+@pytest.mark.parametrize("kind", ["schrodinger", "dirac"])
+def test_overflowing_time_step_is_a_one_line_numerical_failure(tmp_path, capsys, kind, method):
+    cfg = _write(
+        tmp_path,
+        "huge.cfg",
+        f"""
+        [model]
+        kind = {kind}
+        [grid]
+        points = 16
+        [potential]
+        scalar-profile = cosine
+        scalar-amplitude = 0.4
+        [evolution]
+        time-step = 1e308
+        steps = 3
+        method = {method}
+        """,
+    )
+    # Any numpy RuntimeWarning raised on the way becomes an error here.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["run", "--config", cfg]) == EXIT_NUMERICAL
+    err = capsys.readouterr().err
+    assert err.startswith("numerical failure")
+    assert len(err.splitlines()) == 1

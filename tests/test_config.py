@@ -116,6 +116,10 @@ def test_missing_equals_is_rejected():
         "[evolution]\nsteps = 0\n",
         "[evolution]\ntime-step = 0\n",
         "[evolution]\ntime-step = -0.01\n",
+        "[evolution]\ntime-step = nan\n",
+        "[evolution]\ntime-step = inf\n",
+        "[evolution]\nstart-time = nan\n",
+        "[evolution]\nstart-time = -inf\n",
         "[model]\nkind = schrodinger\n[initial]\ncomponent = 1\n",
         "[initial]\nprofile = gaussian\nwidth = 0\n",
         "[potential]\nscalar-profile = harmonic\nscalar-amplitude = 1.0\nscalar-width = 0\n",

@@ -1,5 +1,7 @@
 """Time stepping, dense propagators, observables, and conserved charge."""
 
+import warnings
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -22,6 +24,8 @@ from bundlewave.evolution import (
 from bundlewave.grid import FibreProduct, GridFunction, SpatialGrid1D, inner
 from bundlewave.reduction import (
     HamiltonianFactory,
+    Potentials,
+    dirac_hamiltonian,
     kg_canonical_hamiltonian,
     schrodinger_hamiltonian,
 )
@@ -85,16 +89,60 @@ def test_crank_nicolson_preserves_norm_with_potential():
 # Step matrices and convergence order
 
 
+def _reference_crank_nicolson(h, dt, hbar=1.0):
+    """The two-sided solve (I + K)^-1 (I - K), K = i dt H / 2 hbar."""
+    eye = np.eye(h.shape[0])
+    coeff = 0.5j * dt / hbar
+    return np.linalg.solve(eye + coeff * h, eye - coeff * h)
+
+
+def _static_factories():
+    return {
+        "schrodinger": schrodinger_hamiltonian(1.0, potential=0.5 * np.cos(GRID.points)),
+        "dirac": dirac_hamiltonian(
+            1.0, charge=1.0, potentials=Potentials(scalar=0.3 * np.cos(GRID.points))
+        ),
+    }
+
+
 def test_step_matrix_forms():
     factory = schrodinger_hamiltonian(1.0, potential=np.sin(GRID.points))
     h = hamiltonian_dense(factory, GRID)
     dt = 0.03
-    eye = np.eye(h.shape[0])
     expm_step = step_matrix(factory, GRID, 0.0, dt, "midpoint-exponential")
     assert np.max(np.abs(expm_step - scipy.linalg.expm(-1j * dt * h))) < 1e-12
     cn_step = step_matrix(factory, GRID, 0.0, dt, "crank-nicolson")
-    expected = np.linalg.solve(eye + 0.5j * dt * h, eye - 0.5j * dt * h)
-    assert np.max(np.abs(cn_step - expected)) < 1e-12
+    assert np.max(np.abs(cn_step - _reference_crank_nicolson(h, dt))) < 1e-12
+
+
+@pytest.mark.parametrize("dt", [0.03, -0.03])
+@pytest.mark.parametrize("kind", ["schrodinger", "dirac"])
+def test_cayley_step_matrix_matches_two_sided_solve(kind, dt):
+    factory = _static_factories()[kind]
+    expected = _reference_crank_nicolson(hamiltonian_dense(factory, GRID), dt, factory.hbar)
+    step = step_matrix(factory, GRID, 0.0, dt, "crank-nicolson")
+    assert np.max(np.abs(step - expected)) <= 1e-12 * np.max(np.abs(expected))
+
+
+@pytest.mark.parametrize("kind", ["schrodinger", "dirac"])
+def test_static_evolve_matches_per_step_lu_route(kind):
+    # The same H flagged time-dependent is factored and solved at every
+    # step, instead of going through the cached step matrix.
+    static = _static_factories()[kind]
+    rebuilt = HamiltonianFactory(
+        dimension=static.dimension,
+        build=static.build,
+        label="rebuilt",
+        hbar=static.hbar,
+        time_dependent=True,
+    )
+    rng = np.random.default_rng(7)
+    shape = (static.dimension, GRID.npoints)
+    state = GridFunction(GRID, rng.normal(size=shape) + 1j * rng.normal(size=shape))
+    state = (1.0 / state.norm()) * state
+    cached = evolve(state, static, dt=0.02, steps=200)
+    stepped = evolve(state, rebuilt, dt=0.02, steps=200)
+    assert np.max(np.abs(cached.values - stepped.values)) <= 1e-12
 
 
 def test_step_matrix_uses_midpoint_of_interval():
@@ -195,6 +243,17 @@ def test_nonfinite_states_are_detected():
     state = GridFunction(GRID, values)
     with pytest.raises(EvolutionError, match="finite"):
         evolve(state, schrodinger_hamiltonian(1.0), dt=0.1, steps=1)
+
+
+def test_overflowing_state_is_an_evolution_error():
+    # A finite state at the edge of the float range overflows in the matvec;
+    # that must end in EvolutionError, not in a numpy RuntimeWarning.
+    state = GridFunction(GRID, 1e308 * np.exp(1j * np.arange(GRID.npoints) ** 2)[np.newaxis, :])
+    factory = schrodinger_hamiltonian(1.0, potential=0.5 * np.cos(GRID.points))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(EvolutionError, match="finite"):
+            evolve(state, factory, dt=0.5, steps=3)
 
 
 def test_callback_sees_every_lattice_time():

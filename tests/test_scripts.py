@@ -23,3 +23,13 @@ def test_born_scaling_first_order_ratio_is_quadratic(capsys):
     ratio = float(lines[2].split(",")[3])
     # c11's bound: the ratio lies within a factor 1.5 of 2^(order+1) = 4.
     assert max(ratio / 4.0, 4.0 / ratio) < 1.5
+
+
+def test_stepper_vs_kernel_is_second_order(capsys):
+    script = _load("stepper_vs_kernel")
+    assert script.main(["--refinements", "3"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "steps,dt,error,observed_order"
+    assert len(lines) == 4
+    order = float(lines[-1].split(",")[3])
+    assert 1.9 <= order <= 2.1
