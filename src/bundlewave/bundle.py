@@ -30,10 +30,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import kron_component_matrix
+from .algebra import kron_component_matrix, singular_index
 from .grid import FibreProduct, SpatialGrid1D
 from .reduction import HamiltonianFactory
-from .evolution import DENSE_STATE_LIMIT, step_matrix
+from .evolution import DENSE_STATE_LIMIT, EvolutionError, _cayley_right, step_matrix
 
 COEFFICIENT_MODES = ("arrival", "departure")
 DERIVATION_MODES = ("limit", "coefficients")
@@ -80,9 +80,8 @@ class Trivialization:
             raise BundleError(
                 f"trivialization frames must be (nsamples, m, m), got {self.frames.shape}"
             )
-        dets = np.linalg.det(self.frames)
-        if np.any(np.abs(dets) < 1e-13):
-            bad = int(np.argmin(np.abs(dets)))
+        bad = singular_index(self.frames)
+        if bad is not None:
             raise BundleError(f"trivialization frame {bad} is singular")
 
     @classmethod
@@ -133,10 +132,9 @@ class TransportAlongMap:
             raise BundleError(
                 f"{frames.shape[0]} frames for {sampling.nsamples} samples"
             )
-        dets = np.linalg.det(frames)
-        if np.any(np.abs(dets) < 1e-13):
-            bad = int(np.argmin(np.abs(dets)))
-            raise BundleError(f"frame {bad} is singular (|det| = {np.abs(dets[bad]):.3e})")
+        bad = singular_index(frames)
+        if bad is not None:
+            raise BundleError(f"frame {bad} is singular")
         self.sampling = sampling
         self.frames = frames
 
@@ -198,6 +196,14 @@ def evolution_transport(
     The backward propagators are accumulated interval by interval with
     `substeps` sub-intervals each; transports come out as the gauge-twisted
     propagators g_i^{-1} U(t_i <- t_j) g_j.
+
+    A Crank-Nicolson substep multiplies its step into the running frame from
+    the right in Cayley form, F U = 2 F (I + K)^-1 - F: one LU and one solve
+    with mN right-hand sides, no step matrix and no dense product.  A
+    midpoint-exponential substep multiplies by its `step_matrix`.  The same
+    Cayley LU serves `step_matrix`, solved against the identity, and
+    `evolve` with a time-dependent H, solved against the state.  Overflow
+    ends in EvolutionError, as it does in `step_matrix`.
     """
     size = factory.dimension * grid.npoints
     if size > DENSE_STATE_LIMIT:
@@ -207,15 +213,22 @@ def evolution_transport(
     times = sampling.parameters
     frames = np.empty((sampling.nsamples, size, size), dtype=complex)
     frames[0] = np.eye(size, dtype=complex)
-    for i in range(sampling.nsamples - 1):
-        delta = (times[i + 1] - times[i]) / substeps
-        backward = frames[i]
-        for k in range(substeps):
-            # U(tau_k <- tau_{k+1}) has midpoint tau_k + delta/2 either way.
-            backward = backward @ step_matrix(
-                factory, grid, times[i] + (k + 1) * delta, -delta, method
-            )
-        frames[i + 1] = backward
+    # Overflow surfaces as non-finite entries, refused after each interval.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i in range(sampling.nsamples - 1):
+            delta = (times[i + 1] - times[i]) / substeps
+            frames[i + 1] = frames[i]
+            for k in range(substeps):
+                # U(tau_k <- tau_{k+1}) has midpoint tau_k + delta/2 either way.
+                tau = times[i] + (k + 1) * delta
+                if method == "crank-nicolson":
+                    frames[i + 1] = _cayley_right(frames[i + 1], factory, grid, tau, -delta)
+                else:
+                    frames[i + 1] = frames[i + 1] @ step_matrix(factory, grid, tau, -delta, method)
+            if not np.all(np.isfinite(frames[i + 1])):
+                raise EvolutionError(
+                    f"transport frame {i + 1} left the finite range; reduce the sampling step"
+                )
     transport = TransportAlongMap(sampling, frames)
     if gauge is not None:
         transport = transport.with_gauge(gauge)

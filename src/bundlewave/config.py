@@ -235,7 +235,10 @@ def _parse_samples(text: str, key: str, npoints: int, converter=float) -> np.nda
         raise ConfigError(f"{key} must hold comma-separated numbers, got {text!r}") from None
     if len(values) != npoints:
         raise ConfigError(f"{key} must hold {npoints} values (one per grid point), got {len(values)}")
-    return np.asarray(values)
+    values = np.asarray(values)
+    if not np.all(np.isfinite(values)):
+        raise ConfigError(f"{key} must hold finite numbers, got {text!r}")
+    return values
 
 
 def _validate_samples_slot(profile: str, samples: str, key: str, npoints: int, converter=float) -> None:
@@ -449,11 +452,15 @@ def build_initial_state(cfg: RunConfig, grid: SpatialGrid1D, seed: int = 0) -> G
         values[init.component] = _parse_samples(init.samples, "samples", grid.npoints, complex)
     else:
         raise ConfigError(f"unknown initial profile {init.profile!r}")
-    state = GridFunction(grid, values)
-    norm = state.norm()
-    if norm == 0:
+    # Scaling the real and imaginary parts by the power of two of the largest
+    # one keeps the norm from overflowing or underflowing for any finite,
+    # non-zero samples; being exact, it changes no digit of the result.
+    parts = values.view(float)
+    peak = np.max(np.abs(parts))
+    if peak == 0:
         raise ConfigError("initial state came out identically zero")
-    return state * (1.0 / norm)
+    state = GridFunction(grid, np.ldexp(parts, -np.frexp(peak)[1]).view(complex))
+    return state * (1.0 / state.norm())
 
 
 def build_frame(cfg: RunConfig, grid: SpatialGrid1D) -> Trivialization | None:

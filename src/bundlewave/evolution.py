@@ -9,9 +9,14 @@ midpoint and K = i dt H_mid / 2 hbar:
 * Midpoint exponential: psi' = expm(-i dt H_mid / hbar) psi, exact for
   time-independent H; useful as an independent route when cross-checking.
 
-`step_matrix` is the one place a one-step propagator is made; it forms the
-Crank-Nicolson one as 2 (I + K)^-1 - I from an in-place LU of I + K and a
-solve against the identity.  `evolve` builds one per static H, once.
+Crank-Nicolson is used in Cayley form, U = 2 (I + K)^-1 - I, from one
+in-place LU of I + K per step.  That LU has three users: `step_matrix`
+solves it against the identity, and `evolve` builds that matrix once per
+static H; `evolve` for a time-dependent H applies it to the state with one
+single-RHS solve, psi -> 2 (I + K)^-1 psi - psi; and
+`bundle.evolution_transport` multiplies it into a running frame from the
+right, B -> 2 B (I + K)^-1 - B, with one solve of mN right-hand sides and
+no explicit step matrix.  Each costs one LU and one solve per (sub)step.
 
 `EvolutionOperator` materialises the propagator between lattice times as a
 dense matrix so that composition, inversion, and derivative probes can be
@@ -57,6 +62,35 @@ def _cayley_lu(h_mid: np.ndarray, coeff: complex):
     return scipy.linalg.lu_factor(h_mid.T, overwrite_a=True, check_finite=False)
 
 
+def _cayley_right(
+    block: np.ndarray | None,
+    factory: HamiltonianFactory,
+    grid: SpatialGrid1D,
+    t: float,
+    dt: float,
+) -> np.ndarray:
+    """block @ U for the Crank-Nicolson step U over [t, t + dt].
+
+    block (I + K)^-1 is the transpose of a solve of (I + K)^T against
+    block^T, so the product takes one LU and one solve with mN right-hand
+    sides.  `block` is left untouched; None stands for the identity, whose
+    product is U itself and whose right-hand side the solve may overwrite.
+    """
+    lu = _cayley_lu(hamiltonian_dense(factory, grid, t + dt / 2.0), 1j * dt / (2.0 * factory.hbar))
+    if block is None:
+        rhs = np.eye(lu[0].shape[0], dtype=complex, order="F")
+    else:
+        rhs = block.T
+    # The transpose of the F-ordered solution is C-ordered.
+    out = scipy.linalg.lu_solve(lu, rhs, overwrite_b=block is None, check_finite=False).T
+    out *= 2.0
+    if block is None:
+        out[np.diag_indices_from(out)] -= 1.0
+    else:
+        out -= block
+    return out
+
+
 def step_matrix(
     factory: HamiltonianFactory,
     grid: SpatialGrid1D,
@@ -66,19 +100,14 @@ def step_matrix(
 ) -> np.ndarray:
     """Dense one-step propagator over [t, t + dt] (dt may be negative)."""
     _check_method(method)
-    h_mid = hamiltonian_dense(factory, grid, t + dt / 2.0)
     # Overflow surfaces as non-finite entries, refused below.
     with np.errstate(over="ignore", invalid="ignore"):
         if method == "midpoint-exponential":
+            h_mid = hamiltonian_dense(factory, grid, t + dt / 2.0)
             h_mid *= -1j * dt / factory.hbar
             unit = scipy.linalg.expm(h_mid)
         else:
-            eye = np.eye(h_mid.shape[0], dtype=complex, order="F")
-            lu = _cayley_lu(h_mid, 1j * dt / (2.0 * factory.hbar))
-            # The transposed system gives (I + K)^-T; its transpose is C-ordered.
-            unit = scipy.linalg.lu_solve(lu, eye, overwrite_b=True, check_finite=False).T
-            unit *= 2.0
-            unit[np.diag_indices_from(unit)] -= 1.0
+            unit = _cayley_right(None, factory, grid, t, dt)
     if not np.all(np.isfinite(unit)):
         raise EvolutionError("the step matrix left the finite range; reduce the time step")
     return unit
@@ -98,7 +127,7 @@ def evolve(
     `callback(t, state)`, if given, is invoked after every step.  A static H
     gets one step matrix, built once by `step_matrix` in O((mN)^3), then one
     O((mN)^2) matvec per step; a time-dependent H is realized and factored
-    at every step midpoint.
+    at every step midpoint, then applied with one single-RHS solve.
     """
     _check_method(method)
     if initial.components != factory.dimension:
@@ -122,9 +151,8 @@ def evolve(
                 psi = unit @ psi
             elif method == "crank-nicolson":
                 h_mid = hamiltonian_dense(factory, grid, t0 + (k + 0.5) * dt)
-                coeff = 1j * dt / (2.0 * factory.hbar)
-                rhs = psi - coeff * (h_mid @ psi)
-                psi = scipy.linalg.lu_solve(_cayley_lu(h_mid, coeff), rhs, trans=1, check_finite=False)
+                lu = _cayley_lu(h_mid, 1j * dt / (2.0 * factory.hbar))
+                psi = 2.0 * scipy.linalg.lu_solve(lu, psi, trans=1, check_finite=False) - psi
             else:
                 psi = step_matrix(factory, grid, t0 + k * dt, dt, method) @ psi
         if not np.all(np.isfinite(psi)):

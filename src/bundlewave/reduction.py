@@ -39,6 +39,7 @@ from .algebra import (
     op_scale,
     op_sum,
     promote,
+    singular_index,
 )
 from .grid import GridFunction, SpatialGrid1D, derivative_values
 
@@ -581,7 +582,7 @@ class GaugeFrame:
 
     def inverse_at(self, t: float = 0.0) -> np.ndarray:
         m = self.at(t)
-        if abs(np.linalg.det(m)) < 1e-13:
+        if singular_index(m) is not None:
             raise ReductionError("gauge frame is singular")
         return np.linalg.inv(m)
 

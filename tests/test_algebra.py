@@ -24,9 +24,16 @@ from bundlewave.algebra import (
     op_sum,
     pauli_matrices,
     promote,
+    singular_index,
     slashed_contract,
 )
 from bundlewave.grid import GridFunction, SpatialGrid1D, derivative_matrix
+from bundlewave.reduction import (
+    Potentials,
+    dirac_hamiltonian,
+    kg_canonical_hamiltonian,
+    schrodinger_hamiltonian,
+)
 
 GRID = SpatialGrid1D(12, 2.0 * np.pi)
 
@@ -93,6 +100,43 @@ def test_matrix_operator_apply_matches_dense():
     state = rand_state(2, seed=2)
     direct = op.apply(state).flatten()
     assert np.allclose(op.dense(GRID) @ state.flatten(), direct, atol=1e-11)
+
+
+def _dense_by_columns(op: MatrixOperator, grid: SpatialGrid1D, t: float) -> np.ndarray:
+    """Dense matrix of an operator matrix, one `apply` per basis state."""
+    cols = op.shape[1]
+    basis = np.eye(cols * grid.npoints, dtype=complex)
+    return np.stack(
+        [op.apply(GridFunction.from_flat(grid, e, cols), t).flatten() for e in basis], axis=1
+    )
+
+
+def _rotation_frames(grid: SpatialGrid1D, dim: int) -> np.ndarray:
+    angles = 0.4 * np.cos(2.0 * np.pi * grid.points / grid.length)
+    frames = np.broadcast_to(np.eye(dim, dtype=complex), (grid.npoints, dim, dim)).copy()
+    frames[:, 0, 0] = frames[:, 1, 1] = np.cos(angles)
+    frames[:, 0, 1], frames[:, 1, 0] = -np.sin(angles), np.sin(angles)
+    return frames * np.exp(1j * angles)[:, None, None]
+
+
+@pytest.mark.parametrize("model", ["schrodinger", "dirac", "kg-canonical", "framed-dirac"])
+@pytest.mark.parametrize("boundary", ["periodic", "reflecting"])
+def test_dense_matches_columnwise_apply(model, boundary):
+    grid = SpatialGrid1D(16, 6.0, boundary)
+    x = grid.points
+    potentials = Potentials(scalar=lambda t: 0.3 * np.cos(x + t), vector=0.2 * np.sin(x))
+    if model == "schrodinger":
+        factory = schrodinger_hamiltonian(1.3, potential=lambda t: 0.5 * np.cos(x - t))
+    elif model == "kg-canonical":
+        factory = kg_canonical_hamiltonian(0.8, 1.0, potentials)
+    else:
+        factory = dirac_hamiltonian(0.7, 1.0, potentials)
+    t = 0.37
+    op = factory.at(t)
+    if model == "framed-dirac":
+        op = matrix_in_frame(op, _rotation_frames(grid, 4), grid)
+    expected = _dense_by_columns(op, grid, t)
+    assert np.max(np.abs(op.dense(grid, t) - expected)) <= 1e-13 * max(np.max(np.abs(expected)), 1.0)
 
 
 def test_odot_matches_dense_product():
@@ -162,6 +206,20 @@ def test_singular_frame_detected():
     frame[3] = 0.0
     with pytest.raises(AlgebraError, match="point index 3"):
         matrix_in_frame(MatrixOperator([[IdentityOp()]]), frame, GRID)
+
+
+def test_singularity_guard_tests_conditioning_not_scale():
+    assert singular_index(0.5 * np.eye(64)) is None
+    assert singular_index(1e-30 * np.eye(3)) is None
+    assert singular_index(np.diag([1e8, 1e-9])) == 0
+    assert singular_index(np.stack([np.eye(2), np.zeros((2, 2))])) == 1
+    assert singular_index(np.stack([np.eye(2), np.full((2, 2), np.nan)])) == 1
+    ill = np.broadcast_to(np.diag([1e8, 1e-9]), (GRID.npoints, 2, 2)).copy()
+    ill[:5] = np.eye(2)
+    with pytest.raises(AlgebraError, match="point index 5"):
+        matrix_in_frame(MatrixOperator.identity(2), ill, GRID)
+    halves = np.broadcast_to(0.5 * np.eye(2), (GRID.npoints, 2, 2))
+    assert matrix_in_frame(MatrixOperator.identity(2), halves, GRID).shape == (2, 2)
 
 
 # ---------------------------------------------------------------------------

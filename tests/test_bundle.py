@@ -1,5 +1,7 @@
 """Transports from frames, their laws, coefficients, and liftings."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -19,9 +21,15 @@ from bundlewave.bundle import (
     transport_coefficients,
     transported_lifting,
 )
-from bundlewave.evolution import EvolutionOperator, evolve, hamiltonian_dense
+from bundlewave.evolution import (
+    EvolutionError,
+    EvolutionOperator,
+    evolve,
+    hamiltonian_dense,
+    step_matrix,
+)
 from bundlewave.grid import GridFunction, SpatialGrid1D, inner
-from bundlewave.reduction import schrodinger_hamiltonian
+from bundlewave.reduction import Potentials, dirac_hamiltonian, schrodinger_hamiltonian
 
 GRID = SpatialGrid1D(8, 8.0 * np.pi)
 
@@ -72,6 +80,9 @@ def test_trivialization_constructors_and_checks():
         Trivialization(np.ones((3, 2)))
     with pytest.raises(BundleError, match="frame 1"):
         Trivialization(np.stack([np.eye(2), np.zeros((2, 2))]))
+    with pytest.raises(BundleError, match="frame 2 is singular"):
+        Trivialization(np.stack([np.eye(2), np.eye(2), np.diag([1e8, 1e-9])]))
+    assert Trivialization.constant(0.5 * np.eye(64), 2).dim == 64
     assert Trivialization.identity(4, 3).is_unitary()
     phases = Trivialization.phase(np.linspace(0, 1, 4), dim=2)
     assert phases.dim == 2 and phases.is_unitary()
@@ -117,6 +128,10 @@ def test_transport_frame_validation():
         TransportAlongMap(sampling, np.stack([np.eye(2)] * 4))
     with pytest.raises(BundleError, match="frame 2 is singular"):
         TransportAlongMap(sampling, np.stack([np.eye(2), np.eye(2), np.zeros((2, 2))]))
+    with pytest.raises(BundleError, match="frame 1 is singular"):
+        TransportAlongMap(sampling, np.stack([np.eye(2), np.diag([1e8, 1e-9]), np.eye(2)]))
+    halves = TransportAlongMap(sampling, np.stack([0.5 * np.eye(64)] * 3))
+    assert np.array_equal(halves.transport(2, 0), np.eye(64))
     transport = TransportAlongMap(sampling, np.stack([np.eye(2)] * 3))
     with pytest.raises(BundleError):
         transport.transport(3, 0)
@@ -195,6 +210,63 @@ def test_evolution_transport_substeps_refine_intervals():
         evolution_transport(factory, GRID, coarse, substeps=0)
     with pytest.raises(BundleError):
         evolution_transport(factory, SpatialGrid1D(2048, 1.0), coarse)
+
+
+def _reference_transport_frames(factory, grid, sampling, method, substeps, gauge):
+    """Frames accumulated as products with explicit step matrices."""
+    size = factory.dimension * grid.npoints
+    times = sampling.parameters
+    frames = np.empty((sampling.nsamples, size, size), dtype=complex)
+    frames[0] = np.eye(size, dtype=complex)
+    for i in range(sampling.nsamples - 1):
+        delta = (times[i + 1] - times[i]) / substeps
+        backward = frames[i]
+        for k in range(substeps):
+            backward = backward @ step_matrix(
+                factory, grid, times[i] + (k + 1) * delta, -delta, method
+            )
+        frames[i + 1] = backward
+    transport = TransportAlongMap(sampling, frames)
+    return transport.frames if gauge is None else transport.with_gauge(gauge).frames
+
+
+def _transport_case(model: str, driven: bool):
+    grid = SpatialGrid1D(8, 6.0)
+    x = grid.points
+    profile = 0.3 * np.cos(2.0 * np.pi * x / grid.length)
+    if model == "schrodinger":
+        potential = (lambda t: np.sin(1.3 * t) * profile) if driven else profile
+        return schrodinger_hamiltonian(1.0, potential=potential), grid
+    scalar = (lambda t: np.cos(3.0 * t) * profile) if driven else profile
+    return dirac_hamiltonian(1.0, 1.0, Potentials(scalar=scalar)), grid
+
+
+@pytest.mark.parametrize("with_gauge", [False, True])
+@pytest.mark.parametrize("substeps", [1, 3])
+@pytest.mark.parametrize("driven", [False, True])
+@pytest.mark.parametrize("model", ["schrodinger", "dirac"])
+@pytest.mark.parametrize("method", ["crank-nicolson", "midpoint-exponential"])
+def test_evolution_transport_matches_step_matrix_products(model, driven, substeps, with_gauge, method):
+    factory, grid = _transport_case(model, driven)
+    sampling = PathSampling(np.array([0.0, 0.07, 0.2, 0.26, 0.41]))
+    gauge = None
+    if with_gauge:
+        angles = np.linspace(0.0, 1.1, sampling.nsamples)
+        gauge = Trivialization.phase(angles, factory.dimension)
+    transport = evolution_transport(factory, grid, sampling, method, substeps, gauge)
+    expected = _reference_transport_frames(factory, grid, sampling, method, substeps, gauge)
+    defect = np.max(np.abs(transport.frames - expected)) / np.max(np.abs(expected))
+    assert defect <= 1e-12
+
+
+@pytest.mark.parametrize("method", ["crank-nicolson", "midpoint-exponential"])
+def test_overflowing_transport_is_an_evolution_error(method):
+    factory, grid = _transport_case("dirac", driven=True)
+    # Any numpy RuntimeWarning raised on the way becomes an error here.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(EvolutionError):
+            evolution_transport(factory, grid, PathSampling.uniform(0.0, 1e308, 3), method)
 
 
 def test_arrival_and_departure_coefficients_are_opposite():

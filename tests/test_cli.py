@@ -382,3 +382,30 @@ def test_overflowing_time_step_is_a_one_line_numerical_failure(tmp_path, capsys,
     err = capsys.readouterr().err
     assert err.startswith("numerical failure")
     assert len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize(
+    "section, expected",
+    [
+        ("[initial]\nprofile = samples\nsamples = 1e308, 1e308, 1e308, 1e308", EXIT_OK),
+        ("[initial]\nprofile = samples\nsamples = 1e-320, 0, 0, 0", EXIT_OK),
+        ("[initial]\nprofile = samples\nsamples = nan, 1, 1, 1", EXIT_CONFIG),
+        ("[potential]\nscalar-profile = samples\nscalar-samples = 0, nan, 0, 0", EXIT_CONFIG),
+    ],
+)
+def test_sampled_profiles_at_the_float_limits(tmp_path, capsys, section, expected):
+    text = "[model]\nkind = schrodinger\n[grid]\npoints = 4\n[evolution]\nsteps = 3\n" + section + "\n"
+    cfg = _write(tmp_path, "sampled.cfg", text)
+    # Any numpy RuntimeWarning raised on the way becomes an error here.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["run", "--config", cfg]) == expected
+    captured = capsys.readouterr()
+    if expected == EXIT_CONFIG:
+        assert captured.err.startswith("configuration error")
+        assert "finite" in captured.err and len(captured.err.splitlines()) == 1
+        return
+    assert captured.err == ""
+    rows = [line.split(",") for line in captured.out.splitlines()[1:]]
+    assert len(rows) == 4
+    assert all(abs(float(row[2]) - 1.0) < 1e-12 and float(row[3]) < 1e-12 for row in rows)

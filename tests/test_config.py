@@ -1,5 +1,7 @@
 """Parsing, canonical emission, and builders for run configurations."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -137,6 +139,12 @@ def test_missing_equals_is_rejected():
         "[green]\ntarget-time = nan\n",
         "[green]\nsource-time = 0.5\ntarget-time = 0.5\n",
         "[green]\nsource-time = 0.6\ntarget-time = 0.5\n",
+        "[grid]\npoints = 4\n[initial]\nprofile = samples\nsamples = nan, 1, 1, 1\n",
+        "[grid]\npoints = 4\n[initial]\nprofile = samples\nsamples = 1, inf, 1, 1\n",
+        "[grid]\npoints = 4\n[initial]\nprofile = samples\nsamples = 1, 1, nanj, 1\n",
+        "[grid]\npoints = 4\n[potential]\nscalar-profile = samples\nscalar-samples = 0, nan, 0, 0\n",
+        "[grid]\npoints = 4\n[potential]\nscalar-profile = samples\nscalar-samples = 0, 0, 0, -inf\n",
+        "[grid]\npoints = 4\n[potential]\nvector-profile = samples\nvector-samples = inf, 0, 0, 0\n",
     ],
 )
 def test_semantic_validation(snippet):
@@ -333,6 +341,19 @@ def test_sampled_initial_state_accepts_complex_entries():
     expected = np.array([1 + 1j, 0, -2j, 0.5])
     expected = expected / np.sqrt(grid.spacing * np.sum(np.abs(expected) ** 2))
     assert np.max(np.abs(state.values[0] - expected)) < 1e-12
+
+
+@pytest.mark.parametrize(
+    "samples",
+    ["1e308, 1e308, 1e308, 1e308", "1e-320, 0, 0, 0", "0, 1e308-1e308j, 1e-300, 0", "5e-324j, 0, 0, 0"],
+)
+def test_sampled_initial_state_is_normalized_at_any_scale(samples):
+    cfg = parse_config(f"[grid]\npoints = 4\n[initial]\nprofile = samples\nsamples = {samples}\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        state = build_initial_state(cfg, build_grid(cfg))
+    assert np.all(np.isfinite(state.values))
+    assert abs(state.norm() - 1.0) < 1e-14
 
 
 # ---------------------------------------------------------------------------

@@ -145,6 +145,28 @@ def test_static_evolve_matches_per_step_lu_route(kind):
     assert np.max(np.abs(cached.values - stepped.values)) <= 1e-12
 
 
+@pytest.mark.parametrize("kind", ["schrodinger", "dirac"])
+def test_time_dependent_evolve_matches_two_sided_solves(kind):
+    x = GRID.points
+    if kind == "schrodinger":
+        factory = schrodinger_hamiltonian(1.0, potential=lambda t: 0.5 * np.cos(x) * np.sin(1.3 * t))
+    else:
+        factory = dirac_hamiltonian(
+            1.0, charge=1.0, potentials=Potentials(scalar=lambda t: 0.3 * np.cos(x) * np.cos(3.0 * t))
+        )
+    rng = np.random.default_rng(11)
+    shape = (factory.dimension, GRID.npoints)
+    state = GridFunction(GRID, rng.normal(size=shape) + 1j * rng.normal(size=shape))
+    state = (1.0 / state.norm()) * state
+    dt, steps, t0 = 0.02, 60, 0.1
+    psi = state.flatten()
+    for k in range(steps):
+        h_mid = hamiltonian_dense(factory, GRID, t0 + (k + 0.5) * dt)
+        psi = _reference_crank_nicolson(h_mid, dt, factory.hbar) @ psi
+    stepped = evolve(state, factory, dt=dt, steps=steps, t0=t0)
+    assert np.max(np.abs(stepped.flatten() - psi)) <= 1e-12 * np.max(np.abs(psi))
+
+
 def test_step_matrix_uses_midpoint_of_interval():
     # For H(t) = g(t) * Id the one-step matrix is exp(-i dt g(t + dt/2)).
     factory = schrodinger_hamiltonian(1.0, potential=lambda t: np.full(4, t**2))

@@ -3,6 +3,8 @@
 import importlib.util
 from pathlib import Path
 
+import pytest
+
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
 
@@ -33,3 +35,14 @@ def test_stepper_vs_kernel_is_second_order(capsys):
     assert len(lines) == 4
     order = float(lines[-1].split(",")[3])
     assert 1.9 <= order <= 2.1
+
+
+@pytest.mark.parametrize("method", ["crank-nicolson", "midpoint-exponential"])
+def test_dirac_wavepacket_keeps_unit_norm(capsys, method):
+    script = _load("dirac_wavepacket")
+    argv = ["--points", "32", "--steps", "40", "--every", "10", "--method", method]
+    assert script.main(argv) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "step,time,norm,center"
+    assert [line.split(",")[0] for line in lines[1:]] == ["0", "10", "20", "30", "40"]
+    assert all(abs(float(line.split(",")[2]) - 1.0) <= 1e-10 for line in lines[1:])
