@@ -33,9 +33,7 @@ class AlgebraError(ValueError):
 
 
 class LinearGridOperator:
-    """Base class; subclasses carry a `kind` tag and apply to (N,) arrays."""
-
-    kind = "abstract"
+    """Base class; subclasses apply to (N,) arrays."""
 
     def apply(self, values: np.ndarray, grid: SpatialGrid1D, t: float = 0.0) -> np.ndarray:
         raise NotImplementedError
@@ -68,8 +66,6 @@ class LinearGridOperator:
 
 
 class ZeroOp(LinearGridOperator):
-    kind = "zero"
-
     def apply(self, values, grid, t=0.0):
         return np.zeros_like(np.asarray(values, dtype=complex))
 
@@ -81,8 +77,6 @@ class ZeroOp(LinearGridOperator):
 
 
 class IdentityOp(LinearGridOperator):
-    kind = "identity"
-
     def apply(self, values, grid, t=0.0):
         return np.asarray(values, dtype=complex).copy()
 
@@ -92,8 +86,6 @@ class IdentityOp(LinearGridOperator):
 
 class ScaleOp(LinearGridOperator):
     """Multiply pointwise by a constant, a sampled field, or f(t) -> field."""
-
-    kind = "scale"
 
     def __init__(self, factor):
         self.factor = factor
@@ -127,8 +119,6 @@ class ScaleOp(LinearGridOperator):
 class DerivativeOp(LinearGridOperator):
     """d^k/dx^k with the discretization supplied by the grid."""
 
-    kind = "derivative"
-
     def __init__(self, order: int = 1):
         if order < 1:
             raise AlgebraError(f"derivative order must be >= 1, got {order}")
@@ -143,8 +133,6 @@ class DerivativeOp(LinearGridOperator):
 
 class ComposeOp(LinearGridOperator):
     """Composition; factors apply right to left."""
-
-    kind = "compose"
 
     def __init__(self, factors: Sequence[LinearGridOperator]):
         self.factors = list(factors)
@@ -165,8 +153,6 @@ class ComposeOp(LinearGridOperator):
 
 
 class SumOp(LinearGridOperator):
-    kind = "sum"
-
     def __init__(self, terms: Sequence[LinearGridOperator]):
         self.terms = [op for op in terms if not op.is_zero()]
 

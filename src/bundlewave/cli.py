@@ -22,7 +22,7 @@ import sys
 
 import numpy as np
 
-from .algebra import AlgebraError, MatrixOperator, matrix_in_frame
+from .algebra import AlgebraError, matrix_in_frame
 from .bundle import BundleError, induced_fibre_product
 from .checks import SUITES, run_checks
 from .config import (
@@ -37,7 +37,6 @@ from .config import (
 )
 from .evolution import (
     EvolutionError,
-    Observable,
     evolve,
     hamiltonian_dense,
     kg_charge,
@@ -50,7 +49,7 @@ from .green import (
     propagate_retarded,
     retarded_kernel,
 )
-from .grid import FibreProduct, GridError, GridFunction
+from .grid import FibreProduct, GridError, GridFunction, inner
 from .reduction import (
     HamiltonianFactory,
     ReductionError,
@@ -107,22 +106,19 @@ def _framed_problem(cfg: RunConfig, grid, factory, state):
         build=lambda t: matrix_in_frame(base.at(t), frames, grid),
         label=base.label + "-framed" if base.label else "framed",
         hbar=base.hbar,
-        c=base.c,
         time_dependent=base.time_dependent,
-        hermitian=base.hermitian and frame.is_unitary(),
     )
     return factory, state, induced_fibre_product(frames)
 
 
-def _run_observables(cfg: RunConfig, grid, dim: int, product: FibreProduct | None):
+def _run_observables(cfg: RunConfig, grid, product: FibreProduct | None):
     observables = []
     for name in resolved_observables(cfg):
         if name == "charge":
             observables.append(("charge", kg_charge))
         elif name == "position":
-            field = grid.points[:, None, None] * np.eye(dim)[None, :, :]
-            op = Observable("position", MatrixOperator.from_fields(field), product)
-            observables.append(("position", lambda s, _op=op: _op.value(s).real))
+            observables.append(("position", lambda s: inner(
+                s, GridFunction(grid, grid.points * s.values), product).real))
     return observables
 
 
@@ -131,7 +127,7 @@ def _cmd_run(cfg: RunConfig, args, out_dir: str | None) -> tuple[int, list[str]]
     factory = build_factory(cfg, grid)
     state = build_initial_state(cfg, grid, seed=args.seed)
     factory, state, product = _framed_problem(cfg, grid, factory, state)
-    observables = _run_observables(cfg, grid, factory.dimension, product)
+    observables = _run_observables(cfg, grid, product)
 
     every = cfg.output.snapshot_every
     if every > 0 and out_dir is None:

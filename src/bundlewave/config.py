@@ -139,17 +139,17 @@ class RunConfig:
     output: OutputSection = field(default_factory=OutputSection)
 
 
-# Section name -> (RunConfig attribute, section dataclass).  Keys are the
-# dataclass field names with underscores swapped for hyphens.
+# Section name (also the RunConfig attribute) -> section dataclass.  Keys are
+# the dataclass field names with underscores swapped for hyphens.
 _SECTIONS = {
-    "model": ("model", ModelSection),
-    "grid": ("grid", GridSection),
-    "potential": ("potential", PotentialSection),
-    "evolution": ("evolution", EvolutionSection),
-    "initial": ("initial", InitialSection),
-    "frame": ("frame", FrameSection),
-    "green": ("green", GreenSection),
-    "output": ("output", OutputSection),
+    "model": ModelSection,
+    "grid": GridSection,
+    "potential": PotentialSection,
+    "evolution": EvolutionSection,
+    "initial": InitialSection,
+    "frame": FrameSection,
+    "green": GreenSection,
+    "output": OutputSection,
 }
 
 _CHOICES = {
@@ -173,7 +173,7 @@ def _field_map(section_cls) -> dict:
 
 def parse_config(text: str) -> RunConfig:
     """Parse configuration text; raise ConfigError with the line number on
-    unknown sections/keys or bad values."""
+    unknown sections/keys or bad values, non-finite numbers included."""
     cfg = RunConfig()
     section_name = None
     section_obj = None
@@ -189,7 +189,7 @@ def parse_config(text: str) -> RunConfig:
                     f"line {lineno}: unknown section [{section_name}], "
                     f"expected one of {sorted(_SECTIONS)}"
                 )
-            section_obj = getattr(cfg, _SECTIONS[section_name][0])
+            section_obj = getattr(cfg, section_name)
             continue
         if "=" not in line:
             raise ConfigError(f"line {lineno}: expected key = value, got {line!r}")
@@ -217,6 +217,8 @@ def parse_config(text: str) -> RunConfig:
             raise ConfigError(
                 f"line {lineno}: cannot read {value!r} as {fobj.type} for key {key!r}"
             ) from None
+        if isinstance(parsed, float) and not np.isfinite(parsed):
+            raise ConfigError(f"line {lineno}: {key} must be finite, got {value!r}")
         choices = _CHOICES.get((section_name, key))
         if choices is not None and parsed not in choices:
             raise ConfigError(
@@ -275,15 +277,10 @@ def _validate(cfg: RunConfig) -> None:
     if cfg.evolution.steps < 1:
         raise ConfigError(f"evolution steps must be >= 1, got {cfg.evolution.steps}")
     green = cfg.green
-    for key, value in (
-        ("evolution time-step", cfg.evolution.time_step),
-        ("evolution start-time", cfg.evolution.start_time),
-        ("green perturbation-scale", green.perturbation_scale),
-        ("green source-time", green.source_time),
-        ("green target-time", green.target_time),
-    ):
-        if not np.isfinite(value):
-            raise ConfigError(f"{key} must be finite, got {value}")
+    if cfg.model.hbar <= 0:
+        raise ConfigError(f"hbar must be positive, got {cfg.model.hbar}")
+    if cfg.model.light_speed <= 0:
+        raise ConfigError(f"light-speed must be positive, got {cfg.model.light_speed}")
     if cfg.evolution.time_step <= 0:
         raise ConfigError(f"evolution time-step must be positive, got {cfg.evolution.time_step}")
     dim = MODEL_DIMENSIONS[cfg.model.kind]
@@ -346,8 +343,6 @@ def load_config(path: str) -> RunConfig:
 
 
 def _format_value(value) -> str:
-    if isinstance(value, bool):
-        return "true" if value else "false"
     if isinstance(value, float):
         return format(value, ".17g")
     return str(value)
@@ -356,9 +351,9 @@ def _format_value(value) -> str:
 def emit_config(cfg: RunConfig) -> str:
     """Canonical text: fixed section and key order, full-precision floats."""
     lines = []
-    for section_name, (attr, section_cls) in _SECTIONS.items():
+    for section_name, section_cls in _SECTIONS.items():
         lines.append(f"[{section_name}]")
-        section_obj = getattr(cfg, attr)
+        section_obj = getattr(cfg, section_name)
         for fobj in fields(section_cls):
             lines.append(f"{_key_of(fobj.name)} = {_format_value(getattr(section_obj, fobj.name))}")
         lines.append("")

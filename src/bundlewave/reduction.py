@@ -57,14 +57,11 @@ class Potentials:
     """Scalar potential and the single vector-potential component of a 1D run.
 
     Each entry is a constant, a grid-sampled (N,) array, or a callable
-    t -> constant/array.  `scalar_time_derivative` may be supplied
-    analytically; otherwise it is finite-differenced for callables and taken
-    to vanish for static entries.
+    t -> constant/array.
     """
 
     scalar: object = 0.0
     vector: object = 0.0
-    scalar_time_derivative: object = None
 
     @property
     def static(self) -> bool:
@@ -75,13 +72,10 @@ class Potentials:
             self.static
             and np.all(np.asarray(self.scalar) == 0)
             and np.all(np.asarray(self.vector) == 0)
-            and self.scalar_time_derivative is None
         )
 
     def scalar_rate(self):
         """Entry for d(scalar)/dt in the same constant/array/callable format."""
-        if self.scalar_time_derivative is not None:
-            return self.scalar_time_derivative
         if callable(self.scalar):
             src = self.scalar
             dt = 1e-6
@@ -133,9 +127,7 @@ class HamiltonianFactory:
     build: Callable[[float], MatrixOperator]
     label: str = ""
     hbar: float = 1.0
-    c: float = 1.0
     time_dependent: bool = False
-    hermitian: bool = False
 
     def at(self, t: float = 0.0) -> MatrixOperator:
         op = self.build(t if self.time_dependent else 0.0)
@@ -216,7 +208,6 @@ def companion_hamiltonian(
         label=label or f"companion-order-{n}",
         hbar=hbar,
         time_dependent=system.time_dependent,
-        hermitian=False,
     )
 
 
@@ -270,9 +261,7 @@ def dirac_hamiltonian(
         build=build,
         label="dirac",
         hbar=hbar,
-        c=c,
         time_dependent=not potentials.static,
-        hermitian=True,
     )
 
 
@@ -325,7 +314,6 @@ def kg_canonical_hamiltonian(
         ],
     )
     factory = companion_hamiltonian(system, hbar=hbar, label="kg-canonical")
-    factory.c = c
     factory.time_dependent = not potentials.static
     return factory
 
@@ -366,9 +354,7 @@ def kg_nonrel_hamiltonian(
         build=build,
         label="kg-nonrel",
         hbar=hbar,
-        c=c,
         time_dependent=not potentials.static,
-        hermitian=False,
     )
 
 
@@ -402,9 +388,7 @@ def kg_5d_hamiltonian(mass: float, hbar: float = 1.0, c: float = 1.0) -> Hamilto
         build=build,
         label="kg-5d",
         hbar=hbar,
-        c=c,
         time_dependent=False,
-        hermitian=False,
     )
 
 
@@ -478,9 +462,7 @@ def maxwell_hamiltonian(hbar: float = 1.0, c: float = 1.0) -> HamiltonianFactory
         build=build,
         label="maxwell",
         hbar=hbar,
-        c=c,
         time_dependent=False,
-        hermitian=True,
     )
 
 
@@ -507,7 +489,6 @@ def schrodinger_hamiltonian(
         label="schrodinger-free" if zero_potential else "schrodinger",
         hbar=hbar,
         time_dependent=not static,
-        hermitian=True,
     )
 
 
@@ -516,7 +497,6 @@ def block_diag_hamiltonian(factories: list, label: str = "block-diag") -> Hamilt
     if not factories:
         raise ReductionError("need at least one factory to stack")
     hbar = factories[0].hbar
-    c = factories[0].c
     for f in factories:
         if f.hbar != hbar:
             raise ReductionError("stacked factories disagree on hbar")
@@ -538,9 +518,7 @@ def block_diag_hamiltonian(factories: list, label: str = "block-diag") -> Hamilt
         build=build,
         label=label,
         hbar=hbar,
-        c=c,
         time_dependent=any(f.time_dependent for f in factories),
-        hermitian=all(f.hermitian for f in factories),
     )
 
 
@@ -558,7 +536,6 @@ class GaugeFrame:
 
     matrix: object
     derivative: object = None
-    fd_step: float = 1e-6
 
     @property
     def time_dependent(self) -> bool:
@@ -577,7 +554,7 @@ class GaugeFrame:
             return np.asarray(d, dtype=complex)
         if not callable(self.matrix):
             return np.zeros_like(self.at(t))
-        eps = self.fd_step
+        eps = 1e-6
         return (self.at(t + eps) - self.at(t - eps)) / (2 * eps)
 
     def inverse_at(self, t: float = 0.0) -> np.ndarray:
@@ -610,13 +587,10 @@ def gauge_transform(factory: HamiltonianFactory, frame: GaugeFrame) -> Hamiltoni
             conjugated = conjugated + promote(1j * factory.hbar * (frame.rate(t) @ a_inv))
         return conjugated
 
-    hermitian = factory.hermitian and not frame.time_dependent and frame.is_unitary()
     return HamiltonianFactory(
         dimension=dim,
         build=build,
         label=f"{factory.label}-gauged",
         hbar=factory.hbar,
-        c=factory.c,
         time_dependent=factory.time_dependent or frame.time_dependent,
-        hermitian=hermitian,
     )

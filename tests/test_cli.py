@@ -1,11 +1,19 @@
 """Exit codes, determinism, and output shapes of the command line."""
 
+import contextlib
+import io
+import os
+import tempfile
 import textwrap
 import warnings
+from dataclasses import fields
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bundlewave.cli import EXIT_CONFIG, EXIT_INVARIANT, EXIT_NUMERICAL, EXIT_OK, main
+from bundlewave.config import MODEL_KINDS, RunConfig
 
 
 def _write(tmp_path, name, text):
@@ -409,3 +417,43 @@ def test_sampled_profiles_at_the_float_limits(tmp_path, capsys, section, expecte
     rows = [line.split(",") for line in captured.out.splitlines()[1:]]
     assert len(rows) == 4
     assert all(abs(float(row[2]) - 1.0) < 1e-12 and float(row[3]) < 1e-12 for row in rows)
+
+
+# ---------------------------------------------------------------------------
+# Property: any numbers end in a documented exit with one line of explanation
+
+_FLOAT_KEYS = [
+    (section, f.name.replace("_", "-"))
+    for section in ("model", "grid", "evolution", "potential", "initial", "frame", "green")
+    for f in fields(getattr(RunConfig(), section))
+    if f.type in ("float", float)
+]
+_EDGE_VALUES = ("nan", "inf", "-inf", "0", "-1", "0.5", "1")
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.sampled_from(MODEL_KINDS),
+    st.sampled_from(["run", "green", "reduce"]),
+    st.lists(
+        st.tuples(st.sampled_from(_FLOAT_KEYS), st.sampled_from(_EDGE_VALUES)),
+        min_size=1, max_size=3, unique_by=lambda item: item[0],
+    ),
+)
+def test_any_float_input_ends_in_a_documented_exit(kind, command, assignments):
+    text = f"[model]\nkind = {kind}\n[grid]\npoints = 8\n[evolution]\nsteps = 3\n"
+    for (section, key), value in assignments:
+        text += f"[{section}]\n{key} = {value}\n"
+    out, err = io.StringIO(), io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "edge.cfg")
+        with open(path, "w", encoding="utf-8") as handle:
+            handle.write(text)
+        with warnings.catch_warnings(record=True) as caught, \
+                contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            warnings.simplefilter("always")
+            code = main([command, "--config", path])
+    assert code in (EXIT_OK, EXIT_CONFIG, EXIT_NUMERICAL), err.getvalue()
+    assert len([line for line in err.getvalue().splitlines() if line.strip()]) <= 1
+    assert "Traceback" not in err.getvalue()
+    assert not caught, [str(w.message) for w in caught]

@@ -145,6 +145,15 @@ def test_missing_equals_is_rejected():
         "[grid]\npoints = 4\n[potential]\nscalar-profile = samples\nscalar-samples = 0, nan, 0, 0\n",
         "[grid]\npoints = 4\n[potential]\nscalar-profile = samples\nscalar-samples = 0, 0, 0, -inf\n",
         "[grid]\npoints = 4\n[potential]\nvector-profile = samples\nvector-samples = inf, 0, 0, 0\n",
+        "[model]\nhbar = 0\n",
+        "[model]\nhbar = -1\n",
+        "[model]\nlight-speed = 0\n",
+        "[model]\nmass = nan\n",
+        "[model]\ncharge = inf\n",
+        "[grid]\nlength = inf\n",
+        "[potential]\nscalar-amplitude = inf\n",
+        "[frame]\nangle = nan\n",
+        "[initial]\nwidth = nan\n",
     ],
 )
 def test_semantic_validation(snippet):

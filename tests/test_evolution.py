@@ -188,7 +188,6 @@ def test_time_dependent_stepping_is_second_order(method):
         build=lambda t: MatrixOperator([[ScaleOp(lambda tt: np.full(4, np.sin(tt)))]]),
         label="oscillating-phase",
         time_dependent=True,
-        hermitian=True,
     )
     initial = GridFunction(small, np.full((1, 4), 0.5 + 0.0j))
     exact = np.exp(-1j * (1.0 - np.cos(1.0))) * initial.values
@@ -354,7 +353,6 @@ def test_crank_nicolson_unitary_for_random_hermitian(reals, seed):
         dimension=2,
         build=lambda t: MatrixOperator.from_constant(hermitian),
         label="random-hermitian",
-        hermitian=True,
     )
     small = SpatialGrid1D(4, 1.0)
     rng = np.random.default_rng(seed)
