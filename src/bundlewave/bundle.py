@@ -33,7 +33,7 @@ import numpy as np
 from .algebra import kron_component_matrix, singular_index
 from .grid import FibreProduct, SpatialGrid1D
 from .reduction import HamiltonianFactory
-from .evolution import DENSE_STATE_LIMIT, EvolutionError, _cayley_right, step_matrix
+from .evolution import DENSE_STATE_LIMIT, EvolutionError, _multiply_step
 
 COEFFICIENT_MODES = ("arrival", "departure")
 DERIVATION_MODES = ("limit", "coefficients")
@@ -138,6 +138,15 @@ class TransportAlongMap:
         self.sampling = sampling
         self.frames = frames
 
+    @classmethod
+    def _from_steps(cls, sampling: PathSampling, frames: np.ndarray) -> "TransportAlongMap":
+        """Frames built from unitary or Cayley steps and checked finite:
+        invertible by construction, so the conditioning guard is skipped."""
+        transport = cls.__new__(cls)
+        transport.sampling = sampling
+        transport.frames = frames
+        return transport
+
     @property
     def nsamples(self) -> int:
         return self.sampling.nsamples
@@ -197,13 +206,17 @@ def evolution_transport(
     `substeps` sub-intervals each; transports come out as the gauge-twisted
     propagators g_i^{-1} U(t_i <- t_j) g_j.
 
-    A Crank-Nicolson substep multiplies its step into the running frame from
-    the right in Cayley form, F U = 2 F (I + K)^-1 - F: one LU and one solve
-    with mN right-hand sides, no step matrix and no dense product.  A
-    midpoint-exponential substep multiplies by its `step_matrix`.  The same
-    Cayley LU serves `step_matrix`, solved against the identity, and
-    `evolve` with a time-dependent H, solved against the state.  Overflow
-    ends in EvolutionError, as it does in `step_matrix`.
+    Each substep's U is block-diagonal over the component groups of H, so
+    column group S of F U is F[:, S] U_S, and only the rows of F[:, S] that
+    are not all zero are touched; for frames built from the same groups
+    those rows are S.  A Crank-Nicolson substep multiplies in Cayley form,
+    F U_S = 2 F (I + K_S)^-1 - F: one LU of size |S| N and one solve with
+    |S| N right-hand sides per group, no step matrix and no dense product.
+    A midpoint-exponential substep multiplies by the group's exponential.
+    The same per-group factors serve `step_matrix` and `evolve`.  Overflow
+    ends in EvolutionError, as it does in `step_matrix`.  The frames are
+    invertible by construction, so only a gauge passes the conditioning
+    guard.
     """
     size = factory.dimension * grid.npoints
     if size > DENSE_STATE_LIMIT:
@@ -221,15 +234,12 @@ def evolution_transport(
             for k in range(substeps):
                 # U(tau_k <- tau_{k+1}) has midpoint tau_k + delta/2 either way.
                 tau = times[i] + (k + 1) * delta
-                if method == "crank-nicolson":
-                    frames[i + 1] = _cayley_right(frames[i + 1], factory, grid, tau, -delta)
-                else:
-                    frames[i + 1] = frames[i + 1] @ step_matrix(factory, grid, tau, -delta, method)
+                _multiply_step(frames[i + 1], factory, grid, tau - delta / 2.0, -delta, method)
             if not np.all(np.isfinite(frames[i + 1])):
                 raise EvolutionError(
                     f"transport frame {i + 1} left the finite range; reduce the sampling step"
                 )
-    transport = TransportAlongMap(sampling, frames)
+    transport = TransportAlongMap._from_steps(sampling, frames)
     if gauge is not None:
         transport = transport.with_gauge(gauge)
     return transport

@@ -34,6 +34,8 @@ BOUNDARY_KINDS = ("periodic", "reflecting")
 EVOLUTION_METHODS = ("crank-nicolson", "midpoint-exponential")
 FRAME_PROFILES = ("identity", "constant", "phase")
 OBSERVABLE_NAMES = ("charge", "position")
+# Models whose operators divide by the mass.
+POSITIVE_MASS_KINDS = ("kg-5d", "kg-nonrel", "schrodinger")
 
 MODEL_DIMENSIONS = {
     "dirac": 4,
@@ -281,6 +283,10 @@ def _validate(cfg: RunConfig) -> None:
         raise ConfigError(f"hbar must be positive, got {cfg.model.hbar}")
     if cfg.model.light_speed <= 0:
         raise ConfigError(f"light-speed must be positive, got {cfg.model.light_speed}")
+    if cfg.model.kind in POSITIVE_MASS_KINDS and cfg.model.mass <= 0:
+        raise ConfigError(
+            f"the {cfg.model.kind} model needs a positive mass, got {cfg.model.mass}"
+        )
     if cfg.evolution.time_step <= 0:
         raise ConfigError(f"evolution time-step must be positive, got {cfg.evolution.time_step}")
     dim = MODEL_DIMENSIONS[cfg.model.kind]

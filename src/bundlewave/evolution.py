@@ -9,14 +9,26 @@ midpoint and K = i dt H_mid / 2 hbar:
 * Midpoint exponential: psi' = expm(-i dt H_mid / hbar) psi, exact for
   time-independent H; useful as an independent route when cross-checking.
 
-Crank-Nicolson is used in Cayley form, U = 2 (I + K)^-1 - I, from one
-in-place LU of I + K per step.  That LU has three users: `step_matrix`
-solves it against the identity, and `evolve` builds that matrix once per
-static H; `evolve` for a time-dependent H applies it to the state with one
-single-RHS solve, psi -> 2 (I + K)^-1 psi - psi; and
-`bundle.evolution_transport` multiplies it into a running frame from the
-right, B -> 2 B (I + K)^-1 - B, with one solve of mN right-hand sides and
-no explicit step matrix.  Each costs one LU and one solve per (sub)step.
+H never couples two components that lie in different *component groups*,
+the connected sets of the graph "H couples component i with component j",
+read from the structural zeros of the operator matrix (Dirac and Maxwell
+have two groups, {0, 3} and {1, 2}; the five-component scalar form has
+three).  H, I + K and every step are therefore block-diagonal over the
+groups, and each group S is realized, factored and applied on its own: the
+full (mN)^2 H is never built.  Per step the LU work is sum |S|^3 N^3
+instead of (mN)^3, and a static step matrix holds sum |S|^2 N^2 entries
+instead of (mN)^2.  A fully coupled H is the one-group case, addressed by
+a slice, with the arithmetic of a single dense step.
+
+Crank-Nicolson is used in Cayley form, U_S = 2 (I + K_S)^-1 - I, from one
+in-place LU of I + K_S per group and step.  That LU has three users:
+`step_matrix` solves it against the identity (with more than one group it
+writes each block into a zeroed matrix), and `evolve` builds those blocks
+once per static H; `evolve` for a time-dependent H applies it to the
+group's part of the state with one single-RHS solve,
+psi_S -> 2 (I + K_S)^-1 psi_S - psi_S; and `bundle.evolution_transport`
+multiplies it into the group's columns of a running frame from the right,
+with one solve of |S| N right-hand sides and no explicit step matrix.
 
 `EvolutionOperator` materialises the propagator between lattice times as a
 dense matrix so that composition, inversion, and derivative probes can be
@@ -62,21 +74,16 @@ def _cayley_lu(h_mid: np.ndarray, coeff: complex):
     return scipy.linalg.lu_factor(h_mid.T, overwrite_a=True, check_finite=False)
 
 
-def _cayley_right(
-    block: np.ndarray | None,
-    factory: HamiltonianFactory,
-    grid: SpatialGrid1D,
-    t: float,
-    dt: float,
-) -> np.ndarray:
-    """block @ U for the Crank-Nicolson step U over [t, t + dt].
+def _cayley_right(block: np.ndarray | None, lu) -> np.ndarray:
+    """block @ U for the Crank-Nicolson step U = 2 (I + K)^-1 - I, given
+    the LU of (I + K)^T.
 
     block (I + K)^-1 is the transpose of a solve of (I + K)^T against
-    block^T, so the product takes one LU and one solve with mN right-hand
-    sides.  `block` is left untouched; None stands for the identity, whose
-    product is U itself and whose right-hand side the solve may overwrite.
+    block^T, so the product takes one solve with as many right-hand sides
+    as `block` has rows.  `block` is left untouched; None stands for the
+    identity, whose product is U itself and whose right-hand side the solve
+    may overwrite.
     """
-    lu = _cayley_lu(hamiltonian_dense(factory, grid, t + dt / 2.0), 1j * dt / (2.0 * factory.hbar))
     if block is None:
         rhs = np.eye(lu[0].shape[0], dtype=complex, order="F")
     else:
@@ -91,6 +98,128 @@ def _cayley_right(
     return out
 
 
+def _component_groups(op: MatrixOperator) -> list[list[int]]:
+    """Connected sets of the graph "H couples component i with component j".
+
+    The graph is read from the structural zeros of the operator matrix.  A
+    zero entry realizes to an exactly zero block, so H, I + K and every step
+    are block-diagonal over the groups.
+    """
+    dim = op.shape[0]
+    groups: list[list[int]] = []
+    seen: set[int] = set()
+    for start in range(dim):
+        if start in seen:
+            continue
+        group, frontier = {start}, [start]
+        while frontier:
+            i = frontier.pop()
+            for j in range(dim):
+                if j not in group and not (op.entry(i, j).is_zero() and op.entry(j, i).is_zero()):
+                    group.add(j)
+                    frontier.append(j)
+        seen |= group
+        groups.append(sorted(group))
+    return groups
+
+
+def _positions(components: list[int], npoints: int):
+    """Flat state positions of a component set; a slice when it is contiguous."""
+    first, last = components[0], components[-1]
+    if last - first + 1 == len(components):
+        return slice(first * npoints, (last + 1) * npoints)
+    return np.concatenate([np.arange(c * npoints, (c + 1) * npoints) for c in components])
+
+
+def _block(rows, cols):
+    """Index of the (rows, cols) block of a flat matrix."""
+    if isinstance(rows, slice) or isinstance(cols, slice):
+        return rows, cols
+    return np.ix_(rows, cols)
+
+
+def _group_factors(
+    factory: HamiltonianFactory,
+    grid: SpatialGrid1D,
+    mid: float,
+    dt: float,
+    method: str,
+) -> list:
+    """(components, positions, factor) per component group of H at the
+    midpoint `mid` of a step of size dt.
+
+    The factor is the LU of (I + K_S)^T for Crank-Nicolson, or the block
+    expm(-i dt H_S / hbar) for the midpoint exponential.  Only each group's
+    diagonal block H_S is realized, so the full H is never built.
+    """
+    op = factory.at(mid)
+    dim = op.shape[0]
+    out = []
+    for group in _component_groups(op):
+        if len(group) < dim:
+            op_s = MatrixOperator([[op.entry(i, j) for j in group] for i in group])
+        else:
+            op_s = op
+        h_s = op_s.dense(grid, mid)
+        if method == "midpoint-exponential":
+            h_s *= -1j * dt / factory.hbar
+            factor = scipy.linalg.expm(h_s)
+        else:
+            factor = _cayley_lu(h_s, 1j * dt / (2.0 * factory.hbar))
+        out.append((group, _positions(group, grid.npoints), factor))
+    return out
+
+
+def _group_steps(
+    factory: HamiltonianFactory,
+    grid: SpatialGrid1D,
+    t: float,
+    dt: float,
+    method: str,
+) -> list:
+    """(components, positions, U_S) per component group: the step over
+    [t, t + dt] restricted to the group."""
+    # Overflow surfaces as non-finite entries, refused below.
+    with np.errstate(over="ignore", invalid="ignore"):
+        steps = [
+            (group, positions, _cayley_right(None, factor) if method == "crank-nicolson" else factor)
+            for group, positions, factor in _group_factors(factory, grid, t + dt / 2.0, dt, method)
+        ]
+    for _, _, unit in steps:
+        if not np.all(np.isfinite(unit)):
+            raise EvolutionError("the step matrix left the finite range; reduce the time step")
+    return steps
+
+
+def _multiply_step(
+    frame: np.ndarray,
+    factory: HamiltonianFactory,
+    grid: SpatialGrid1D,
+    mid: float,
+    dt: float,
+    method: str,
+) -> None:
+    """frame <- frame @ U in place, for the step of size dt with midpoint `mid`.
+
+    Column group S of frame @ U is frame[:, S] U_S.  Only the row
+    components of frame[:, S] that are not all zero are multiplied; the
+    others stay exactly zero.  A Crank-Nicolson U_S enters in Cayley form,
+    with one solve and no step matrix.
+    """
+    dim, npoints = factory.dimension, grid.npoints
+    # Which (row component, column component) blocks of the frame are nonzero.
+    nonzero = np.any((frame != 0).reshape(dim, npoints, dim, npoints), axis=(1, 3))
+    for group, cols, factor in _group_factors(factory, grid, mid, dt, method):
+        rows = [c for c in range(dim) if np.any(nonzero[c, group])]
+        if not rows:
+            continue
+        at = _block(_positions(rows, npoints), cols)
+        if method == "crank-nicolson":
+            frame[at] = _cayley_right(frame[at], factor)
+        else:
+            frame[at] = frame[at] @ factor
+
+
 def step_matrix(
     factory: HamiltonianFactory,
     grid: SpatialGrid1D,
@@ -98,18 +227,18 @@ def step_matrix(
     dt: float,
     method: str = "crank-nicolson",
 ) -> np.ndarray:
-    """Dense one-step propagator over [t, t + dt] (dt may be negative)."""
+    """Dense one-step propagator over [t, t + dt] (dt may be negative).
+
+    Entries between different component groups are exactly zero.
+    """
     _check_method(method)
-    # Overflow surfaces as non-finite entries, refused below.
-    with np.errstate(over="ignore", invalid="ignore"):
-        if method == "midpoint-exponential":
-            h_mid = hamiltonian_dense(factory, grid, t + dt / 2.0)
-            h_mid *= -1j * dt / factory.hbar
-            unit = scipy.linalg.expm(h_mid)
-        else:
-            unit = _cayley_right(None, factory, grid, t, dt)
-    if not np.all(np.isfinite(unit)):
-        raise EvolutionError("the step matrix left the finite range; reduce the time step")
+    steps = _group_steps(factory, grid, t, dt, method)
+    if len(steps) == 1:
+        return steps[0][2]
+    size = factory.dimension * grid.npoints
+    unit = np.zeros((size, size), dtype=complex)
+    for _, positions, unit_s in steps:
+        unit[_block(positions, positions)] = unit_s
     return unit
 
 
@@ -124,10 +253,12 @@ def evolve(
 ) -> GridFunction:
     """March `steps` steps of size dt from t0; returns the final state.
 
-    `callback(t, state)`, if given, is invoked after every step.  A static H
-    gets one step matrix, built once by `step_matrix` in O((mN)^3), then one
-    O((mN)^2) matvec per step; a time-dependent H is realized and factored
-    at every step midpoint, then applied with one single-RHS solve.
+    `callback(t, state)`, if given, is invoked after every step.  Each
+    component group S of H is stepped on its own entries of the state.  A
+    static H gets one propagator per group, built once in O((|S| N)^3), then
+    one O((|S| N)^2) matvec per group and step.  A time-dependent H has its
+    group blocks realized and factored at every step midpoint, then applied
+    with one single-RHS solve per group.
     """
     _check_method(method)
     if initial.components != factory.dimension:
@@ -142,19 +273,30 @@ def evolve(
     psi = initial.flatten()
     if not np.all(np.isfinite(psi)):
         raise EvolutionError("initial state is outside the finite range")
-    unit = None if factory.time_dependent or steps < 1 else step_matrix(factory, grid, t0, dt, method)
+    rebuild = factory.time_dependent
+    units = None if rebuild or steps < 1 else _group_steps(factory, grid, t0, dt, method)
+    solve = rebuild and method == "crank-nicolson"
 
     for k in range(steps):
         # Overflow surfaces as a non-finite state, checked right after.
         with np.errstate(over="ignore", invalid="ignore"):
-            if unit is not None:
-                psi = unit @ psi
-            elif method == "crank-nicolson":
-                h_mid = hamiltonian_dense(factory, grid, t0 + (k + 0.5) * dt)
-                lu = _cayley_lu(h_mid, 1j * dt / (2.0 * factory.hbar))
-                psi = 2.0 * scipy.linalg.lu_solve(lu, psi, trans=1, check_finite=False) - psi
+            if rebuild:
+                # The exponential takes the midpoint as `step_matrix` does from t0 + k dt.
+                mid = t0 + (k + 0.5) * dt if solve else t0 + k * dt + dt / 2.0
+                factors = _group_factors(factory, grid, mid, dt, method)
             else:
-                psi = step_matrix(factory, grid, t0 + k * dt, dt, method) @ psi
+                factors = units
+            # A fresh array per step: callbacks may keep the states they see.
+            advanced = np.empty_like(psi)
+            for _, positions, factor in factors:
+                part = psi[positions]
+                if solve:
+                    advanced[positions] = (
+                        2.0 * scipy.linalg.lu_solve(factor, part, trans=1, check_finite=False) - part
+                    )
+                else:
+                    advanced[positions] = factor @ part
+            psi = advanced
         if not np.all(np.isfinite(psi)):
             raise EvolutionError(f"state left the finite range at step {k + 1}")
         if callback is not None:

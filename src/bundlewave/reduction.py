@@ -329,7 +329,7 @@ def kg_nonrel_hamiltonian(
     (phi + (i hbar/mc^2) dphi/dt, phi - (i hbar/mc^2) dphi/dt) / the
     nonrelativistic-limit-friendly frame.  Requires mass > 0.
     """
-    if mass == 0:
+    if not mass > 0:
         raise ReductionError("the nonrelativistic split needs a positive mass")
     potentials = potentials or Potentials()
     mc2 = mass * c * c
@@ -360,7 +360,7 @@ def kg_nonrel_hamiltonian(
 
 def kg_nonrel_frame(mass: float, hbar: float = 1.0, c: float = 1.0) -> "GaugeFrame":
     """Constant frame mapping (phi, dphi/dt) to the nonrelativistic split."""
-    if mass == 0:
+    if not mass > 0:
         raise ReductionError("the nonrelativistic split needs a positive mass")
     b = 1j * hbar / (mass * c * c)
     return GaugeFrame(np.array([[1.0, b], [1.0, -b]], dtype=complex))
@@ -371,7 +371,7 @@ def kg_5d_hamiltonian(mass: float, hbar: float = 1.0, c: float = 1.0) -> Hamilto
     scalar-field equation; transverse gradient components ride along as
     zeros in a one-dimensional run.  Free field only; requires mass > 0.
     """
-    if mass == 0:
+    if not mass > 0:
         raise ReductionError("the five-component stacking needs a positive mass")
     mc2 = mass * c * c
 
@@ -472,7 +472,7 @@ def schrodinger_hamiltonian(
     hbar: float = 1.0,
 ) -> HamiltonianFactory:
     """One-component -(hbar^2/2m) d^2/dx^2 + V(x)."""
-    if mass == 0:
+    if not mass > 0:
         raise ReductionError("the Schrodinger operator needs a positive mass")
     static = not callable(potential)
     zero_potential = static and np.all(np.asarray(potential) == 0)

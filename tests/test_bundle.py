@@ -260,6 +260,49 @@ def test_evolution_transport_matches_step_matrix_products(model, driven, substep
 
 
 @pytest.mark.parametrize("method", ["crank-nicolson", "midpoint-exponential"])
+def test_driven_dirac_transport_matches_evolve(method):
+    # Both routes step the two Dirac component groups on their own.
+    factory, grid = _transport_case("dirac", driven=True)
+    rng = np.random.default_rng(3)
+    shape = (factory.dimension, grid.npoints)
+    state = GridFunction(grid, rng.normal(size=shape) + 1j * rng.normal(size=shape))
+    state = (1.0 / state.norm()) * state
+    dt, steps = 0.01, 40
+    stepped = evolve(state, factory, dt=dt, steps=steps, t0=0.1, method=method)
+    sampling = PathSampling.uniform(0.1, 0.1 + dt * steps, 11)
+    transport = evolution_transport(factory, grid, sampling, method, substeps=4)
+    transported = transport.transport(-1, 0) @ state.flatten()
+    assert np.max(np.abs(stepped.flatten() - transported)) <= 1e-12
+
+
+def test_only_gauged_evolution_transports_pass_the_frame_guard(monkeypatch):
+    import bundlewave.bundle as bundle_module
+
+    calls = []
+    guard = bundle_module.singular_index
+
+    def counted(matrices):
+        calls.append(np.shape(matrices))
+        return guard(matrices)
+
+    monkeypatch.setattr(bundle_module, "singular_index", counted)
+    factory, grid = _transport_case("dirac", driven=True)
+    sampling = PathSampling.uniform(0.0, 0.2, 5)
+    for method in ("crank-nicolson", "midpoint-exponential"):
+        evolution_transport(factory, grid, sampling, method, substeps=2)
+    assert calls == []
+    gauge = Trivialization.phase(np.linspace(0.0, 1.0, 5), factory.dimension)
+    calls.clear()
+    evolution_transport(factory, grid, sampling, gauge=gauge)
+    # `with_gauge` guards the gauged frames.
+    assert calls == [(5, 32, 32)]
+    calls.clear()
+    TransportAlongMap(sampling, np.broadcast_to(np.eye(3), (5, 3, 3)))
+    flat_transport(sampling, np.broadcast_to(np.eye(3), (5, 3, 3)))
+    assert len(calls) == 2
+
+
+@pytest.mark.parametrize("method", ["crank-nicolson", "midpoint-exponential"])
 def test_overflowing_transport_is_an_evolution_error(method):
     factory, grid = _transport_case("dirac", driven=True)
     # Any numpy RuntimeWarning raised on the way becomes an error here.

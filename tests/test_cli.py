@@ -13,7 +13,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bundlewave.cli import EXIT_CONFIG, EXIT_INVARIANT, EXIT_NUMERICAL, EXIT_OK, main
-from bundlewave.config import MODEL_KINDS, RunConfig
+from bundlewave.config import (
+    BOUNDARY_KINDS,
+    EVOLUTION_METHODS,
+    FRAME_PROFILES,
+    INITIAL_PROFILES,
+    MODEL_KINDS,
+    POTENTIAL_PROFILES,
+    RunConfig,
+)
+from bundlewave.green import MAX_BORN_ORDER
 
 
 def _write(tmp_path, name, text):
@@ -215,6 +224,41 @@ def test_run_in_constant_frame_keeps_unit_norm(tmp_path, capsys):
     assert max(abs(n - 1.0) for n in norms) < 1e-10
 
 
+def test_dirac_in_a_mixing_frame_matches_the_identity_frame(tmp_path, capsys):
+    # The rotation mixes components 0 and 1, so the framed H has one
+    # component group where the identity frame has two.
+    base = """
+        [model]
+        kind = dirac
+        charge = 1
+        [grid]
+        points = 16
+        length = 8
+        [potential]
+        scalar-profile = cosine
+        scalar-amplitude = 0.3
+        [evolution]
+        time-step = 0.01
+        steps = 20
+        [initial]
+        profile = random
+        [output]
+        observables = position
+        """
+    tables = []
+    for frame in ("", "[frame]\nprofile = constant\nangle = 0.4\n"):
+        cfg = _write(tmp_path, "mix.cfg", textwrap.dedent(base) + frame)
+        assert main(["run", "--config", cfg, "--seed", "5"]) == EXIT_OK
+        lines = capsys.readouterr().out.splitlines()
+        tables.append([[float(cell) for cell in line.split(",")] for line in lines[1:]])
+    framed, plain = tables
+    assert len(framed) == len(plain) == 21
+    for framed_row, plain_row in zip(framed, plain):
+        # norm and position columns
+        assert abs(framed_row[2] - plain_row[2]) < 1e-10
+        assert abs(framed_row[3] - plain_row[3]) < 1e-10
+
+
 # ---------------------------------------------------------------------------
 # check
 
@@ -346,6 +390,18 @@ def test_malformed_config_is_a_configuration_error(tmp_path, capsys):
     assert "configuration error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("mass", ["0", "-1"])
+@pytest.mark.parametrize("kind", ["schrodinger", "kg-nonrel", "kg-5d"])
+def test_nonpositive_mass_is_a_configuration_error(tmp_path, capsys, kind, mass):
+    cfg = _write(tmp_path, "mass.cfg", f"[model]\nkind = {kind}\nmass = {mass}\n[grid]\npoints = 8\n")
+    out = tmp_path / "out"
+    assert main(["run", "--config", cfg, "--out", str(out)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error") and "positive mass" in err
+    assert len(err.splitlines()) == 1
+    assert not (out / "report.csv").exists()
+
+
 def test_oversize_request_is_a_numerical_failure(tmp_path, capsys):
     cfg = _write(
         tmp_path,
@@ -420,15 +476,35 @@ def test_sampled_profiles_at_the_float_limits(tmp_path, capsys, section, expecte
 
 
 # ---------------------------------------------------------------------------
-# Property: any numbers end in a documented exit with one line of explanation
+# Property: any input ends in a documented exit with one line of explanation
 
-_FLOAT_KEYS = [
-    (section, f.name.replace("_", "-"))
+_EDGE_VALUES = ("nan", "inf", "-inf", "0", "-1", "0.5", "1")
+_VALUES = {
+    (section, f.name.replace("_", "-")): _EDGE_VALUES
     for section in ("model", "grid", "evolution", "potential", "initial", "frame", "green")
     for f in fields(getattr(RunConfig(), section))
     if f.type in ("float", float)
-]
-_EDGE_VALUES = ("nan", "inf", "-inf", "0", "-1", "0.5", "1")
+}
+# Small integers only, so that no draw allocates a large grid.
+_VALUES.update({
+    ("grid", "points"): ("-1", "0", "1", "2", "3", "4", "6", "8", "16"),
+    ("evolution", "steps"): ("-1", "0", "1", "2", "5"),
+    ("green", "born-order"): tuple(str(k) for k in range(-1, MAX_BORN_ORDER + 2)),
+    ("output", "snapshot-every"): ("-1", "0", "1", "2"),
+})
+# Every choice of each enum key, plus one that is not a choice.
+_VALUES.update({
+    key: choices + ("bogus",)
+    for key, choices in (
+        (("grid", "boundary"), BOUNDARY_KINDS),
+        (("evolution", "method"), EVOLUTION_METHODS),
+        (("potential", "scalar-profile"), POTENTIAL_PROFILES),
+        (("potential", "vector-profile"), POTENTIAL_PROFILES),
+        (("initial", "profile"), INITIAL_PROFILES),
+        (("frame", "profile"), FRAME_PROFILES),
+    )
+})
+_KEYS = sorted(_VALUES)
 
 
 @settings(max_examples=200, deadline=None)
@@ -436,14 +512,16 @@ _EDGE_VALUES = ("nan", "inf", "-inf", "0", "-1", "0.5", "1")
     st.sampled_from(MODEL_KINDS),
     st.sampled_from(["run", "green", "reduce"]),
     st.lists(
-        st.tuples(st.sampled_from(_FLOAT_KEYS), st.sampled_from(_EDGE_VALUES)),
-        min_size=1, max_size=3, unique_by=lambda item: item[0],
+        st.sampled_from(_KEYS).flatmap(
+            lambda key: st.tuples(st.just(key), st.sampled_from(_VALUES[key]))
+        ),
+        min_size=1, max_size=4, unique_by=lambda item: item[0],
     ),
 )
 def test_any_float_input_ends_in_a_documented_exit(kind, command, assignments):
-    text = f"[model]\nkind = {kind}\n[grid]\npoints = 8\n[evolution]\nsteps = 3\n"
-    for (section, key), value in assignments:
-        text += f"[{section}]\n{key} = {value}\n"
+    entries = {("model", "kind"): kind, ("grid", "points"): "8", ("evolution", "steps"): "3"}
+    entries.update(assignments)
+    text = "".join(f"[{section}]\n{key} = {value}\n" for (section, key), value in entries.items())
     out, err = io.StringIO(), io.StringIO()
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "edge.cfg")

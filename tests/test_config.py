@@ -154,6 +154,12 @@ def test_missing_equals_is_rejected():
         "[potential]\nscalar-amplitude = inf\n",
         "[frame]\nangle = nan\n",
         "[initial]\nwidth = nan\n",
+        "[model]\nkind = schrodinger\nmass = 0\n",
+        "[model]\nkind = schrodinger\nmass = -1\n",
+        "[model]\nkind = kg-nonrel\nmass = 0\n",
+        "[model]\nkind = kg-nonrel\nmass = -0.5\n",
+        "[model]\nkind = kg-5d\nmass = 0\n",
+        "[model]\nkind = kg-5d\nmass = -2\n",
     ],
 )
 def test_semantic_validation(snippet):

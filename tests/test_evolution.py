@@ -8,13 +8,14 @@ import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bundlewave.algebra import MatrixOperator, ScaleOp
+from bundlewave.algebra import MatrixOperator, ScaleOp, matrix_in_frame
 from bundlewave.evolution import (
     DENSE_STATE_LIMIT,
     STEP_STATE_LIMIT,
     EvolutionError,
     EvolutionOperator,
     Observable,
+    _component_groups,
     evolve,
     expectation,
     hamiltonian_dense,
@@ -26,7 +27,10 @@ from bundlewave.reduction import (
     HamiltonianFactory,
     Potentials,
     dirac_hamiltonian,
+    kg_5d_hamiltonian,
     kg_canonical_hamiltonian,
+    kg_nonrel_hamiltonian,
+    maxwell_hamiltonian,
     schrodinger_hamiltonian,
 )
 
@@ -197,6 +201,139 @@ def test_time_dependent_stepping_is_second_order(method):
         errors.append(np.max(np.abs(final.values - exact)))
     order = np.polyfit(np.log([10, 20, 40]), np.log(errors), 1)[0]
     assert -2.3 < order < -1.8
+
+
+# ---------------------------------------------------------------------------
+# Component groups: each decoupled group is stepped on its own
+
+
+def _full_matrix_step(factory, grid, t, dt, method):
+    """The step from the whole (mN)^2 H, in the grouped stepper's order of
+    operations: one LU of all of I + K, or expm of all of -i dt H / hbar."""
+    h = hamiltonian_dense(factory, grid, t + dt / 2.0)
+    if method == "midpoint-exponential":
+        h *= -1j * dt / factory.hbar
+        return scipy.linalg.expm(h)
+    h *= 1j * dt / (2.0 * factory.hbar)
+    h[np.diag_indices_from(h)] += 1.0
+    lu = scipy.linalg.lu_factor(h.T)
+    step = scipy.linalg.lu_solve(lu, np.eye(h.shape[0], dtype=complex, order="F")).T
+    step *= 2.0
+    step[np.diag_indices_from(step)] -= 1.0
+    return step
+
+
+def _full_matrix_evolve(state, factory, dt, steps, method):
+    """`steps` steps with full-matrix factors: a static H reuses one step
+    matrix, a time-dependent H is factored at every midpoint."""
+    psi = state.flatten()
+    unit = None if factory.time_dependent else _full_matrix_step(factory, GRID, 0.0, dt, method)
+    for k in range(steps):
+        if unit is not None:
+            psi = unit @ psi
+        elif method == "midpoint-exponential":
+            psi = _full_matrix_step(factory, GRID, k * dt, dt, method) @ psi
+        else:
+            h = hamiltonian_dense(factory, GRID, (k + 0.5) * dt)
+            h *= 1j * dt / (2.0 * factory.hbar)
+            h[np.diag_indices_from(h)] += 1.0
+            lu = scipy.linalg.lu_factor(h.T)
+            psi = 2.0 * scipy.linalg.lu_solve(lu, psi, trans=1) - psi
+    return psi
+
+
+def _driven_profile(t):
+    return 0.3 * np.cos(GRID.points) * np.cos(3.0 * t)
+
+
+# Models with more than one group, and the groups they must have.
+_GROUPED = {
+    "dirac": (
+        lambda: dirac_hamiltonian(1.0, 1.0, Potentials(scalar=0.3 * np.cos(GRID.points))),
+        [[0, 3], [1, 2]],
+    ),
+    "dirac-driven": (
+        lambda: dirac_hamiltonian(1.0, 1.0, Potentials(scalar=_driven_profile)),
+        [[0, 3], [1, 2]],
+    ),
+    "maxwell": (maxwell_hamiltonian, [[0, 3], [1, 2]]),
+    "kg-5d": (lambda: kg_5d_hamiltonian(1.3), [[0, 1, 2], [3], [4]]),
+}
+
+# Models whose components all couple: one group, today's arithmetic.
+_ONE_GROUP = {
+    "schrodinger": lambda: schrodinger_hamiltonian(1.0, potential=0.5 * np.cos(GRID.points)),
+    "schrodinger-driven": lambda: schrodinger_hamiltonian(
+        1.0, potential=lambda t: 0.5 * np.cos(GRID.points) * np.sin(1.3 * t)
+    ),
+    "kg-canonical": lambda: kg_canonical_hamiltonian(
+        1.0, 1.0, Potentials(scalar=0.2 * np.cos(GRID.points))
+    ),
+    "kg-canonical-driven": lambda: kg_canonical_hamiltonian(
+        1.0, 1.0, Potentials(scalar=_driven_profile)
+    ),
+}
+
+
+def _rotation_frame(angle: float) -> np.ndarray:
+    """Constant frame mixing components 0 and 1 of a four-component fibre."""
+    frame = np.eye(4, dtype=complex)
+    frame[0, 0] = frame[1, 1] = np.cos(angle)
+    frame[0, 1], frame[1, 0] = -np.sin(angle), np.sin(angle)
+    return frame
+
+
+def test_component_groups_follow_the_coupling_graph():
+    for build, groups in _GROUPED.values():
+        assert _component_groups(build().at(0.2)) == groups
+    assert _component_groups(schrodinger_hamiltonian(1.0).at()) == [[0]]
+    assert _component_groups(kg_canonical_hamiltonian(1.0).at()) == [[0, 1]]
+    assert _component_groups(kg_nonrel_hamiltonian(1.0).at()) == [[0, 1]]
+    # A frame that mixes components 0 and 1 joins the two Dirac groups.
+    dirac = dirac_hamiltonian(1.0).at()
+    assert _component_groups(matrix_in_frame(dirac, _rotation_frame(0.4), GRID)) == [[0, 1, 2, 3]]
+    phase = np.exp(0.7j * np.cos(GRID.points))[:, None, None] * np.eye(4)
+    assert _component_groups(matrix_in_frame(dirac, phase, GRID)) == [[0, 3], [1, 2]]
+
+
+@pytest.mark.parametrize("dt", [0.03, -0.03])
+@pytest.mark.parametrize("method", ["crank-nicolson", "midpoint-exponential"])
+@pytest.mark.parametrize("model", sorted(_GROUPED))
+def test_grouped_step_matrix_matches_the_full_matrix_step(model, method, dt):
+    build, groups = _GROUPED[model]
+    factory = build()
+    step = step_matrix(factory, GRID, 0.2, dt, method)
+    expected = _full_matrix_step(factory, GRID, 0.2, dt, method)
+    assert np.max(np.abs(step - expected)) <= 1e-13
+    coupled = np.zeros((factory.dimension, factory.dimension), dtype=bool)
+    for group in groups:
+        coupled[np.ix_(group, group)] = True
+    off_group = ~np.kron(coupled, np.ones((GRID.npoints, GRID.npoints), dtype=bool))
+    assert np.all(step[off_group] == 0)
+
+
+@pytest.mark.parametrize("method", ["crank-nicolson", "midpoint-exponential"])
+@pytest.mark.parametrize("model", sorted(_ONE_GROUP))
+def test_one_group_steps_are_the_full_matrix_steps(model, method):
+    factory = _ONE_GROUP[model]()
+    step = step_matrix(factory, GRID, 0.2, 0.03, method)
+    assert np.array_equal(step, _full_matrix_step(factory, GRID, 0.2, 0.03, method))
+    rng = np.random.default_rng(5)
+    shape = (factory.dimension, GRID.npoints)
+    state = GridFunction(GRID, rng.normal(size=shape) + 1j * rng.normal(size=shape))
+    final = evolve(state, factory, dt=0.03, steps=20, method=method)
+    assert np.array_equal(final.flatten(), _full_matrix_evolve(state, factory, 0.03, 20, method))
+
+
+def test_mixing_frame_makes_one_group_of_the_full_matrix_step():
+    base = dirac_hamiltonian(1.0, 1.0, Potentials(scalar=0.3 * np.cos(GRID.points)))
+    framed = HamiltonianFactory(
+        dimension=4,
+        build=lambda t: matrix_in_frame(base.at(t), _rotation_frame(0.4), GRID),
+        label="dirac-rotated",
+    )
+    step = step_matrix(framed, GRID, 0.0, 0.03)
+    assert np.array_equal(step, _full_matrix_step(framed, GRID, 0.0, 0.03, "crank-nicolson"))
 
 
 # ---------------------------------------------------------------------------

@@ -200,6 +200,15 @@ def test_five_component_needs_mass():
         kg_5d_hamiltonian(0.0)
 
 
+@pytest.mark.parametrize("mass", [0.0, -1.0, -1e-300])
+@pytest.mark.parametrize(
+    "builder", [schrodinger_hamiltonian, kg_nonrel_hamiltonian, kg_nonrel_frame, kg_5d_hamiltonian]
+)
+def test_mass_divisors_need_a_positive_mass(builder, mass):
+    with pytest.raises(ReductionError, match="positive mass"):
+        builder(mass)
+
+
 def test_covariant_scalar_residual_vanishes_on_plane_wave():
     # Analytic plane-wave snapshots of the five-component state; the residual
     # of the first-order covariant form shrinks at second order in dt.
