@@ -67,7 +67,6 @@ from .reduction import (
 from .evolution import (
     EvolutionError,
     EvolutionOperator,
-    Observable,
     evolve,
     expectation,
     hamiltonian_dense,

@@ -30,14 +30,20 @@ psi_S -> 2 (I + K_S)^-1 psi_S - psi_S; and `bundle.evolution_transport`
 multiplies it into the group's columns of a running frame from the right,
 with one solve of |S| N right-hand sides and no explicit step matrix.
 
+A static H makes the propagator over B steps U_S^B from every lattice time,
+so `evolve` marches it in blocks of B steps, the dense form of a
+matrix-powers kernel.  After a first block of matvecs, a group with at
+least log2 B |S| N steps left has U_S replaced by U_S^B, at the cost of
+log2 B squarings of O((|S| N)^3), and each later block costs one product of
+U_S^B with the (|S| N x B) window of the previous block's states, which
+reads U_S^B once for B states instead of U_S once per state.
+
 `EvolutionOperator` materialises the propagator between lattice times as a
 dense matrix so that composition, inversion, and derivative probes can be
 taken literally; it refuses off-lattice times and oversized systems.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
@@ -49,6 +55,10 @@ from .reduction import HamiltonianFactory
 DENSE_STATE_LIMIT = 1024
 STEP_STATE_LIMIT = 4096
 METHODS = ("crank-nicolson", "midpoint-exponential")
+# A static march goes in blocks of B = 2^_SQUARINGS steps.  B = 16 timed
+# level with B = 8, but its rule would need 2064 steps at |S| N = 512.
+_SQUARINGS = 3
+_BLOCK = 2**_SQUARINGS
 
 
 class EvolutionError(RuntimeError):
@@ -242,6 +252,59 @@ def step_matrix(
     return unit
 
 
+def _power(unit: np.ndarray, spare: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(unit^B, the other buffer): log2 B squarings ping-ponged between the
+    storage of `unit` and `spare`, so no third array is made."""
+    # Overflow surfaces as non-finite entries, refused below.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(_SQUARINGS):
+            np.matmul(unit, unit, out=spare)
+            unit, spare = spare, unit
+    if not np.all(np.isfinite(unit)):
+        raise EvolutionError("the step matrix left the finite range; reduce the time step")
+    return unit, spare
+
+
+def _static_blocks(psi: np.ndarray, units: list, steps: int, npoints: int):
+    """Yield the states after steps 1..steps of a static H from psi, B at a
+    time, as the rows of fresh arrays.
+
+    Block m holds steps mB + 1 .. (m + 1) B.  Block 0 is marched by one
+    matvec per group and step.  A group takes the power route when the
+    matvecs of the later blocks cost at least as many multiply-adds as the
+    squarings, (steps - B) (|S| N)^2 >= log2 B (|S| N)^3: U_S becomes U_S^B,
+    and each later block is one product of it with the previous block's
+    window.  Below that, the group keeps marching by matvec.
+    """
+    powered = [steps - _BLOCK >= _SQUARINGS * len(group) * npoints for group, _, _ in units]
+    window, done = psi[np.newaxis], 0
+    while done < steps:
+        if done == _BLOCK:
+            # Each U_S is overwritten by its power, and the buffer left over
+            # serves the next group of the same size.
+            spare = None
+            for i, ((group, positions, unit), power) in enumerate(zip(units, powered)):
+                if power:
+                    if spare is None or spare.shape != unit.shape:
+                        spare = np.empty_like(unit)
+                    unit, spare = _power(unit, spare)
+                    units[i] = (group, positions, unit)
+            del spare
+        rows = min(_BLOCK, steps - done)
+        block = np.empty((rows, psi.size), dtype=complex)
+        # Overflow surfaces as non-finite states, checked by the caller.
+        with np.errstate(over="ignore", invalid="ignore"):
+            for (_, positions, unit), power in zip(units, powered):
+                if power and done:
+                    block[:, positions] = window[:rows, positions] @ unit.T
+                    continue
+                part = window[-1, positions]
+                for j in range(rows):
+                    block[j, positions] = part = unit @ part
+        yield block
+        window, done = block, done + rows
+
+
 def evolve(
     initial: GridFunction,
     factory: HamiltonianFactory,
@@ -253,12 +316,17 @@ def evolve(
 ) -> GridFunction:
     """March `steps` steps of size dt from t0; returns the final state.
 
-    `callback(t, state)`, if given, is invoked after every step.  Each
-    component group S of H is stepped on its own entries of the state.  A
-    static H gets one propagator per group, built once in O((|S| N)^3), then
-    one O((|S| N)^2) matvec per group and step.  A time-dependent H has its
-    group blocks realized and factored at every step midpoint, then applied
-    with one single-RHS solve per group.
+    `callback(t, state)`, if given, is invoked for every step, in order.
+    Each component group S of H is stepped on its own entries of the state.
+    A static H gets one propagator U_S per group, built once in
+    O((|S| N)^3), and is marched in blocks of B steps.  The first block
+    costs one O((|S| N)^2) matvec per group and step.  When the later blocks
+    hold at least log2 B |S| N steps, U_S^B is formed by log2 B squarings of
+    O((|S| N)^3), and each later block costs one product of U_S^B with an
+    (|S| N x B) window of the previous block's states; below that, the group
+    keeps the matvecs.  States are checked for finiteness once per block.  A
+    time-dependent H has its group blocks realized and factored at every
+    step midpoint, then applied with one single-RHS solve per group.
     """
     _check_method(method)
     if initial.components != factory.dimension:
@@ -273,22 +341,30 @@ def evolve(
     psi = initial.flatten()
     if not np.all(np.isfinite(psi)):
         raise EvolutionError("initial state is outside the finite range")
-    rebuild = factory.time_dependent
-    units = None if rebuild or steps < 1 else _group_steps(factory, grid, t0, dt, method)
-    solve = rebuild and method == "crank-nicolson"
 
+    if not factory.time_dependent:
+        if steps >= 1:
+            units = _group_steps(factory, grid, t0, dt, method)
+            step = 0
+            for block in _static_blocks(psi, units, steps, grid.npoints):
+                for state, finite in zip(block, np.all(np.isfinite(block), axis=1)):
+                    step += 1
+                    if not finite:
+                        raise EvolutionError(f"state left the finite range at step {step}")
+                    if callback is not None:
+                        callback(t0 + step * dt, GridFunction.from_flat(grid, state, factory.dimension))
+            psi = block[-1]
+        return GridFunction.from_flat(grid, psi, factory.dimension)
+
+    solve = method == "crank-nicolson"
     for k in range(steps):
         # Overflow surfaces as a non-finite state, checked right after.
         with np.errstate(over="ignore", invalid="ignore"):
-            if rebuild:
-                # The exponential takes the midpoint as `step_matrix` does from t0 + k dt.
-                mid = t0 + (k + 0.5) * dt if solve else t0 + k * dt + dt / 2.0
-                factors = _group_factors(factory, grid, mid, dt, method)
-            else:
-                factors = units
+            # The exponential takes the midpoint as `step_matrix` does from t0 + k dt.
+            mid = t0 + (k + 0.5) * dt if solve else t0 + k * dt + dt / 2.0
             # A fresh array per step: callbacks may keep the states they see.
             advanced = np.empty_like(psi)
-            for _, positions, factor in factors:
+            for _, positions, factor in _group_factors(factory, grid, mid, dt, method):
                 part = psi[positions]
                 if solve:
                     advanced[positions] = (
@@ -369,18 +445,6 @@ class EvolutionOperator:
     def apply(self, state: GridFunction, t_from: float, t_to: float) -> GridFunction:
         flat = self.matrix(t_from, t_to) @ state.flatten()
         return GridFunction.from_flat(self.grid, flat, self.factory.dimension)
-
-
-@dataclass
-class Observable:
-    """A named sesquilinear observable <psi, A psi> on stacked states."""
-
-    label: str
-    operator: MatrixOperator
-    fibre_product: FibreProduct | None = None
-
-    def value(self, state: GridFunction, t: float = 0.0) -> complex:
-        return inner(state, self.operator.apply(state, t), self.fibre_product)
 
 
 def expectation(

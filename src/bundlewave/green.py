@@ -205,14 +205,21 @@ class ScalarFieldKernel:
     def _phase(self, delta: float) -> complex:
         return np.exp(-1j * self.charge * self.scalar_potential * delta / self.hbar)
 
+    def _slices(self, deltas: list[float]) -> np.ndarray:
+        """g at each positive lag t - s in `deltas`, stacked, from one
+        product over the modes."""
+        sines = np.stack([d * np.sinc(self.frequencies * d / np.pi) for d in deltas])  # sin(w d)/w
+        slices = (self.modes * sines[:, np.newaxis, :]) @ self.modes.conj().T
+        for slice_, delta in zip(slices, deltas):
+            np.multiply(self._phase(delta), slice_, out=slice_)
+        return slices
+
     def scalar(self, t: float, s: float) -> np.ndarray:
         """g(t, s); zero for t <= s."""
         n = self.grid.npoints
         if t <= s:
             return np.zeros((n, n), dtype=complex)
-        delta = t - s
-        sine = delta * np.sinc(self.frequencies * delta / np.pi)  # sin(w d)/w
-        return self._phase(delta) * ((self.modes * sine) @ self.modes.conj().T)
+        return self._slices([t - s])[0]
 
     def scalar_rate(self, t: float, s: float) -> np.ndarray:
         """Analytic -d g / d(source time), for cross-checks of the sliced form."""
@@ -237,9 +244,7 @@ class ScalarFieldKernel:
                 f"adjacent source slices at spacing {source_step} leave the causal "
                 f"region for t - s = {t - s}; shrink the step"
             )
-        g_before = self.scalar(t, s - source_step)
-        g_after = self.scalar(t, s + source_step)
-        g_mid = self.scalar(t, s)
+        g_before, g_mid, g_after = self._slices([t - (s - source_step), t - s, t - (s + source_step)])
         return vector_from_slices(
             g_before, g_mid, g_after, source_step, self.charge, self.scalar_potential, self.hbar
         )

@@ -3,16 +3,18 @@
 import contextlib
 import io
 import os
+import re
 import tempfile
 import textwrap
 import warnings
 from dataclasses import fields
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bundlewave.cli import EXIT_CONFIG, EXIT_INVARIANT, EXIT_NUMERICAL, EXIT_OK, main
+from bundlewave.cli import EXIT_CONFIG, EXIT_INVARIANT, EXIT_NUMERICAL, EXIT_OK, TABLE_NAMES, main
 from bundlewave.config import (
     BOUNDARY_KINDS,
     EVOLUTION_METHODS,
@@ -373,6 +375,23 @@ def test_reduce_prints_operator_structure(tmp_path, capsys):
     assert len(lines) >= 9
     assert any("d/dx" in line for line in lines[1:])
     assert all(len(line.split(",")) == 3 for line in lines[1:])
+
+
+# ---------------------------------------------------------------------------
+# README examples run as written
+
+
+@pytest.mark.parametrize("command", ["run", "green", "reduce"])
+def test_readme_configuration_runs_as_written(tmp_path, command):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    blocks = re.findall(r"^```ini\n(.*?)^```", readme, re.MULTILINE | re.DOTALL)
+    assert len(blocks) == 1
+    cfg = tmp_path / "readme.cfg"
+    cfg.write_text(blocks[0], encoding="utf-8")
+    out = tmp_path / "out"
+    assert main([command, "--config", str(cfg), "--out", str(out)]) == EXIT_OK
+    header, *rows = (out / TABLE_NAMES[command]).read_text(encoding="utf-8").splitlines()
+    assert header and rows and all(rows)
 
 
 # ---------------------------------------------------------------------------

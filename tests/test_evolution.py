@@ -8,14 +8,15 @@ import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bundlewave import evolution
 from bundlewave.algebra import MatrixOperator, ScaleOp, matrix_in_frame
 from bundlewave.evolution import (
     DENSE_STATE_LIMIT,
     STEP_STATE_LIMIT,
     EvolutionError,
     EvolutionOperator,
-    Observable,
     _component_groups,
+    _power,
     evolve,
     expectation,
     hamiltonian_dense,
@@ -337,6 +338,133 @@ def test_mixing_frame_makes_one_group_of_the_full_matrix_step():
 
 
 # ---------------------------------------------------------------------------
+# Static marches in blocks: the power route
+
+
+def _reference_static_march(state, factory, dt, steps, method):
+    """Every state of a static march, from one `step_matrix` product per step."""
+    unit = step_matrix(factory, state.grid, 0.0, dt, method)
+    states = [state.flatten()]
+    for _ in range(steps):
+        states.append(unit @ states[-1])
+    return np.array(states[1:])
+
+
+def _phase_framed_dirac():
+    base = dirac_hamiltonian(1.0, 1.0, Potentials(scalar=0.3 * np.cos(GRID.points)))
+    phase = np.exp(0.7j * np.cos(GRID.points))[:, None, None] * np.eye(4)
+    return HamiltonianFactory(
+        dimension=4, build=lambda t: matrix_in_frame(base.at(t), phase, GRID), label="dirac-phase"
+    )
+
+
+def _kg_5d_beside_schrodinger():
+    """kg-5d's coupled components {0, 1, 2} and a Schrodinger component
+    {3} with a potential: two unequal groups, both with nontrivial steps."""
+    kg, schrodinger = kg_5d_hamiltonian(1.3), _ONE_GROUP["schrodinger"]()
+
+    def build(t):
+        out = MatrixOperator.zeros(4, 4)
+        for i in range(3):
+            for j in range(3):
+                out.entries[i][j] = kg.at(t).entry(i, j)
+        out.entries[3][3] = schrodinger.at(t).entry(0, 0)
+        return out
+
+    return HamiltonianFactory(dimension=4, build=build, label="kg-5d-beside-schrodinger")
+
+
+# Static models and how many of their groups take the power route over
+# _POWER_STEPS steps on GRID: a group does when the steps after the first
+# block number at least log2(B) |S| N.
+_POWER_STEPS = 109  # 13 blocks of 8 and a partial block of 5
+_POWERED = {
+    "dirac": (_GROUPED["dirac"][0], 2),
+    "dirac-phase-frame": (_phase_framed_dirac, 2),
+    "schrodinger": (_ONE_GROUP["schrodinger"], 1),
+    # Groups {0, 1, 2} (|S| N = 48) below the rule, {3} and {4} (16) above.
+    "kg-5d": (_GROUPED["kg-5d"][0], 2),
+    "kg-5d-beside-schrodinger": (_kg_5d_beside_schrodinger, 1),
+}
+
+
+def _random_state(dimension, seed):
+    rng = np.random.default_rng(seed)
+    shape = (dimension, GRID.npoints)
+    state = GridFunction(GRID, rng.normal(size=shape) + 1j * rng.normal(size=shape))
+    return (1.0 / state.norm()) * state
+
+
+@pytest.mark.parametrize("dt", [0.02, -0.02])
+@pytest.mark.parametrize("method", ["crank-nicolson", "midpoint-exponential"])
+@pytest.mark.parametrize("model", sorted(_POWERED))
+def test_power_route_matches_one_step_matrix_per_step(model, method, dt, monkeypatch):
+    build, powered = _POWERED[model]
+    factory = build()
+    powers = []
+
+    def counted(unit, spare):
+        powers.append(unit.shape)
+        return _power(unit, spare)
+
+    monkeypatch.setattr(evolution, "_power", counted)
+    state = _random_state(factory.dimension, 3)
+    final = evolve(state, factory, dt=dt, steps=_POWER_STEPS, method=method)
+    assert len(powers) == powered
+    expected = _reference_static_march(state, factory, dt, _POWER_STEPS, method)[-1]
+    assert np.max(np.abs(final.flatten() - expected)) <= 1e-12 * np.max(np.abs(expected))
+
+
+def test_power_route_callback_sees_every_state_once_and_in_order():
+    factory = _GROUPED["dirac"][0]()
+    state = _random_state(4, 5)
+    times, kept, copies = [], [], []
+
+    def keep(t, s):
+        times.append(t)
+        kept.append(s)
+        copies.append(s.values.copy())
+
+    dt, t0 = 0.02, 0.5
+    evolve(state, factory, dt=dt, steps=_POWER_STEPS, t0=t0, callback=keep)
+    assert times == [t0 + k * dt for k in range(1, _POWER_STEPS + 1)]
+    # States kept by the callback are not overwritten by later blocks.
+    for held, copy in zip(kept, copies):
+        assert np.array_equal(held.values, copy)
+    expected = _reference_static_march(state, factory, dt, _POWER_STEPS, "crank-nicolson")
+    got = np.array([held.flatten() for held in kept])
+    assert np.max(np.abs(got - expected)) <= 1e-12 * np.max(np.abs(expected))
+
+
+def _growing_factory(rate: float) -> HamiltonianFactory:
+    """H = i rate: every state grows by the same factor at each step."""
+    return HamiltonianFactory(
+        dimension=1, build=lambda t: MatrixOperator([[ScaleOp(1j * rate)]]), label="growth"
+    )
+
+
+def test_overflow_on_the_power_route_is_an_evolution_error():
+    small = SpatialGrid1D(4, 1.0)
+    # CN grows each state by (1 + 0.2) / (1 - 0.2) = 1.5 per step, so 1e300
+    # passes the float range at step 47, in the power-route block of steps
+    # 41-48.
+    state = GridFunction(small, np.full((1, 4), 1e300 + 0j))
+    seen = []
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(EvolutionError, match="at step 47"):
+            evolve(state, _growing_factory(0.4), dt=1.0, steps=60, callback=lambda t, s: seen.append(t))
+    assert seen == [float(k) for k in range(1, 47)]
+    # The exponential step grows by e^92 ~ 1e40, finite, but its eighth power
+    # is not: the power itself is refused before any later block.
+    tiny = GridFunction(small, np.full((1, 4), 1e-300 + 0j))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(EvolutionError, match="step matrix left the finite range"):
+            evolve(tiny, _growing_factory(92.0), dt=1.0, steps=60, method="midpoint-exponential")
+
+
+# ---------------------------------------------------------------------------
 # Dense two-time propagators
 
 
@@ -437,16 +565,15 @@ def test_position_expectation_of_gaussian():
     state = _gaussian(GRID, np.pi, 0.5)
     value = expectation(position, state)
     assert abs(value - np.pi) < 1e-6
-    observable = Observable("position", position)
-    assert abs(observable.value(state) - value * inner(state, state)) < 1e-12
+    assert abs(inner(state, position.apply(state)) - value * inner(state, state)) < 1e-12
 
 
 def test_observable_respects_fibre_product():
     position = MatrixOperator([[ScaleOp(GRID.points.astype(complex))]])
     state = _gaussian(GRID, np.pi, 0.5)
-    doubled = Observable("position", position, FibreProduct(2.0 * np.eye(1)))
-    plain = Observable("position", position)
-    assert abs(doubled.value(state) - 2.0 * plain.value(state)) < 1e-12
+    applied = position.apply(state)
+    doubled = inner(state, applied, FibreProduct(2.0 * np.eye(1)))
+    assert abs(doubled - 2.0 * inner(state, applied)) < 1e-12
 
 
 def test_kg_charge_closed_form():
