@@ -206,7 +206,8 @@ def _green_first_order(cfg: RunConfig, args) -> list[str]:
     dt = (t - s) / cfg.evolution.steps
     evolved = evolve(state, factory, dt=dt, steps=cfg.evolution.steps, t0=s,
                      method="midpoint-exponential")
-    basis = EigenBasis.from_factory(factory, grid)
+    h = hamiltonian_dense(factory, grid)
+    basis = EigenBasis.from_dense(h, grid, factory.dimension, factory.hbar, factory.label)
     kernelled = propagate_retarded(basis, state, t, s, dirac=cfg.model.kind == "dirac")
     lines = [
         f"duality-defect,{_fmt((evolved - kernelled).norm())}",
@@ -218,14 +219,14 @@ def _green_first_order(cfg: RunConfig, args) -> list[str]:
         free = dirac_hamiltonian(m.mass, 0.0, None, m.hbar, m.light_speed)
     else:
         free = schrodinger_hamiltonian(m.mass, 0.0, m.hbar)
-    perturbation = hamiltonian_dense(factory, grid) - hamiltonian_dense(free, grid)
+    h0 = hamiltonian_dense(free, grid)
+    perturbation = h - h0
     if np.max(np.abs(perturbation)) > 0:
         eps = cfg.green.perturbation_scale
         scaled = eps * perturbation
-        free_basis = EigenBasis.from_factory(free, grid)
+        free_basis = EigenBasis.from_dense(h0, grid, free.dimension, free.hbar, free.label)
         exact_basis = EigenBasis.from_dense(
-            hamiltonian_dense(free, grid) + scaled, grid, factory.dimension, m.hbar,
-            label="perturbed",
+            h0 + scaled, grid, factory.dimension, m.hbar, label="perturbed",
         )
         approx = born_kernel(free_basis, scaled, t, s, order=cfg.green.born_order,
                              quad_points=cfg.green.quadrature_points)

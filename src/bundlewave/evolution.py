@@ -13,7 +13,8 @@ H never couples two components that lie in different *component groups*,
 the connected sets of the graph "H couples component i with component j",
 read from the structural zeros of the operator matrix (Dirac and Maxwell
 have two groups, {0, 3} and {1, 2}; the five-component scalar form has
-three).  H, I + K and every step are therefore block-diagonal over the
+three).  `green` reads the same graph from the nonzero component blocks of
+a realized matrix; both find its connected sets with `_connected_sets`.  H, I + K and every step are therefore block-diagonal over the
 groups, and each group S is realized, factored and applied on its own: the
 full (mN)^2 H is never built.  Per step the LU work is sum |S|^3 N^3
 instead of (mN)^3, and a static step matrix holds sum |S|^2 N^2 entries
@@ -108,29 +109,40 @@ def _cayley_right(block: np.ndarray | None, lu) -> np.ndarray:
     return out
 
 
+def _connected_sets(pattern: np.ndarray) -> list[list[int]]:
+    """Connected sets of the graph with an edge i - j wherever the (m, m)
+    boolean coupling pattern is true at (i, j) or (j, i).
+
+    Each set is sorted, and the sets are ordered by their first member.
+    """
+    linked = np.asarray(pattern, dtype=bool)
+    linked = linked | linked.T
+    groups: list[list[int]] = []
+    seen: set[int] = set()
+    for start in range(linked.shape[0]):
+        if start in seen:
+            continue
+        group, frontier = {start}, [start]
+        while frontier:
+            for j in np.flatnonzero(linked[frontier.pop()]).tolist():
+                if j not in group:
+                    group.add(j)
+                    frontier.append(j)
+        seen |= group
+        groups.append(sorted(group))
+    return groups
+
+
 def _component_groups(op: MatrixOperator) -> list[list[int]]:
-    """Connected sets of the graph "H couples component i with component j".
+    """Component groups of H: the connected sets of the graph "H couples
+    component i with component j".
 
     The graph is read from the structural zeros of the operator matrix.  A
     zero entry realizes to an exactly zero block, so H, I + K and every step
     are block-diagonal over the groups.
     """
     dim = op.shape[0]
-    groups: list[list[int]] = []
-    seen: set[int] = set()
-    for start in range(dim):
-        if start in seen:
-            continue
-        group, frontier = {start}, [start]
-        while frontier:
-            i = frontier.pop()
-            for j in range(dim):
-                if j not in group and not (op.entry(i, j).is_zero() and op.entry(j, i).is_zero()):
-                    group.add(j)
-                    frontier.append(j)
-        seen |= group
-        groups.append(sorted(group))
-    return groups
+    return _connected_sets([[not op.entry(i, j).is_zero() for j in range(dim)] for i in range(dim)])
 
 
 def _positions(components: list[int], npoints: int):
@@ -148,23 +160,36 @@ def _block(rows, cols):
     return np.ix_(rows, cols)
 
 
+def _block_diagonal(size: int, blocks: list) -> np.ndarray:
+    """The (size, size) matrix with each (positions, block) of `blocks` on
+    the diagonal at its positions and exact zeros elsewhere.  A single block
+    spans the whole state and is returned as it is."""
+    if len(blocks) == 1:
+        return blocks[0][1]
+    out = np.zeros((size, size), dtype=complex)
+    for positions, block in blocks:
+        out[_block(positions, positions)] = block
+    return out
+
+
 def _group_factors(
     factory: HamiltonianFactory,
     grid: SpatialGrid1D,
     mid: float,
     dt: float,
     method: str,
-) -> list:
-    """(components, positions, factor) per component group of H at the
-    midpoint `mid` of a step of size dt.
+):
+    """Yield (components, positions, factor) per component group of H at
+    the midpoint `mid` of a step of size dt, one group at a time.
 
     The factor is the LU of (I + K_S)^T for Crank-Nicolson, or the block
     expm(-i dt H_S / hbar) for the midpoint exponential.  Only each group's
-    diagonal block H_S is realized, so the full H is never built.
+    diagonal block H_S is realized, so the full H is never built, and a
+    group's factor is realized only after the caller has taken the previous
+    one: a caller that lets go of each factor holds one at a time.
     """
     op = factory.at(mid)
     dim = op.shape[0]
-    out = []
     for group in _component_groups(op):
         if len(group) < dim:
             op_s = MatrixOperator([[op.entry(i, j) for j in group] for i in group])
@@ -176,8 +201,9 @@ def _group_factors(
             factor = scipy.linalg.expm(h_s)
         else:
             factor = _cayley_lu(h_s, 1j * dt / (2.0 * factory.hbar))
-        out.append((group, _positions(group, grid.npoints), factor))
-    return out
+        del h_s
+        yield group, _positions(group, grid.npoints), factor
+        del factor
 
 
 def _group_steps(
@@ -188,13 +214,18 @@ def _group_steps(
     method: str,
 ) -> list:
     """(components, positions, U_S) per component group: the step over
-    [t, t + dt] restricted to the group."""
+    [t, t + dt] restricted to the group.
+
+    Each group's LU is solved into its step and let go before the next
+    group is factored."""
+    steps = []
     # Overflow surfaces as non-finite entries, refused below.
     with np.errstate(over="ignore", invalid="ignore"):
-        steps = [
-            (group, positions, _cayley_right(None, factor) if method == "crank-nicolson" else factor)
-            for group, positions, factor in _group_factors(factory, grid, t + dt / 2.0, dt, method)
-        ]
+        for group, positions, factor in _group_factors(factory, grid, t + dt / 2.0, dt, method):
+            steps.append(
+                (group, positions, _cayley_right(None, factor) if method == "crank-nicolson" else factor)
+            )
+            del factor
     for _, _, unit in steps:
         if not np.all(np.isfinite(unit)):
             raise EvolutionError("the step matrix left the finite range; reduce the time step")
@@ -243,13 +274,7 @@ def step_matrix(
     """
     _check_method(method)
     steps = _group_steps(factory, grid, t, dt, method)
-    if len(steps) == 1:
-        return steps[0][2]
-    size = factory.dimension * grid.npoints
-    unit = np.zeros((size, size), dtype=complex)
-    for _, positions, unit_s in steps:
-        unit[_block(positions, positions)] = unit_s
-    return unit
+    return _block_diagonal(factory.dimension * grid.npoints, [(at, unit) for _, at, unit in steps])
 
 
 def _power(unit: np.ndarray, spare: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

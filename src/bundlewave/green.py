@@ -21,6 +21,16 @@ eigenbasis of the free Hamiltonian, where the free kernel is diagonal and,
 on the uniform quadrature grid, a function of the lag between nodes only:
 the perturbation enters as one coupling matrix and every free kernel as a
 vector of phases.
+
+H never couples two components in different *component groups*, the
+connected sets of the graph "H couples component i with component j" (see
+`evolution`).  Here the graph is read from the nonzero component blocks of
+the realized matrix, so no coupling can be dropped.  The eigenbasis is
+block-diagonal over the groups and is built by one `eigh` per group, in
+sum (|S| N)^3 instead of (mN)^3.  Kernels are formed, and states
+propagated, one group block at a time, and the Born iteration runs on each
+union of groups that the perturbation couples.  A fully coupled H is the
+one-group case, with the arithmetic of one dense `eigh`.
 """
 
 from __future__ import annotations
@@ -32,7 +42,14 @@ import numpy as np
 from .algebra import kron_component_matrix, dirac_gammas
 from .grid import GridFunction, SpatialGrid1D, derivative_matrix
 from .reduction import HamiltonianFactory
-from .evolution import hamiltonian_dense, DENSE_STATE_LIMIT
+from .evolution import (
+    DENSE_STATE_LIMIT,
+    _block,
+    _block_diagonal,
+    _connected_sets,
+    _positions,
+    hamiltonian_dense,
+)
 
 MAX_BORN_ORDER = 3
 
@@ -45,12 +62,25 @@ class GreenError(RuntimeError):
 # Eigenbasis kernels for first-order Hermitian systems
 
 
+def _coupling(matrix: np.ndarray, dimension: int, npoints: int) -> np.ndarray:
+    """(m, m) pattern of the N x N component blocks of a flat (mN, mN)
+    matrix that hold a nonzero entry."""
+    return np.any(matrix.reshape(dimension, npoints, dimension, npoints) != 0, axis=(1, 3))
+
+
 @dataclass
 class EigenBasis:
     """Weighted-orthonormal eigenpairs of a dense Hermitian Hamiltonian.
 
     Modes are columns normalised so that h * v_a^dag v_b = delta_ab, hence
     h * sum_a v_a v_a^dag = Id.
+
+    `groups` lists the component groups of H, the connected sets of the
+    graph "H couples component i with component j", read from the nonzero
+    component blocks of the dense matrix; None stands for a single group.
+    Each group is diagonalised on its own: `modes` is exactly zero off the
+    group blocks, and `energies` sit at their group's positions, ascending
+    within each group rather than over the whole spectrum.
     """
 
     energies: np.ndarray
@@ -58,6 +88,7 @@ class EigenBasis:
     grid: SpatialGrid1D
     dimension: int
     hbar: float
+    groups: list[list[int]] | None = None
 
     @classmethod
     def from_dense(
@@ -69,6 +100,8 @@ class EigenBasis:
         label: str = "dense",
         hermiticity_tol: float = 1e-10,
     ) -> "EigenBasis":
+        """One `eigh` per component group of the (mN, mN) matrix, costing
+        sum (|S| N)^3 instead of (mN)^3."""
         size = dimension * grid.npoints
         if h_dense.shape != (size, size):
             raise GreenError(
@@ -84,9 +117,16 @@ class EigenBasis:
                 f"Hamiltonian {label!r} is not Hermitian (defect {defect:.3e}); "
                 f"eigenbasis kernels need a Hermitian operator"
             )
-        energies, vectors = np.linalg.eigh(0.5 * (h_dense + h_dense.conj().T))
-        modes = vectors / np.sqrt(grid.spacing)
-        return cls(energies, modes, grid, dimension, hbar)
+        hermitian = 0.5 * (h_dense + h_dense.conj().T)
+        groups = _connected_sets(_coupling(h_dense, dimension, grid.npoints))
+        energies = np.empty(size)
+        blocks = []
+        for group in groups:
+            at = _positions(group, grid.npoints)
+            energies[at], vectors = np.linalg.eigh(hermitian[_block(at, at)])
+            blocks.append((at, vectors / np.sqrt(grid.spacing)))
+        modes = _block_diagonal(size, blocks)
+        return cls(energies, modes, grid, dimension, hbar, groups if len(groups) > 1 else None)
 
     @classmethod
     def from_factory(
@@ -105,15 +145,32 @@ class EigenBasis:
             hermiticity_tol,
         )
 
+    def _blocks(self) -> list:
+        """(positions, modes restricted to them) per component group."""
+        if self.groups is None:
+            return [(slice(0, self.modes.shape[0]), self.modes)]
+        positions = [_positions(group, self.grid.npoints) for group in self.groups]
+        return [(at, self.modes[_block(at, at)]) for at in positions]
+
     def completeness_defect(self) -> float:
-        size = self.modes.shape[0]
-        resolved = self.grid.spacing * (self.modes @ self.modes.conj().T)
-        return float(np.max(np.abs(resolved - np.eye(size))))
+        """max |h U U^dag - Id|, taken over the group blocks; the blocks
+        between groups are exactly zero on both sides."""
+        return max(
+            float(np.max(np.abs(self.grid.spacing * (modes @ modes.conj().T) - np.eye(modes.shape[0]))))
+            for _, modes in self._blocks()
+        )
+
+    def _phases(self, t: float, s: float) -> np.ndarray:
+        return np.exp(-1j * self.energies * (t - s) / self.hbar)
 
     def propagator(self, t: float, s: float) -> np.ndarray:
-        """Unitary U(t <- s) = sum_a v_a exp(-i E_a (t-s)/hbar) v_a^dag * h."""
-        phases = np.exp(-1j * self.energies * (t - s) / self.hbar)
-        return self.grid.spacing * ((self.modes * phases) @ self.modes.conj().T)
+        """Unitary U(t <- s) = sum_a v_a exp(-i E_a (t-s)/hbar) v_a^dag * h,
+        one product per group block."""
+        phases = self._phases(t, s)
+        return _block_diagonal(self.modes.shape[0], [
+            (at, self.grid.spacing * ((modes * phases[at]) @ modes.conj().T))
+            for at, modes in self._blocks()
+        ])
 
 
 def retarded_kernel(basis: EigenBasis, t: float, s: float) -> np.ndarray:
@@ -124,29 +181,47 @@ def retarded_kernel(basis: EigenBasis, t: float, s: float) -> np.ndarray:
     return basis.propagator(t, s) / (1j * basis.hbar * basis.grid.spacing)
 
 
-def retarded_kernel_dirac(basis: EigenBasis, t: float, s: float) -> np.ndarray:
-    """Four-component kernel: the plain kernel times the time generator."""
+def _time_generator(basis: EigenBasis) -> np.ndarray:
+    """The 4 x 4 time Clifford generator that weights four-component kernels."""
     if basis.dimension != 4:
         raise GreenError("the four-component kernel needs a four-component basis")
-    gamma0 = kron_component_matrix(dirac_gammas().matrix(0), basis.grid.npoints)
-    return retarded_kernel(basis, t, s) @ gamma0
+    return dirac_gammas().matrix(0)
+
+
+def retarded_kernel_dirac(basis: EigenBasis, t: float, s: float) -> np.ndarray:
+    """Four-component kernel: the plain kernel times the time generator,
+    which mixes the kernel's column components."""
+    gamma0 = _time_generator(basis)
+    kernel = retarded_kernel(basis, t, s)
+    size, npoints = kernel.shape[0], basis.grid.npoints
+    columns = kernel.reshape(size, 4, npoints)
+    return np.einsum("rcx,cd->rdx", columns, gamma0).reshape(size, size)
 
 
 def propagate_retarded(
     basis: EigenBasis, state: GridFunction, t: float, s: float, dirac: bool = False
 ) -> GridFunction:
     """psi(t) = i hbar h G(t,s) psi(s), with the source weighted by the time
-    generator in the four-component convention."""
+    generator in the four-component convention.
+
+    The kernel is applied without being formed: each group S contributes
+    h U_S (p_S * (U_S^dag psi_S)), O((|S| N)^2) work."""
     if t <= s:
         raise GreenError(f"retarded propagation needs t > s, got t={t}, s={s}")
-    source = state.flatten()
+    if state.components != basis.dimension:
+        raise GreenError(
+            f"state has {state.components} components, the basis has {basis.dimension}"
+        )
+    values = state.values
     if dirac:
-        gamma0 = kron_component_matrix(dirac_gammas().matrix(0), basis.grid.npoints)
-        kernel = retarded_kernel_dirac(basis, t, s)
-        source = gamma0 @ source
-    else:
-        kernel = retarded_kernel(basis, t, s)
-    flat = (1j * basis.hbar * basis.grid.spacing) * (kernel @ source)
+        gamma0 = _time_generator(basis)
+        # The kernel's right factor of the generator meets the weighted source.
+        values = gamma0 @ (gamma0 @ values)
+    source = values.reshape(-1)
+    phases = basis._phases(t, s)
+    flat = np.empty(source.size, dtype=complex)
+    for at, modes in basis._blocks():
+        flat[at] = basis.grid.spacing * (modes @ (phases[at] * (modes.conj().T @ source[at])))
     return GridFunction.from_flat(basis.grid, flat, basis.dimension)
 
 
@@ -306,9 +381,16 @@ def born_kernel(
         X_j <- diag(p_j) + h * sum_i w_ij * p(t_j - t_i)[:, None] * (M X_i).
 
     The phases factor as p(t_j - t_i) = p_j * conj(p_i), so the trapezoid sums
-    over i <= j are running sums of conj(p_i)[:, None] * (M X_i).  The cost is
-    O(order * Q) matrix products of size mN plus O(order * Q * (mN)^2)
-    elementwise work, holding Q coefficient matrices; the last level keeps
+    over i <= j are running sums of conj(p_i)[:, None] * (M X_i).
+
+    G_0 is block-diagonal over the component groups of the basis, and W over
+    the connected sets of its own nonzero component blocks, so every iterate
+    is block-diagonal over the groups that W leaves apart: a W that couples
+    two basis groups merges them, and a fully coupled W makes one group.
+    The iteration runs on each merged group S alone.  The cost is
+    O(order * Q) matrix products of size |S| N per group, O(order * Q *
+    sum (|S| N)^3) in all, plus O(order * Q * sum (|S| N)^2) elementwise
+    work, holding Q coefficient matrices per group; the last level keeps
     only the endpoint, which two products map back to the grid."""
     if not t > s:
         raise GreenError(f"the Born iteration needs t > s, got t={t}, s={s}")
@@ -323,12 +405,40 @@ def born_kernel(
         )
     if order == 0:
         return retarded_kernel(basis, t, s)
-    modes, hbar = basis.modes, basis.hbar
+    npoints = basis.grid.npoints
+    coupled = _coupling(perturbation, basis.dimension, npoints)
+    for group in basis.groups or [list(range(basis.dimension))]:
+        coupled[np.ix_(group, group)] = True
     dt = (t - s) / (quad_points - 1)
+    blocks = []
+    for group in _connected_sets(coupled):
+        at = _positions(group, npoints)
+        index = _block(at, at)
+        iterate = _born_iterate(
+            basis.modes[index], basis.energies[at], perturbation[index],
+            basis.hbar, basis.grid.spacing, dt, order, quad_points,
+        )
+        blocks.append((at, iterate))
+    return _block_diagonal(size, blocks)
+
+
+def _born_iterate(
+    modes: np.ndarray,
+    energies: np.ndarray,
+    perturbation: np.ndarray,
+    hbar: float,
+    spacing: float,
+    dt: float,
+    order: int,
+    quad_points: int,
+) -> np.ndarray:
+    """The lag-phase Born iteration of `born_kernel` on one group's modes,
+    energies and perturbation block, at quadrature step dt."""
+    size = modes.shape[0]
     # phases[j] = p(t_j - s) = p(j dt), the free kernel at lag j.
-    phases = np.exp(-1j * np.outer(dt * np.arange(quad_points), basis.energies) / hbar)
+    phases = np.exp(-1j * np.outer(dt * np.arange(quad_points), energies) / hbar)
     coupling = modes.conj().T @ perturbation @ modes / (1j * hbar)
-    step = basis.grid.spacing * dt
+    step = spacing * dt
     coefficients = [np.diag(p) for p in phases]
     for level in range(1, order + 1):
         # X_j is overwritten once its own term has entered the running sum;

@@ -3,8 +3,11 @@
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from bundlewave.evolution import evolve, hamiltonian_dense
+from bundlewave.algebra import dirac_gammas
+from bundlewave.evolution import _connected_sets, evolve, hamiltonian_dense
 from bundlewave.green import (
     MAX_BORN_ORDER,
     EigenBasis,
@@ -22,6 +25,7 @@ from bundlewave.grid import GridFunction, SpatialGrid1D
 from bundlewave.reduction import (
     Potentials,
     dirac_hamiltonian,
+    kg_5d_hamiltonian,
     kg_canonical_hamiltonian,
     schrodinger_hamiltonian,
 )
@@ -117,6 +121,155 @@ def test_eigenbasis_guards():
     big = SpatialGrid1D(1026, 1.0)
     with pytest.raises(GreenError, match="exceeds"):
         EigenBasis.from_dense(np.eye(1026, dtype=complex), big, 1)
+
+
+# ---------------------------------------------------------------------------
+# Component groups: one eigh per group against one eigh of the whole matrix
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(1, 5).flatmap(
+        lambda m: st.lists(st.booleans(), min_size=m * m, max_size=m * m).map(
+            lambda bits: np.array(bits).reshape(m, m)
+        )
+    )
+)
+def test_connected_sets_partition_the_coupling_graph(bits):
+    pattern = np.triu(bits) | np.triu(bits).T
+    m = pattern.shape[0]
+    groups = _connected_sets(pattern)
+    assert sorted(c for group in groups for c in group) == list(range(m))
+    assert all(group == sorted(group) for group in groups)
+    assert [group[0] for group in groups] == sorted(group[0] for group in groups)
+    # Reachability by repeated squaring of (Id + pattern).
+    reach = np.eye(m, dtype=int) + pattern
+    for _ in range(m):
+        reach = np.minimum(reach @ reach, 1)
+    label = {c: k for k, group in enumerate(groups) for c in group}
+    for i in range(m):
+        for j in range(m):
+            assert (label[i] == label[j]) == bool(reach[i, j])
+
+
+def _one_eigh_basis(h: np.ndarray, dimension: int) -> EigenBasis:
+    """The reference basis: a single eigh of the whole matrix."""
+    energies, vectors = np.linalg.eigh(0.5 * (h + h.conj().T))
+    return EigenBasis(energies, vectors / np.sqrt(GRID.spacing), GRID, dimension, 1.0)
+
+
+def _group_mask(groups: list[list[int]], dimension: int) -> np.ndarray:
+    """True on the flat entries whose row and column components share a group."""
+    same = np.zeros((dimension, dimension), dtype=bool)
+    for group in groups:
+        same[np.ix_(group, group)] = True
+    return np.kron(same, np.ones((GRID.npoints, GRID.npoints), dtype=bool))
+
+
+def _assert_close(value: np.ndarray, reference: np.ndarray) -> None:
+    assert np.max(np.abs(value - reference)) <= 1e-12 * np.max(np.abs(reference))
+
+
+# Models with more than one component group, and their groups.
+GROUPED_MODELS = {
+    "dirac": (
+        lambda: dirac_hamiltonian(1.0, 1.0, Potentials(scalar=0.3 * np.cos(GRID.points))),
+        [[0, 3], [1, 2]],
+    ),
+    "kg-5d": (lambda: kg_5d_hamiltonian(1.3), [[0, 1, 2], [3], [4]]),
+}
+
+
+def _grouped_problem(model):
+    """(factory, grouped basis, one-eigh reference basis, groups) of a model."""
+    build, groups = GROUPED_MODELS[model]
+    factory = build()
+    h = hamiltonian_dense(factory, GRID)
+    return factory, EigenBasis.from_dense(h, GRID, factory.dimension), _one_eigh_basis(
+        h, factory.dimension
+    ), groups
+
+
+def test_one_group_basis_is_one_eigh_of_the_whole_matrix():
+    factory, basis = _schrodinger_basis()
+    h = hamiltonian_dense(factory, GRID)
+    energies, vectors = np.linalg.eigh(0.5 * (h + h.conj().T))
+    assert basis.groups is None
+    assert np.array_equal(basis.energies, energies)
+    assert np.array_equal(basis.modes, vectors / np.sqrt(GRID.spacing))
+
+
+@pytest.mark.parametrize("model", sorted(GROUPED_MODELS))
+def test_grouped_basis_matches_one_eigh_of_the_whole_matrix(model):
+    factory, basis, reference, groups = _grouped_problem(model)
+    assert basis.groups == groups
+    assert np.all(basis.modes[~_group_mask(groups, factory.dimension)] == 0)
+    for group in groups:
+        at = np.concatenate([np.arange(c * GRID.npoints, (c + 1) * GRID.npoints) for c in group])
+        assert np.all(np.diff(basis.energies[at]) >= 0)
+    spectrum = np.sort(reference.energies)
+    assert np.max(np.abs(np.sort(basis.energies) - spectrum)) <= 1e-12 * np.max(np.abs(spectrum))
+    _assert_close(basis.propagator(0.7, 0.2), reference.propagator(0.7, 0.2))
+    _assert_close(retarded_kernel(basis, 0.7, 0.2), retarded_kernel(reference, 0.7, 0.2))
+    assert basis.completeness_defect() < 1e-12 and reference.completeness_defect() < 1e-12
+    assert abs(basis.completeness_defect() - reference.completeness_defect()) <= 1e-12
+
+
+def test_grouped_four_component_kernel_matches_the_dense_weighting():
+    factory, basis, reference, _ = _grouped_problem("dirac")
+    gamma0 = np.kron(dirac_gammas().matrix(0), np.eye(GRID.npoints))
+    dense = retarded_kernel(reference, 0.7, 0.2) @ gamma0
+    _assert_close(retarded_kernel_dirac(basis, 0.7, 0.2), dense)
+    _assert_close(retarded_kernel_dirac(reference, 0.7, 0.2), dense)
+    # Applied without forming the kernel, against the formed one.
+    state = _packet(GRID, components=4)
+    for dirac, kernel in ((False, retarded_kernel(reference, 0.7, 0.2)), (True, dense)):
+        source = gamma0 @ state.flatten() if dirac else state.flatten()
+        formed = (1j * GRID.spacing) * (kernel @ source)
+        applied = propagate_retarded(basis, state, 0.7, 0.2, dirac=dirac).flatten()
+        _assert_close(applied, formed)
+    with pytest.raises(GreenError, match="components"):
+        propagate_retarded(basis, _packet(GRID, components=2), 0.7, 0.2)
+
+
+def _patterned_perturbation(dimension: int, pattern: list[tuple[int, int]]) -> np.ndarray:
+    """Random Hermitian W whose nonzero component blocks are the diagonal
+    ones and the listed (i, j) pairs with their mirrors."""
+    allowed = np.eye(dimension, dtype=bool)
+    for i, j in pattern:
+        allowed[i, j] = allowed[j, i] = True
+    rng = np.random.default_rng(31)
+    size = dimension * GRID.npoints
+    a = rng.normal(size=(size, size)) + 1j * rng.normal(size=(size, size))
+    mask = np.kron(allowed, np.ones((GRID.npoints, GRID.npoints), dtype=bool))
+    return 0.05 * np.where(mask, a + a.conj().T, 0.0)
+
+
+# (model, extra component couplings of W, the groups the iterates keep).
+BORN_GROUP_CASES = {
+    "dirac-block-diagonal": ("dirac", [(0, 3), (1, 2)], [[0, 3], [1, 2]]),
+    "dirac-merged": ("dirac", [(0, 1)], [[0, 1, 2, 3]]),
+    "kg-5d-block-diagonal": ("kg-5d", [(0, 2)], [[0, 1, 2], [3], [4]]),
+    "kg-5d-merged": ("kg-5d", [(3, 4)], [[0, 1, 2], [3, 4]]),
+}
+
+
+@pytest.mark.parametrize("quad_points", [3, 33])
+@pytest.mark.parametrize("order", [1, 2, 3])
+@pytest.mark.parametrize("case", sorted(BORN_GROUP_CASES))
+def test_grouped_born_kernel_matches_the_one_group_basis(case, order, quad_points):
+    model, pattern, kept = BORN_GROUP_CASES[case]
+    factory, basis, reference, _ = _grouped_problem(model)
+    perturbation = _patterned_perturbation(factory.dimension, pattern)
+    approx = born_kernel(basis, perturbation, 0.7, 0.2, order=order, quad_points=quad_points)
+    _assert_close(
+        approx, born_kernel(reference, perturbation, 0.7, 0.2, order=order, quad_points=quad_points)
+    )
+    outside = ~_group_mask(kept, factory.dimension)
+    assert np.all(approx[outside] == 0)
+    if case.endswith("merged"):
+        inside_basis_groups = _group_mask(GROUPED_MODELS[model][1], factory.dimension)
+        assert np.any(approx[~inside_basis_groups & ~outside] != 0)
 
 
 # ---------------------------------------------------------------------------
