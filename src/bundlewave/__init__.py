@@ -61,7 +61,6 @@ from .reduction import (
     kg_nonrel_hamiltonian,
     kinetic_momentum_operator,
     maxwell_hamiltonian,
-    sample_field,
     schrodinger_hamiltonian,
 )
 from .evolution import (

@@ -14,8 +14,9 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from .bundle import Trivialization
+from .evolution import METHODS
 from .green import MAX_BORN_ORDER
-from .grid import SpatialGrid1D, GridFunction, discrete_delta
+from .grid import BOUNDARIES, SpatialGrid1D, GridFunction, discrete_delta
 from .reduction import (
     HamiltonianFactory,
     Potentials,
@@ -30,8 +31,8 @@ from .reduction import (
 MODEL_KINDS = ("dirac", "kg-canonical", "kg-nonrel", "kg-5d", "maxwell", "schrodinger")
 POTENTIAL_PROFILES = ("constant", "cosine", "gaussian", "harmonic", "samples")
 INITIAL_PROFILES = ("gaussian", "plane-wave", "delta", "random", "samples")
-BOUNDARY_KINDS = ("periodic", "reflecting")
-EVOLUTION_METHODS = ("crank-nicolson", "midpoint-exponential")
+BOUNDARY_KINDS = BOUNDARIES
+EVOLUTION_METHODS = METHODS
 FRAME_PROFILES = ("identity", "constant", "phase")
 OBSERVABLE_NAMES = ("charge", "position")
 # Models whose operators divide by the mass.
@@ -143,16 +144,7 @@ class RunConfig:
 
 # Section name (also the RunConfig attribute) -> section dataclass.  Keys are
 # the dataclass field names with underscores swapped for hyphens.
-_SECTIONS = {
-    "model": ModelSection,
-    "grid": GridSection,
-    "potential": PotentialSection,
-    "evolution": EvolutionSection,
-    "initial": InitialSection,
-    "frame": FrameSection,
-    "green": GreenSection,
-    "output": OutputSection,
-}
+_SECTIONS = {f.name: f.default_factory for f in fields(RunConfig)}
 
 _CHOICES = {
     ("model", "kind"): MODEL_KINDS,

@@ -10,23 +10,28 @@ midpoint and K = i dt H_mid / 2 hbar:
   time-independent H; useful as an independent route when cross-checking.
 
 H never couples two components that lie in different *component groups*,
-the connected sets of the graph "H couples component i with component j",
-read from the structural zeros of the operator matrix (Dirac and Maxwell
-have two groups, {0, 3} and {1, 2}; the five-component scalar form has
-three).  `green` reads the same graph from the nonzero component blocks of
-a realized matrix; both find its connected sets with `_connected_sets`.  H, I + K and every step are therefore block-diagonal over the
-groups, and each group S is realized, factored and applied on its own: the
-full (mN)^2 H is never built.  Per step the LU work is sum |S|^3 N^3
-instead of (mN)^3, and a static step matrix holds sum |S|^2 N^2 entries
-instead of (mN)^2.  A fully coupled H is the one-group case, addressed by
-a slice, with the arithmetic of a single dense step.
+the connected sets of the graph "H couples component i with component j"
+(Dirac and Maxwell have two groups, {0, 3} and {1, 2}; the five-component
+scalar form has three).  The stepper reads the graph from the structural
+zeros of the operator matrix.  Realized arrays carry it as their nonzero
+N x N component blocks, which `_coupling` reads: `green` takes the groups
+of a dense H, and of the eigenbasis it yields, that way, and the transport
+takes the blocks of a running frame that a step can touch.  H, I + K and
+every step are therefore block-diagonal over the groups, and each group S
+is realized, factored and applied on its own: the full (mN)^2 H is never
+built.  Per step the LU work is sum |S|^3 N^3 instead of (mN)^3, and a
+static step matrix holds sum |S|^2 N^2 entries instead of (mN)^2.  A fully
+coupled H is the one-group case, addressed by a slice, with the arithmetic
+of a single dense step.  In `green` the eigenbasis is one `eigh` per group,
+and the Born iteration runs on each union of groups that the perturbation
+couples.
 
 Crank-Nicolson is used in Cayley form, U_S = 2 (I + K_S)^-1 - I, from one
-in-place LU of I + K_S per group and step.  That LU has three users:
-`step_matrix` solves it against the identity (with more than one group it
-writes each block into a zeroed matrix), and `evolve` builds those blocks
-once per static H; `evolve` for a time-dependent H applies it to the
-group's part of the state with one single-RHS solve,
+in-place LU of I + K_S per group and step, applied by `_cayley` with one
+solve: `step_matrix` solves it against the identity (with more than one
+group it writes each block into a zeroed matrix), and `evolve` builds
+those blocks once per static H; `evolve` for a time-dependent H applies it
+from the left to the group's part of the state,
 psi_S -> 2 (I + K_S)^-1 psi_S - psi_S; and `bundle.evolution_transport`
 multiplies it into the group's columns of a running frame from the right,
 with one solve of |S| N right-hand sides and no explicit step matrix.
@@ -85,27 +90,31 @@ def _cayley_lu(h_mid: np.ndarray, coeff: complex):
     return scipy.linalg.lu_factor(h_mid.T, overwrite_a=True, check_finite=False)
 
 
-def _cayley_right(block: np.ndarray | None, lu) -> np.ndarray:
-    """block @ U for the Crank-Nicolson step U = 2 (I + K)^-1 - I, given
-    the LU of (I + K)^T.
+def _cayley(lu, x: np.ndarray | None = None, right: bool = True) -> np.ndarray:
+    """x U if `right`, else U x, for the Crank-Nicolson step
+    U = 2 (I + K)^-1 - I, given the LU of (I + K)^T.
 
-    block (I + K)^-1 is the transpose of a solve of (I + K)^T against
-    block^T, so the product takes one solve with as many right-hand sides
-    as `block` has rows.  `block` is left untouched; None stands for the
-    identity, whose product is U itself and whose right-hand side the solve
-    may overwrite.
+    x (I + K)^-1 is the transpose of a solve of (I + K)^T against x^T, and
+    (I + K)^-1 x a transposed solve against x, so either product takes one
+    solve with as many right-hand sides as x has rows or columns.  `x` is
+    left untouched; None stands for the identity, whose product is U itself
+    and whose right-hand side the solve may overwrite.
     """
-    if block is None:
+    if x is None:
         rhs = np.eye(lu[0].shape[0], dtype=complex, order="F")
     else:
-        rhs = block.T
-    # The transpose of the F-ordered solution is C-ordered.
-    out = scipy.linalg.lu_solve(lu, rhs, overwrite_b=block is None, check_finite=False).T
+        rhs = x.T if right else x
+    out = scipy.linalg.lu_solve(
+        lu, rhs, trans=0 if right else 1, overwrite_b=x is None, check_finite=False
+    )
+    if right:
+        # The transpose of the F-ordered solution is C-ordered.
+        out = out.T
     out *= 2.0
-    if block is None:
+    if x is None:
         out[np.diag_indices_from(out)] -= 1.0
     else:
-        out -= block
+        out -= x
     return out
 
 
@@ -131,6 +140,12 @@ def _connected_sets(pattern: np.ndarray) -> list[list[int]]:
         seen |= group
         groups.append(sorted(group))
     return groups
+
+
+def _coupling(matrix: np.ndarray, dimension: int, npoints: int) -> np.ndarray:
+    """(m, m) pattern of the N x N component blocks of a flat (mN, mN)
+    matrix that hold a nonzero entry."""
+    return np.any(matrix.reshape(dimension, npoints, dimension, npoints) != 0, axis=(1, 3))
 
 
 def _component_groups(op: MatrixOperator) -> list[list[int]]:
@@ -223,7 +238,7 @@ def _group_steps(
     with np.errstate(over="ignore", invalid="ignore"):
         for group, positions, factor in _group_factors(factory, grid, t + dt / 2.0, dt, method):
             steps.append(
-                (group, positions, _cayley_right(None, factor) if method == "crank-nicolson" else factor)
+                (group, positions, _cayley(factor) if method == "crank-nicolson" else factor)
             )
             del factor
     for _, _, unit in steps:
@@ -248,15 +263,14 @@ def _multiply_step(
     with one solve and no step matrix.
     """
     dim, npoints = factory.dimension, grid.npoints
-    # Which (row component, column component) blocks of the frame are nonzero.
-    nonzero = np.any((frame != 0).reshape(dim, npoints, dim, npoints), axis=(1, 3))
+    nonzero = _coupling(frame, dim, npoints)
     for group, cols, factor in _group_factors(factory, grid, mid, dt, method):
         rows = [c for c in range(dim) if np.any(nonzero[c, group])]
         if not rows:
             continue
         at = _block(_positions(rows, npoints), cols)
         if method == "crank-nicolson":
-            frame[at] = _cayley_right(frame[at], factor)
+            frame[at] = _cayley(factor, frame[at])
         else:
             frame[at] = frame[at] @ factor
 
@@ -330,6 +344,35 @@ def _static_blocks(psi: np.ndarray, units: list, steps: int, npoints: int):
         window, done = block, done + rows
 
 
+def _driven_blocks(
+    psi: np.ndarray,
+    factory: HamiltonianFactory,
+    grid: SpatialGrid1D,
+    t0: float,
+    dt: float,
+    steps: int,
+    method: str,
+):
+    """Yield the states after steps 1..steps of a time-dependent H from psi,
+    one per step, as the single row of a fresh array.
+
+    Each group block is realized and factored at the step midpoint and
+    applied with one single-RHS solve (Cayley form) or one matvec.
+    """
+    solve = method == "crank-nicolson"
+    for k in range(steps):
+        # The exponential takes the midpoint as `step_matrix` does from t0 + k dt.
+        mid = t0 + (k + 0.5) * dt if solve else t0 + k * dt + dt / 2.0
+        block = np.empty((1, psi.size), dtype=complex)
+        # Overflow surfaces as a non-finite state, checked by the caller.
+        with np.errstate(over="ignore", invalid="ignore"):
+            for _, positions, factor in _group_factors(factory, grid, mid, dt, method):
+                part = psi[positions]
+                block[0, positions] = _cayley(factor, part, right=False) if solve else factor @ part
+        yield block
+        psi = block[0]
+
+
 def evolve(
     initial: GridFunction,
     factory: HamiltonianFactory,
@@ -341,19 +384,23 @@ def evolve(
 ) -> GridFunction:
     """March `steps` steps of size dt from t0; returns the final state.
 
-    `callback(t, state)`, if given, is invoked for every step, in order.
-    Each component group S of H is stepped on its own entries of the state.
-    A static H gets one propagator U_S per group, built once in
-    O((|S| N)^3), and is marched in blocks of B steps.  The first block
-    costs one O((|S| N)^2) matvec per group and step.  When the later blocks
-    hold at least log2 B |S| N steps, U_S^B is formed by log2 B squarings of
-    O((|S| N)^3), and each later block costs one product of U_S^B with an
-    (|S| N x B) window of the previous block's states; below that, the group
-    keeps the matvecs.  States are checked for finiteness once per block.  A
+    `callback(t, state)`, if given, is invoked for every step, in order,
+    with a state that later steps never overwrite.  Each component group S
+    of H is stepped on its own entries of the state.  A static H gets one
+    propagator U_S per group, built once in O((|S| N)^3), and is marched in
+    blocks of B steps.  The first block costs one O((|S| N)^2) matvec per
+    group and step.  When the later blocks hold at least log2 B |S| N steps,
+    U_S^B is formed by log2 B squarings of O((|S| N)^3), and each later
+    block costs one product of U_S^B with an (|S| N x B) window of the
+    previous block's states; below that, the group keeps the matvecs.  A
     time-dependent H has its group blocks realized and factored at every
-    step midpoint, then applied with one single-RHS solve per group.
+    step midpoint, then applied with one single-RHS solve per group.  States
+    are checked for finiteness once per block, a single step for a
+    time-dependent H.
     """
     _check_method(method)
+    if steps < 0:
+        raise EvolutionError(f"need a nonnegative number of steps, got {steps}")
     if initial.components != factory.dimension:
         raise EvolutionError(
             f"state has {initial.components} components, factory wants {factory.dimension}"
@@ -366,44 +413,22 @@ def evolve(
     psi = initial.flatten()
     if not np.all(np.isfinite(psi)):
         raise EvolutionError("initial state is outside the finite range")
-
-    if not factory.time_dependent:
-        if steps >= 1:
-            units = _group_steps(factory, grid, t0, dt, method)
-            step = 0
-            for block in _static_blocks(psi, units, steps, grid.npoints):
-                for state, finite in zip(block, np.all(np.isfinite(block), axis=1)):
-                    step += 1
-                    if not finite:
-                        raise EvolutionError(f"state left the finite range at step {step}")
-                    if callback is not None:
-                        callback(t0 + step * dt, GridFunction.from_flat(grid, state, factory.dimension))
-            psi = block[-1]
+    if steps == 0:
         return GridFunction.from_flat(grid, psi, factory.dimension)
 
-    solve = method == "crank-nicolson"
-    for k in range(steps):
-        # Overflow surfaces as a non-finite state, checked right after.
-        with np.errstate(over="ignore", invalid="ignore"):
-            # The exponential takes the midpoint as `step_matrix` does from t0 + k dt.
-            mid = t0 + (k + 0.5) * dt if solve else t0 + k * dt + dt / 2.0
-            # A fresh array per step: callbacks may keep the states they see.
-            advanced = np.empty_like(psi)
-            for _, positions, factor in _group_factors(factory, grid, mid, dt, method):
-                part = psi[positions]
-                if solve:
-                    advanced[positions] = (
-                        2.0 * scipy.linalg.lu_solve(factor, part, trans=1, check_finite=False) - part
-                    )
-                else:
-                    advanced[positions] = factor @ part
-            psi = advanced
-        if not np.all(np.isfinite(psi)):
-            raise EvolutionError(f"state left the finite range at step {k + 1}")
-        if callback is not None:
-            callback(t0 + (k + 1) * dt, GridFunction.from_flat(grid, psi, factory.dimension))
-
-    return GridFunction.from_flat(grid, psi, factory.dimension)
+    if factory.time_dependent:
+        blocks = _driven_blocks(psi, factory, grid, t0, dt, steps, method)
+    else:
+        blocks = _static_blocks(psi, _group_steps(factory, grid, t0, dt, method), steps, grid.npoints)
+    step = 0
+    for block in blocks:
+        for state, finite in zip(block, np.all(np.isfinite(block), axis=1)):
+            step += 1
+            if not finite:
+                raise EvolutionError(f"state left the finite range at step {step}")
+            if callback is not None:
+                callback(t0 + step * dt, GridFunction.from_flat(grid, state, factory.dimension))
+    return GridFunction.from_flat(grid, block[-1], factory.dimension)
 
 
 class EvolutionOperator:

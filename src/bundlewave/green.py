@@ -22,15 +22,9 @@ on the uniform quadrature grid, a function of the lag between nodes only:
 the perturbation enters as one coupling matrix and every free kernel as a
 vector of phases.
 
-H never couples two components in different *component groups*, the
-connected sets of the graph "H couples component i with component j" (see
-`evolution`).  Here the graph is read from the nonzero component blocks of
-the realized matrix, so no coupling can be dropped.  The eigenbasis is
-block-diagonal over the groups and is built by one `eigh` per group, in
-sum (|S| N)^3 instead of (mN)^3.  Kernels are formed, and states
-propagated, one group block at a time, and the Born iteration runs on each
-union of groups that the perturbation couples.  A fully coupled H is the
-one-group case, with the arithmetic of one dense `eigh`.
+The eigenbasis is built, its kernels formed and the Born iteration run one
+component group of H at a time, as the `evolution` module docstring
+describes.
 """
 
 from __future__ import annotations
@@ -47,11 +41,14 @@ from .evolution import (
     _block,
     _block_diagonal,
     _connected_sets,
+    _coupling,
     _positions,
     hamiltonian_dense,
 )
 
 MAX_BORN_ORDER = 3
+# Largest max|H - H^dag| / max(1, max|H|) accepted as Hermitian.
+HERMITICITY_TOL = 1e-10
 
 
 class GreenError(RuntimeError):
@@ -62,12 +59,6 @@ class GreenError(RuntimeError):
 # Eigenbasis kernels for first-order Hermitian systems
 
 
-def _coupling(matrix: np.ndarray, dimension: int, npoints: int) -> np.ndarray:
-    """(m, m) pattern of the N x N component blocks of a flat (mN, mN)
-    matrix that hold a nonzero entry."""
-    return np.any(matrix.reshape(dimension, npoints, dimension, npoints) != 0, axis=(1, 3))
-
-
 @dataclass
 class EigenBasis:
     """Weighted-orthonormal eigenpairs of a dense Hermitian Hamiltonian.
@@ -75,12 +66,11 @@ class EigenBasis:
     Modes are columns normalised so that h * v_a^dag v_b = delta_ab, hence
     h * sum_a v_a v_a^dag = Id.
 
-    `groups` lists the component groups of H, the connected sets of the
-    graph "H couples component i with component j", read from the nonzero
-    component blocks of the dense matrix; None stands for a single group.
-    Each group is diagonalised on its own: `modes` is exactly zero off the
-    group blocks, and `energies` sit at their group's positions, ascending
-    within each group rather than over the whole spectrum.
+    Each component group of H (see `evolution`) is diagonalised on its
+    own: `modes` is exactly zero off the group blocks, so the groups are
+    read back from its nonzero component blocks, and `energies` sit at
+    their group's positions, ascending within each group rather than over
+    the whole spectrum.
     """
 
     energies: np.ndarray
@@ -88,7 +78,6 @@ class EigenBasis:
     grid: SpatialGrid1D
     dimension: int
     hbar: float
-    groups: list[list[int]] | None = None
 
     @classmethod
     def from_dense(
@@ -98,7 +87,6 @@ class EigenBasis:
         dimension: int,
         hbar: float = 1.0,
         label: str = "dense",
-        hermiticity_tol: float = 1e-10,
     ) -> "EigenBasis":
         """One `eigh` per component group of the (mN, mN) matrix, costing
         sum (|S| N)^3 instead of (mN)^3."""
@@ -112,21 +100,19 @@ class EigenBasis:
             raise GreenError(f"eigenbasis of size {size} exceeds limit {DENSE_STATE_LIMIT}")
         scale = max(1.0, float(np.max(np.abs(h_dense))))
         defect = float(np.max(np.abs(h_dense - h_dense.conj().T)))
-        if defect > hermiticity_tol * scale:
+        if defect > HERMITICITY_TOL * scale:
             raise GreenError(
                 f"Hamiltonian {label!r} is not Hermitian (defect {defect:.3e}); "
                 f"eigenbasis kernels need a Hermitian operator"
             )
         hermitian = 0.5 * (h_dense + h_dense.conj().T)
-        groups = _connected_sets(_coupling(h_dense, dimension, grid.npoints))
         energies = np.empty(size)
         blocks = []
-        for group in groups:
+        for group in _connected_sets(_coupling(h_dense, dimension, grid.npoints)):
             at = _positions(group, grid.npoints)
             energies[at], vectors = np.linalg.eigh(hermitian[_block(at, at)])
             blocks.append((at, vectors / np.sqrt(grid.spacing)))
-        modes = _block_diagonal(size, blocks)
-        return cls(energies, modes, grid, dimension, hbar, groups if len(groups) > 1 else None)
+        return cls(energies, _block_diagonal(size, blocks), grid, dimension, hbar)
 
     @classmethod
     def from_factory(
@@ -134,22 +120,16 @@ class EigenBasis:
         factory: HamiltonianFactory,
         grid: SpatialGrid1D,
         t: float = 0.0,
-        hermiticity_tol: float = 1e-10,
     ) -> "EigenBasis":
         return cls.from_dense(
-            hamiltonian_dense(factory, grid, t),
-            grid,
-            factory.dimension,
-            factory.hbar,
-            factory.label,
-            hermiticity_tol,
+            hamiltonian_dense(factory, grid, t), grid, factory.dimension, factory.hbar, factory.label
         )
 
     def _blocks(self) -> list:
         """(positions, modes restricted to them) per component group."""
-        if self.groups is None:
-            return [(slice(0, self.modes.shape[0]), self.modes)]
-        positions = [_positions(group, self.grid.npoints) for group in self.groups]
+        npoints = self.grid.npoints
+        groups = _connected_sets(_coupling(self.modes, self.dimension, npoints))
+        positions = [_positions(group, npoints) for group in groups]
         return [(at, self.modes[_block(at, at)]) for at in positions]
 
     def completeness_defect(self) -> float:
@@ -405,10 +385,8 @@ def born_kernel(
         )
     if order == 0:
         return retarded_kernel(basis, t, s)
-    npoints = basis.grid.npoints
-    coupled = _coupling(perturbation, basis.dimension, npoints)
-    for group in basis.groups or [list(range(basis.dimension))]:
-        coupled[np.ix_(group, group)] = True
+    dim, npoints = basis.dimension, basis.grid.npoints
+    coupled = _coupling(perturbation, dim, npoints) | _coupling(basis.modes, dim, npoints)
     dt = (t - s) / (quad_points - 1)
     blocks = []
     for group in _connected_sets(coupled):

@@ -41,7 +41,7 @@ from .algebra import (
     promote,
     singular_index,
 )
-from .grid import GridFunction, SpatialGrid1D, derivative_values
+from .grid import GridFunction, derivative_values
 
 
 class ReductionError(ValueError):
@@ -86,26 +86,6 @@ class Potentials:
 
             return rate
         return 0.0
-
-    def scalar_at(self, grid: SpatialGrid1D, t: float = 0.0) -> np.ndarray:
-        return sample_field(self.scalar, grid, t)
-
-    def vector_at(self, grid: SpatialGrid1D, t: float = 0.0) -> np.ndarray:
-        return sample_field(self.vector, grid, t)
-
-
-def sample_field(entry, grid: SpatialGrid1D, t: float = 0.0) -> np.ndarray:
-    """Broadcast a constant/array/callable field entry to grid samples."""
-    if callable(entry):
-        entry = entry(t)
-    arr = np.asarray(entry, dtype=float)
-    if arr.ndim == 0:
-        return np.full(grid.npoints, float(arr))
-    if arr.shape != (grid.npoints,):
-        raise ReductionError(
-            f"field sampled at {arr.shape} does not fit grid with {grid.npoints} points"
-        )
-    return arr
 
 
 def pointwise(entry, func):

@@ -464,6 +464,37 @@ def test_overflow_on_the_power_route_is_an_evolution_error():
             evolve(tiny, _growing_factory(92.0), dt=1.0, steps=60, method="midpoint-exponential")
 
 
+def test_overflow_on_the_driven_march_is_an_evolution_error():
+    small = SpatialGrid1D(4, 1.0)
+    # H = 0.4 i grows each state by 1.5 per Crank-Nicolson step as before,
+    # but the Cayley apply forms 2 (I + K)^-1 psi = 2.5 psi first, which
+    # leaves the float range one step earlier than the state itself.
+    factory = HamiltonianFactory(
+        dimension=1,
+        build=lambda t: MatrixOperator([[ScaleOp(lambda t: np.full(4, 0.4j))]]),
+        label="driven-growth",
+        time_dependent=True,
+    )
+    state = GridFunction(small, np.full((1, 4), 1e300 + 0j))
+    times, kept, copies = [], [], []
+
+    def keep(t, s):
+        times.append(t)
+        kept.append(s)
+        copies.append(s.values.copy())
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(EvolutionError, match="at step 46"):
+            evolve(state, factory, dt=1.0, steps=60, callback=keep)
+    assert times == [float(k) for k in range(1, 46)]
+    # Each kept state is its own array, never overwritten by later steps.
+    assert not any(np.shares_memory(a.values, b.values) for a, b in zip(kept, kept[1:]))
+    for held, copy in zip(kept, copies):
+        assert np.array_equal(held.values, copy)
+    assert np.allclose([held.values[0, 0] for held in kept], 1e300 * 1.5 ** np.arange(1, 46), rtol=1e-12)
+
+
 # ---------------------------------------------------------------------------
 # Dense two-time propagators
 
@@ -521,6 +552,16 @@ def test_rejected_inputs():
     two = GridFunction(GRID, np.ones((2, GRID.npoints), dtype=complex))
     with pytest.raises(EvolutionError):
         evolve(two, schrodinger_hamiltonian(1.0), dt=0.1, steps=1)
+
+
+@pytest.mark.parametrize("driven", [False, True])
+def test_step_count_must_be_nonnegative(driven):
+    state = _gaussian(GRID, np.pi, 0.7)
+    factory = _driven_factory() if driven else schrodinger_hamiltonian(1.0)
+    with pytest.raises(EvolutionError, match="nonnegative number of steps"):
+        evolve(state, factory, dt=0.1, steps=-3)
+    # Zero steps return the initial state.
+    assert np.array_equal(evolve(state, factory, dt=0.1, steps=0).values, state.values)
 
 
 def test_nonfinite_states_are_detected():

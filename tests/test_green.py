@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bundlewave.algebra import dirac_gammas
-from bundlewave.evolution import _connected_sets, evolve, hamiltonian_dense
+from bundlewave.evolution import _connected_sets, _coupling, evolve, hamiltonian_dense
 from bundlewave.green import (
     MAX_BORN_ORDER,
     EigenBasis,
@@ -194,7 +194,7 @@ def test_one_group_basis_is_one_eigh_of_the_whole_matrix():
     factory, basis = _schrodinger_basis()
     h = hamiltonian_dense(factory, GRID)
     energies, vectors = np.linalg.eigh(0.5 * (h + h.conj().T))
-    assert basis.groups is None
+    assert _connected_sets(_coupling(basis.modes, 1, GRID.npoints)) == [[0]]
     assert np.array_equal(basis.energies, energies)
     assert np.array_equal(basis.modes, vectors / np.sqrt(GRID.spacing))
 
@@ -202,7 +202,7 @@ def test_one_group_basis_is_one_eigh_of_the_whole_matrix():
 @pytest.mark.parametrize("model", sorted(GROUPED_MODELS))
 def test_grouped_basis_matches_one_eigh_of_the_whole_matrix(model):
     factory, basis, reference, groups = _grouped_problem(model)
-    assert basis.groups == groups
+    assert _connected_sets(_coupling(basis.modes, factory.dimension, GRID.npoints)) == groups
     assert np.all(basis.modes[~_group_mask(groups, factory.dimension)] == 0)
     for group in groups:
         at = np.concatenate([np.arange(c * GRID.npoints, (c + 1) * GRID.npoints) for c in group])
