@@ -46,6 +46,11 @@ class LinearGridOperator:
     def is_zero(self) -> bool:
         return False
 
+    def varies(self) -> bool:
+        """True when the operator depends on t: it holds a `ScaleOp` whose
+        factor is callable."""
+        return False
+
     # Operator algebra: +, -, scalar *, and @ for composition.
     def __add__(self, other: "LinearGridOperator") -> "LinearGridOperator":
         return op_sum(self, other)
@@ -110,6 +115,9 @@ class ScaleOp(LinearGridOperator):
         f = self.factor
         return np.isscalar(f) and complex(f) == 0
 
+    def varies(self):
+        return callable(self.factor)
+
     def __repr__(self):
         if np.isscalar(self.factor):
             return f"scale({complex(self.factor):g})"
@@ -148,6 +156,9 @@ class ComposeOp(LinearGridOperator):
     def is_zero(self):
         return any(op.is_zero() for op in self.factors)
 
+    def varies(self):
+        return any(op.varies() for op in self.factors)
+
     def __repr__(self):
         return " . ".join(repr(op) for op in self.factors)
 
@@ -164,6 +175,9 @@ class SumOp(LinearGridOperator):
 
     def is_zero(self):
         return not self.terms
+
+    def varies(self):
+        return any(op.varies() for op in self.terms)
 
     def __repr__(self):
         return " + ".join(repr(op) for op in self.terms) if self.terms else "0"
@@ -330,22 +344,43 @@ class MatrixOperator:
 
     __rmul__ = __mul__
 
-    def dense(self, grid: SpatialGrid1D, t: float = 0.0) -> np.ndarray:
-        """Dense matrix on component-major flattened states, (n*N) x (p*N)."""
+    def dense(self, grid: SpatialGrid1D, t: float = 0.0, memo: dict | None = None) -> np.ndarray:
+        """Dense matrix on component-major flattened states, (n*N) x (p*N).
+
+        With a `memo` dict, which must only ever see this grid, an entry that
+        does not vary with t is realized once and later copied from it.
+        """
         rows, cols = self.shape
         n = grid.npoints
         out = np.zeros((rows * n, cols * n), dtype=complex)
         for i in range(rows):
             for j in range(cols):
                 entry = self.entries[i][j]
-                if not entry.is_zero():
-                    out[i * n:(i + 1) * n, j * n:(j + 1) * n] = entry.dense(grid, t)
+                if entry.is_zero():
+                    continue
+                if entry.varies():
+                    block = entry.dense(grid, t)
+                else:
+                    block = _memoized(memo, entry, lambda op: op.dense(grid, t))
+                out[i * n:(i + 1) * n, j * n:(j + 1) * n] = block
         return out
 
     def describe(self) -> list:
         """(row, col, text) triples for the non-trivial entries."""
         rows, cols = self.shape
         return [(i, j, repr(self.entries[i][j])) for i in range(rows) for j in range(cols)]
+
+
+def _memoized(memo: dict | None, obj, make: Callable):
+    """make(obj), computed once per object while `memo` lives; None means
+    no memo.  Keyed by identity, with `obj` kept in the memo so that its id
+    cannot pass to another object."""
+    if memo is None:
+        return make(obj)
+    key = id(obj)
+    if key not in memo:
+        memo[key] = (obj, make(obj))
+    return memo[key][1]
 
 
 def promote(obj) -> MatrixOperator:

@@ -207,16 +207,18 @@ def evolution_transport(
     propagators g_i^{-1} U(t_i <- t_j) g_j.
 
     Each substep's U is block-diagonal over the component groups of H, so
-    column group S of F U is F[:, S] U_S, and only the rows of F[:, S] that
-    are not all zero are touched; for frames built from the same groups
+    column group S of F U is F[:, S] U_S, and only the row components that
+    may be nonzero in S's columns are multiplied, tracked from the
+    identity's diagonal blocks on; for frames built from the same groups
     those rows are S.  A Crank-Nicolson substep multiplies in Cayley form,
     F U_S = 2 F (I + K_S)^-1 - F: one LU of size |S| N and one solve with
     |S| N right-hand sides per group, no step matrix and no dense product.
     A midpoint-exponential substep multiplies by the group's exponential.
-    The same per-group factors serve `step_matrix` and `evolve`.  Overflow
-    ends in EvolutionError, as it does in `step_matrix`.  The frames are
-    invertible by construction, so only a gauge passes the conditioning
-    guard.
+    When the factory returns one shared operator, only its entries that
+    vary with t are realized after the first substep.  The same per-group
+    factors serve `step_matrix` and `evolve`.  Overflow ends in
+    EvolutionError, as it does in `step_matrix`.  The frames are invertible
+    by construction, so only a gauge passes the conditioning guard.
     """
     size = factory.dimension * grid.npoints
     if size > DENSE_STATE_LIMIT:
@@ -226,6 +228,10 @@ def evolution_transport(
     times = sampling.parameters
     frames = np.empty((sampling.nsamples, size, size), dtype=complex)
     frames[0] = np.eye(size, dtype=complex)
+    # The component blocks of the running frame that may be nonzero, and
+    # the realizations of the entries that do not vary, for the whole call.
+    pattern = np.eye(factory.dimension, dtype=bool)
+    memo: dict = {}
     # Overflow surfaces as non-finite entries, refused after each interval.
     with np.errstate(over="ignore", invalid="ignore"):
         for i in range(sampling.nsamples - 1):
@@ -234,7 +240,8 @@ def evolution_transport(
             for k in range(substeps):
                 # U(tau_k <- tau_{k+1}) has midpoint tau_k + delta/2 either way.
                 tau = times[i] + (k + 1) * delta
-                _multiply_step(frames[i + 1], factory, grid, tau - delta / 2.0, -delta, method)
+                _multiply_step(frames[i + 1], pattern, factory, grid, tau - delta / 2.0,
+                               -delta, method, memo)
             if not np.all(np.isfinite(frames[i + 1])):
                 raise EvolutionError(
                     f"transport frame {i + 1} left the finite range; reduce the sampling step"

@@ -15,8 +15,9 @@ the connected sets of the graph "H couples component i with component j"
 scalar form has three).  The stepper reads the graph from the structural
 zeros of the operator matrix.  Realized arrays carry it as their nonzero
 N x N component blocks, which `_coupling` reads: `green` takes the groups
-of a dense H, and of the eigenbasis it yields, that way, and the transport
-takes the blocks of a running frame that a step can touch.  H, I + K and
+of a dense H, and of the eigenbasis it yields, that way.  The transport
+instead tracks which component blocks of its running frame its steps have
+touched, starting from the identity's diagonal ones.  H, I + K and
 every step are therefore block-diagonal over the groups, and each group S
 is realized, factored and applied on its own: the full (mN)^2 H is never
 built.  Per step the LU work is sum |S|^3 N^3 instead of (mN)^3, and a
@@ -35,6 +36,16 @@ from the left to the group's part of the state,
 psi_S -> 2 (I + K_S)^-1 psi_S - psi_S; and `bundle.evolution_transport`
 multiplies it into the group's columns of a running frame from the right,
 with one solve of |S| N right-hand sides and no explicit step matrix.
+
+A time-dependent H is realized and factored at every step midpoint.  Its
+factory may return one shared operator for every t, in which time enters
+only through callable scale factors (the `reduction` builders do this).
+`evolve` and `bundle.evolution_transport` each hold a memo for one call
+that keeps, by object identity, the component groups of that operator and
+the realized blocks of its entries that do not vary with t, such as the
+derivative blocks.  A driven step then costs the realization of the varying
+entries, one LU of I + K_S and one solve per group (for the exponential,
+one expm and one product per group).
 
 A static H makes the propagator over B steps U_S^B from every lattice time,
 so `evolve` marches it in blocks of B steps, the dense form of a
@@ -55,7 +66,7 @@ import numpy as np
 import scipy.linalg
 
 from .grid import FibreProduct, GridFunction, SpatialGrid1D, inner
-from .algebra import MatrixOperator
+from .algebra import MatrixOperator, _memoized
 from .reduction import HamiltonianFactory
 
 DENSE_STATE_LIMIT = 1024
@@ -148,6 +159,17 @@ def _coupling(matrix: np.ndarray, dimension: int, npoints: int) -> np.ndarray:
     return np.any(matrix.reshape(dimension, npoints, dimension, npoints) != 0, axis=(1, 3))
 
 
+def _group_operators(op: MatrixOperator) -> list:
+    """(components, H_S) per component group S of H, with H_S the operator
+    matrix of the group's diagonal block (H itself for a single group)."""
+    dim = op.shape[0]
+    return [
+        (group, MatrixOperator([[op.entry(i, j) for j in group] for i in group])
+         if len(group) < dim else op)
+        for group in _component_groups(op)
+    ]
+
+
 def _component_groups(op: MatrixOperator) -> list[list[int]]:
     """Component groups of H: the connected sets of the graph "H couples
     component i with component j".
@@ -193,6 +215,7 @@ def _group_factors(
     mid: float,
     dt: float,
     method: str,
+    memo: dict | None = None,
 ):
     """Yield (components, positions, factor) per component group of H at
     the midpoint `mid` of a step of size dt, one group at a time.
@@ -202,15 +225,19 @@ def _group_factors(
     diagonal block H_S is realized, so the full H is never built, and a
     group's factor is realized only after the caller has taken the previous
     one: a caller that lets go of each factor holds one at a time.
+
+    A `memo` dict, held by the caller for one march on one grid, keeps the
+    groups of each operator and the realized blocks of each entry that does
+    not vary with t, so that a factory returning one shared operator pays
+    per step only for its varying entries.  An operator it has not seen
+    clears it, so a factory that builds a fresh operator per step keeps one
+    step's blocks at most.
     """
     op = factory.at(mid)
-    dim = op.shape[0]
-    for group in _component_groups(op):
-        if len(group) < dim:
-            op_s = MatrixOperator([[op.entry(i, j) for j in group] for i in group])
-        else:
-            op_s = op
-        h_s = op_s.dense(grid, mid)
+    if memo is not None and id(op) not in memo:
+        memo.clear()
+    for group, op_s in _memoized(memo, op, _group_operators):
+        h_s = op_s.dense(grid, mid, memo)
         if method == "midpoint-exponential":
             h_s *= -1j * dt / factory.hbar
             factor = scipy.linalg.expm(h_s)
@@ -249,23 +276,27 @@ def _group_steps(
 
 def _multiply_step(
     frame: np.ndarray,
+    pattern: np.ndarray,
     factory: HamiltonianFactory,
     grid: SpatialGrid1D,
     mid: float,
     dt: float,
     method: str,
+    memo: dict | None = None,
 ) -> None:
     """frame <- frame @ U in place, for the step of size dt with midpoint `mid`.
 
-    Column group S of frame @ U is frame[:, S] U_S.  Only the row
-    components of frame[:, S] that are not all zero are multiplied; the
-    others stay exactly zero.  A Crank-Nicolson U_S enters in Cayley form,
-    with one solve and no step matrix.
+    `pattern` is the (m, m) boolean pattern of the N x N component blocks
+    of `frame` that may be nonzero, and is updated with it.  Column group S
+    of frame @ U is frame[:, S] U_S.  Only the row components with a block
+    in S's columns are multiplied, and their blocks there are then marked;
+    the others stay exactly zero.  A Crank-Nicolson U_S enters in Cayley
+    form, with one solve and no step matrix.  `memo` is passed to
+    `_group_factors`.
     """
     dim, npoints = factory.dimension, grid.npoints
-    nonzero = _coupling(frame, dim, npoints)
-    for group, cols, factor in _group_factors(factory, grid, mid, dt, method):
-        rows = [c for c in range(dim) if np.any(nonzero[c, group])]
+    for group, cols, factor in _group_factors(factory, grid, mid, dt, method, memo):
+        rows = [c for c in range(dim) if np.any(pattern[c, group])]
         if not rows:
             continue
         at = _block(_positions(rows, npoints), cols)
@@ -273,6 +304,7 @@ def _multiply_step(
             frame[at] = _cayley(factor, frame[at])
         else:
             frame[at] = frame[at] @ factor
+        pattern[np.ix_(rows, group)] = True
 
 
 def step_matrix(
@@ -357,16 +389,19 @@ def _driven_blocks(
     one per step, as the single row of a fresh array.
 
     Each group block is realized and factored at the step midpoint and
-    applied with one single-RHS solve (Cayley form) or one matvec.
+    applied with one single-RHS solve (Cayley form) or one matvec.  One
+    memo serves the whole march, so the entries that do not vary with t are
+    realized at the first step only.
     """
     solve = method == "crank-nicolson"
+    memo: dict = {}
     for k in range(steps):
         # The exponential takes the midpoint as `step_matrix` does from t0 + k dt.
         mid = t0 + (k + 0.5) * dt if solve else t0 + k * dt + dt / 2.0
         block = np.empty((1, psi.size), dtype=complex)
         # Overflow surfaces as a non-finite state, checked by the caller.
         with np.errstate(over="ignore", invalid="ignore"):
-            for _, positions, factor in _group_factors(factory, grid, mid, dt, method):
+            for _, positions, factor in _group_factors(factory, grid, mid, dt, method, memo):
                 part = psi[positions]
                 block[0, positions] = _cayley(factor, part, right=False) if solve else factor @ part
         yield block
@@ -393,12 +428,16 @@ def evolve(
     U_S^B is formed by log2 B squarings of O((|S| N)^3), and each later
     block costs one product of U_S^B with an (|S| N x B) window of the
     previous block's states; below that, the group keeps the matvecs.  A
-    time-dependent H has its group blocks realized and factored at every
-    step midpoint, then applied with one single-RHS solve per group.  States
-    are checked for finiteness once per block, a single step for a
-    time-dependent H.
+    time-dependent H is factored at every step midpoint and applied with one
+    single-RHS solve per group; when its factory returns one shared
+    operator, only the entries that vary with t are realized again after the
+    first step.  States are checked for finiteness once per block, a single
+    step for a time-dependent H.  dt must be finite and nonzero; a negative
+    dt marches backward.
     """
     _check_method(method)
+    if not (np.isfinite(dt) and dt != 0):
+        raise EvolutionError(f"need a finite nonzero time step dt, got {dt}")
     if steps < 0:
         raise EvolutionError(f"need a nonnegative number of steps, got {steps}")
     if initial.components != factory.dimension:

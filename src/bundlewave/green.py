@@ -29,6 +29,7 @@ describes.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -125,12 +126,17 @@ class EigenBasis:
             hamiltonian_dense(factory, grid, t), grid, factory.dimension, factory.hbar, factory.label
         )
 
-    def _blocks(self) -> list:
-        """(positions, modes restricted to them) per component group."""
+    @functools.cached_property
+    def _group_positions(self) -> list:
+        """Flat positions of each component group, read from `modes` once
+        per basis."""
         npoints = self.grid.npoints
         groups = _connected_sets(_coupling(self.modes, self.dimension, npoints))
-        positions = [_positions(group, npoints) for group in groups]
-        return [(at, self.modes[_block(at, at)]) for at in positions]
+        return [_positions(group, npoints) for group in groups]
+
+    def _blocks(self) -> list:
+        """(positions, modes restricted to them) per component group."""
+        return [(at, self.modes[_block(at, at)]) for at in self._group_positions]
 
     def completeness_defect(self) -> float:
         """max |h U U^dag - Id|, taken over the group blocks; the blocks

@@ -101,7 +101,13 @@ def pointwise(entry, func):
 
 @dataclass
 class HamiltonianFactory:
-    """Builds the Hamiltonian `MatrixOperator` at a requested time."""
+    """Builds the Hamiltonian `MatrixOperator` at a requested time.
+
+    `at(t)` may return one operator shared by every t, in which time enters
+    only through callable `ScaleOp` factors; callers must treat it as
+    read-only.  The steppers realize the entries of a shared operator that
+    do not vary with t once per march.
+    """
 
     dimension: int
     build: Callable[[float], MatrixOperator]
@@ -221,24 +227,21 @@ def dirac_hamiltonian(
     alpha1 = alpha_matrices()[0]
     beta = beta_matrix()
     momentum = kinetic_momentum_operator(charge, potentials, hbar, c)
-
-    def build(t: float) -> MatrixOperator:
-        out = MatrixOperator.zeros(4, 4)
-        for i in range(4):
-            for j in range(4):
-                terms = []
-                if alpha1[i, j] != 0:
-                    terms.append(op_scale(c * alpha1[i, j], momentum))
-                if beta[i, j] != 0:
-                    terms.append(op_scale(mass * c * c * beta[i, j], IdentityOp()))
-                if i == j and charge != 0.0:
-                    terms.append(ScaleOp(pointwise(potentials.scalar, lambda v: charge * v)))
-                out.entries[i][j] = op_sum(*terms)
-        return out
+    out = MatrixOperator.zeros(4, 4)
+    for i in range(4):
+        for j in range(4):
+            terms = []
+            if alpha1[i, j] != 0:
+                terms.append(op_scale(c * alpha1[i, j], momentum))
+            if beta[i, j] != 0:
+                terms.append(op_scale(mass * c * c * beta[i, j], IdentityOp()))
+            if i == j and charge != 0.0:
+                terms.append(ScaleOp(pointwise(potentials.scalar, lambda v: charge * v)))
+            out.entries[i][j] = op_sum(*terms)
 
     return HamiltonianFactory(
         dimension=4,
-        build=build,
+        build=lambda t: out,
         label="dirac",
         hbar=hbar,
         time_dependent=not potentials.static,
@@ -314,24 +317,21 @@ def kg_nonrel_hamiltonian(
     potentials = potentials or Potentials()
     mc2 = mass * c * c
     f0 = _scalar_field_f0(mass, charge, potentials, hbar, c)
-
-    def build(t: float) -> MatrixOperator:
-        half_f0 = op_scale(-(hbar * hbar) / (2 * mc2), f0)  # -(hbar^2/2mc^2) f_0
-        if charge != 0.0:
-            e_phi = ScaleOp(pointwise(potentials.scalar, lambda v: charge * v))
-        else:
-            e_phi = op_sum()
-        mass_term = op_scale(0.5 * mc2, IdentityOp())
-        out = MatrixOperator.zeros(2, 2)
-        out.entries[0][0] = op_sum(mass_term, e_phi, half_f0)
-        out.entries[0][1] = op_sum(op_scale(-1, mass_term), op_scale(-1, e_phi), half_f0)
-        out.entries[1][0] = op_sum(mass_term, op_scale(-1, e_phi), op_scale(-1, half_f0))
-        out.entries[1][1] = op_sum(op_scale(-1, mass_term), e_phi, op_scale(-1, half_f0))
-        return out
+    half_f0 = op_scale(-(hbar * hbar) / (2 * mc2), f0)  # -(hbar^2/2mc^2) f_0
+    if charge != 0.0:
+        e_phi = ScaleOp(pointwise(potentials.scalar, lambda v: charge * v))
+    else:
+        e_phi = op_sum()
+    mass_term = op_scale(0.5 * mc2, IdentityOp())
+    out = MatrixOperator.zeros(2, 2)
+    out.entries[0][0] = op_sum(mass_term, e_phi, half_f0)
+    out.entries[0][1] = op_sum(op_scale(-1, mass_term), op_scale(-1, e_phi), half_f0)
+    out.entries[1][0] = op_sum(mass_term, op_scale(-1, e_phi), op_scale(-1, half_f0))
+    out.entries[1][1] = op_sum(op_scale(-1, mass_term), e_phi, op_scale(-1, half_f0))
 
     return HamiltonianFactory(
         dimension=2,
-        build=build,
+        build=lambda t: out,
         label="kg-nonrel",
         hbar=hbar,
         time_dependent=not potentials.static,
@@ -354,18 +354,15 @@ def kg_5d_hamiltonian(mass: float, hbar: float = 1.0, c: float = 1.0) -> Hamilto
     if not mass > 0:
         raise ReductionError("the five-component stacking needs a positive mass")
     mc2 = mass * c * c
-
-    def build(t: float) -> MatrixOperator:
-        out = MatrixOperator.zeros(5, 5)
-        out.entries[0][1] = op_scale(1j * hbar * mc2, IdentityOp())
-        out.entries[1][0] = op_scale(-1j * mc2 / hbar, IdentityOp())
-        out.entries[1][2] = op_scale(1j * hbar * c * c, DerivativeOp(1))
-        out.entries[2][1] = op_scale(1j * hbar, DerivativeOp(1))
-        return out
+    out = MatrixOperator.zeros(5, 5)
+    out.entries[0][1] = op_scale(1j * hbar * mc2, IdentityOp())
+    out.entries[1][0] = op_scale(-1j * mc2 / hbar, IdentityOp())
+    out.entries[1][2] = op_scale(1j * hbar * c * c, DerivativeOp(1))
+    out.entries[2][1] = op_scale(1j * hbar, DerivativeOp(1))
 
     return HamiltonianFactory(
         dimension=5,
-        build=build,
+        build=lambda t: out,
         label="kg-5d",
         hbar=hbar,
         time_dependent=False,
@@ -428,18 +425,15 @@ def maxwell_hamiltonian(hbar: float = 1.0, c: float = 1.0) -> HamiltonianFactory
     dE_y/dt = -c dH_z/dx, dE_z/dt = c dH_y/dx,
     dH_y/dt = c dE_z/dx, dH_z/dt = -c dE_y/dx.
     """
-
-    def build(t: float) -> MatrixOperator:
-        out = MatrixOperator.zeros(4, 4)
-        out.entries[0][3] = op_scale(-1j * hbar * c, DerivativeOp(1))
-        out.entries[1][2] = op_scale(1j * hbar * c, DerivativeOp(1))
-        out.entries[2][1] = op_scale(1j * hbar * c, DerivativeOp(1))
-        out.entries[3][0] = op_scale(-1j * hbar * c, DerivativeOp(1))
-        return out
+    out = MatrixOperator.zeros(4, 4)
+    out.entries[0][3] = op_scale(-1j * hbar * c, DerivativeOp(1))
+    out.entries[1][2] = op_scale(1j * hbar * c, DerivativeOp(1))
+    out.entries[2][1] = op_scale(1j * hbar * c, DerivativeOp(1))
+    out.entries[3][0] = op_scale(-1j * hbar * c, DerivativeOp(1))
 
     return HamiltonianFactory(
         dimension=4,
-        build=build,
+        build=lambda t: out,
         label="maxwell",
         hbar=hbar,
         time_dependent=False,
@@ -456,16 +450,14 @@ def schrodinger_hamiltonian(
         raise ReductionError("the Schrodinger operator needs a positive mass")
     static = not callable(potential)
     zero_potential = static and np.all(np.asarray(potential) == 0)
-
-    def build(t: float) -> MatrixOperator:
-        terms = [op_scale(-(hbar * hbar) / (2 * mass), DerivativeOp(2))]
-        if not zero_potential:
-            terms.append(ScaleOp(potential))
-        return MatrixOperator([[op_sum(*terms)]])
+    terms = [op_scale(-(hbar * hbar) / (2 * mass), DerivativeOp(2))]
+    if not zero_potential:
+        terms.append(ScaleOp(potential))
+    out = MatrixOperator([[op_sum(*terms)]])
 
     return HamiltonianFactory(
         dimension=1,
-        build=build,
+        build=lambda t: out,
         label="schrodinger-free" if zero_potential else "schrodinger",
         hbar=hbar,
         time_dependent=not static,

@@ -81,6 +81,27 @@ def test_scale_factor_time_dependence():
     assert np.allclose(op.apply(values, GRID, t=3.0), 3.0 * values)
 
 
+def test_only_callable_scale_factors_vary():
+    driven = ScaleOp(lambda t: t * np.ones(GRID.npoints))
+    assert driven.varies()
+    assert op_compose(DerivativeOp(1), op_scale(2.0, driven)).varies()
+    assert op_sum(IdentityOp(), driven).varies()
+    for static in (ZeroOp(), IdentityOp(), DerivativeOp(2), ScaleOp(np.ones(GRID.npoints)),
+                   op_sum(IdentityOp(), op_scale(-1j, DerivativeOp(1)))):
+        assert not static.varies()
+
+
+def test_memo_realizes_static_entries_once():
+    static = op_scale(-1j, DerivativeOp(1))
+    driven = ScaleOp(lambda t: np.cos(GRID.points + t))
+    op = MatrixOperator([[static, driven], [driven, static]])
+    memo = {}
+    for t in (0.0, 0.4, 1.3):
+        assert np.array_equal(op.dense(GRID, t, memo), op.dense(GRID, t))
+    # One realization for the entry that appears twice, and a reference to it.
+    assert list(memo) == [id(static)] and memo[id(static)][0] is static
+
+
 def test_scale_factor_shape_check():
     with pytest.raises(AlgebraError):
         ScaleOp(np.ones(5)).factor_values(GRID)

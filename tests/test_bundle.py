@@ -4,9 +4,11 @@ import warnings
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bundlewave.algebra import MatrixOperator, ScaleOp, op_sum
 from bundlewave.bundle import (
     BundleError,
     Lifting,
@@ -29,7 +31,12 @@ from bundlewave.evolution import (
     step_matrix,
 )
 from bundlewave.grid import GridFunction, SpatialGrid1D, inner
-from bundlewave.reduction import Potentials, dirac_hamiltonian, schrodinger_hamiltonian
+from bundlewave.reduction import (
+    HamiltonianFactory,
+    Potentials,
+    dirac_hamiltonian,
+    schrodinger_hamiltonian,
+)
 
 GRID = SpatialGrid1D(8, 8.0 * np.pi)
 
@@ -273,6 +280,63 @@ def test_driven_dirac_transport_matches_evolve(method):
     transport = evolution_transport(factory, grid, sampling, method, substeps=4)
     transported = transport.transport(-1, 0) @ state.flatten()
     assert np.max(np.abs(stepped.flatten() - transported)) <= 1e-12
+
+
+def _fresh_operator_factory(grid: SpatialGrid1D) -> HamiltonianFactory:
+    """Driven Dirac whose `build(t)` returns a new operator at every t: its
+    diagonal entries are new sums with a constant scale factor that bakes t
+    in, beside the shared entries of the free operator."""
+    free = dirac_hamiltonian(1.0)
+    profile = 0.3 * np.cos(2.0 * np.pi * grid.points / grid.length)
+
+    def build(t: float) -> MatrixOperator:
+        free_op = free.at(t)
+        return MatrixOperator([
+            [op_sum(free_op.entry(i, j), ScaleOp(np.cos(3.0 * t) * profile)) if i == j
+             else free_op.entry(i, j) for j in range(4)]
+            for i in range(4)
+        ])
+
+    return HamiltonianFactory(dimension=4, build=build, label="fresh", time_dependent=True)
+
+
+def _two_sided_step(factory, grid, mid, dt, method):
+    """The step of size dt from the whole H at `mid`, by a two-sided solve
+    or a full-matrix exponential."""
+    h = hamiltonian_dense(factory, grid, mid)
+    if method == "midpoint-exponential":
+        return scipy.linalg.expm(-1j * dt * h / factory.hbar)
+    eye, k = np.eye(h.shape[0]), 0.5j * dt * h / factory.hbar
+    return np.linalg.solve(eye + k, eye - k)
+
+
+@pytest.mark.parametrize("method", ["crank-nicolson", "midpoint-exponential"])
+def test_fresh_operators_per_step_reuse_no_realization(method):
+    grid = SpatialGrid1D(8, 6.0)
+    factory = _fresh_operator_factory(grid)
+    assert factory.at(0.1) is not factory.at(0.1)
+    rng = np.random.default_rng(9)
+    shape = (factory.dimension, grid.npoints)
+    state = GridFunction(grid, rng.normal(size=shape) + 1j * rng.normal(size=shape))
+    dt, steps, t0 = 0.02, 12, 0.1
+    psi = state.flatten()
+    for k in range(steps):
+        psi = _two_sided_step(factory, grid, t0 + (k + 0.5) * dt, dt, method) @ psi
+    stepped = evolve(state, factory, dt=dt, steps=steps, t0=t0, method=method)
+    assert np.max(np.abs(stepped.flatten() - psi)) <= 1e-12 * np.max(np.abs(psi))
+
+    sampling = PathSampling(np.array([0.0, 0.07, 0.2, 0.26]))
+    substeps = 2
+    transport = evolution_transport(factory, grid, sampling, method, substeps)
+    times = sampling.parameters
+    frame = np.eye(factory.dimension * grid.npoints, dtype=complex)
+    for i in range(sampling.nsamples - 1):
+        delta = (times[i + 1] - times[i]) / substeps
+        for k in range(substeps):
+            mid = times[i] + (k + 0.5) * delta
+            frame = frame @ _two_sided_step(factory, grid, mid, -delta, method)
+        defect = np.max(np.abs(transport.frames[i + 1] - frame)) / np.max(np.abs(frame))
+        assert defect <= 1e-12
 
 
 def test_only_gauged_evolution_transports_pass_the_frame_guard(monkeypatch):

@@ -495,6 +495,28 @@ def test_overflow_on_the_driven_march_is_an_evolution_error():
     assert np.allclose([held.values[0, 0] for held in kept], 1e300 * 1.5 ** np.arange(1, 46), rtol=1e-12)
 
 
+@pytest.mark.parametrize("method", ["crank-nicolson", "midpoint-exponential"])
+def test_driven_march_realizes_derivatives_at_its_first_step_only(method, monkeypatch):
+    import bundlewave.algebra as algebra_module
+
+    # DerivativeOp realizes through algebra's reference to grid.derivative_values.
+    calls = []
+    derivative = algebra_module.derivative_values
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return derivative(*args, **kwargs)
+
+    monkeypatch.setattr(algebra_module, "derivative_values", counted)
+    factory = dirac_hamiltonian(1.0, 1.0, Potentials(scalar=_driven_profile))
+    seen = []
+    evolve(_random_state(4, 5), factory, dt=0.01, steps=40, method=method,
+           callback=lambda t, state: seen.append(len(calls)))
+    # The four derivative entries are one shared momentum operator: one
+    # realization in all, at the first step.
+    assert seen == [1] * 40
+
+
 # ---------------------------------------------------------------------------
 # Dense two-time propagators
 
@@ -562,6 +584,19 @@ def test_step_count_must_be_nonnegative(driven):
         evolve(state, factory, dt=0.1, steps=-3)
     # Zero steps return the initial state.
     assert np.array_equal(evolve(state, factory, dt=0.1, steps=0).values, state.values)
+
+
+@pytest.mark.parametrize("driven", [False, True])
+def test_time_step_must_be_finite_and_nonzero(driven):
+    state = _gaussian(GRID, np.pi, 0.7)
+    factory = _driven_factory() if driven else schrodinger_hamiltonian(1.0)
+    for dt in (0.0, np.nan, np.inf):
+        with pytest.raises(EvolutionError, match="time step dt"):
+            evolve(state, factory, dt=dt, steps=3)
+    # A negative step marches back over the same midpoints.
+    there = evolve(state, factory, dt=0.1, steps=3)
+    back = evolve(there, factory, dt=-0.1, steps=3, t0=0.3)
+    assert np.max(np.abs(back.values - state.values)) <= 1e-12
 
 
 def test_nonfinite_states_are_detected():

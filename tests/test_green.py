@@ -232,6 +232,35 @@ def test_grouped_four_component_kernel_matches_the_dense_weighting():
         propagate_retarded(basis, _packet(GRID, components=2), 0.7, 0.2)
 
 
+def test_basis_reads_its_groups_from_the_modes_once(monkeypatch):
+    import bundlewave.green as green_module
+
+    factory = GROUPED_MODELS["dirac"][0]()
+    h = hamiltonian_dense(factory, GRID)
+    state = _packet(GRID, components=4)
+    readings = (
+        lambda basis: basis.propagator(0.7, 0.2),
+        lambda basis: propagate_retarded(basis, state, 0.7, 0.2, dirac=True).values,
+        lambda basis: basis.completeness_defect(),
+    )
+    # A fresh basis per call reads its groups for that call alone.
+    fresh = [read(EigenBasis.from_dense(h, GRID, factory.dimension)) for read in readings]
+    basis = EigenBasis.from_dense(h, GRID, factory.dimension)
+    calls = []
+    scan = green_module._coupling
+
+    def counted(*args):
+        calls.append(args[1:])
+        return scan(*args)
+
+    monkeypatch.setattr(green_module, "_coupling", counted)
+    repeated = [[read(basis) for read in readings] for _ in range(2)]
+    assert calls == [(factory.dimension, GRID.npoints)]
+    for values in repeated:
+        for value, expected in zip(values, fresh):
+            assert np.array_equal(value, expected)
+
+
 def _patterned_perturbation(dimension: int, pattern: list[tuple[int, int]]) -> np.ndarray:
     """Random Hermitian W whose nonzero component blocks are the diagonal
     ones and the listed (i, j) pairs with their mirrors."""

@@ -116,6 +116,23 @@ def test_dirac_time_dependent_potential():
     assert np.max(np.abs((h1 - h0) - 2.0 * np.eye(4 * GRID.npoints))) < 1e-12
 
 
+@pytest.mark.parametrize("build", [
+    lambda: dirac_hamiltonian(1.0, 1.0, Potentials(scalar=lambda t: np.cos(GRID.points + t))),
+    lambda: dirac_hamiltonian(1.0),
+    lambda: schrodinger_hamiltonian(1.0, potential=lambda t: np.cos(GRID.points - t)),
+    lambda: kg_nonrel_hamiltonian(1.0, 1.0, Potentials(scalar=lambda t: 0.1 * t)),
+    lambda: kg_5d_hamiltonian(1.0),
+    lambda: maxwell_hamiltonian(),
+])
+def test_builders_share_one_operator_across_times(build):
+    # Time enters only through callable scale factors, realized at each t.
+    factory = build()
+    assert factory.at(0.1) is factory.at(2.3)
+    if factory.time_dependent:
+        h1, h2 = hamiltonian_dense(factory, GRID, 0.1), hamiltonian_dense(factory, GRID, 2.3)
+        assert np.max(np.abs(h1 - h2)) > 0.1
+
+
 # ---------------------------------------------------------------------------
 # Scalar-field stackings
 
