@@ -15,8 +15,9 @@ an x-dependent frame.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from dataclasses import dataclass
+from functools import reduce
+from typing import Sequence
 
 import numpy as np
 import scipy.linalg
@@ -46,10 +47,12 @@ class LinearGridOperator:
     def is_zero(self) -> bool:
         return False
 
-    def varies(self) -> bool:
-        """True when the operator depends on t: it holds a `ScaleOp` whose
-        factor is callable."""
-        return False
+    def split(self) -> tuple["LinearGridOperator", "LinearGridOperator"]:
+        """(static, driven) with self = static + driven, where t enters only
+        `driven`, through callable `ScaleOp` factors.  An operator that does
+        not vary is its own static part, so shared entries keep their
+        identity."""
+        return self, ZeroOp()
 
     # Operator algebra: +, -, scalar *, and @ for composition.
     def __add__(self, other: "LinearGridOperator") -> "LinearGridOperator":
@@ -115,8 +118,8 @@ class ScaleOp(LinearGridOperator):
         f = self.factor
         return np.isscalar(f) and complex(f) == 0
 
-    def varies(self):
-        return callable(self.factor)
+    def split(self):
+        return (ZeroOp(), self) if callable(self.factor) else (self, ZeroOp())
 
     def __repr__(self):
         if np.isscalar(self.factor):
@@ -156,8 +159,16 @@ class ComposeOp(LinearGridOperator):
     def is_zero(self):
         return any(op.is_zero() for op in self.factors)
 
-    def varies(self):
-        return any(op.varies() for op in self.factors)
+    def split(self):
+        """With exactly one varying factor, that factor's split, composed
+        with the others; with more than one, the whole is driven."""
+        parts = [op.split() for op in self.factors]
+        varying = [i for i, (_, driven) in enumerate(parts) if not driven.is_zero()]
+        if len(varying) != 1:
+            return (ZeroOp(), self) if varying else (self, ZeroOp())
+        i = varying[0]
+        before, after = self.factors[:i], self.factors[i + 1:]
+        return tuple(reduce(op_compose, before + [part] + after) for part in parts[i])
 
     def __repr__(self):
         return " . ".join(repr(op) for op in self.factors)
@@ -176,8 +187,11 @@ class SumOp(LinearGridOperator):
     def is_zero(self):
         return not self.terms
 
-    def varies(self):
-        return any(op.varies() for op in self.terms)
+    def split(self):
+        parts = [op.split() for op in self.terms]
+        if all(driven.is_zero() for _, driven in parts):
+            return self, ZeroOp()
+        return op_sum(*(static for static, _ in parts)), op_sum(*(driven for _, driven in parts))
 
     def __repr__(self):
         return " + ".join(repr(op) for op in self.terms) if self.terms else "0"
@@ -253,22 +267,14 @@ class MatrixOperator:
 
     @classmethod
     def identity(cls, dim: int) -> "MatrixOperator":
-        out = cls.zeros(dim, dim)
-        for i in range(dim):
-            out.entries[i][i] = IdentityOp()
-        return out
+        return cls([[IdentityOp() if i == j else ZeroOp() for j in range(dim)] for i in range(dim)])
 
     @classmethod
     def from_constant(cls, matrix: np.ndarray) -> "MatrixOperator":
         """Embed a complex matrix as a matrix of multiplication operators."""
         matrix = np.atleast_2d(np.asarray(matrix, dtype=complex))
-        rows, cols = matrix.shape
-        out = cls.zeros(rows, cols)
-        for i in range(rows):
-            for j in range(cols):
-                if matrix[i, j] != 0:
-                    out.entries[i][j] = ScaleOp(matrix[i, j])
-        return out
+        return cls([[ScaleOp(value) if value != 0 else ZeroOp() for value in row]
+                    for row in matrix])
 
     @classmethod
     def from_fields(cls, fields: np.ndarray) -> "MatrixOperator":
@@ -276,13 +282,8 @@ class MatrixOperator:
         fields = np.asarray(fields, dtype=complex)
         if fields.ndim != 3:
             raise AlgebraError(f"expected (N, n, p) per-point matrices, got shape {fields.shape}")
-        _, rows, cols = fields.shape
-        out = cls.zeros(rows, cols)
-        for i in range(rows):
-            for j in range(cols):
-                if np.any(fields[:, i, j] != 0):
-                    out.entries[i][j] = ScaleOp(fields[:, i, j].copy())
-        return out
+        return cls([[ScaleOp(field.copy()) if np.any(field != 0) else ZeroOp() for field in row]
+                    for row in fields.transpose(1, 2, 0)])
 
     def apply(self, state: GridFunction, t: float = 0.0) -> GridFunction:
         rows, cols = self.shape
@@ -306,81 +307,70 @@ class MatrixOperator:
         `C_promoted.odot(A)` both make sense.
         """
         other = promote(other)
-        rows, inner_dim = self.shape
-        inner_dim2, cols = other.shape
-        if inner_dim != inner_dim2:
+        if self.shape[1] != other.shape[0]:
             raise AlgebraError(
                 f"cannot multiply {self.shape} by {other.shape}: inner dimensions differ"
             )
-        out = MatrixOperator.zeros(rows, cols)
-        for i in range(rows):
-            for j in range(cols):
-                terms = []
-                for k in range(inner_dim):
-                    term = op_compose(self.entries[i][k], other.entries[k][j])
-                    if not term.is_zero():
-                        terms.append(term)
-                out.entries[i][j] = op_sum(*terms)
-        return out
+        columns = list(zip(*other.entries))
+        return MatrixOperator([[op_sum(*map(op_compose, row, column)) for column in columns]
+                               for row in self.entries])
 
     def __add__(self, other) -> "MatrixOperator":
         other = promote(other)
         if self.shape != other.shape:
             raise AlgebraError(f"cannot add shapes {self.shape} and {other.shape}")
-        rows, cols = self.shape
-        out = MatrixOperator.zeros(rows, cols)
-        for i in range(rows):
-            for j in range(cols):
-                out.entries[i][j] = op_sum(self.entries[i][j], other.entries[i][j])
-        return out
+        return MatrixOperator([[op_sum(a, b) for a, b in zip(*rows)]
+                               for rows in zip(self.entries, other.entries)])
 
     def __mul__(self, scalar: complex) -> "MatrixOperator":
-        rows, cols = self.shape
-        out = MatrixOperator.zeros(rows, cols)
-        for i in range(rows):
-            for j in range(cols):
-                out.entries[i][j] = op_scale(scalar, self.entries[i][j])
-        return out
+        return MatrixOperator([[op_scale(scalar, entry) for entry in row] for row in self.entries])
 
     __rmul__ = __mul__
 
-    def dense(self, grid: SpatialGrid1D, t: float = 0.0, memo: dict | None = None) -> np.ndarray:
+    def split(self) -> tuple["MatrixOperator", "MatrixOperator"]:
+        """(static, driven) entry by entry, as `LinearGridOperator.split`."""
+        parts = [[entry.split() for entry in row] for row in self.entries]
+        return tuple(MatrixOperator([[entry[k] for entry in row] for row in parts]) for k in (0, 1))
+
+    def dense(
+        self,
+        grid: SpatialGrid1D,
+        t: float = 0.0,
+        base: np.ndarray | None = None,
+        blocks: dict | None = None,
+    ) -> np.ndarray:
         """Dense matrix on component-major flattened states, (n*N) x (p*N).
 
-        With a `memo` dict, which must only ever see this grid, an entry that
-        does not vary with t is realized once and later copied from it.
+        With `base`, a realized array of that shape, the entries are added
+        into a copy of it.  A `blocks` dict, held by the caller while it
+        realizes operators on this grid at one t, keeps the block of each
+        entry object it meets, so an entry shared between them is realized
+        once.
         """
         rows, cols = self.shape
         n = grid.npoints
-        out = np.zeros((rows * n, cols * n), dtype=complex)
+        out = np.zeros((rows * n, cols * n), dtype=complex) if base is None else base.copy()
         for i in range(rows):
             for j in range(cols):
                 entry = self.entries[i][j]
                 if entry.is_zero():
                     continue
-                if entry.varies():
+                block = None if blocks is None else blocks.get(entry)
+                if block is None:
                     block = entry.dense(grid, t)
+                    if blocks is not None:
+                        blocks[entry] = block
+                at = (slice(i * n, (i + 1) * n), slice(j * n, (j + 1) * n))
+                if base is None:
+                    out[at] = block
                 else:
-                    block = _memoized(memo, entry, lambda op: op.dense(grid, t))
-                out[i * n:(i + 1) * n, j * n:(j + 1) * n] = block
+                    out[at] += block
         return out
 
     def describe(self) -> list:
         """(row, col, text) triples for the non-trivial entries."""
         rows, cols = self.shape
         return [(i, j, repr(self.entries[i][j])) for i in range(rows) for j in range(cols)]
-
-
-def _memoized(memo: dict | None, obj, make: Callable):
-    """make(obj), computed once per object while `memo` lives; None means
-    no memo.  Keyed by identity, with `obj` kept in the memo so that its id
-    cannot pass to another object."""
-    if memo is None:
-        return make(obj)
-    key = id(obj)
-    if key not in memo:
-        memo[key] = (obj, make(obj))
-    return memo[key][1]
 
 
 def promote(obj) -> MatrixOperator:

@@ -33,7 +33,7 @@ import numpy as np
 from .algebra import kron_component_matrix, singular_index
 from .grid import FibreProduct, SpatialGrid1D
 from .reduction import HamiltonianFactory
-from .evolution import DENSE_STATE_LIMIT, EvolutionError, _multiply_step
+from .evolution import DENSE_STATE_LIMIT, EvolutionError, _multiply_step, _StepFactors
 
 COEFFICIENT_MODES = ("arrival", "departure")
 DERIVATION_MODES = ("limit", "coefficients")
@@ -214,11 +214,11 @@ def evolution_transport(
     F U_S = 2 F (I + K_S)^-1 - F: one LU of size |S| N and one solve with
     |S| N right-hand sides per group, no step matrix and no dense product.
     A midpoint-exponential substep multiplies by the group's exponential.
-    When the factory returns one shared operator, only its entries that
-    vary with t are realized after the first substep.  The same per-group
-    factors serve `step_matrix` and `evolve`.  Overflow ends in
-    EvolutionError, as it does in `step_matrix`.  The frames are invertible
-    by construction, so only a gauge passes the conditioning guard.
+    Only the driven part D(t) of H is realized again while the factory
+    returns the same operator.  The same per-group factors serve
+    `step_matrix` and `evolve`.  Overflow ends in EvolutionError, as it does
+    in `step_matrix`.  The frames are invertible by construction, so only a
+    gauge passes the conditioning guard.
     """
     size = factory.dimension * grid.npoints
     if size > DENSE_STATE_LIMIT:
@@ -229,9 +229,9 @@ def evolution_transport(
     frames = np.empty((sampling.nsamples, size, size), dtype=complex)
     frames[0] = np.eye(size, dtype=complex)
     # The component blocks of the running frame that may be nonzero, and
-    # the realizations of the entries that do not vary, for the whole call.
+    # the split of H with its realized S, for the whole call.
     pattern = np.eye(factory.dimension, dtype=bool)
-    memo: dict = {}
+    factors = _StepFactors(factory, grid, method)
     # Overflow surfaces as non-finite entries, refused after each interval.
     with np.errstate(over="ignore", invalid="ignore"):
         for i in range(sampling.nsamples - 1):
@@ -240,8 +240,7 @@ def evolution_transport(
             for k in range(substeps):
                 # U(tau_k <- tau_{k+1}) has midpoint tau_k + delta/2 either way.
                 tau = times[i] + (k + 1) * delta
-                _multiply_step(frames[i + 1], pattern, factory, grid, tau - delta / 2.0,
-                               -delta, method, memo)
+                _multiply_step(frames[i + 1], pattern, factors, tau - delta / 2.0, -delta)
             if not np.all(np.isfinite(frames[i + 1])):
                 raise EvolutionError(
                     f"transport frame {i + 1} left the finite range; reduce the sampling step"

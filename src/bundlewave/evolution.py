@@ -37,15 +37,15 @@ psi_S -> 2 (I + K_S)^-1 psi_S - psi_S; and `bundle.evolution_transport`
 multiplies it into the group's columns of a running frame from the right,
 with one solve of |S| N right-hand sides and no explicit step matrix.
 
-A time-dependent H is realized and factored at every step midpoint.  Its
-factory may return one shared operator for every t, in which time enters
-only through callable scale factors (the `reduction` builders do this).
-`evolve` and `bundle.evolution_transport` each hold a memo for one call
-that keeps, by object identity, the component groups of that operator and
-the realized blocks of its entries that do not vary with t, such as the
-derivative blocks.  A driven step then costs the realization of the varying
-entries, one LU of I + K_S and one solve per group (for the exponential,
-one expm and one product per group).
+A time-dependent H is factored at every step midpoint.  Time enters only
+through callable scale factors, so `MatrixOperator.split` writes H(t) as
+S + D(t), S holding the terms that do not vary, such as the derivatives.
+A march in `evolve` or `bundle.evolution_transport` splits each operator
+its factory returns once and realizes each group's S block once; a step
+realizes D(t) into a copy of it, then takes one LU of I + K_S and one solve
+per group (for the exponential, one expm and one product).  So a factory
+that returns one shared operator for every t, as the `reduction` builders
+do, realizes S once per march.  A static H keeps no S block.
 
 A static H makes the propagator over B steps U_S^B from every lattice time,
 so `evolve` marches it in blocks of B steps, the dense form of a
@@ -66,7 +66,7 @@ import numpy as np
 import scipy.linalg
 
 from .grid import FibreProduct, GridFunction, SpatialGrid1D, inner
-from .algebra import MatrixOperator, _memoized
+from .algebra import MatrixOperator
 from .reduction import HamiltonianFactory
 
 DENSE_STATE_LIMIT = 1024
@@ -87,9 +87,12 @@ def hamiltonian_dense(factory: HamiltonianFactory, grid: SpatialGrid1D, t: float
     return factory.at(t).dense(grid, t)
 
 
-def _check_method(method: str) -> None:
+def _check_step(method: str, dt: float) -> None:
+    """Refuse an unknown method, and a step dt that is zero or not finite."""
     if method not in METHODS:
         raise EvolutionError(f"unknown evolution method {method!r}, expected one of {METHODS}")
+    if not (np.isfinite(dt) and dt != 0):
+        raise EvolutionError(f"need a finite nonzero time step dt, got {dt}")
 
 
 def _cayley_lu(h_mid: np.ndarray, coeff: complex):
@@ -159,17 +162,6 @@ def _coupling(matrix: np.ndarray, dimension: int, npoints: int) -> np.ndarray:
     return np.any(matrix.reshape(dimension, npoints, dimension, npoints) != 0, axis=(1, 3))
 
 
-def _group_operators(op: MatrixOperator) -> list:
-    """(components, H_S) per component group S of H, with H_S the operator
-    matrix of the group's diagonal block (H itself for a single group)."""
-    dim = op.shape[0]
-    return [
-        (group, MatrixOperator([[op.entry(i, j) for j in group] for i in group])
-         if len(group) < dim else op)
-        for group in _component_groups(op)
-    ]
-
-
 def _component_groups(op: MatrixOperator) -> list[list[int]]:
     """Component groups of H: the connected sets of the graph "H couples
     component i with component j".
@@ -209,43 +201,58 @@ def _block_diagonal(size: int, blocks: list) -> np.ndarray:
     return out
 
 
-def _group_factors(
-    factory: HamiltonianFactory,
-    grid: SpatialGrid1D,
-    mid: float,
-    dt: float,
-    method: str,
-    memo: dict | None = None,
-):
-    """Yield (components, positions, factor) per component group of H at
-    the midpoint `mid` of a step of size dt, one group at a time.
+class _StepFactors:
+    """The per-group step factors of one march of `factory` on `grid`.
 
-    The factor is the LU of (I + K_S)^T for Crank-Nicolson, or the block
-    expm(-i dt H_S / hbar) for the midpoint exponential.  Only each group's
-    diagonal block H_S is realized, so the full H is never built, and a
-    group's factor is realized only after the caller has taken the previous
-    one: a caller that lets go of each factor holds one at a time.
-
-    A `memo` dict, held by the caller for one march on one grid, keeps the
-    groups of each operator and the realized blocks of each entry that does
-    not vary with t, so that a factory returning one shared operator pays
-    per step only for its varying entries.  An operator it has not seen
-    clears it, so a factory that builds a fresh operator per step keeps one
-    step's blocks at most.
+    Each operator the factory returns is split into S + D(t) per component
+    group once, when it first appears.  If D is not zero, the S blocks are
+    realized then (an entry shared by two groups once) and kept; a static
+    operator keeps nothing.
     """
-    op = factory.at(mid)
-    if memo is not None and id(op) not in memo:
-        memo.clear()
-    for group, op_s in _memoized(memo, op, _group_operators):
-        h_s = op_s.dense(grid, mid, memo)
-        if method == "midpoint-exponential":
-            h_s *= -1j * dt / factory.hbar
-            factor = scipy.linalg.expm(h_s)
-        else:
-            factor = _cayley_lu(h_s, 1j * dt / (2.0 * factory.hbar))
-        del h_s
-        yield group, _positions(group, grid.npoints), factor
-        del factor
+
+    def __init__(self, factory: HamiltonianFactory, grid: SpatialGrid1D, method: str):
+        self.factory, self.grid, self.method = factory, grid, method
+        self.op = None
+
+    def _split(self, op: MatrixOperator, t: float) -> None:
+        static, driven = op.split()
+        varies = any(not entry.is_zero() for row in driven.entries for entry in row)
+        blocks: dict = {}
+        parts = []
+        for group in _component_groups(op):
+            s_op, d_op = (MatrixOperator([[m.entry(i, j) for j in group] for i in group])
+                          for m in (static, driven))
+            if varies:
+                s_op = s_op.dense(self.grid, t, blocks=blocks)
+            positions = _positions(group, self.grid.npoints)
+            parts.append((group, positions, s_op, d_op if varies else None))
+        self.op, self.parts = op, parts
+
+    def __call__(self, mid: float, dt: float):
+        """Yield (components, positions, factor) per component group of H at
+        the midpoint `mid` of a step of size dt, one group at a time.
+
+        The factor is the LU of (I + K_S)^T for Crank-Nicolson, or the block
+        expm(-i dt H_S / hbar) for the midpoint exponential.  Only each
+        group's diagonal block H_S is realized, so the full H is never built,
+        and a group's factor is realized only after the caller has taken the
+        previous one: a caller that lets go of each factor holds one at a
+        time.
+        """
+        op = self.factory.at(mid)
+        if op is not self.op:
+            self._split(op, mid)
+        grid = self.grid
+        for group, positions, static, driven in self.parts:
+            h_s = static.dense(grid, mid) if driven is None else driven.dense(grid, mid, static)
+            if self.method == "midpoint-exponential":
+                h_s *= -1j * dt / self.factory.hbar
+                factor = scipy.linalg.expm(h_s)
+            else:
+                factor = _cayley_lu(h_s, 1j * dt / (2.0 * self.factory.hbar))
+            del h_s
+            yield group, positions, factor
+            del factor
 
 
 def _group_steps(
@@ -263,7 +270,7 @@ def _group_steps(
     steps = []
     # Overflow surfaces as non-finite entries, refused below.
     with np.errstate(over="ignore", invalid="ignore"):
-        for group, positions, factor in _group_factors(factory, grid, t + dt / 2.0, dt, method):
+        for group, positions, factor in _StepFactors(factory, grid, method)(t + dt / 2.0, dt):
             steps.append(
                 (group, positions, _cayley(factor) if method == "crank-nicolson" else factor)
             )
@@ -277,12 +284,9 @@ def _group_steps(
 def _multiply_step(
     frame: np.ndarray,
     pattern: np.ndarray,
-    factory: HamiltonianFactory,
-    grid: SpatialGrid1D,
+    factors: _StepFactors,
     mid: float,
     dt: float,
-    method: str,
-    memo: dict | None = None,
 ) -> None:
     """frame <- frame @ U in place, for the step of size dt with midpoint `mid`.
 
@@ -291,16 +295,15 @@ def _multiply_step(
     of frame @ U is frame[:, S] U_S.  Only the row components with a block
     in S's columns are multiplied, and their blocks there are then marked;
     the others stay exactly zero.  A Crank-Nicolson U_S enters in Cayley
-    form, with one solve and no step matrix.  `memo` is passed to
-    `_group_factors`.
+    form, with one solve and no step matrix.
     """
-    dim, npoints = factory.dimension, grid.npoints
-    for group, cols, factor in _group_factors(factory, grid, mid, dt, method, memo):
+    dim, npoints = factors.factory.dimension, factors.grid.npoints
+    for group, cols, factor in factors(mid, dt):
         rows = [c for c in range(dim) if np.any(pattern[c, group])]
         if not rows:
             continue
         at = _block(_positions(rows, npoints), cols)
-        if method == "crank-nicolson":
+        if factors.method == "crank-nicolson":
             frame[at] = _cayley(factor, frame[at])
         else:
             frame[at] = frame[at] @ factor
@@ -316,9 +319,10 @@ def step_matrix(
 ) -> np.ndarray:
     """Dense one-step propagator over [t, t + dt] (dt may be negative).
 
-    Entries between different component groups are exactly zero.
+    Entries between different component groups are exactly zero.  dt must
+    be finite and nonzero.
     """
-    _check_method(method)
+    _check_step(method, dt)
     steps = _group_steps(factory, grid, t, dt, method)
     return _block_diagonal(factory.dimension * grid.npoints, [(at, unit) for _, at, unit in steps])
 
@@ -389,19 +393,18 @@ def _driven_blocks(
     one per step, as the single row of a fresh array.
 
     Each group block is realized and factored at the step midpoint and
-    applied with one single-RHS solve (Cayley form) or one matvec.  One
-    memo serves the whole march, so the entries that do not vary with t are
-    realized at the first step only.
+    applied with one single-RHS solve (Cayley form) or one matvec.  The
+    static part S of a shared operator is realized at the first step only.
     """
     solve = method == "crank-nicolson"
-    memo: dict = {}
+    factors = _StepFactors(factory, grid, method)
     for k in range(steps):
         # The exponential takes the midpoint as `step_matrix` does from t0 + k dt.
         mid = t0 + (k + 0.5) * dt if solve else t0 + k * dt + dt / 2.0
         block = np.empty((1, psi.size), dtype=complex)
         # Overflow surfaces as a non-finite state, checked by the caller.
         with np.errstate(over="ignore", invalid="ignore"):
-            for _, positions, factor in _group_factors(factory, grid, mid, dt, method, memo):
+            for _, positions, factor in factors(mid, dt):
                 part = psi[positions]
                 block[0, positions] = _cayley(factor, part, right=False) if solve else factor @ part
         yield block
@@ -429,15 +432,12 @@ def evolve(
     block costs one product of U_S^B with an (|S| N x B) window of the
     previous block's states; below that, the group keeps the matvecs.  A
     time-dependent H is factored at every step midpoint and applied with one
-    single-RHS solve per group; when its factory returns one shared
-    operator, only the entries that vary with t are realized again after the
-    first step.  States are checked for finiteness once per block, a single
-    step for a time-dependent H.  dt must be finite and nonzero; a negative
-    dt marches backward.
+    single-RHS solve per group; only its driven part D(t) is realized again
+    while its factory returns the same operator.  States are checked for
+    finiteness once per block, a single step for a time-dependent H.  dt
+    must be finite and nonzero; a negative dt marches backward.
     """
-    _check_method(method)
-    if not (np.isfinite(dt) and dt != 0):
-        raise EvolutionError(f"need a finite nonzero time step dt, got {dt}")
+    _check_step(method, dt)
     if steps < 0:
         raise EvolutionError(f"need a nonnegative number of steps, got {steps}")
     if initial.components != factory.dimension:
@@ -486,14 +486,14 @@ class EvolutionOperator:
         t0: float = 0.0,
         method: str = "crank-nicolson",
     ):
-        _check_method(method)
+        _check_step(method, dt)
         size = factory.dimension * grid.npoints
         if size > DENSE_STATE_LIMIT:
             raise EvolutionError(
                 f"dense evolution operator of size {size} exceeds limit {DENSE_STATE_LIMIT}"
             )
-        if steps < 1 or dt == 0:
-            raise EvolutionError("need at least one step of nonzero size")
+        if steps < 1:
+            raise EvolutionError(f"need at least one step, got {steps}")
         self.factory = factory
         self.grid = grid
         self.dt = float(dt)

@@ -105,8 +105,9 @@ class HamiltonianFactory:
 
     `at(t)` may return one operator shared by every t, in which time enters
     only through callable `ScaleOp` factors; callers must treat it as
-    read-only.  The steppers realize the entries of a shared operator that
-    do not vary with t once per march.
+    read-only.  A march splits each operator into its static part S and
+    driven part D(t) once, so a shared operator has S realized once; a
+    fresh operator per t is split and realized again at its step.
     """
 
     dimension: int
@@ -168,29 +169,25 @@ class LinearTimeSystem:
 def companion_hamiltonian(
     system: LinearTimeSystem, hbar: float = 1.0, label: str | None = None
 ) -> HamiltonianFactory:
-    """i*hbar times the block companion matrix of the stacked system."""
+    """i*hbar times the block companion matrix of the stacked system, built
+    once for every t unless a coefficient is callable."""
     n, m = system.order, system.base_components
     dim = n * m
 
     def build(t: float) -> MatrixOperator:
         out = MatrixOperator.zeros(dim, dim)
-        for block in range(n - 1):
-            for comp in range(m):
-                out.entries[block * m + comp][(block + 1) * m + comp] = (
-                    op_scale(1j * hbar, IdentityOp())
-                )
+        for k in range((n - 1) * m):
+            out.entries[k][k + m] = op_scale(1j * hbar, IdentityOp())
         for i in range(n):
             fi = system.coefficient_at(i, t)
-            for r in range(m):
-                for col in range(m):
-                    entry = fi.entry(r, col)
-                    if not entry.is_zero():
-                        out.entries[(n - 1) * m + r][i * m + col] = op_scale(1j * hbar, entry)
+            for r, col in np.ndindex(m, m):
+                out.entries[(n - 1) * m + r][i * m + col] = op_scale(1j * hbar, fi.entry(r, col))
         return out
 
+    shared = None if system.time_dependent else build(0.0)
     return HamiltonianFactory(
         dimension=dim,
-        build=build,
+        build=build if shared is None else lambda t: shared,
         label=label or f"companion-order-{n}",
         hbar=hbar,
         time_dependent=system.time_dependent,

@@ -10,6 +10,7 @@ from bundlewave.algebra import (
     IdentityOp,
     MatrixOperator,
     ScaleOp,
+    SumOp,
     ZeroOp,
     alpha_matrices,
     anticommutator_defect,
@@ -81,25 +82,72 @@ def test_scale_factor_time_dependence():
     assert np.allclose(op.apply(values, GRID, t=3.0), 3.0 * values)
 
 
-def test_only_callable_scale_factors_vary():
-    driven = ScaleOp(lambda t: t * np.ones(GRID.npoints))
-    assert driven.varies()
-    assert op_compose(DerivativeOp(1), op_scale(2.0, driven)).varies()
-    assert op_sum(IdentityOp(), driven).varies()
+def _driven_field(t):
+    return np.cos(GRID.points + t)
+
+
+def test_split_keeps_static_operators_whole():
     for static in (ZeroOp(), IdentityOp(), DerivativeOp(2), ScaleOp(np.ones(GRID.npoints)),
                    op_sum(IdentityOp(), op_scale(-1j, DerivativeOp(1)))):
-        assert not static.varies()
+        part, rest = static.split()
+        assert part is static and rest.is_zero()
+    driven = ScaleOp(_driven_field)
+    part, rest = driven.split()
+    assert part.is_zero() and rest is driven
+    for varying in (op_compose(DerivativeOp(1), op_scale(2.0, driven)), op_sum(IdentityOp(), driven)):
+        assert not varying.split()[1].is_zero()
 
 
-def test_memo_realizes_static_entries_once():
-    static = op_scale(-1j, DerivativeOp(1))
-    driven = ScaleOp(lambda t: np.cos(GRID.points + t))
-    op = MatrixOperator([[static, driven], [driven, static]])
-    memo = {}
+def test_split_of_a_static_operator_returns_its_own_entries():
+    factory = dirac_hamiltonian(1.0, 1.0, Potentials(scalar=0.3 * np.cos(GRID.points)))
+    op = factory.at()
+    static, driven = op.split()
+    for i in range(4):
+        for j in range(4):
+            assert static.entry(i, j) is op.entry(i, j)
+            assert driven.entry(i, j).is_zero()
+
+
+def test_split_separates_mixed_sums_and_scaled_sums():
+    driven = ScaleOp(_driven_field)
+    derivative = op_scale(-0.5, DerivativeOp(2))
+    part, rest = op_sum(derivative, IdentityOp(), driven).split()
+    assert isinstance(part, SumOp) and part.terms[0] is derivative
+    assert rest is driven
+    # i hbar (p^2 + m^2 + V(t)^2), as the companion form writes f_0.
+    scaled = op_scale(1j * 0.7, op_sum(derivative, op_scale(2.0, IdentityOp()), driven))
+    part, rest = scaled.split()
     for t in (0.0, 0.4, 1.3):
-        assert np.array_equal(op.dense(GRID, t, memo), op.dense(GRID, t))
-    # One realization for the entry that appears twice, and a reference to it.
-    assert list(memo) == [id(static)] and memo[id(static)][0] is static
+        assert np.array_equal(rest.dense(GRID, t), 0.7j * driven.dense(GRID, t))
+        whole = scaled.dense(GRID, t)
+        assert np.max(np.abs(part.dense(GRID, t) + rest.dense(GRID, t) - whole)) <= 1e-14 * np.max(np.abs(whole))
+    assert np.array_equal(part.dense(GRID, 0.0), part.dense(GRID, 5.0))
+
+
+def test_kinetic_momentum_squared_stays_whole_in_the_driven_part():
+    momentum = op_sum(op_scale(-1j, DerivativeOp(1)), ScaleOp(lambda t: -t * np.sin(GRID.points)))
+    square = op_compose(momentum, momentum)
+    part, rest = square.split()
+    assert part.is_zero() and rest is square
+
+
+def test_matrix_split_realizes_to_the_whole_operator():
+    static = op_scale(-1j, DerivativeOp(1))
+    driven = ScaleOp(_driven_field)
+    op = MatrixOperator([[op_sum(static, driven), static], [static, driven]])
+    part, rest = op.split()
+    assert part.entry(0, 1) is static and part.entry(0, 0) is static and part.entry(1, 1).is_zero()
+    assert rest.entry(0, 0) is driven and rest.entry(0, 1).is_zero()
+    blocks = {}
+    realized = part.dense(GRID, blocks=blocks)
+    # One realization for the entry that appears three times, kept by reference.
+    assert list(blocks) == [static]
+    for t in (0.0, 0.4, 1.3):
+        whole = op.dense(GRID, t)
+        assert np.array_equal(rest.dense(GRID, t, realized), realized + rest.dense(GRID, t))
+        assert np.max(np.abs(realized + rest.dense(GRID, t) - whole)) <= 1e-14 * np.max(np.abs(whole))
+    # The base is copied, never written.
+    assert np.array_equal(realized, part.dense(GRID))
 
 
 def test_scale_factor_shape_check():

@@ -517,6 +517,93 @@ def test_driven_march_realizes_derivatives_at_its_first_step_only(method, monkey
     assert seen == [1] * 40
 
 
+# Driven factories sharing one operator, and the derivative calls that
+# realizing their static part S takes: one d^2/dx^2 for Schrodinger, and
+# the two first derivatives of one p . p for kg-canonical.
+_DRIVEN_SHARED = {
+    "schrodinger": (lambda hbar: schrodinger_hamiltonian(
+        1.0, potential=lambda t: 0.3 * np.cos(GRID.points) * np.cos(3.0 * t), hbar=hbar), 1),
+    "kg-canonical": (lambda hbar: kg_canonical_hamiltonian(
+        1.0, 1.0, Potentials(scalar=_driven_profile), hbar=hbar), 2),
+}
+
+
+@pytest.mark.parametrize("route", ["evolve", "transport"])
+@pytest.mark.parametrize("method", ["crank-nicolson", "midpoint-exponential"])
+@pytest.mark.parametrize("model", sorted(_DRIVEN_SHARED))
+def test_driven_shared_operators_realize_derivatives_at_the_first_step_only(
+    model, method, route, monkeypatch
+):
+    import bundlewave.algebra as algebra_module
+    from bundlewave.bundle import PathSampling, evolution_transport
+
+    calls = []
+    derivative = algebra_module.derivative_values
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return derivative(*args, **kwargs)
+
+    monkeypatch.setattr(algebra_module, "derivative_values", counted)
+    make, realizations = _DRIVEN_SHARED[model]
+    inner_factory = make(1.0)
+    assert inner_factory.at(0.1) is inner_factory.at(0.7)
+    # The derivative calls made before each step's operator is requested.
+    seen = []
+
+    def build(t):
+        seen.append(len(calls))
+        return inner_factory.at(t)
+
+    factory = HamiltonianFactory(inner_factory.dimension, build, time_dependent=True)
+    if route == "evolve":
+        evolve(_random_state(factory.dimension, 5), factory, dt=0.01, steps=40, method=method)
+    else:
+        evolution_transport(factory, GRID, PathSampling(np.linspace(0.0, 0.4, 11)), method, 4)
+    seen.append(len(calls))
+    assert seen == [0] + [realizations] * 40
+
+
+def _realized_per_step(factory):
+    """The factory with each entry of H(t) frozen at t, so that a march
+    realizes every entry whole at every step."""
+    from bundlewave.algebra import LinearGridOperator
+
+    class Frozen(LinearGridOperator):
+        def __init__(self, entry, t):
+            self.entry, self.t = entry, t
+
+        def apply(self, values, grid, t=0.0):
+            return self.entry.apply(values, grid, self.t)
+
+        def is_zero(self):
+            return self.entry.is_zero()
+
+    def build(t):
+        op = factory.at(t)
+        return MatrixOperator([[Frozen(entry, t) for entry in row] for row in op.entries])
+
+    return HamiltonianFactory(factory.dimension, build, hbar=factory.hbar, time_dependent=True)
+
+
+@pytest.mark.parametrize("method", ["crank-nicolson", "midpoint-exponential"])
+@pytest.mark.parametrize("hbar", [1.0, 0.7])
+@pytest.mark.parametrize("model", sorted(_DRIVEN_SHARED))
+def test_split_marches_agree_with_whole_realizations(model, hbar, method):
+    from bundlewave.bundle import PathSampling, evolution_transport
+
+    factory = _DRIVEN_SHARED[model][0](hbar)
+    reference = _realized_per_step(factory)
+    state = _random_state(factory.dimension, 8)
+    split = evolve(state, factory, dt=0.01, steps=20, method=method).values
+    whole = evolve(state, reference, dt=0.01, steps=20, method=method).values
+    assert np.max(np.abs(split - whole)) <= 1e-13 * np.max(np.abs(whole))
+    sampling = PathSampling(np.array([0.0, 0.07, 0.2]))
+    split = evolution_transport(factory, GRID, sampling, method, 2).frames
+    whole = evolution_transport(reference, GRID, sampling, method, 2).frames
+    assert np.max(np.abs(split - whole)) <= 1e-13 * np.max(np.abs(whole))
+
+
 # ---------------------------------------------------------------------------
 # Dense two-time propagators
 
@@ -597,6 +684,19 @@ def test_time_step_must_be_finite_and_nonzero(driven):
     there = evolve(state, factory, dt=0.1, steps=3)
     back = evolve(there, factory, dt=-0.1, steps=3, t0=0.3)
     assert np.max(np.abs(back.values - state.values)) <= 1e-12
+
+
+@pytest.mark.parametrize("driven", [False, True])
+def test_step_matrix_and_evolution_operator_share_the_time_step_guard(driven):
+    factory = _driven_factory() if driven else schrodinger_hamiltonian(1.0)
+    for dt in (0.0, np.nan, np.inf, -np.inf):
+        with pytest.raises(EvolutionError, match="time step dt"):
+            step_matrix(factory, GRID, 0.0, dt)
+        with pytest.raises(EvolutionError, match="time step dt"):
+            EvolutionOperator(factory, GRID, dt=dt, steps=3)
+    # A negative step is still a step.
+    back = EvolutionOperator(factory, GRID, dt=-0.1, steps=3, t0=0.3)
+    assert np.array_equal(back.matrix(0.3, 0.2), step_matrix(factory, GRID, 0.3, -0.1))
 
 
 def test_nonfinite_states_are_detected():

@@ -121,6 +121,8 @@ def test_dirac_time_dependent_potential():
     lambda: dirac_hamiltonian(1.0),
     lambda: schrodinger_hamiltonian(1.0, potential=lambda t: np.cos(GRID.points - t)),
     lambda: kg_nonrel_hamiltonian(1.0, 1.0, Potentials(scalar=lambda t: 0.1 * t)),
+    lambda: kg_canonical_hamiltonian(1.0, 1.0, Potentials(scalar=lambda t: 0.1 * t)),
+    lambda: kg_canonical_hamiltonian(1.0),
     lambda: kg_5d_hamiltonian(1.0),
     lambda: maxwell_hamiltonian(),
 ])
