@@ -26,6 +26,7 @@ derivation along the path vanishes.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -53,6 +54,8 @@ class PathSampling:
         object.__setattr__(self, "parameters", np.asarray(self.parameters, dtype=float))
         if self.parameters.ndim != 1 or self.parameters.size < 2:
             raise BundleError("a path sampling needs at least two parameter values")
+        if not np.all(np.isfinite(self.parameters)):
+            raise BundleError("path parameters must be finite")
         if np.any(np.diff(self.parameters) <= 0):
             raise BundleError("path parameters must be strictly increasing")
 
@@ -215,7 +218,7 @@ def evolution_transport(
     |S| N right-hand sides per group, no step matrix and no dense product.
     A midpoint-exponential substep multiplies by the group's exponential.
     Only the driven part D(t) of H is realized again while the factory
-    returns the same operator.  The same per-group factors serve
+    returns the same operator.  The steps come from the stepper that serves
     `step_matrix` and `evolve`.  Overflow ends in EvolutionError, as it does
     in `step_matrix`.  The frames are invertible by construction, so only a
     gauge passes the conditioning guard.
@@ -223,6 +226,8 @@ def evolution_transport(
     size = factory.dimension * grid.npoints
     if size > DENSE_STATE_LIMIT:
         raise BundleError(f"dense transport of size {size} exceeds limit {DENSE_STATE_LIMIT}")
+    if not isinstance(substeps, numbers.Integral):
+        raise BundleError(f"substeps must be an integer, got {substeps!r}")
     if substeps < 1:
         raise BundleError(f"need at least one substep, got {substeps}")
     times = sampling.parameters

@@ -319,6 +319,10 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     out_dir = args.out
     try:
+        if not (np.isfinite(args.tolerance_scale) and args.tolerance_scale > 0):
+            raise ConfigError(
+                f"--tolerance-scale must be finite and positive, got {args.tolerance_scale}"
+            )
         if args.command == "check":
             code, lines = _cmd_check(args)
         else:

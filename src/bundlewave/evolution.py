@@ -27,15 +27,15 @@ of a single dense step.  In `green` the eigenbasis is one `eigh` per group,
 and the Born iteration runs on each union of groups that the perturbation
 couples.
 
+One stepper, `_StepFactors`, serves `evolve`, `step_matrix`,
+`bundle.evolution_transport` (one per march) and `EvolutionOperator` (one
+per operator).  It refuses an unknown method when it is built and hands
+each group's step over as one apply, x U_S or U_S x, U_S for x = None.
 Crank-Nicolson is used in Cayley form, U_S = 2 (I + K_S)^-1 - I, from one
 in-place LU of I + K_S per group and step, applied by `_cayley` with one
-solve: `step_matrix` solves it against the identity (with more than one
-group it writes each block into a zeroed matrix), and `evolve` builds
-those blocks once per static H; `evolve` for a time-dependent H applies it
-from the left to the group's part of the state,
-psi_S -> 2 (I + K_S)^-1 psi_S - psi_S; and `bundle.evolution_transport`
-multiplies it into the group's columns of a running frame from the right,
-with one solve of |S| N right-hand sides and no explicit step matrix.
+solve: against the identity for a step matrix, against the group's part
+psi_S of a driven state, and against the group's columns of a transport
+frame with |S| N right-hand sides, so no step matrix is formed there.
 
 A time-dependent H is factored at every step midpoint.  Time enters only
 through callable scale factors, so `MatrixOperator.split` writes H(t) as
@@ -62,6 +62,9 @@ taken literally; it refuses off-lattice times and oversized systems.
 
 from __future__ import annotations
 
+import numbers
+from functools import partial
+
 import numpy as np
 import scipy.linalg
 
@@ -87,10 +90,8 @@ def hamiltonian_dense(factory: HamiltonianFactory, grid: SpatialGrid1D, t: float
     return factory.at(t).dense(grid, t)
 
 
-def _check_step(method: str, dt: float) -> None:
-    """Refuse an unknown method, and a step dt that is zero or not finite."""
-    if method not in METHODS:
-        raise EvolutionError(f"unknown evolution method {method!r}, expected one of {METHODS}")
+def _check_step(dt: float) -> None:
+    """Refuse a step dt that is zero or not finite."""
     if not (np.isfinite(dt) and dt != 0):
         raise EvolutionError(f"need a finite nonzero time step dt, got {dt}")
 
@@ -130,6 +131,11 @@ def _cayley(lu, x: np.ndarray | None = None, right: bool = True) -> np.ndarray:
     else:
         out -= x
     return out
+
+
+def _product(unit: np.ndarray, x: np.ndarray | None = None, right: bool = True) -> np.ndarray:
+    """x U if `right`, else U x, for a step matrix U; U itself for x = None."""
+    return unit if x is None else (x @ unit if right else unit @ x)
 
 
 def _connected_sets(pattern: np.ndarray) -> list[list[int]]:
@@ -202,7 +208,8 @@ def _block_diagonal(size: int, blocks: list) -> np.ndarray:
 
 
 class _StepFactors:
-    """The per-group step factors of one march of `factory` on `grid`.
+    """The stepper of one march, or one `EvolutionOperator`, of `factory`
+    on `grid` with `method`.
 
     Each operator the factory returns is split into S + D(t) per component
     group once, when it first appears.  If D is not zero, the S blocks are
@@ -211,6 +218,8 @@ class _StepFactors:
     """
 
     def __init__(self, factory: HamiltonianFactory, grid: SpatialGrid1D, method: str):
+        if method not in METHODS:
+            raise EvolutionError(f"unknown evolution method {method!r}, expected one of {METHODS}")
         self.factory, self.grid, self.method = factory, grid, method
         self.op = None
 
@@ -229,15 +238,14 @@ class _StepFactors:
         self.op, self.parts = op, parts
 
     def __call__(self, mid: float, dt: float):
-        """Yield (components, positions, factor) per component group of H at
+        """Yield (components, positions, step) per component group of H at
         the midpoint `mid` of a step of size dt, one group at a time.
 
-        The factor is the LU of (I + K_S)^T for Crank-Nicolson, or the block
-        expm(-i dt H_S / hbar) for the midpoint exponential.  Only each
-        group's diagonal block H_S is realized, so the full H is never built,
-        and a group's factor is realized only after the caller has taken the
-        previous one: a caller that lets go of each factor holds one at a
-        time.
+        step(x=None, right=True) is x U_S if `right`, else U_S x, and U_S
+        for x = None: a Cayley solve for Crank-Nicolson, a product with
+        expm(-i dt H_S / hbar) for the exponential.  Only each group's block
+        H_S is realized, and only after the caller has taken the previous
+        group's step: a caller that lets go of each step holds one at a time.
         """
         op = self.factory.at(mid)
         if op is not self.op:
@@ -247,21 +255,21 @@ class _StepFactors:
             h_s = static.dense(grid, mid) if driven is None else driven.dense(grid, mid, static)
             if self.method == "midpoint-exponential":
                 h_s *= -1j * dt / self.factory.hbar
-                factor = scipy.linalg.expm(h_s)
+                step = partial(_product, scipy.linalg.expm(h_s))
             else:
-                factor = _cayley_lu(h_s, 1j * dt / (2.0 * self.factory.hbar))
+                step = partial(_cayley, _cayley_lu(h_s, 1j * dt / (2.0 * self.factory.hbar)))
             del h_s
-            yield group, positions, factor
-            del factor
+            yield group, positions, step
+            del step
+
+    def matrix(self, t: float, dt: float) -> np.ndarray:
+        """Dense step over [t, t + dt]; entries between different component
+        groups are exactly zero."""
+        size = self.factory.dimension * self.grid.npoints
+        return _block_diagonal(size, [(at, unit) for _, at, unit in _group_steps(self, t, dt)])
 
 
-def _group_steps(
-    factory: HamiltonianFactory,
-    grid: SpatialGrid1D,
-    t: float,
-    dt: float,
-    method: str,
-) -> list:
+def _group_steps(factors: _StepFactors, t: float, dt: float) -> list:
     """(components, positions, U_S) per component group: the step over
     [t, t + dt] restricted to the group.
 
@@ -270,11 +278,9 @@ def _group_steps(
     steps = []
     # Overflow surfaces as non-finite entries, refused below.
     with np.errstate(over="ignore", invalid="ignore"):
-        for group, positions, factor in _StepFactors(factory, grid, method)(t + dt / 2.0, dt):
-            steps.append(
-                (group, positions, _cayley(factor) if method == "crank-nicolson" else factor)
-            )
-            del factor
+        for group, positions, step in factors(t + dt / 2.0, dt):
+            steps.append((group, positions, step()))
+            del step
     for _, _, unit in steps:
         if not np.all(np.isfinite(unit)):
             raise EvolutionError("the step matrix left the finite range; reduce the time step")
@@ -298,15 +304,10 @@ def _multiply_step(
     form, with one solve and no step matrix.
     """
     dim, npoints = factors.factory.dimension, factors.grid.npoints
-    for group, cols, factor in factors(mid, dt):
+    for group, cols, step in factors(mid, dt):
         rows = [c for c in range(dim) if np.any(pattern[c, group])]
-        if not rows:
-            continue
         at = _block(_positions(rows, npoints), cols)
-        if factors.method == "crank-nicolson":
-            frame[at] = _cayley(factor, frame[at])
-        else:
-            frame[at] = frame[at] @ factor
+        frame[at] = step(frame[at])
         pattern[np.ix_(rows, group)] = True
 
 
@@ -322,9 +323,8 @@ def step_matrix(
     Entries between different component groups are exactly zero.  dt must
     be finite and nonzero.
     """
-    _check_step(method, dt)
-    steps = _group_steps(factory, grid, t, dt, method)
-    return _block_diagonal(factory.dimension * grid.npoints, [(at, unit) for _, at, unit in steps])
+    _check_step(dt)
+    return _StepFactors(factory, grid, method).matrix(t, dt)
 
 
 def _power(unit: np.ndarray, spare: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -380,15 +380,7 @@ def _static_blocks(psi: np.ndarray, units: list, steps: int, npoints: int):
         window, done = block, done + rows
 
 
-def _driven_blocks(
-    psi: np.ndarray,
-    factory: HamiltonianFactory,
-    grid: SpatialGrid1D,
-    t0: float,
-    dt: float,
-    steps: int,
-    method: str,
-):
+def _driven_blocks(psi: np.ndarray, factors: _StepFactors, t0: float, dt: float, steps: int):
     """Yield the states after steps 1..steps of a time-dependent H from psi,
     one per step, as the single row of a fresh array.
 
@@ -396,17 +388,15 @@ def _driven_blocks(
     applied with one single-RHS solve (Cayley form) or one matvec.  The
     static part S of a shared operator is realized at the first step only.
     """
-    solve = method == "crank-nicolson"
-    factors = _StepFactors(factory, grid, method)
+    cayley = factors.method == "crank-nicolson"
     for k in range(steps):
         # The exponential takes the midpoint as `step_matrix` does from t0 + k dt.
-        mid = t0 + (k + 0.5) * dt if solve else t0 + k * dt + dt / 2.0
+        mid = t0 + (k + 0.5) * dt if cayley else t0 + k * dt + dt / 2.0
         block = np.empty((1, psi.size), dtype=complex)
         # Overflow surfaces as a non-finite state, checked by the caller.
         with np.errstate(over="ignore", invalid="ignore"):
-            for _, positions, factor in factors(mid, dt):
-                part = psi[positions]
-                block[0, positions] = _cayley(factor, part, right=False) if solve else factor @ part
+            for _, positions, step in factors(mid, dt):
+                block[0, positions] = step(psi[positions], right=False)
         yield block
         psi = block[0]
 
@@ -437,7 +427,11 @@ def evolve(
     finiteness once per block, a single step for a time-dependent H.  dt
     must be finite and nonzero; a negative dt marches backward.
     """
-    _check_step(method, dt)
+    _check_step(dt)
+    grid = initial.grid
+    factors = _StepFactors(factory, grid, method)
+    if not isinstance(steps, numbers.Integral):
+        raise EvolutionError(f"steps must be an integer, got {steps!r}")
     if steps < 0:
         raise EvolutionError(f"need a nonnegative number of steps, got {steps}")
     if initial.components != factory.dimension:
@@ -448,7 +442,6 @@ def evolve(
     if size > STEP_STATE_LIMIT:
         raise EvolutionError(f"stacked state size {size} exceeds limit {STEP_STATE_LIMIT}")
 
-    grid = initial.grid
     psi = initial.flatten()
     if not np.all(np.isfinite(psi)):
         raise EvolutionError("initial state is outside the finite range")
@@ -456,9 +449,9 @@ def evolve(
         return GridFunction.from_flat(grid, psi, factory.dimension)
 
     if factory.time_dependent:
-        blocks = _driven_blocks(psi, factory, grid, t0, dt, steps, method)
+        blocks = _driven_blocks(psi, factors, t0, dt, steps)
     else:
-        blocks = _static_blocks(psi, _group_steps(factory, grid, t0, dt, method), steps, grid.npoints)
+        blocks = _static_blocks(psi, _group_steps(factors, t0, dt), steps, grid.npoints)
     step = 0
     for block in blocks:
         for state, finite in zip(block, np.all(np.isfinite(block), axis=1)):
@@ -471,7 +464,8 @@ def evolve(
 
 
 class EvolutionOperator:
-    """Dense propagators between the times t0 + k dt, k = 0..steps.
+    """Dense propagators between the times t0 + k dt, k = 0..steps, all
+    taken from one stepper, so a shared driven H realizes its S once.
 
     Backward requests return the inverse of the forward product, so
     U(a <- b) U(b <- a) = 1 identically.
@@ -486,12 +480,15 @@ class EvolutionOperator:
         t0: float = 0.0,
         method: str = "crank-nicolson",
     ):
-        _check_step(method, dt)
+        _check_step(dt)
+        self._factors = _StepFactors(factory, grid, method)
         size = factory.dimension * grid.npoints
         if size > DENSE_STATE_LIMIT:
             raise EvolutionError(
                 f"dense evolution operator of size {size} exceeds limit {DENSE_STATE_LIMIT}"
             )
+        if not isinstance(steps, numbers.Integral):
+            raise EvolutionError(f"steps must be an integer, got {steps!r}")
         if steps < 1:
             raise EvolutionError(f"need at least one step, got {steps}")
         self.factory = factory
@@ -504,18 +501,16 @@ class EvolutionOperator:
         self._step_cache: dict[int, np.ndarray] = {}
 
     def time_index(self, t: float) -> int:
-        """Index of a lattice time; off-lattice times are refused."""
-        k = int(round((t - self.t0) / self.dt))
-        if k < 0 or k > self.steps or abs(self.times[min(max(k, 0), self.steps)] - t) > 1e-9 * max(abs(self.dt), 1.0):
+        """Index of a lattice time; off-lattice and non-finite times are refused."""
+        k = np.rint((t - self.t0) / self.dt)
+        if not 0 <= k <= self.steps or abs(self.times[int(k)] - t) > 1e-9 * max(abs(self.dt), 1.0):
             raise EvolutionError(f"time {t} is not on the evolution lattice")
-        return k
+        return int(k)
 
     def _step(self, k: int) -> np.ndarray:
         key = k if self.factory.time_dependent else 0
         if key not in self._step_cache:
-            self._step_cache[key] = step_matrix(
-                self.factory, self.grid, self.times[key], self.dt, self.method
-            )
+            self._step_cache[key] = self._factors.matrix(self.times[key], self.dt)
         return self._step_cache[key]
 
     def matrix(self, t_from: float, t_to: float) -> np.ndarray:

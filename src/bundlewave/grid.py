@@ -132,9 +132,6 @@ class GridFunction:
     def components(self) -> int:
         return self.values.shape[0]
 
-    def component(self, i: int) -> np.ndarray:
-        return self.values[i]
-
     def copy(self) -> "GridFunction":
         return GridFunction(self.grid, self.values.copy())
 
@@ -225,10 +222,6 @@ class FibreProduct:
                 )
             return self.weights
         return np.broadcast_to(self.weights, (npoints,) + self.weights.shape)
-
-    @classmethod
-    def identity(cls, components: int) -> "FibreProduct":
-        return cls(np.eye(components))
 
 
 def inner(a: GridFunction, b: GridFunction, fibre_product: FibreProduct | None = None) -> complex:

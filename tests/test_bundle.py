@@ -77,6 +77,9 @@ def test_path_sampling_validation():
         PathSampling(np.array([0.3]))
     with pytest.raises(BundleError):
         PathSampling(np.array([0.0, 0.5, 0.5]))
+    for parameters in ([0.0, np.nan], [0.0, np.inf], [-np.inf, 0.0], [np.nan, 0.0, 1.0]):
+        with pytest.raises(BundleError, match="finite"):
+            PathSampling(parameters)
     sampling = PathSampling.uniform(0.0, 1.0, 5)
     assert sampling.nsamples == 5
     assert abs(sampling.spacing(2) - 0.25) < 1e-15
@@ -364,6 +367,17 @@ def test_only_gauged_evolution_transports_pass_the_frame_guard(monkeypatch):
     TransportAlongMap(sampling, np.broadcast_to(np.eye(3), (5, 3, 3)))
     flat_transport(sampling, np.broadcast_to(np.eye(3), (5, 3, 3)))
     assert len(calls) == 2
+
+
+def test_evolution_transport_refuses_unknown_methods_and_fractional_substeps():
+    factory, sampling = _driven_factory(), PathSampling.uniform(0.0, 0.4, 3)
+    with pytest.raises(EvolutionError, match="unknown evolution method 'euler'"):
+        evolution_transport(factory, GRID, sampling, method="euler")
+    with pytest.raises(BundleError, match="substeps must be an integer"):
+        evolution_transport(factory, GRID, sampling, substeps=1.5)
+    # A numpy integer is a step count like any other.
+    assert np.array_equal(evolution_transport(factory, GRID, sampling, substeps=np.int64(2)).frames,
+                          evolution_transport(factory, GRID, sampling, substeps=2).frames)
 
 
 @pytest.mark.parametrize("method", ["crank-nicolson", "midpoint-exponential"])

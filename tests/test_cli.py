@@ -286,6 +286,15 @@ def test_check_runs_a_single_named_suite(capsys):
     assert "transport-identity" not in names
 
 
+@pytest.mark.parametrize("scale", ["nan", "inf", "-1"])
+def test_check_rejects_a_tolerance_scale_that_is_not_finite_and_positive(capsys, scale):
+    assert main(["check", "--tolerance-scale", scale]) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("configuration error: --tolerance-scale")
+    assert len(captured.err.splitlines()) == 1
+
+
 def test_check_rejects_unknown_suite(capsys):
     assert main(["check", "spectra"]) == EXIT_CONFIG
     err = capsys.readouterr().err
@@ -358,6 +367,14 @@ def test_green_rejects_nonconstant_scalar_potential(tmp_path, capsys):
     assert main(["green", "--config", cfg]) == EXIT_CONFIG
 
 
+def test_green_refuses_a_framed_configuration(tmp_path, capsys):
+    cfg = _run_cfg(tmp_path, extra="[frame]\nprofile = phase\namplitude = 0.7\n")
+    out = tmp_path / "out"
+    assert main(["green", "--config", cfg, "--out", str(out)]) == EXIT_CONFIG
+    assert "reference frame" in capsys.readouterr().err
+    assert not (out / "green.csv").exists()
+
+
 def test_green_rejects_unsupported_models(tmp_path):
     cfg = _write(tmp_path, "mx.cfg", "[model]\nkind = maxwell\n")
     assert main(["green", "--config", cfg]) == EXIT_CONFIG
@@ -377,8 +394,49 @@ def test_reduce_prints_operator_structure(tmp_path, capsys):
     assert all(len(line.split(",")) == 3 for line in lines[1:])
 
 
+def test_reduce_in_a_frame_prints_the_conjugated_operator(tmp_path, capsys):
+    from bundlewave.algebra import matrix_in_frame
+    from bundlewave.config import build_factory, build_frame, build_grid, load_config
+
+    cfg = _write(
+        tmp_path,
+        "dirac.cfg",
+        """
+        [model]
+        kind = dirac
+        [grid]
+        points = 8
+        [evolution]
+        start-time = 0.3
+        [frame]
+        profile = phase
+        amplitude = 0.7
+        """,
+    )
+    assert main(["reduce", "--config", cfg]) == EXIT_OK
+    lines = capsys.readouterr().out.splitlines()
+    config = load_config(cfg)
+    grid = build_grid(config)
+    framed = matrix_in_frame(build_factory(config, grid).at(0.3), build_frame(config, grid).frames, grid)
+    assert lines == ["row,col,operator"] + [f"{i},{j},{text}" for i, j, text in framed.describe()]
+    # The frame shows in the table: the reference-frame rows differ.
+    plain = _write(tmp_path, "plain.cfg", "[model]\nkind = dirac\n[grid]\npoints = 8\n")
+    assert main(["reduce", "--config", plain]) == EXIT_OK
+    assert capsys.readouterr().out.splitlines() != lines
+
+
 # ---------------------------------------------------------------------------
 # README examples run as written
+
+
+def test_readme_library_tour_runs_as_written():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    blocks = re.findall(r"^```python\n(.*?)^```", readme, re.MULTILINE | re.DOTALL)
+    assert len(blocks) == 1
+    scope: dict = {}
+    exec(blocks[0], scope)
+    assert abs(scope["final"].norm() - 1.0) < 1e-12
+    assert 1.4e-6 <= (scope["dual"] - scope["final"]).norm() <= 1.6e-6
 
 
 @pytest.mark.parametrize("command", ["run", "green", "reduce"])

@@ -642,6 +642,30 @@ def test_evolution_operator_refuses_off_lattice_times():
         op.matrix(-0.05, 0.1)
     with pytest.raises(EvolutionError):
         op.matrix(0.0, 0.45)
+    for t in (np.nan, np.inf, -np.inf, 1e308):
+        with pytest.raises(EvolutionError, match="not on the evolution lattice"):
+            op.matrix(t, 0.1)
+        with pytest.raises(EvolutionError, match="not on the evolution lattice"):
+            op.matrix(0.1, t)
+
+
+@pytest.mark.parametrize("method", ["crank-nicolson", "midpoint-exponential"])
+def test_evolution_operator_realizes_derivatives_once(method, monkeypatch):
+    import bundlewave.algebra as algebra_module
+
+    calls = []
+    derivative = algebra_module.derivative_values
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return derivative(*args, **kwargs)
+
+    monkeypatch.setattr(algebra_module, "derivative_values", counted)
+    op = EvolutionOperator(_driven_factory(), GRID, dt=0.05, steps=8, method=method)
+    op.matrix(0.0, 0.4)
+    # One stepper for the operator's lifetime: the shared d^2/dx^2 is
+    # realized once for all eight step matrices.
+    assert len(calls) == 1
 
 
 def test_size_guards():
@@ -671,6 +695,24 @@ def test_step_count_must_be_nonnegative(driven):
         evolve(state, factory, dt=0.1, steps=-3)
     # Zero steps return the initial state.
     assert np.array_equal(evolve(state, factory, dt=0.1, steps=0).values, state.values)
+
+
+@pytest.mark.parametrize("driven", [False, True])
+def test_step_counts_must_be_integers(driven):
+    state = _gaussian(GRID, np.pi, 0.7)
+    factory = _driven_factory() if driven else schrodinger_hamiltonian(1.0)
+    with pytest.raises(EvolutionError, match="steps must be an integer, got 2.5"):
+        evolve(state, factory, dt=0.1, steps=2.5)
+    with pytest.raises(EvolutionError, match="steps must be an integer, got 2.7"):
+        EvolutionOperator(factory, GRID, dt=0.1, steps=2.7)
+    with pytest.raises(EvolutionError, match="need at least one step"):
+        EvolutionOperator(factory, GRID, dt=0.1, steps=0)
+    # Numpy integers are step counts like any other.
+    assert np.array_equal(evolve(state, factory, dt=0.1, steps=np.int64(3)).values,
+                          evolve(state, factory, dt=0.1, steps=3).values)
+    op = EvolutionOperator(factory, GRID, dt=0.1, steps=np.int32(3))
+    assert op.steps == 3 and np.array_equal(op.matrix(0.0, 0.3), EvolutionOperator(
+        factory, GRID, dt=0.1, steps=3).matrix(0.0, 0.3))
 
 
 @pytest.mark.parametrize("driven", [False, True])
