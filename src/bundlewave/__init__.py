@@ -16,6 +16,7 @@ from .grid import (
     derivative_values,
     discrete_delta,
     inner,
+    stacked_inner,
 )
 from .algebra import (
     AlgebraError,
@@ -70,6 +71,8 @@ from .evolution import (
     expectation,
     hamiltonian_dense,
     kg_charge,
+    kg_charges,
+    march,
     step_matrix,
 )
 from .bundle import (

@@ -19,6 +19,8 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from functools import partial
+from itertools import count
 
 import numpy as np
 
@@ -39,7 +41,8 @@ from .evolution import (
     EvolutionError,
     evolve,
     hamiltonian_dense,
-    kg_charge,
+    kg_charges,
+    march,
 )
 from .green import (
     EigenBasis,
@@ -49,7 +52,7 @@ from .green import (
     propagate_retarded,
     retarded_kernel,
 )
-from .grid import FibreProduct, GridError, GridFunction, inner
+from .grid import FibreProduct, GridError, GridFunction, stacked_inner
 from .reduction import (
     HamiltonianFactory,
     ReductionError,
@@ -112,13 +115,15 @@ def _framed_problem(cfg: RunConfig, grid, factory, state):
 
 
 def _run_observables(cfg: RunConfig, grid, product: FibreProduct | None):
+    """(name, measure) per configured observable; `measure` maps states
+    stacked as (rows, m, N) to one real value per state."""
     observables = []
     for name in resolved_observables(cfg):
         if name == "charge":
-            observables.append(("charge", kg_charge))
+            observables.append(("charge", partial(kg_charges, grid)))
         elif name == "position":
-            observables.append(("position", lambda s: inner(
-                s, GridFunction(grid, grid.points * s.values), product).real))
+            observables.append(("position", lambda states: stacked_inner(
+                grid, states, grid.points * states, product).real))
     return observables
 
 
@@ -143,32 +148,31 @@ def _cmd_run(cfg: RunConfig, args, out_dir: str | None) -> tuple[int, list[str]]
     snapshot_lines = ["t,x,component,re,im"]
     coords = grid.points
 
-    def record(step: int, t: float, s: GridFunction) -> None:
-        norm = s.norm(product)
-        cells = [str(step), _fmt(t), _fmt(norm)]
-        cells += [_fmt(measure(s)) for _, measure in observables]
-        cells.append(_fmt(abs(norm - 1.0)))
-        lines.append(",".join(cells))
-        if every > 0 and step % every == 0:
-            for comp in range(s.components):
-                for idx in range(grid.npoints):
-                    value = s.values[comp, idx]
-                    snapshot_lines.append(
-                        f"{_fmt(t)},{_fmt(coords[idx])},{comp},"
-                        f"{_fmt(value.real)},{_fmt(value.imag)}"
-                    )
+    def record(first: int, times: np.ndarray, states: np.ndarray) -> None:
+        """Rows for the states (rows, m, N) after steps first, first + 1, ...;
+        each column is measured for the whole block at once."""
+        norms = np.sqrt(np.maximum(stacked_inner(grid, states, states, product).real, 0.0))
+        columns = [norms] + [measure(states) for _, measure in observables]
+        columns.append(np.abs(norms - 1.0))
+        rows = zip(*(column.tolist() for column in columns))
+        for step, t, values, cells in zip(count(first), times.tolist(), states, rows):
+            lines.append(",".join([str(step), _fmt(t)] + [_fmt(cell) for cell in cells]))
+            if every > 0 and step % every == 0:
+                for comp in range(values.shape[0]):
+                    for idx in range(grid.npoints):
+                        value = values[comp, idx]
+                        snapshot_lines.append(
+                            f"{_fmt(t)},{_fmt(coords[idx])},{comp},"
+                            f"{_fmt(value.real)},{_fmt(value.imag)}"
+                        )
 
     t0 = cfg.evolution.start_time
-    dt = cfg.evolution.time_step
-    record(0, t0, state)
-    counter = {"k": 0}
-
-    def callback(t: float, s: GridFunction) -> None:
-        counter["k"] += 1
-        record(counter["k"], t, s)
-
-    evolve(state, factory, dt=dt, steps=cfg.evolution.steps, t0=t0,
-           method=cfg.evolution.method, callback=callback)
+    record(0, np.array([t0]), state.values[np.newaxis])
+    step = 1
+    for times, states in march(state, factory, dt=cfg.evolution.time_step,
+                               steps=cfg.evolution.steps, t0=t0, method=cfg.evolution.method):
+        record(step, times, states)
+        step += len(states)
     if every > 0:
         _write_csv(snapshot_lines, out_dir, "snapshots.csv")
     return EXIT_OK, lines
@@ -323,6 +327,8 @@ def main(argv: list[str] | None = None) -> int:
             raise ConfigError(
                 f"--tolerance-scale must be finite and positive, got {args.tolerance_scale}"
             )
+        if args.seed < 0:
+            raise ConfigError(f"--seed must be nonnegative, got {args.seed}")
         if args.command == "check":
             code, lines = _cmd_check(args)
         else:

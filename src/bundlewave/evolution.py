@@ -27,7 +27,7 @@ of a single dense step.  In `green` the eigenbasis is one `eigh` per group,
 and the Born iteration runs on each union of groups that the perturbation
 couples.
 
-One stepper, `_StepFactors`, serves `evolve`, `step_matrix`,
+One stepper, `_StepFactors`, serves `march` (and so `evolve`), `step_matrix`,
 `bundle.evolution_transport` (one per march) and `EvolutionOperator` (one
 per operator).  It refuses an unknown method when it is built and hands
 each group's step over as one apply, x U_S or U_S x, U_S for x = None.
@@ -40,20 +40,26 @@ frame with |S| N right-hand sides, so no step matrix is formed there.
 A time-dependent H is factored at every step midpoint.  Time enters only
 through callable scale factors, so `MatrixOperator.split` writes H(t) as
 S + D(t), S holding the terms that do not vary, such as the derivatives.
-A march in `evolve` or `bundle.evolution_transport` splits each operator
-its factory returns once and realizes each group's S block once; a step
+`march` and `bundle.evolution_transport` split each operator the factory
+returns once per march and realize each group's S block once; a step
 realizes D(t) into a copy of it, then takes one LU of I + K_S and one solve
 per group (for the exponential, one expm and one product).  So a factory
 that returns one shared operator for every t, as the `reduction` builders
 do, realizes S once per march.  A static H keeps no S block.
 
 A static H makes the propagator over B steps U_S^B from every lattice time,
-so `evolve` marches it in blocks of B steps, the dense form of a
+so `march` advances it in blocks of B steps, the dense form of a
 matrix-powers kernel.  After a first block of matvecs, a group with at
 least log2 B |S| N steps left has U_S replaced by U_S^B, at the cost of
 log2 B squarings of O((|S| N)^3), and each later block costs one product of
-U_S^B with the (|S| N x B) window of the previous block's states, which
-reads U_S^B once for B states instead of U_S once per state.
+U_S^B, applied from the left, with the (|S| N x B) window of the previous
+block's states, which reads U_S^B once for B states instead of U_S once
+per state.
+
+`march` hands the states over a block at a time, (rows, m, N) per block,
+so a caller can measure a whole block with one stacked reduction, as
+`bundlewave run` does with `grid.stacked_inner` and `kg_charges`.  `evolve`
+consumes `march` and hands each state to a per-step callback.
 
 `EvolutionOperator` materialises the propagator between lattice times as a
 dense matrix so that composition, inversion, and derivative probes can be
@@ -349,7 +355,9 @@ def _static_blocks(psi: np.ndarray, units: list, steps: int, npoints: int):
     matvecs of the later blocks cost at least as many multiply-adds as the
     squarings, (steps - B) (|S| N)^2 >= log2 B (|S| N)^3: U_S becomes U_S^B,
     and each later block is one product of it with the previous block's
-    window.  Below that, the group keeps marching by matvec.
+    window, applied from the left, (U_S^B @ window[:, S].T).T, which timed
+    faster than the right-hand window[:, S] @ (U_S^B).T.  Below that, the
+    group keeps marching by matvec.
     """
     powered = [steps - _BLOCK >= _SQUARINGS * len(group) * npoints for group, _, _ in units]
     window, done = psi[np.newaxis], 0
@@ -371,7 +379,7 @@ def _static_blocks(psi: np.ndarray, units: list, steps: int, npoints: int):
         with np.errstate(over="ignore", invalid="ignore"):
             for (_, positions, unit), power in zip(units, powered):
                 if power and done:
-                    block[:, positions] = window[:rows, positions] @ unit.T
+                    block[:, positions] = (unit @ window[:rows, positions].T).T
                     continue
                 part = window[-1, positions]
                 for j in range(rows):
@@ -401,30 +409,29 @@ def _driven_blocks(psi: np.ndarray, factors: _StepFactors, t0: float, dt: float,
         psi = block[0]
 
 
-def evolve(
+def march(
     initial: GridFunction,
     factory: HamiltonianFactory,
     dt: float,
     steps: int,
     t0: float = 0.0,
     method: str = "crank-nicolson",
-    callback=None,
-) -> GridFunction:
-    """March `steps` steps of size dt from t0; returns the final state.
+):
+    """March `steps` steps of size dt from t0, and yield (times, states)
+    once per block of steps.
 
-    `callback(t, state)`, if given, is invoked for every step, in order,
-    with a state that later steps never overwrite.  Each component group S
-    of H is stepped on its own entries of the state.  A static H gets one
-    propagator U_S per group, built once in O((|S| N)^3), and is marched in
-    blocks of B steps.  The first block costs one O((|S| N)^2) matvec per
-    group and step.  When the later blocks hold at least log2 B |S| N steps,
-    U_S^B is formed by log2 B squarings of O((|S| N)^3), and each later
-    block costs one product of U_S^B with an (|S| N x B) window of the
-    previous block's states; below that, the group keeps the matvecs.  A
-    time-dependent H is factored at every step midpoint and applied with one
-    single-RHS solve per group; only its driven part D(t) is realized again
-    while its factory returns the same operator.  States are checked for
-    finiteness once per block, a single step for a time-dependent H.  dt
+    `times` holds t0 + k dt for the block's steps k, in order, and `states`
+    the states after them, shape (rows, m, N): a fresh array that later
+    blocks never overwrite.  The blocks cover steps 1..steps.  Each
+    component group S of H is stepped on its own entries of the state.  A
+    static H gets one propagator U_S per group and is marched in blocks of
+    B steps, by matvecs or by U_S^B as the module docstring describes.  A
+    time-dependent H is factored at every step midpoint and applied with
+    one single-RHS solve per group, one step per block.
+
+    The arguments are checked when `march` is called.  States are checked
+    for finiteness once per block: a block that holds a non-finite state
+    first yields the states before it, then raises `EvolutionError`.  dt
     must be finite and nonzero; a negative dt marches backward.
     """
     _check_step(dt)
@@ -438,29 +445,62 @@ def evolve(
         raise EvolutionError(
             f"state has {initial.components} components, factory wants {factory.dimension}"
         )
-    size = factory.dimension * initial.grid.npoints
+    size = factory.dimension * grid.npoints
     if size > STEP_STATE_LIMIT:
         raise EvolutionError(f"stacked state size {size} exceeds limit {STEP_STATE_LIMIT}")
-
     psi = initial.flatten()
     if not np.all(np.isfinite(psi)):
         raise EvolutionError("initial state is outside the finite range")
     if steps == 0:
-        return GridFunction.from_flat(grid, psi, factory.dimension)
-
+        return iter(())
     if factory.time_dependent:
         blocks = _driven_blocks(psi, factors, t0, dt, steps)
     else:
         blocks = _static_blocks(psi, _group_steps(factors, t0, dt), steps, grid.npoints)
-    step = 0
+    return _checked_blocks(blocks, t0, dt, initial.values.shape)
+
+
+def _checked_blocks(blocks, t0: float, dt: float, shape: tuple):
+    """(times, states) per block of flat states, states reshaped to (rows,)
+    + shape; stops at the first non-finite state with `EvolutionError`,
+    after yielding the finite ones before it."""
+    done = 0
     for block in blocks:
-        for state, finite in zip(block, np.all(np.isfinite(block), axis=1)):
-            step += 1
-            if not finite:
-                raise EvolutionError(f"state left the finite range at step {step}")
-            if callback is not None:
-                callback(t0 + step * dt, GridFunction.from_flat(grid, state, factory.dimension))
-    return GridFunction.from_flat(grid, block[-1], factory.dimension)
+        rows = block.shape[0]
+        times = t0 + np.arange(done + 1, done + rows + 1) * dt
+        states = block.reshape((rows,) + shape)
+        finite = np.all(np.isfinite(block), axis=1)
+        if not finite.all():
+            bad = int(np.argmin(finite))
+            if bad:
+                yield times[:bad], states[:bad]
+            raise EvolutionError(f"state left the finite range at step {done + bad + 1}")
+        yield times, states
+        done += rows
+
+
+def evolve(
+    initial: GridFunction,
+    factory: HamiltonianFactory,
+    dt: float,
+    steps: int,
+    t0: float = 0.0,
+    method: str = "crank-nicolson",
+    callback=None,
+) -> GridFunction:
+    """March `steps` steps of size dt from t0 by `march`; returns the final
+    state.
+
+    `callback(t, state)`, if given, is invoked for every step, in order,
+    with a state that later steps never overwrite.
+    """
+    final = initial.values
+    for times, states in march(initial, factory, dt, steps, t0, method):
+        if callback is not None:
+            for t, values in zip(times.tolist(), states):
+                callback(t, GridFunction(initial.grid, values))
+        final = states[-1]
+    return GridFunction(initial.grid, final)
 
 
 class EvolutionOperator:
@@ -545,8 +585,14 @@ def expectation(
 def kg_charge(state: GridFunction) -> float:
     """Conserved charge i * integral(phi* dphi/dt - phi dphi/dt*) dx of the
     free scalar field, evaluated on a two-component canonical state."""
-    if state.components != 2:
+    return float(kg_charges(state.grid, state.values))
+
+
+def kg_charges(grid: SpatialGrid1D, values: np.ndarray) -> np.ndarray:
+    """`kg_charge` of each canonical state stacked in `values`, shape
+    (..., 2, N); an array of shape (...)."""
+    if values.shape[-2] != 2:
         raise EvolutionError("the scalar-field charge needs a canonical two-component state")
-    phi, phidot = state.values[0], state.values[1]
+    phi, phidot = values[..., 0, :], values[..., 1, :]
     density = 1j * (np.conj(phi) * phidot - phi * np.conj(phidot))
-    return float(np.real(state.grid.spacing * np.sum(density)))
+    return np.real(grid.spacing * np.sum(density, axis=-1))

@@ -11,12 +11,13 @@ Two boundary treatments are supported:
 States are arrays of shape (components, N).  The discrete inner product is
 h * sum_x  psi(x)^dagger . w(x) . chi(x) with a per-point Hermitian weight
 w(x) (identity unless a fibre product says otherwise); it is conjugate-linear
-in the first argument.
+in the first argument.  `stacked_inner` takes it for states stacked along
+leading axes, (..., m, N), and `inner` is its one-state case.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -184,6 +185,7 @@ class FibreProduct:
     """
 
     weights: np.ndarray
+    _by_point: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.weights = np.asarray(self.weights, dtype=complex)
@@ -213,31 +215,55 @@ class FibreProduct:
                 f"(min eigenvalue {np.min(eigs):.3e})"
             )
 
-    def weight_at(self, npoints: int) -> np.ndarray:
-        """Weights broadcast to shape (N, m, m)."""
-        if self.weights.ndim == 3:
-            if self.weights.shape[0] != npoints:
-                raise GridError(
-                    f"fibre product sampled at {self.weights.shape[0]} points, grid has {npoints}"
-                )
-            return self.weights
-        return np.broadcast_to(self.weights, (npoints,) + self.weights.shape)
+    def by_point(self, npoints: int) -> np.ndarray:
+        """Weights as an (m, m, N) array with the point index last.
+
+        Per-point weights are copied into that layout on the first call and
+        kept, as the weights are validated once and taken as fixed; a
+        constant weight is broadcast without a copy.
+        """
+        if self.weights.ndim == 2:
+            return np.broadcast_to(self.weights[:, :, np.newaxis], self.weights.shape + (npoints,))
+        if self.weights.shape[0] != npoints:
+            raise GridError(
+                f"fibre product sampled at {self.weights.shape[0]} points, grid has {npoints}"
+            )
+        if self._by_point is None:
+            self._by_point = np.ascontiguousarray(np.moveaxis(self.weights, 0, -1))
+        return self._by_point
 
 
 def inner(a: GridFunction, b: GridFunction, fibre_product: FibreProduct | None = None) -> complex:
     """h * sum_x a(x)^dagger . w(x) . b(x), conjugate-linear in `a`."""
     _require_same_grid(a, b)
-    h = a.grid.spacing
-    if fibre_product is None:
-        return complex(h * np.sum(np.conj(a.values) * b.values))
-    if fibre_product.components != a.components:
-        raise GridError(
-            f"fibre product is {fibre_product.components}-dimensional, "
-            f"state has {a.components} components"
-        )
-    w = fibre_product.weight_at(a.grid.npoints)
-    wb = np.einsum("xij,jx->ix", w, b.values)
-    return complex(h * np.sum(np.conj(a.values) * wb))
+    return complex(stacked_inner(a.grid, a.values, b.values, fibre_product))
+
+
+def stacked_inner(
+    grid: SpatialGrid1D,
+    a: np.ndarray,
+    b: np.ndarray,
+    fibre_product: FibreProduct | None = None,
+) -> np.ndarray:
+    """`inner` of each pair of states stacked in the value arrays a and b of
+    shape (..., m, N); an array of shape (...).
+
+    Each state's sum over components and points runs in the memory order of
+    its entries, as it does for a single state, so every entry equals
+    `inner` of its pair exactly.
+    """
+    if a.ndim < 2 or a.shape != b.shape or a.shape[-1] != grid.npoints:
+        raise GridError(f"value arrays of shapes {a.shape} and {b.shape} on {grid.npoints} points")
+    if fibre_product is not None:
+        if fibre_product.components != a.shape[-2]:
+            raise GridError(
+                f"fibre product is {fibre_product.components}-dimensional, "
+                f"state has {a.shape[-2]} components"
+            )
+        # Written in b's layout, which the sum below then follows.
+        b = np.einsum("ijx,...jx->...ix", fibre_product.by_point(grid.npoints), b,
+                      out=np.empty_like(b, dtype=complex))
+    return grid.spacing * np.sum(np.conj(a) * b, axis=(-2, -1))
 
 
 def discrete_delta(grid: SpatialGrid1D, x0: float) -> GridFunction:

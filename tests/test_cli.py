@@ -14,7 +14,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bundlewave.cli import EXIT_CONFIG, EXIT_INVARIANT, EXIT_NUMERICAL, EXIT_OK, TABLE_NAMES, main
+from bundlewave import evolution
+from bundlewave.cli import (
+    EXIT_CONFIG,
+    EXIT_INVARIANT,
+    EXIT_NUMERICAL,
+    EXIT_OK,
+    TABLE_NAMES,
+    _framed_problem,
+    main,
+)
 from bundlewave.config import (
     BOUNDARY_KINDS,
     EVOLUTION_METHODS,
@@ -23,8 +32,15 @@ from bundlewave.config import (
     MODEL_KINDS,
     POTENTIAL_PROFILES,
     RunConfig,
+    build_factory,
+    build_grid,
+    build_initial_state,
+    load_config,
+    resolved_observables,
 )
+from bundlewave.evolution import _power, evolve, kg_charge
 from bundlewave.green import MAX_BORN_ORDER
+from bundlewave.grid import GridFunction, inner
 
 
 def _write(tmp_path, name, text):
@@ -261,6 +277,86 @@ def test_dirac_in_a_mixing_frame_matches_the_identity_frame(tmp_path, capsys):
         assert abs(framed_row[3] - plain_row[3]) < 1e-10
 
 
+_POWER_ROUTE_CONFIGS = {
+    # Groups {0, 3} and {1, 2} with |S| N = 16 take the power route after
+    # 8 + 3 * 16 = 56 steps, so 64 steps give seven full blocks of U_S^8.
+    "dirac-phase": """
+        [model]
+        kind = dirac
+        [grid]
+        points = 8
+        [potential]
+        scalar-profile = cosine
+        scalar-amplitude = 0.3
+        [evolution]
+        time-step = 0.01
+        steps = 64
+        [initial]
+        profile = random
+        [frame]
+        profile = phase
+        amplitude = 0.7
+        [output]
+        observables = position
+        """,
+    "kg-canonical": """
+        [model]
+        kind = kg-canonical
+        [grid]
+        points = 8
+        [evolution]
+        time-step = 0.01
+        steps = 64
+        [initial]
+        profile = random
+        [output]
+        observables = charge, position
+        """,
+}
+
+
+def _per_state_report(cfg_path, seed):
+    """report.csv of `run`, built one state at a time from `evolve`'s
+    callback and `inner`."""
+    cfg = load_config(cfg_path)
+    grid = build_grid(cfg)
+    state = build_initial_state(cfg, grid, seed=seed)
+    factory, state, product = _framed_problem(cfg, grid, build_factory(cfg, grid), state)
+    names = resolved_observables(cfg)
+    measures = {
+        "charge": kg_charge,
+        "position": lambda s: inner(s, GridFunction(grid, grid.points * s.values), product).real,
+    }
+    lines = [",".join(["step", "time", "norm"] + names + ["norm-drift"])]
+
+    def record(t, s):
+        norm = s.norm(product)
+        cells = [t, norm] + [measures[name](s) for name in names] + [abs(norm - 1.0)]
+        lines.append(",".join([str(len(lines) - 1)] + [format(float(c), ".17g") for c in cells]))
+
+    ev = cfg.evolution
+    record(ev.start_time, state)
+    evolve(state, factory, dt=ev.time_step, steps=ev.steps, t0=ev.start_time,
+           method=ev.method, callback=record)
+    return ("\n".join(lines) + "\n").encode("utf-8")
+
+
+@pytest.mark.parametrize("name", sorted(_POWER_ROUTE_CONFIGS))
+def test_run_report_on_the_power_route_matches_per_state_measurement(tmp_path, monkeypatch, name):
+    cfg = _write(tmp_path, f"{name}.cfg", _POWER_ROUTE_CONFIGS[name])
+    powers = []
+
+    def counted(unit, spare):
+        powers.append(unit.shape)
+        return _power(unit, spare)
+
+    monkeypatch.setattr(evolution, "_power", counted)
+    out = tmp_path / "out"
+    assert main(["run", "--config", cfg, "--out", str(out), "--seed", "5"]) == EXIT_OK
+    assert powers == [(16, 16)] * (2 if name == "dirac-phase" else 1)
+    assert (out / "report.csv").read_bytes() == _per_state_report(cfg, 5)
+
+
 # ---------------------------------------------------------------------------
 # check
 
@@ -454,6 +550,16 @@ def test_readme_configuration_runs_as_written(tmp_path, command):
 
 # ---------------------------------------------------------------------------
 # failure modes
+
+
+@pytest.mark.parametrize("command", ["run", "check", "green", "reduce"])
+def test_negative_seed_is_a_configuration_error(tmp_path, capsys, command):
+    argv = [command] if command == "check" else [command, "--config", _run_cfg(tmp_path)]
+    assert main(argv + ["--seed", "-1"]) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("configuration error: --seed")
+    assert len(captured.err.splitlines()) == 1
 
 
 def test_missing_config_file_is_a_configuration_error(capsys):

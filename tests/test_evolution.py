@@ -21,6 +21,8 @@ from bundlewave.evolution import (
     expectation,
     hamiltonian_dense,
     kg_charge,
+    kg_charges,
+    march,
     step_matrix,
 )
 from bundlewave.grid import FibreProduct, GridFunction, SpatialGrid1D, inner
@@ -462,6 +464,74 @@ def test_overflow_on_the_power_route_is_an_evolution_error():
         warnings.simplefilter("error")
         with pytest.raises(EvolutionError, match="step matrix left the finite range"):
             evolve(tiny, _growing_factory(92.0), dt=1.0, steps=60, method="midpoint-exponential")
+
+
+# ---------------------------------------------------------------------------
+# march: the states a block at a time
+
+
+@pytest.mark.parametrize("model", ["dirac", "dirac-driven"])
+def test_march_blocks_cover_every_step_in_order_and_end_at_evolve(model):
+    factory = _GROUPED[model][0]()
+    state = _random_state(4, 7)
+    dt, t0 = 0.02, 0.5
+    steps = _POWER_STEPS if model == "dirac" else 11
+    blocks = list(march(state, factory, dt, steps, t0=t0))
+    times = np.concatenate([times for times, _ in blocks])
+    assert times.tolist() == [t0 + k * dt for k in range(1, steps + 1)]
+    for block_times, states in blocks:
+        assert states.shape == (len(block_times), 4, GRID.npoints)
+    # The static march comes in blocks of B = 8 (the last one partial), the
+    # driven march one step at a time.
+    rows = [len(states) for _, states in blocks]
+    assert rows == ([8] * 13 + [5] if model == "dirac" else [1] * steps)
+    final = evolve(state, factory, dt, steps, t0=t0)
+    assert np.array_equal(blocks[-1][1][-1], final.values)
+
+
+def test_march_blocks_are_never_overwritten():
+    factory = _GROUPED["dirac"][0]()
+    held, copies = [], []
+    for _, states in march(_random_state(4, 9), factory, 0.02, _POWER_STEPS):
+        held.append(states)
+        copies.append(states.copy())
+    assert not any(np.shares_memory(a, b) for i, a in enumerate(held) for b in held[i + 1:])
+    for states, copy in zip(held, copies):
+        assert np.array_equal(states, copy)
+
+
+def test_march_yields_the_finite_prefix_before_the_error():
+    # As in the power-route overflow test: step 47 overflows inside the
+    # block of steps 41-48, whose finite steps 41-46 come first.
+    state = GridFunction(SpatialGrid1D(4, 1.0), np.full((1, 4), 1e300 + 0j))
+    seen = []
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(EvolutionError, match="at step 47"):
+            for times, states in march(state, _growing_factory(0.4), 1.0, 60):
+                assert np.all(np.isfinite(states))
+                seen.append(times.tolist())
+    assert seen[-1] == [41.0, 42.0, 43.0, 44.0, 45.0, 46.0]
+    assert sum(seen, []) == [float(k) for k in range(1, 47)]
+
+
+def test_march_checks_its_arguments_when_called():
+    state = _random_state(1, 2)
+    factory = schrodinger_hamiltonian(1.0)
+    for bad in ({"dt": 0.0}, {"steps": -1}, {"steps": 2.5}, {"method": "euler"}):
+        args = {"dt": 0.1, "steps": 3, **bad}
+        with pytest.raises(EvolutionError):
+            march(state, factory, args.pop("dt"), args.pop("steps"), **args)
+    assert list(march(state, factory, 0.1, 0)) == []
+
+
+def test_kg_charges_rows_equal_kg_charge_bitwise():
+    rng = np.random.default_rng(4)
+    values = rng.normal(size=(8, 2, GRID.npoints)) + 1j * rng.normal(size=(8, 2, GRID.npoints))
+    charges = kg_charges(GRID, values)
+    assert [kg_charge(GridFunction(GRID, row)) for row in values] == charges.tolist()
+    with pytest.raises(EvolutionError, match="two-component"):
+        kg_charges(GRID, values[:, :1])
 
 
 def test_overflow_on_the_driven_march_is_an_evolution_error():

@@ -13,6 +13,7 @@ from bundlewave.grid import (
     derivative_values,
     discrete_delta,
     inner,
+    stacked_inner,
 )
 
 
@@ -143,6 +144,59 @@ def test_weighted_inner_positive():
     psi = GridFunction(grid, rng.standard_normal((2, 6)) + 1j * rng.standard_normal((2, 6)))
     assert inner(psi, psi, fp).real > 0
     assert abs(inner(psi, psi, fp).imag) < 1e-12
+
+
+def _hermitian_weights(rng, shape, m):
+    raw = rng.standard_normal(shape + (m, m)) + 1j * rng.standard_normal(shape + (m, m))
+    return np.einsum("...ji,...jk->...ik", raw.conj(), raw) + 0.1 * np.eye(m)
+
+
+@pytest.mark.parametrize("rows", [1, 8])
+@pytest.mark.parametrize("weight", ["per-point", "constant", "none"])
+@pytest.mark.parametrize("m, npoints", [(1, 8), (2, 7), (4, 16)])
+def test_stacked_inner_rows_equal_inner_bitwise(m, npoints, weight, rows):
+    grid = SpatialGrid1D(npoints, 3.0)
+    rng = np.random.default_rng(m * 100 + npoints)
+    fp = {
+        "per-point": lambda: FibreProduct(_hermitian_weights(rng, (npoints,), m)),
+        "constant": lambda: FibreProduct(_hermitian_weights(rng, (), m)),
+        "none": lambda: None,
+    }[weight]()
+    shape = (rows, m, npoints)
+    a = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    b = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    stacked = stacked_inner(grid, a, b, fp)
+    assert stacked.shape == (rows,)
+    for row in range(rows):
+        single = inner(GridFunction(grid, a[row]), GridFunction(grid, b[row]), fp)
+        assert complex(stacked[row]) == single
+    # States held in point-major (Fortran) order, as a frame change leaves
+    # them, sum in their own memory order, stacked or not, exactly as the
+    # formula written out for one pair does.  (Written out with a broadcast
+    # constant weight, the formula's product is C-ordered whatever the
+    # states' order, so that case is compared only through `inner`.)
+    for order in "CF":
+        first, second = np.asarray(a[0], order=order), np.asarray(b[0], order=order)
+        single = inner(GridFunction(grid, first), GridFunction(grid, second), fp)
+        stacked = stacked_inner(grid, first[np.newaxis], second[np.newaxis], fp)
+        assert complex(stacked[0]) == single
+        if weight == "constant":
+            continue
+        if fp is not None:
+            second = np.einsum("xij,jx->ix", fp.weights, second)
+        assert single == complex(grid.spacing * np.sum(np.conj(first) * second))
+
+
+def test_stacked_inner_refuses_mismatched_shapes():
+    grid = SpatialGrid1D(8, 1.0)
+    with pytest.raises(GridError):
+        stacked_inner(grid, np.zeros((2, 1, 8)), np.zeros((3, 1, 8)))
+    with pytest.raises(GridError):
+        stacked_inner(grid, np.zeros((2, 1, 6)), np.zeros((2, 1, 6)))
+    with pytest.raises(GridError):
+        stacked_inner(grid, np.zeros(8), np.zeros(8))
+    with pytest.raises(GridError):
+        stacked_inner(grid, np.zeros((2, 1, 8)), np.zeros((2, 1, 8)), FibreProduct(np.eye(2)))
 
 
 def test_discrete_delta_has_unit_mass():
