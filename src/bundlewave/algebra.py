@@ -327,6 +327,9 @@ class MatrixOperator:
 
     __rmul__ = __mul__
 
+    def is_zero(self) -> bool:
+        return all(entry.is_zero() for row in self.entries for entry in row)
+
     def split(self) -> tuple["MatrixOperator", "MatrixOperator"]:
         """(static, driven) entry by entry, as `LinearGridOperator.split`."""
         parts = [[entry.split() for entry in row] for row in self.entries]

@@ -103,13 +103,10 @@ def _framed_problem(cfg: RunConfig, grid, factory, state):
     frames = frame.frames
     inverse = np.linalg.inv(frames)
     state = GridFunction(grid, np.einsum("xij,jx->ix", inverse, state.values))
-    base = factory
-    factory = HamiltonianFactory(
-        dimension=base.dimension,
-        build=lambda t: matrix_in_frame(base.at(t), frames, grid),
-        label=base.label + "-framed" if base.label else "framed",
-        hbar=base.hbar,
-        time_dependent=base.time_dependent,
+    factory = HamiltonianFactory.of(
+        matrix_in_frame(factory.at(), frames, grid),
+        factory.label + "-framed" if factory.label else "framed",
+        factory.hbar,
     )
     return factory, state, induced_fibre_product(frames)
 

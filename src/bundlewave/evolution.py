@@ -231,7 +231,7 @@ class _StepFactors:
 
     def _split(self, op: MatrixOperator, t: float) -> None:
         static, driven = op.split()
-        varies = any(not entry.is_zero() for row in driven.entries for entry in row)
+        varies = not driven.is_zero()
         blocks: dict = {}
         parts = []
         for group in _component_groups(op):

@@ -63,13 +63,9 @@ class Potentials:
     scalar: object = 0.0
     vector: object = 0.0
 
-    @property
-    def static(self) -> bool:
-        return not (callable(self.scalar) or callable(self.vector))
-
     def is_zero(self) -> bool:
         return (
-            self.static
+            not (callable(self.scalar) or callable(self.vector))
             and np.all(np.asarray(self.scalar) == 0)
             and np.all(np.asarray(self.vector) == 0)
         )
@@ -103,11 +99,14 @@ def pointwise(entry, func):
 class HamiltonianFactory:
     """Builds the Hamiltonian `MatrixOperator` at a requested time.
 
-    `at(t)` may return one operator shared by every t, in which time enters
-    only through callable `ScaleOp` factors; callers must treat it as
-    read-only.  A march splits each operator into its static part S and
-    driven part D(t) once, so a shared operator has S realized once; a
-    fresh operator per t is split and realized again at its step.
+    The model builders return `HamiltonianFactory.of(op)`: one operator
+    shared by every t, in which time enters only through callable `ScaleOp`
+    factors, so its dimension and time-dependence are read from it.
+    Callers must treat it as read-only.  A march splits each operator into
+    its static part S and driven part D(t) once, so a shared operator has S
+    realized once; a `build` that returns a fresh operator per t, as
+    `gauge_transform` and `block_diag_hamiltonian` do, has it split and
+    realized again at each step.
     """
 
     dimension: int
@@ -115,6 +114,13 @@ class HamiltonianFactory:
     label: str = ""
     hbar: float = 1.0
     time_dependent: bool = False
+
+    @classmethod
+    def of(cls, op: MatrixOperator, label: str = "", hbar: float = 1.0) -> "HamiltonianFactory":
+        """The factory of `op` at every t; it depends on t exactly when its
+        driven part is not zero."""
+        return cls(op.shape[0], lambda t: op, label, hbar,
+                   time_dependent=not op.split()[1].is_zero())
 
     def at(self, t: float = 0.0) -> MatrixOperator:
         op = self.build(t if self.time_dependent else 0.0)
@@ -131,7 +137,8 @@ class LinearTimeSystem:
     """Spatial coefficients f_0..f_{n-1} of a linear order-n equation.
 
     Coefficients are `MatrixOperator`s over the base components of phi (1x1
-    for a one-component field) or callables t -> MatrixOperator.
+    for a one-component field); time enters them only through callable
+    `ScaleOp` factors.
     """
 
     order: int
@@ -146,10 +153,11 @@ class LinearTimeSystem:
                 f"order-{self.order} system needs {self.order} coefficients, "
                 f"got {len(self.coefficients)}"
             )
+        if any(callable(coeff) for coeff in self.coefficients):
+            raise ReductionError("coefficients are operators; let t enter through a ScaleOp")
 
-    def coefficient_at(self, i: int, t: float) -> MatrixOperator:
-        coeff = self.coefficients[i]
-        op = coeff(t) if callable(coeff) and not isinstance(coeff, MatrixOperator) else coeff
+    def coefficient(self, i: int) -> MatrixOperator:
+        op = self.coefficients[i]
         if isinstance(op, LinearGridOperator):
             op = MatrixOperator([[op]])
         if not isinstance(op, MatrixOperator):
@@ -161,37 +169,20 @@ class LinearTimeSystem:
             )
         return op
 
-    @property
-    def time_dependent(self) -> bool:
-        return any(callable(c) and not isinstance(c, MatrixOperator) for c in self.coefficients)
-
 
 def companion_hamiltonian(
     system: LinearTimeSystem, hbar: float = 1.0, label: str | None = None
 ) -> HamiltonianFactory:
-    """i*hbar times the block companion matrix of the stacked system, built
-    once for every t unless a coefficient is callable."""
+    """i*hbar times the block companion matrix of the stacked system."""
     n, m = system.order, system.base_components
-    dim = n * m
-
-    def build(t: float) -> MatrixOperator:
-        out = MatrixOperator.zeros(dim, dim)
-        for k in range((n - 1) * m):
-            out.entries[k][k + m] = op_scale(1j * hbar, IdentityOp())
-        for i in range(n):
-            fi = system.coefficient_at(i, t)
-            for r, col in np.ndindex(m, m):
-                out.entries[(n - 1) * m + r][i * m + col] = op_scale(1j * hbar, fi.entry(r, col))
-        return out
-
-    shared = None if system.time_dependent else build(0.0)
-    return HamiltonianFactory(
-        dimension=dim,
-        build=build if shared is None else lambda t: shared,
-        label=label or f"companion-order-{n}",
-        hbar=hbar,
-        time_dependent=system.time_dependent,
-    )
+    out = MatrixOperator.zeros(n * m, n * m)
+    for k in range((n - 1) * m):
+        out.entries[k][k + m] = op_scale(1j * hbar, IdentityOp())
+    for i in range(n):
+        fi = system.coefficient(i)
+        for r, col in np.ndindex(m, m):
+            out.entries[(n - 1) * m + r][i * m + col] = op_scale(1j * hbar, fi.entry(r, col))
+    return HamiltonianFactory.of(out, label or f"companion-order-{n}", hbar)
 
 
 # ---------------------------------------------------------------------------
@@ -235,14 +226,7 @@ def dirac_hamiltonian(
             if i == j and charge != 0.0:
                 terms.append(ScaleOp(pointwise(potentials.scalar, lambda v: charge * v)))
             out.entries[i][j] = op_sum(*terms)
-
-    return HamiltonianFactory(
-        dimension=4,
-        build=lambda t: out,
-        label="dirac",
-        hbar=hbar,
-        time_dependent=not potentials.static,
-    )
+    return HamiltonianFactory.of(out, "dirac", hbar)
 
 
 # ---------------------------------------------------------------------------
@@ -264,8 +248,8 @@ def _scalar_field_f0(
     ]
     if charge != 0.0:
         terms.append(ScaleOp(pointwise(potentials.scalar, lambda v: (charge / hbar) ** 2 * v * v)))
-        rate = potentials.scalar_rate()
-        if callable(rate) or np.any(np.asarray(rate) != 0):
+        if callable(potentials.scalar):
+            rate = potentials.scalar_rate()
             terms.append(ScaleOp(pointwise(rate, lambda v: (2 * charge / (1j * hbar)) * v)))
     return op_sum(*terms)
 
@@ -293,9 +277,7 @@ def kg_canonical_hamiltonian(
             MatrixOperator([[_scalar_field_f1(charge, potentials, hbar)]]),
         ],
     )
-    factory = companion_hamiltonian(system, hbar=hbar, label="kg-canonical")
-    factory.time_dependent = not potentials.static
-    return factory
+    return companion_hamiltonian(system, hbar=hbar, label="kg-canonical")
 
 
 def kg_nonrel_hamiltonian(
@@ -325,14 +307,7 @@ def kg_nonrel_hamiltonian(
     out.entries[0][1] = op_sum(op_scale(-1, mass_term), op_scale(-1, e_phi), half_f0)
     out.entries[1][0] = op_sum(mass_term, op_scale(-1, e_phi), op_scale(-1, half_f0))
     out.entries[1][1] = op_sum(op_scale(-1, mass_term), e_phi, op_scale(-1, half_f0))
-
-    return HamiltonianFactory(
-        dimension=2,
-        build=lambda t: out,
-        label="kg-nonrel",
-        hbar=hbar,
-        time_dependent=not potentials.static,
-    )
+    return HamiltonianFactory.of(out, "kg-nonrel", hbar)
 
 
 def kg_nonrel_frame(mass: float, hbar: float = 1.0, c: float = 1.0) -> "GaugeFrame":
@@ -356,14 +331,7 @@ def kg_5d_hamiltonian(mass: float, hbar: float = 1.0, c: float = 1.0) -> Hamilto
     out.entries[1][0] = op_scale(-1j * mc2 / hbar, IdentityOp())
     out.entries[1][2] = op_scale(1j * hbar * c * c, DerivativeOp(1))
     out.entries[2][1] = op_scale(1j * hbar, DerivativeOp(1))
-
-    return HamiltonianFactory(
-        dimension=5,
-        build=lambda t: out,
-        label="kg-5d",
-        hbar=hbar,
-        time_dependent=False,
-    )
+    return HamiltonianFactory.of(out, "kg-5d", hbar)
 
 
 def covariant_scalar_residual(
@@ -427,14 +395,7 @@ def maxwell_hamiltonian(hbar: float = 1.0, c: float = 1.0) -> HamiltonianFactory
     out.entries[1][2] = op_scale(1j * hbar * c, DerivativeOp(1))
     out.entries[2][1] = op_scale(1j * hbar * c, DerivativeOp(1))
     out.entries[3][0] = op_scale(-1j * hbar * c, DerivativeOp(1))
-
-    return HamiltonianFactory(
-        dimension=4,
-        build=lambda t: out,
-        label="maxwell",
-        hbar=hbar,
-        time_dependent=False,
-    )
+    return HamiltonianFactory.of(out, "maxwell", hbar)
 
 
 def schrodinger_hamiltonian(
@@ -445,20 +406,12 @@ def schrodinger_hamiltonian(
     """One-component -(hbar^2/2m) d^2/dx^2 + V(x)."""
     if not mass > 0:
         raise ReductionError("the Schrodinger operator needs a positive mass")
-    static = not callable(potential)
-    zero_potential = static and np.all(np.asarray(potential) == 0)
+    zero_potential = not callable(potential) and np.all(np.asarray(potential) == 0)
     terms = [op_scale(-(hbar * hbar) / (2 * mass), DerivativeOp(2))]
     if not zero_potential:
         terms.append(ScaleOp(potential))
     out = MatrixOperator([[op_sum(*terms)]])
-
-    return HamiltonianFactory(
-        dimension=1,
-        build=lambda t: out,
-        label="schrodinger-free" if zero_potential else "schrodinger",
-        hbar=hbar,
-        time_dependent=not static,
-    )
+    return HamiltonianFactory.of(out, "schrodinger-free" if zero_potential else "schrodinger", hbar)
 
 
 def block_diag_hamiltonian(factories: list, label: str = "block-diag") -> HamiltonianFactory:

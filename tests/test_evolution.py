@@ -9,7 +9,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bundlewave import evolution
-from bundlewave.algebra import MatrixOperator, ScaleOp, matrix_in_frame
+from bundlewave.algebra import (
+    DerivativeOp,
+    IdentityOp,
+    MatrixOperator,
+    ScaleOp,
+    matrix_in_frame,
+)
 from bundlewave.evolution import (
     DENSE_STATE_LIMIT,
     STEP_STATE_LIMIT,
@@ -28,7 +34,9 @@ from bundlewave.evolution import (
 from bundlewave.grid import FibreProduct, GridFunction, SpatialGrid1D, inner
 from bundlewave.reduction import (
     HamiltonianFactory,
+    LinearTimeSystem,
     Potentials,
+    companion_hamiltonian,
     dirac_hamiltonian,
     kg_5d_hamiltonian,
     kg_canonical_hamiltonian,
@@ -152,14 +160,21 @@ def test_static_evolve_matches_per_step_lu_route(kind):
     assert np.max(np.abs(cached.values - stepped.values)) <= 1e-12
 
 
-@pytest.mark.parametrize("kind", ["schrodinger", "dirac"])
+@pytest.mark.parametrize("kind", ["schrodinger", "dirac", "companion"])
 def test_time_dependent_evolve_matches_two_sided_solves(kind):
     x = GRID.points
     if kind == "schrodinger":
         factory = schrodinger_hamiltonian(1.0, potential=lambda t: 0.5 * np.cos(x) * np.sin(1.3 * t))
-    else:
+    elif kind == "dirac":
         factory = dirac_hamiltonian(
             1.0, charge=1.0, potentials=Potentials(scalar=lambda t: 0.3 * np.cos(x) * np.cos(3.0 * t))
+        )
+    else:
+        # The order-2 Klein-Gordon form, m = c = hbar = 1, with a driven
+        # term: t enters only through the ScaleOp in f_0.
+        f0 = DerivativeOp(2) - IdentityOp() - ScaleOp(lambda t: 0.5 * np.cos(x) * np.sin(1.3 * t))
+        factory = companion_hamiltonian(
+            LinearTimeSystem(2, [MatrixOperator([[f0]]), MatrixOperator.zeros(1, 1)])
         )
     rng = np.random.default_rng(11)
     shape = (factory.dimension, GRID.npoints)

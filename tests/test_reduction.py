@@ -59,6 +59,8 @@ def test_companion_validates_coefficients():
         LinearTimeSystem(2, [MatrixOperator.identity(1)])
     with pytest.raises(ReductionError):
         LinearTimeSystem(0, [])
+    with pytest.raises(ReductionError):
+        LinearTimeSystem(1, [lambda t: MatrixOperator.identity(1)])
     bad = LinearTimeSystem(1, [MatrixOperator.identity(2)], base_components=1)
     with pytest.raises(ReductionError):
         companion_hamiltonian(bad).at()
@@ -116,6 +118,9 @@ def test_dirac_time_dependent_potential():
     assert np.max(np.abs((h1 - h0) - 2.0 * np.eye(4 * GRID.npoints))) < 1e-12
 
 
+DRIVING = Potentials(scalar=lambda t: 0.1 * t, vector=lambda t: np.cos(GRID.points + t))
+
+
 @pytest.mark.parametrize("build", [
     lambda: dirac_hamiltonian(1.0, 1.0, Potentials(scalar=lambda t: np.cos(GRID.points + t))),
     lambda: dirac_hamiltonian(1.0),
@@ -125,14 +130,20 @@ def test_dirac_time_dependent_potential():
     lambda: kg_canonical_hamiltonian(1.0),
     lambda: kg_5d_hamiltonian(1.0),
     lambda: maxwell_hamiltonian(),
+    # A field of charge 0 does not couple to its potentials, callable or not.
+    lambda: dirac_hamiltonian(1.0, 0.0, DRIVING),
+    lambda: kg_canonical_hamiltonian(1.0, 0.0, DRIVING),
+    lambda: kg_nonrel_hamiltonian(1.0, 0.0, DRIVING),
 ])
 def test_builders_share_one_operator_across_times(build):
-    # Time enters only through callable scale factors, realized at each t.
+    # Time enters only through callable scale factors, realized at each t,
+    # and the time-dependence flag is read from the operator: it is set
+    # exactly when the realized H varies.
     factory = build()
     assert factory.at(0.1) is factory.at(2.3)
-    if factory.time_dependent:
-        h1, h2 = hamiltonian_dense(factory, GRID, 0.1), hamiltonian_dense(factory, GRID, 2.3)
-        assert np.max(np.abs(h1 - h2)) > 0.1
+    h1, h2 = hamiltonian_dense(factory, GRID, 0.1), hamiltonian_dense(factory, GRID, 2.3)
+    change = np.max(np.abs(h1 - h2))
+    assert change > 0.1 if factory.time_dependent else change == 0.0
 
 
 # ---------------------------------------------------------------------------
