@@ -335,39 +335,23 @@ class MatrixOperator:
         parts = [[entry.split() for entry in row] for row in self.entries]
         return tuple(MatrixOperator([[entry[k] for entry in row] for row in parts]) for k in (0, 1))
 
-    def dense(
-        self,
-        grid: SpatialGrid1D,
-        t: float = 0.0,
-        base: np.ndarray | None = None,
-        blocks: dict | None = None,
-    ) -> np.ndarray:
+    def dense(self, grid: SpatialGrid1D, t: float = 0.0) -> np.ndarray:
         """Dense matrix on component-major flattened states, (n*N) x (p*N).
 
-        With `base`, a realized array of that shape, the entries are added
-        into a copy of it.  A `blocks` dict, held by the caller while it
-        realizes operators on this grid at one t, keeps the block of each
-        entry object it meets, so an entry shared between them is realized
-        once.
+        An entry object that appears more than once is realized once.
         """
         rows, cols = self.shape
         n = grid.npoints
-        out = np.zeros((rows * n, cols * n), dtype=complex) if base is None else base.copy()
+        out = np.zeros((rows * n, cols * n), dtype=complex)
+        blocks: dict = {}
         for i in range(rows):
             for j in range(cols):
                 entry = self.entries[i][j]
                 if entry.is_zero():
                     continue
-                block = None if blocks is None else blocks.get(entry)
-                if block is None:
-                    block = entry.dense(grid, t)
-                    if blocks is not None:
-                        blocks[entry] = block
-                at = (slice(i * n, (i + 1) * n), slice(j * n, (j + 1) * n))
-                if base is None:
-                    out[at] = block
-                else:
-                    out[at] += block
+                if id(entry) not in blocks:
+                    blocks[id(entry)] = entry.dense(grid, t)
+                out[i * n:(i + 1) * n, j * n:(j + 1) * n] = blocks[id(entry)]
         return out
 
     def describe(self) -> list:
@@ -424,6 +408,14 @@ def singular_index(matrices: np.ndarray) -> int | None:
     return None
 
 
+def _frame_inverse(frame: np.ndarray) -> np.ndarray:
+    """Per-point inverse of a frame stack (N, n, n), refused if singular."""
+    bad = singular_index(frame)
+    if bad is not None:
+        raise AlgebraError(f"frame is singular at point index {bad}")
+    return np.linalg.inv(frame)
+
+
 def matrix_in_frame(op: MatrixOperator, frame: np.ndarray, grid: SpatialGrid1D) -> MatrixOperator:
     """Re-express an operator matrix in an x-dependent frame.
 
@@ -444,22 +436,19 @@ def matrix_in_frame(op: MatrixOperator, frame: np.ndarray, grid: SpatialGrid1D) 
             f"frame of shape {frame.shape} does not fit a {dim}-dimensional fibre "
             f"on {grid.npoints} points"
         )
-    bad = singular_index(frame)
-    if bad is not None:
-        raise AlgebraError(f"frame is singular at point index {bad}")
-    inverse = np.linalg.inv(frame)
-    return promote(inverse).odot(op).odot(promote(frame))
+    return promote(_frame_inverse(frame)).odot(op).odot(promote(frame))
 
 
 def frame_connection(frame: np.ndarray, grid: SpatialGrid1D) -> np.ndarray:
-    """Per-point f^{-1} df/dx for an x-dependent frame, shape (N, n, n)."""
+    """Per-point f^{-1} df/dx for an x-dependent frame, shape (N, n, n);
+    a frame singular at some point is refused with `AlgebraError`."""
     frame = np.asarray(frame, dtype=complex)
     dframe = np.stack(
         [derivative_values(grid, frame[:, i, j])
          for i in range(frame.shape[1]) for j in range(frame.shape[2])],
         axis=-1,
     ).reshape(grid.npoints, frame.shape[1], frame.shape[2])
-    return np.einsum("xij,xjk->xik", np.linalg.inv(frame), dframe)
+    return np.einsum("xij,xjk->xik", _frame_inverse(frame), dframe)
 
 
 # ---------------------------------------------------------------------------

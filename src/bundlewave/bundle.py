@@ -219,8 +219,10 @@ def evolution_transport(
     A midpoint-exponential substep multiplies by the group's exponential.
     Only the driven part D(t) of H is realized again while the factory
     returns the same operator.  The steps come from the stepper that serves
-    `step_matrix` and `evolve`.  Overflow ends in EvolutionError, as it does
-    in `step_matrix`.  The frames are invertible by construction, so only a
+    `step_matrix` and `evolve`: substep U(tau_k <- tau_{k+1}) is named by
+    its start tau_{k+1} and size -delta, and the stepper takes its
+    midpoint.  Overflow ends in EvolutionError, as it does in
+    `step_matrix`.  The frames are invertible by construction, so only a
     gauge passes the conditioning guard.
     """
     size = factory.dimension * grid.npoints
@@ -243,9 +245,8 @@ def evolution_transport(
             delta = (times[i + 1] - times[i]) / substeps
             frames[i + 1] = frames[i]
             for k in range(substeps):
-                # U(tau_k <- tau_{k+1}) has midpoint tau_k + delta/2 either way.
-                tau = times[i] + (k + 1) * delta
-                _multiply_step(frames[i + 1], pattern, factors, tau - delta / 2.0, -delta)
+                # U(tau_k <- tau_{k+1}) is the step of size -delta from tau_{k+1}.
+                _multiply_step(frames[i + 1], pattern, factors, times[i] + (k + 1) * delta, -delta)
             if not np.all(np.isfinite(frames[i + 1])):
                 raise EvolutionError(
                     f"transport frame {i + 1} left the finite range; reduce the sampling step"

@@ -37,15 +37,16 @@ solve: against the identity for a step matrix, against the group's part
 psi_S of a driven state, and against the group's columns of a transport
 frame with |S| N right-hand sides, so no step matrix is formed there.
 
-A time-dependent H is factored at every step midpoint.  Time enters only
-through callable scale factors, so `MatrixOperator.split` writes H(t) as
-S + D(t), S holding the terms that do not vary, such as the derivatives.
-`march` and `bundle.evolution_transport` split each operator the factory
-returns once per march and realize each group's S block once; a step
-realizes D(t) into a copy of it, then takes one LU of I + K_S and one solve
-per group (for the exponential, one expm and one product).  So a factory
-that returns one shared operator for every t, as the `reduction` builders
-do, realizes S once per march.  A static H keeps no S block.
+Every route names a step by its start time t and size dt; the stepper
+alone evaluates H at the midpoint t + dt / 2.  Time enters only through
+callable scale factors, so `MatrixOperator.split` writes H(t) as S + D(t),
+S holding the terms that do not vary, such as the derivatives.  `march` and
+`bundle.evolution_transport` split each operator the factory returns once
+per march and realize S once, keeping each group's block; a step realizes
+D(t), adds the S block, then takes one LU of I + K_S and one solve per
+group (for the exponential, one expm and one product).  So a factory that
+returns one shared operator for every t, as the `reduction` builders do,
+realizes S once per march.
 
 A static H makes the propagator over B steps U_S^B from every lattice time,
 so `march` advances it in blocks of B steps, the dense form of a
@@ -217,9 +218,10 @@ class _StepFactors:
     """The stepper of one march, or one `EvolutionOperator`, of `factory`
     on `grid` with `method`.
 
-    Each operator the factory returns is split into S + D(t) per component
-    group once, when it first appears.  If D is not zero, the S blocks are
-    realized then (an entry shared by two groups once) and kept; a static
+    A step is named by its start t and size dt; only here is H taken at the
+    midpoint t + dt / 2.  Each operator the factory returns is split into
+    S + D(t) per component group once, when it first appears.  If D is not
+    zero, S is realized whole then and each group keeps its block; a static
     operator keeps nothing.
     """
 
@@ -232,20 +234,19 @@ class _StepFactors:
     def _split(self, op: MatrixOperator, t: float) -> None:
         static, driven = op.split()
         varies = not driven.is_zero()
-        blocks: dict = {}
+        whole = static.dense(self.grid, t) if varies else None
+        stepped = driven if varies else op
         parts = []
         for group in _component_groups(op):
-            s_op, d_op = (MatrixOperator([[m.entry(i, j) for j in group] for i in group])
-                          for m in (static, driven))
-            if varies:
-                s_op = s_op.dense(self.grid, t, blocks=blocks)
             positions = _positions(group, self.grid.npoints)
-            parts.append((group, positions, s_op, d_op if varies else None))
+            part = MatrixOperator([[stepped.entry(i, j) for j in group] for i in group])
+            s_block = np.ascontiguousarray(whole[_block(positions, positions)]) if varies else None
+            parts.append((group, positions, part, s_block))
         self.op, self.parts = op, parts
 
-    def __call__(self, mid: float, dt: float):
-        """Yield (components, positions, step) per component group of H at
-        the midpoint `mid` of a step of size dt, one group at a time.
+    def __call__(self, t: float, dt: float):
+        """Yield (components, positions, step) per component group of
+        H(t + dt / 2) for the step of size dt from t, one group at a time.
 
         step(x=None, right=True) is x U_S if `right`, else U_S x, and U_S
         for x = None: a Cayley solve for Crank-Nicolson, a product with
@@ -253,12 +254,15 @@ class _StepFactors:
         H_S is realized, and only after the caller has taken the previous
         group's step: a caller that lets go of each step holds one at a time.
         """
+        mid = t + dt / 2.0
         op = self.factory.at(mid)
         if op is not self.op:
             self._split(op, mid)
         grid = self.grid
-        for group, positions, static, driven in self.parts:
-            h_s = static.dense(grid, mid) if driven is None else driven.dense(grid, mid, static)
+        for group, positions, part, static in self.parts:
+            h_s = part.dense(grid, mid)
+            if static is not None:
+                h_s += static
             if self.method == "midpoint-exponential":
                 h_s *= -1j * dt / self.factory.hbar
                 step = partial(_product, scipy.linalg.expm(h_s))
@@ -284,7 +288,7 @@ def _group_steps(factors: _StepFactors, t: float, dt: float) -> list:
     steps = []
     # Overflow surfaces as non-finite entries, refused below.
     with np.errstate(over="ignore", invalid="ignore"):
-        for group, positions, step in factors(t + dt / 2.0, dt):
+        for group, positions, step in factors(t, dt):
             steps.append((group, positions, step()))
             del step
     for _, _, unit in steps:
@@ -297,10 +301,10 @@ def _multiply_step(
     frame: np.ndarray,
     pattern: np.ndarray,
     factors: _StepFactors,
-    mid: float,
+    t: float,
     dt: float,
 ) -> None:
-    """frame <- frame @ U in place, for the step of size dt with midpoint `mid`.
+    """frame <- frame @ U in place, for the step of size dt from t.
 
     `pattern` is the (m, m) boolean pattern of the N x N component blocks
     of `frame` that may be nonzero, and is updated with it.  Column group S
@@ -310,7 +314,7 @@ def _multiply_step(
     form, with one solve and no step matrix.
     """
     dim, npoints = factors.factory.dimension, factors.grid.npoints
-    for group, cols, step in factors(mid, dt):
+    for group, cols, step in factors(t, dt):
         rows = [c for c in range(dim) if np.any(pattern[c, group])]
         at = _block(_positions(rows, npoints), cols)
         frame[at] = step(frame[at])
@@ -392,18 +396,15 @@ def _driven_blocks(psi: np.ndarray, factors: _StepFactors, t0: float, dt: float,
     """Yield the states after steps 1..steps of a time-dependent H from psi,
     one per step, as the single row of a fresh array.
 
-    Each group block is realized and factored at the step midpoint and
-    applied with one single-RHS solve (Cayley form) or one matvec.  The
+    Each group block of the step from t0 + k dt is realized and factored
+    at its midpoint and applied with one single-RHS solve (Cayley form) or one matvec.  The
     static part S of a shared operator is realized at the first step only.
     """
-    cayley = factors.method == "crank-nicolson"
     for k in range(steps):
-        # The exponential takes the midpoint as `step_matrix` does from t0 + k dt.
-        mid = t0 + (k + 0.5) * dt if cayley else t0 + k * dt + dt / 2.0
         block = np.empty((1, psi.size), dtype=complex)
         # Overflow surfaces as a non-finite state, checked by the caller.
         with np.errstate(over="ignore", invalid="ignore"):
-            for _, positions, step in factors(mid, dt):
+            for _, positions, step in factors(t0 + k * dt, dt):
                 block[0, positions] = step(psi[positions], right=False)
         yield block
         psi = block[0]

@@ -34,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import kron_component_matrix, dirac_gammas
+from .algebra import kron_component_matrix, dirac_gammas, singular_index
 from .grid import GridFunction, SpatialGrid1D, derivative_matrix
 from .reduction import HamiltonianFactory
 from .evolution import (
@@ -445,7 +445,10 @@ def green_morphism(
     frame_at_source: np.ndarray,
     npoints: int,
 ) -> np.ndarray:
-    """Kernel seen through fibre frames l: l(t')^{-1} G(t', t) l(t)."""
+    """Kernel seen through fibre frames l: l(t')^{-1} G(t', t) l(t); a
+    singular target frame is refused with `GreenError`."""
+    if singular_index(frame_at_target) is not None:
+        raise GreenError("the target frame is singular")
     left = kron_component_matrix(np.linalg.inv(frame_at_target), npoints)
     right = kron_component_matrix(frame_at_source, npoints)
     return left @ kernel @ right

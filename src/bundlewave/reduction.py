@@ -101,12 +101,14 @@ class HamiltonianFactory:
 
     The model builders return `HamiltonianFactory.of(op)`: one operator
     shared by every t, in which time enters only through callable `ScaleOp`
-    factors, so its dimension and time-dependence are read from it.
-    Callers must treat it as read-only.  A march splits each operator into
-    its static part S and driven part D(t) once, so a shared operator has S
-    realized once; a `build` that returns a fresh operator per t, as
-    `gauge_transform` and `block_diag_hamiltonian` do, has it split and
-    realized again at each step.
+    factors, so its dimension is read from it.  Callers must treat it as
+    read-only.  A factory not flagged `time_dependent`, hand-built ones
+    included, reads the flag from its operator at t = 0; a `build` that
+    bakes t into constant factors must be flagged by hand.  A march splits
+    each operator into its static part S and driven part D(t) once, so a
+    shared operator has S realized once; a `build` that returns a fresh
+    operator per t, as `gauge_transform` and `block_diag_hamiltonian` do,
+    has it split and realized again at each step.
     """
 
     dimension: int
@@ -115,12 +117,14 @@ class HamiltonianFactory:
     hbar: float = 1.0
     time_dependent: bool = False
 
+    def __post_init__(self):
+        if not self.time_dependent:
+            self.time_dependent = not self.build(0.0).split()[1].is_zero()
+
     @classmethod
     def of(cls, op: MatrixOperator, label: str = "", hbar: float = 1.0) -> "HamiltonianFactory":
-        """The factory of `op` at every t; it depends on t exactly when its
-        driven part is not zero."""
-        return cls(op.shape[0], lambda t: op, label, hbar,
-                   time_dependent=not op.split()[1].is_zero())
+        """The factory of `op` at every t."""
+        return cls(op.shape[0], lambda t: op, label, hbar)
 
     def at(self, t: float = 0.0) -> MatrixOperator:
         op = self.build(t if self.time_dependent else 0.0)

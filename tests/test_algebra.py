@@ -138,16 +138,32 @@ def test_matrix_split_realizes_to_the_whole_operator():
     part, rest = op.split()
     assert part.entry(0, 1) is static and part.entry(0, 0) is static and part.entry(1, 1).is_zero()
     assert rest.entry(0, 0) is driven and rest.entry(0, 1).is_zero()
-    blocks = {}
-    realized = part.dense(GRID, blocks=blocks)
-    # One realization for the entry that appears three times, kept by reference.
-    assert list(blocks) == [static]
+    realized = part.dense(GRID)
     for t in (0.0, 0.4, 1.3):
         whole = op.dense(GRID, t)
-        assert np.array_equal(rest.dense(GRID, t, realized), realized + rest.dense(GRID, t))
         assert np.max(np.abs(realized + rest.dense(GRID, t) - whole)) <= 1e-14 * np.max(np.abs(whole))
-    # The base is copied, never written.
-    assert np.array_equal(realized, part.dense(GRID))
+
+
+def test_dense_realizes_a_shared_entry_once(monkeypatch):
+    import bundlewave.algebra as algebra_module
+
+    calls = []
+    derivative = algebra_module.derivative_values
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return derivative(*args, **kwargs)
+
+    monkeypatch.setattr(algebra_module, "derivative_values", counted)
+    shared = op_scale(-1j, DerivativeOp(1))
+    op = MatrixOperator([[shared, shared], [ZeroOp(), shared]])
+    realized = op.dense(GRID)
+    # One realization for the entry that appears three times.
+    assert len(calls) == 1
+    block = shared.dense(GRID)
+    n = GRID.npoints
+    assert np.array_equal(realized[:n, :n], block) and np.array_equal(realized[:n, n:], block)
+    assert np.array_equal(realized[n:, n:], block) and not np.any(realized[n:, :n])
 
 
 def test_scale_factor_shape_check():
@@ -268,6 +284,16 @@ def test_frame_connection_of_phase_frame():
     frame = np.exp(1j * np.sin(x))[:, None, None] * np.eye(1)
     conn = frame_connection(frame, grid)
     assert np.max(np.abs(conn[:, 0, 0] - 1j * np.cos(x))) < 1e-10
+
+
+@pytest.mark.parametrize(
+    "bad", [np.zeros((2, 2)), np.array([[1.0, 1.0], [1.0, 1.0 + 1e-15]])], ids=["zero", "near"]
+)
+def test_frame_connection_refuses_a_singular_frame(bad):
+    frame = np.broadcast_to(np.eye(2, dtype=complex), (GRID.npoints, 2, 2)).copy()
+    frame[5] = bad
+    with pytest.raises(AlgebraError, match="singular at point index 5"):
+        frame_connection(frame, GRID)
 
 
 def test_singular_frame_detected():

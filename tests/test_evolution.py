@@ -252,7 +252,7 @@ def _full_matrix_evolve(state, factory, dt, steps, method):
         elif method == "midpoint-exponential":
             psi = _full_matrix_step(factory, GRID, k * dt, dt, method) @ psi
         else:
-            h = hamiltonian_dense(factory, GRID, (k + 0.5) * dt)
+            h = hamiltonian_dense(factory, GRID, k * dt + dt / 2.0)
             h *= 1j * dt / (2.0 * factory.hbar)
             h[np.diag_indices_from(h)] += 1.0
             lu = scipy.linalg.lu_factor(h.T)
@@ -751,6 +751,63 @@ def test_evolution_operator_realizes_derivatives_once(method, monkeypatch):
     # One stepper for the operator's lifetime: the shared d^2/dx^2 is
     # realized once for all eight step matrices.
     assert len(calls) == 1
+
+
+def test_hand_built_factory_reads_its_time_dependence_from_the_operator():
+    own = schrodinger_hamiltonian(
+        1.0, potential=lambda t: np.cos(GRID.points) * np.sin(3.0 * t)
+    )
+    op = own.at()
+    hand = HamiltonianFactory(1, lambda t: op)
+    # The flag is read from the operator, so H is never frozen at the
+    # first step's midpoint.
+    assert own.time_dependent and hand.time_dependent
+    state = _random_state(1, 5)
+    for method in evolution.METHODS:
+        assert np.array_equal(
+            evolve(state, hand, dt=0.01, steps=200, method=method).values,
+            evolve(state, own, dt=0.01, steps=200, method=method).values,
+        )
+        hand_op, own_op = (EvolutionOperator(f, GRID, dt=0.01, steps=20, method=method)
+                           for f in (hand, own))
+        assert np.array_equal(hand_op.matrix(0.0, 0.2), own_op.matrix(0.0, 0.2))
+
+
+def test_every_route_asks_for_h_at_the_step_midpoints():
+    from bundlewave.bundle import PathSampling, evolution_transport
+
+    asked = []
+
+    def profile(t):
+        asked.append(t)
+        return 0.3 * np.cos(GRID.points) * np.cos(3.0 * t)
+
+    factory = schrodinger_hamiltonian(1.0, potential=profile)
+    t0, dt, steps = 0.1, 0.01, 60
+    starts = [t0 + k * dt for k in range(steps)]
+    midpoints = [t + dt / 2 for t in starts]
+    for method in evolution.METHODS:
+        asked.clear()
+        evolve(_random_state(1, 5), factory, dt=dt, steps=steps, t0=t0, method=method)
+        assert asked == midpoints
+        asked.clear()
+        step_matrix(factory, GRID, starts[7], dt, method)
+        assert asked == [midpoints[7]]
+        asked.clear()
+        op = EvolutionOperator(factory, GRID, dt=dt, steps=steps, t0=t0, method=method)
+        op.matrix(t0, t0 + steps * dt)
+        assert asked == midpoints
+        # A transport substep U(tau - delta <- tau) is the step of size
+        # -delta from tau.
+        times, substeps = np.linspace(0.1, 0.4, 7), 3
+        expected = []
+        for i in range(times.size - 1):
+            delta = (times[i + 1] - times[i]) / substeps
+            taus = [times[i] + (k + 1) * delta for k in range(substeps)]
+            expected += [tau + (-delta) / 2 for tau in taus]
+        asked.clear()
+        evolution_transport(factory, GRID, PathSampling(times), method, substeps)
+        assert asked == expected
 
 
 def test_size_guards():

@@ -495,3 +495,13 @@ def test_green_morphism_conjugates_componentwise():
     seen = green_morphism(kernel, l_target, l_source, n)
     expected = np.kron(np.linalg.inv(l_target), np.eye(n)) @ kernel @ np.kron(l_source, np.eye(n))
     assert np.max(np.abs(seen - expected)) < 1e-12
+
+
+@pytest.mark.parametrize(
+    "target", [np.zeros((2, 2)), np.array([[1.0, 1.0], [1.0, 1.0 + 1e-15]])], ids=["zero", "near"]
+)
+def test_green_morphism_refuses_a_singular_target_frame(target):
+    n = 4
+    kernel = np.eye(2 * n, dtype=complex)
+    with pytest.raises(GreenError, match="singular"):
+        green_morphism(kernel, target, np.eye(2), n)
