@@ -217,13 +217,12 @@ def evolution_transport(
     F U_S = 2 F (I + K_S)^-1 - F: one LU of size |S| N and one solve with
     |S| N right-hand sides per group, no step matrix and no dense product.
     A midpoint-exponential substep multiplies by the group's exponential.
-    Only the driven part D(t) of H is realized again while the factory
-    returns the same operator.  The steps come from the stepper that serves
-    `step_matrix` and `evolve`: substep U(tau_k <- tau_{k+1}) is named by
-    its start tau_{k+1} and size -delta, and the stepper takes its
-    midpoint.  Overflow ends in EvolutionError, as it does in
-    `step_matrix`.  The frames are invertible by construction, so only a
-    gauge passes the conditioning guard.
+    Only the driven part D(t) of H is realized at each substep.  The steps
+    come from the stepper that serves `step_matrix` and `evolve`: substep
+    U(tau_k <- tau_{k+1}) is named by its start tau_{k+1} and size -delta,
+    and the stepper takes its midpoint.  Overflow ends in EvolutionError, as
+    it does in `step_matrix`.  The frames are invertible by construction, so
+    only a gauge passes the conditioning guard.
     """
     size = factory.dimension * grid.npoints
     if size > DENSE_STATE_LIMIT:

@@ -103,7 +103,7 @@ def _framed_problem(cfg: RunConfig, grid, factory, state):
     frames = frame.frames
     inverse = np.linalg.inv(frames)
     state = GridFunction(grid, np.einsum("xij,jx->ix", inverse, state.values))
-    factory = HamiltonianFactory.of(
+    factory = HamiltonianFactory(
         matrix_in_frame(factory.at(), frames, grid),
         factory.label + "-framed" if factory.label else "framed",
         factory.hbar,
@@ -279,7 +279,7 @@ def _cmd_green(cfg: RunConfig, args) -> tuple[int, list[str]]:
 def _cmd_reduce(cfg: RunConfig, args) -> tuple[int, list[str]]:
     grid = build_grid(cfg)
     factory = build_factory(cfg, grid)
-    op = factory.at(cfg.evolution.start_time)
+    op = factory.at()
     frame = build_frame(cfg, grid)
     if frame is not None:
         op = matrix_in_frame(op, frame.frames, grid)

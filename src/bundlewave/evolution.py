@@ -41,12 +41,10 @@ Every route names a step by its start time t and size dt; the stepper
 alone evaluates H at the midpoint t + dt / 2.  Time enters only through
 callable scale factors, so `MatrixOperator.split` writes H(t) as S + D(t),
 S holding the terms that do not vary, such as the derivatives.  `march` and
-`bundle.evolution_transport` split each operator the factory returns once
-per march and realize S once, keeping each group's block; a step realizes
-D(t), adds the S block, then takes one LU of I + K_S and one solve per
-group (for the exponential, one expm and one product).  So a factory that
-returns one shared operator for every t, as the `reduction` builders do,
-realizes S once per march.
+`bundle.evolution_transport` split the factory's operator once per march
+and realize S once, keeping each group's block; a step realizes D(t), adds
+the S block, then takes one LU of I + K_S and one solve per group (for the
+exponential, one expm and one product).
 
 A static H makes the propagator over B steps U_S^B from every lattice time,
 so `march` advances it in blocks of B steps, the dense form of a
@@ -94,7 +92,7 @@ class EvolutionError(RuntimeError):
 
 def hamiltonian_dense(factory: HamiltonianFactory, grid: SpatialGrid1D, t: float = 0.0) -> np.ndarray:
     """Dense (m N, m N) matrix of the Hamiltonian at time t."""
-    return factory.at(t).dense(grid, t)
+    return factory.at().dense(grid, t)
 
 
 def _check_step(dt: float) -> None:
@@ -219,30 +217,27 @@ class _StepFactors:
     on `grid` with `method`.
 
     A step is named by its start t and size dt; only here is H taken at the
-    midpoint t + dt / 2.  Each operator the factory returns is split into
-    S + D(t) per component group once, when it first appears.  If D is not
-    zero, S is realized whole then and each group keeps its block; a static
-    operator keeps nothing.
+    midpoint t + dt / 2.  The factory's operator is split into S + D(t) per
+    component group once, when the stepper is made.  If D is not zero, S is
+    realized whole then and each group keeps its block; a static operator
+    keeps nothing.
     """
 
     def __init__(self, factory: HamiltonianFactory, grid: SpatialGrid1D, method: str):
         if method not in METHODS:
             raise EvolutionError(f"unknown evolution method {method!r}, expected one of {METHODS}")
         self.factory, self.grid, self.method = factory, grid, method
-        self.op = None
-
-    def _split(self, op: MatrixOperator, t: float) -> None:
+        op = factory.op
         static, driven = op.split()
         varies = not driven.is_zero()
-        whole = static.dense(self.grid, t) if varies else None
+        whole = static.dense(grid) if varies else None
         stepped = driven if varies else op
-        parts = []
+        self.parts = []
         for group in _component_groups(op):
-            positions = _positions(group, self.grid.npoints)
+            positions = _positions(group, grid.npoints)
             part = MatrixOperator([[stepped.entry(i, j) for j in group] for i in group])
             s_block = np.ascontiguousarray(whole[_block(positions, positions)]) if varies else None
-            parts.append((group, positions, part, s_block))
-        self.op, self.parts = op, parts
+            self.parts.append((group, positions, part, s_block))
 
     def __call__(self, t: float, dt: float):
         """Yield (components, positions, step) per component group of
@@ -255,9 +250,6 @@ class _StepFactors:
         group's step: a caller that lets go of each step holds one at a time.
         """
         mid = t + dt / 2.0
-        op = self.factory.at(mid)
-        if op is not self.op:
-            self._split(op, mid)
         grid = self.grid
         for group, positions, part, static in self.parts:
             h_s = part.dense(grid, mid)
@@ -398,7 +390,7 @@ def _driven_blocks(psi: np.ndarray, factors: _StepFactors, t0: float, dt: float,
 
     Each group block of the step from t0 + k dt is realized and factored
     at its midpoint and applied with one single-RHS solve (Cayley form) or one matvec.  The
-    static part S of a shared operator is realized at the first step only.
+    static part S is realized once, when the stepper is made.
     """
     for k in range(steps):
         block = np.empty((1, psi.size), dtype=complex)
@@ -437,7 +429,6 @@ def march(
     """
     _check_step(dt)
     grid = initial.grid
-    factors = _StepFactors(factory, grid, method)
     if not isinstance(steps, numbers.Integral):
         raise EvolutionError(f"steps must be an integer, got {steps!r}")
     if steps < 0:
@@ -452,6 +443,7 @@ def march(
     psi = initial.flatten()
     if not np.all(np.isfinite(psi)):
         raise EvolutionError("initial state is outside the finite range")
+    factors = _StepFactors(factory, grid, method)
     if steps == 0:
         return iter(())
     if factory.time_dependent:
@@ -506,7 +498,7 @@ def evolve(
 
 class EvolutionOperator:
     """Dense propagators between the times t0 + k dt, k = 0..steps, all
-    taken from one stepper, so a shared driven H realizes its S once.
+    taken from one stepper, so a driven H realizes its S once.
 
     Backward requests return the inverse of the forward product, so
     U(a <- b) U(b <- a) = 1 identically.
@@ -522,7 +514,6 @@ class EvolutionOperator:
         method: str = "crank-nicolson",
     ):
         _check_step(dt)
-        self._factors = _StepFactors(factory, grid, method)
         size = factory.dimension * grid.npoints
         if size > DENSE_STATE_LIMIT:
             raise EvolutionError(
@@ -532,6 +523,7 @@ class EvolutionOperator:
             raise EvolutionError(f"steps must be an integer, got {steps!r}")
         if steps < 1:
             raise EvolutionError(f"need at least one step, got {steps}")
+        self._factors = _StepFactors(factory, grid, method)
         self.factory = factory
         self.grid = grid
         self.dt = float(dt)

@@ -11,18 +11,18 @@ bottom row.  The factories below produce the four-component spin-1/2
 Hamiltonian, three equivalent stackings of the second-order scalar-field
 equation (two-component canonical, two-component nonrelativistic split,
 five-component derivative stacking), the source-free field-pair curl system,
-and plain Schrodinger operators, all as time-indexed builders of
-`MatrixOperator`s.
+and plain Schrodinger operators.  Each is one `MatrixOperator` for all t,
+in which time enters only through callable scale factors.
 
 Gauge freedom: for an invertible time-dependent frame A(t) mixing the
 stacked components, psi~ = A psi solves the transformed equation with
-H~ = A H A^{-1} + (dA/dt) A^{-1}.
+H~ = A H A^{-1} + i*hbar*(dA/dt) A^{-1}.  The transformed and the
+block-diagonally stacked Hamiltonians are built once as well.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -32,6 +32,7 @@ from .algebra import (
     LinearGridOperator,
     MatrixOperator,
     ScaleOp,
+    ZeroOp,
     kg_gammas,
     alpha_matrices,
     beta_matrix,
@@ -97,43 +98,35 @@ def pointwise(entry, func):
 
 @dataclass
 class HamiltonianFactory:
-    """Builds the Hamiltonian `MatrixOperator` at a requested time.
+    """The Hamiltonian of a model: one square `MatrixOperator` for every t.
 
-    The model builders return `HamiltonianFactory.of(op)`: one operator
-    shared by every t, in which time enters only through callable `ScaleOp`
-    factors, so its dimension is read from it.  Callers must treat it as
-    read-only.  A factory not flagged `time_dependent`, hand-built ones
-    included, reads the flag from its operator at t = 0; a `build` that
-    bakes t into constant factors must be flagged by hand.  A march splits
-    each operator into its static part S and driven part D(t) once, so a
-    shared operator has S realized once; a `build` that returns a fresh
-    operator per t, as `gauge_transform` and `block_diag_hamiltonian` do,
-    has it split and realized again at each step.
+    Time enters the operator only through callable `ScaleOp` factors, so
+    its dimension and whether it varies are read from it; the flag is read
+    once, when the factory is made.  Gauged and stacked Hamiltonians are one
+    such operator too.  A march splits the operator into its static part S
+    and driven part D(t) once and realizes S once.  Callers must treat the
+    operator as read-only.
     """
 
-    dimension: int
-    build: Callable[[float], MatrixOperator]
+    op: MatrixOperator
     label: str = ""
     hbar: float = 1.0
-    time_dependent: bool = False
 
     def __post_init__(self):
-        if not self.time_dependent:
-            self.time_dependent = not self.build(0.0).split()[1].is_zero()
-
-    @classmethod
-    def of(cls, op: MatrixOperator, label: str = "", hbar: float = 1.0) -> "HamiltonianFactory":
-        """The factory of `op` at every t."""
-        return cls(op.shape[0], lambda t: op, label, hbar)
-
-    def at(self, t: float = 0.0) -> MatrixOperator:
-        op = self.build(t if self.time_dependent else 0.0)
-        if op.shape != (self.dimension, self.dimension):
+        rows, cols = self.op.shape
+        if rows != cols:
             raise ReductionError(
-                f"factory {self.label!r} produced shape {op.shape}, "
-                f"expected {(self.dimension, self.dimension)}"
+                f"factory {self.label!r} needs a square operator, got shape {self.op.shape}"
             )
-        return op
+        self.time_dependent = not self.op.split()[1].is_zero()
+
+    @property
+    def dimension(self) -> int:
+        return self.op.shape[0]
+
+    def at(self) -> MatrixOperator:
+        """The operator; t enters it through its callable factors."""
+        return self.op
 
 
 @dataclass
@@ -186,7 +179,7 @@ def companion_hamiltonian(
         fi = system.coefficient(i)
         for r, col in np.ndindex(m, m):
             out.entries[(n - 1) * m + r][i * m + col] = op_scale(1j * hbar, fi.entry(r, col))
-    return HamiltonianFactory.of(out, label or f"companion-order-{n}", hbar)
+    return HamiltonianFactory(out, label or f"companion-order-{n}", hbar)
 
 
 # ---------------------------------------------------------------------------
@@ -230,7 +223,7 @@ def dirac_hamiltonian(
             if i == j and charge != 0.0:
                 terms.append(ScaleOp(pointwise(potentials.scalar, lambda v: charge * v)))
             out.entries[i][j] = op_sum(*terms)
-    return HamiltonianFactory.of(out, "dirac", hbar)
+    return HamiltonianFactory(out, "dirac", hbar)
 
 
 # ---------------------------------------------------------------------------
@@ -311,7 +304,7 @@ def kg_nonrel_hamiltonian(
     out.entries[0][1] = op_sum(op_scale(-1, mass_term), op_scale(-1, e_phi), half_f0)
     out.entries[1][0] = op_sum(mass_term, op_scale(-1, e_phi), op_scale(-1, half_f0))
     out.entries[1][1] = op_sum(op_scale(-1, mass_term), e_phi, op_scale(-1, half_f0))
-    return HamiltonianFactory.of(out, "kg-nonrel", hbar)
+    return HamiltonianFactory(out, "kg-nonrel", hbar)
 
 
 def kg_nonrel_frame(mass: float, hbar: float = 1.0, c: float = 1.0) -> "GaugeFrame":
@@ -335,7 +328,7 @@ def kg_5d_hamiltonian(mass: float, hbar: float = 1.0, c: float = 1.0) -> Hamilto
     out.entries[1][0] = op_scale(-1j * mc2 / hbar, IdentityOp())
     out.entries[1][2] = op_scale(1j * hbar * c * c, DerivativeOp(1))
     out.entries[2][1] = op_scale(1j * hbar, DerivativeOp(1))
-    return HamiltonianFactory.of(out, "kg-5d", hbar)
+    return HamiltonianFactory(out, "kg-5d", hbar)
 
 
 def covariant_scalar_residual(
@@ -399,7 +392,7 @@ def maxwell_hamiltonian(hbar: float = 1.0, c: float = 1.0) -> HamiltonianFactory
     out.entries[1][2] = op_scale(1j * hbar * c, DerivativeOp(1))
     out.entries[2][1] = op_scale(1j * hbar * c, DerivativeOp(1))
     out.entries[3][0] = op_scale(-1j * hbar * c, DerivativeOp(1))
-    return HamiltonianFactory.of(out, "maxwell", hbar)
+    return HamiltonianFactory(out, "maxwell", hbar)
 
 
 def schrodinger_hamiltonian(
@@ -415,7 +408,7 @@ def schrodinger_hamiltonian(
     if not zero_potential:
         terms.append(ScaleOp(potential))
     out = MatrixOperator([[op_sum(*terms)]])
-    return HamiltonianFactory.of(out, "schrodinger-free" if zero_potential else "schrodinger", hbar)
+    return HamiltonianFactory(out, "schrodinger-free" if zero_potential else "schrodinger", hbar)
 
 
 def block_diag_hamiltonian(factories: list, label: str = "block-diag") -> HamiltonianFactory:
@@ -427,25 +420,13 @@ def block_diag_hamiltonian(factories: list, label: str = "block-diag") -> Hamilt
         if f.hbar != hbar:
             raise ReductionError("stacked factories disagree on hbar")
     dim = sum(f.dimension for f in factories)
-
-    def build(t: float) -> MatrixOperator:
-        out = MatrixOperator.zeros(dim, dim)
-        offset = 0
-        for f in factories:
-            block = f.at(t)
-            for i in range(f.dimension):
-                for j in range(f.dimension):
-                    out.entries[offset + i][offset + j] = block.entry(i, j)
-            offset += f.dimension
-        return out
-
-    return HamiltonianFactory(
-        dimension=dim,
-        build=build,
-        label=label,
-        hbar=hbar,
-        time_dependent=any(f.time_dependent for f in factories),
-    )
+    out = MatrixOperator.zeros(dim, dim)
+    offset = 0
+    for f in factories:
+        for i, j in np.ndindex(f.dimension, f.dimension):
+            out.entries[offset + i][offset + j] = f.op.entry(i, j)
+        offset += f.dimension
+    return HamiltonianFactory(out, label, hbar)
 
 
 # ---------------------------------------------------------------------------
@@ -465,7 +446,7 @@ class GaugeFrame:
 
     @property
     def time_dependent(self) -> bool:
-        return callable(self.matrix)
+        return callable(self.matrix) or callable(self.derivative)
 
     def at(self, t: float = 0.0) -> np.ndarray:
         m = self.matrix(t) if callable(self.matrix) else self.matrix
@@ -498,25 +479,43 @@ class GaugeFrame:
 
 
 def gauge_transform(factory: HamiltonianFactory, frame: GaugeFrame) -> HamiltonianFactory:
-    """H~ = A H A^{-1} + i*hbar*(dA/dt) A^{-1} for the transformed state A psi."""
-    dim = factory.dimension
-    if frame.at(0.0).shape != (dim, dim):
-        raise ReductionError(
-            f"gauge frame of shape {frame.at(0.0).shape} does not fit dimension {dim}"
-        )
+    """H~ = A H A^{-1} + i*hbar*(dA/dt) A^{-1} for the transformed state A psi,
+    built once; a frame singular at t = 0 is refused here.
 
-    def build(t: float) -> MatrixOperator:
-        a = frame.at(t)
+    A constant frame enters as constant matrices.  A driven frame enters as
+    one callable scale factor per entry of A(t), A(t)^-1 and the rate term,
+    all reading one evaluation of the frame per t.  They are placed on the
+    union of the three supports at t = 0; a later t that puts a nonzero
+    outside it is refused, never dropped.
+    """
+    dim, hbar = factory.dimension, factory.hbar
+    shape = frame.at(0.0).shape
+    if shape != (dim, dim):
+        raise ReductionError(f"gauge frame of shape {shape} does not fit dimension {dim}")
+
+    def terms(t: float) -> np.ndarray:
         a_inv = frame.inverse_at(t)
-        conjugated = promote(a).odot(factory.at(t)).odot(promote(a_inv))
-        if frame.time_dependent or frame.derivative is not None:
-            conjugated = conjugated + promote(1j * factory.hbar * (frame.rate(t) @ a_inv))
-        return conjugated
+        return np.stack([frame.at(t), a_inv, 1j * hbar * (frame.rate(t) @ a_inv)])
 
-    return HamiltonianFactory(
-        dimension=dim,
-        build=build,
-        label=f"{factory.label}-gauged",
-        hbar=factory.hbar,
-        time_dependent=factory.time_dependent or frame.time_dependent,
-    )
+    latest = {0.0: terms(0.0)}
+    if frame.time_dependent:
+        support = np.any(latest[0.0] != 0, axis=0)
+
+        def shared(t: float) -> np.ndarray:
+            if t not in latest:
+                values = terms(t)
+                if np.any(values[:, ~support] != 0):
+                    raise ReductionError(f"gauge frame at t = {t} leaves its support at t = 0")
+                latest.clear()
+                latest[t] = values
+            return latest[t]
+
+        a, a_inv, rate = (MatrixOperator([
+            [ScaleOp(lambda t, k=k, i=i, j=j: shared(t)[k, i, j]) if support[i, j] else ZeroOp()
+             for j in range(dim)]
+            for i in range(dim)
+        ]) for k in range(3))
+    else:
+        a, a_inv, rate = map(promote, latest[0.0])
+    op = a.odot(factory.op).odot(a_inv) + rate
+    return HamiltonianFactory(op, f"{factory.label}-gauged", hbar)

@@ -144,22 +144,12 @@ def test_matrix_split_realizes_to_the_whole_operator():
         assert np.max(np.abs(realized + rest.dense(GRID, t) - whole)) <= 1e-14 * np.max(np.abs(whole))
 
 
-def test_dense_realizes_a_shared_entry_once(monkeypatch):
-    import bundlewave.algebra as algebra_module
-
-    calls = []
-    derivative = algebra_module.derivative_values
-
-    def counted(*args, **kwargs):
-        calls.append(1)
-        return derivative(*args, **kwargs)
-
-    monkeypatch.setattr(algebra_module, "derivative_values", counted)
+def test_dense_realizes_a_shared_entry_once(derivative_calls):
     shared = op_scale(-1j, DerivativeOp(1))
     op = MatrixOperator([[shared, shared], [ZeroOp(), shared]])
     realized = op.dense(GRID)
     # One realization for the entry that appears three times.
-    assert len(calls) == 1
+    assert len(derivative_calls) == 1
     block = shared.dense(GRID)
     n = GRID.npoints
     assert np.array_equal(realized[:n, :n], block) and np.array_equal(realized[:n, n:], block)
@@ -217,7 +207,7 @@ def test_dense_matches_columnwise_apply(model, boundary):
     else:
         factory = dirac_hamiltonian(0.7, 1.0, potentials)
     t = 0.37
-    op = factory.at(t)
+    op = factory.at()
     if model == "framed-dirac":
         op = matrix_in_frame(op, _rotation_frames(grid, 4), grid)
     expected = _dense_by_columns(op, grid, t)

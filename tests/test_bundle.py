@@ -285,22 +285,17 @@ def test_driven_dirac_transport_matches_evolve(method):
     assert np.max(np.abs(stepped.flatten() - transported)) <= 1e-12
 
 
-def _fresh_operator_factory(grid: SpatialGrid1D) -> HamiltonianFactory:
-    """Driven Dirac whose `build(t)` returns a new operator at every t: its
-    diagonal entries are new sums with a constant scale factor that bakes t
-    in, beside the shared entries of the free operator."""
-    free = dirac_hamiltonian(1.0)
+def _summed_driven_factory(grid: SpatialGrid1D) -> HamiltonianFactory:
+    """Driven Dirac assembled by hand: its diagonal entries are sums of the
+    free operator's entries and a callable scale factor, beside the shared
+    off-diagonal entries of the free operator."""
+    free = dirac_hamiltonian(1.0).at()
     profile = 0.3 * np.cos(2.0 * np.pi * grid.points / grid.length)
-
-    def build(t: float) -> MatrixOperator:
-        free_op = free.at(t)
-        return MatrixOperator([
-            [op_sum(free_op.entry(i, j), ScaleOp(np.cos(3.0 * t) * profile)) if i == j
-             else free_op.entry(i, j) for j in range(4)]
-            for i in range(4)
-        ])
-
-    return HamiltonianFactory(dimension=4, build=build, label="fresh", time_dependent=True)
+    driven = ScaleOp(lambda t: np.cos(3.0 * t) * profile)
+    return HamiltonianFactory(MatrixOperator([
+        [op_sum(free.entry(i, j), driven) if i == j else free.entry(i, j) for j in range(4)]
+        for i in range(4)
+    ]), "summed")
 
 
 def _two_sided_step(factory, grid, mid, dt, method):
@@ -314,10 +309,10 @@ def _two_sided_step(factory, grid, mid, dt, method):
 
 
 @pytest.mark.parametrize("method", ["crank-nicolson", "midpoint-exponential"])
-def test_fresh_operators_per_step_reuse_no_realization(method):
+def test_summed_driven_entries_match_two_sided_steps(method):
     grid = SpatialGrid1D(8, 6.0)
-    factory = _fresh_operator_factory(grid)
-    assert factory.at(0.1) is not factory.at(0.1)
+    factory = _summed_driven_factory(grid)
+    assert factory.time_dependent
     rng = np.random.default_rng(9)
     shape = (factory.dimension, grid.npoints)
     state = GridFunction(grid, rng.normal(size=shape) + 1j * rng.normal(size=shape))

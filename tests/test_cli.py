@@ -513,7 +513,7 @@ def test_reduce_in_a_frame_prints_the_conjugated_operator(tmp_path, capsys):
     lines = capsys.readouterr().out.splitlines()
     config = load_config(cfg)
     grid = build_grid(config)
-    framed = matrix_in_frame(build_factory(config, grid).at(0.3), build_frame(config, grid).frames, grid)
+    framed = matrix_in_frame(build_factory(config, grid).at(), build_frame(config, grid).frames, grid)
     assert lines == ["row,col,operator"] + [f"{i},{j},{text}" for i, j, text in framed.describe()]
     # The frame shows in the table: the reference-frame rows differ.
     plain = _write(tmp_path, "plain.cfg", "[model]\nkind = dirac\n[grid]\npoints = 8\n")

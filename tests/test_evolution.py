@@ -33,13 +33,17 @@ from bundlewave.evolution import (
 )
 from bundlewave.grid import FibreProduct, GridFunction, SpatialGrid1D, inner
 from bundlewave.reduction import (
+    GaugeFrame,
     HamiltonianFactory,
     LinearTimeSystem,
     Potentials,
+    block_diag_hamiltonian,
     companion_hamiltonian,
     dirac_hamiltonian,
+    gauge_transform,
     kg_5d_hamiltonian,
     kg_canonical_hamiltonian,
+    kg_nonrel_frame,
     kg_nonrel_hamiltonian,
     maxwell_hamiltonian,
     schrodinger_hamiltonian,
@@ -111,6 +115,13 @@ def _reference_crank_nicolson(h, dt, hbar=1.0):
     return np.linalg.solve(eye + coeff * h, eye - coeff * h)
 
 
+def _plus_at_origin(factory, term, label=""):
+    """The factory with `term` added to the (0, 0) entry of its operator."""
+    entries = [list(row) for row in factory.op.entries]
+    entries[0][0] = entries[0][0] + term
+    return HamiltonianFactory(MatrixOperator(entries), label, factory.hbar)
+
+
 def _static_factories():
     return {
         "schrodinger": schrodinger_hamiltonian(1.0, potential=0.5 * np.cos(GRID.points)),
@@ -141,16 +152,12 @@ def test_cayley_step_matrix_matches_two_sided_solve(kind, dt):
 
 @pytest.mark.parametrize("kind", ["schrodinger", "dirac"])
 def test_static_evolve_matches_per_step_lu_route(kind):
-    # The same H flagged time-dependent is factored and solved at every
-    # step, instead of going through the cached step matrix.
+    # The same H plus a callable term that is always zero is driven, so it
+    # is factored and solved at every step, instead of going through the
+    # cached step matrix.
     static = _static_factories()[kind]
-    rebuilt = HamiltonianFactory(
-        dimension=static.dimension,
-        build=static.build,
-        label="rebuilt",
-        hbar=static.hbar,
-        time_dependent=True,
-    )
+    rebuilt = _plus_at_origin(static, ScaleOp(lambda t: 0.0), "rebuilt")
+    assert rebuilt.time_dependent
     rng = np.random.default_rng(7)
     shape = (static.dimension, GRID.npoints)
     state = GridFunction(GRID, rng.normal(size=shape) + 1j * rng.normal(size=shape))
@@ -206,10 +213,7 @@ def test_time_dependent_stepping_is_second_order(method):
     # exp(-i (1 - cos(t))) and the midpoint rule contributes an O(dt^2) error.
     small = SpatialGrid1D(4, 1.0)
     factory = HamiltonianFactory(
-        dimension=1,
-        build=lambda t: MatrixOperator([[ScaleOp(lambda tt: np.full(4, np.sin(tt)))]]),
-        label="oscillating-phase",
-        time_dependent=True,
+        MatrixOperator([[ScaleOp(lambda t: np.full(4, np.sin(t)))]]), "oscillating-phase"
     )
     initial = GridFunction(small, np.full((1, 4), 0.5 + 0.0j))
     exact = np.exp(-1j * (1.0 - np.cos(1.0))) * initial.values
@@ -303,7 +307,7 @@ def _rotation_frame(angle: float) -> np.ndarray:
 
 def test_component_groups_follow_the_coupling_graph():
     for build, groups in _GROUPED.values():
-        assert _component_groups(build().at(0.2)) == groups
+        assert _component_groups(build().at()) == groups
     assert _component_groups(schrodinger_hamiltonian(1.0).at()) == [[0]]
     assert _component_groups(kg_canonical_hamiltonian(1.0).at()) == [[0, 1]]
     assert _component_groups(kg_nonrel_hamiltonian(1.0).at()) == [[0, 1]]
@@ -346,9 +350,7 @@ def test_one_group_steps_are_the_full_matrix_steps(model, method):
 def test_mixing_frame_makes_one_group_of_the_full_matrix_step():
     base = dirac_hamiltonian(1.0, 1.0, Potentials(scalar=0.3 * np.cos(GRID.points)))
     framed = HamiltonianFactory(
-        dimension=4,
-        build=lambda t: matrix_in_frame(base.at(t), _rotation_frame(0.4), GRID),
-        label="dirac-rotated",
+        matrix_in_frame(base.at(), _rotation_frame(0.4), GRID), "dirac-rotated"
     )
     step = step_matrix(framed, GRID, 0.0, 0.03)
     assert np.array_equal(step, _full_matrix_step(framed, GRID, 0.0, 0.03, "crank-nicolson"))
@@ -370,25 +372,19 @@ def _reference_static_march(state, factory, dt, steps, method):
 def _phase_framed_dirac():
     base = dirac_hamiltonian(1.0, 1.0, Potentials(scalar=0.3 * np.cos(GRID.points)))
     phase = np.exp(0.7j * np.cos(GRID.points))[:, None, None] * np.eye(4)
-    return HamiltonianFactory(
-        dimension=4, build=lambda t: matrix_in_frame(base.at(t), phase, GRID), label="dirac-phase"
-    )
+    return HamiltonianFactory(matrix_in_frame(base.at(), phase, GRID), "dirac-phase")
 
 
 def _kg_5d_beside_schrodinger():
     """kg-5d's coupled components {0, 1, 2} and a Schrodinger component
     {3} with a potential: two unequal groups, both with nontrivial steps."""
     kg, schrodinger = kg_5d_hamiltonian(1.3), _ONE_GROUP["schrodinger"]()
-
-    def build(t):
-        out = MatrixOperator.zeros(4, 4)
-        for i in range(3):
-            for j in range(3):
-                out.entries[i][j] = kg.at(t).entry(i, j)
-        out.entries[3][3] = schrodinger.at(t).entry(0, 0)
-        return out
-
-    return HamiltonianFactory(dimension=4, build=build, label="kg-5d-beside-schrodinger")
+    out = MatrixOperator.zeros(4, 4)
+    for i in range(3):
+        for j in range(3):
+            out.entries[i][j] = kg.op.entry(i, j)
+    out.entries[3][3] = schrodinger.op.entry(0, 0)
+    return HamiltonianFactory(out, "kg-5d-beside-schrodinger")
 
 
 # Static models and how many of their groups take the power route over
@@ -455,9 +451,7 @@ def test_power_route_callback_sees_every_state_once_and_in_order():
 
 def _growing_factory(rate: float) -> HamiltonianFactory:
     """H = i rate: every state grows by the same factor at each step."""
-    return HamiltonianFactory(
-        dimension=1, build=lambda t: MatrixOperator([[ScaleOp(1j * rate)]]), label="growth"
-    )
+    return HamiltonianFactory(MatrixOperator([[ScaleOp(1j * rate)]]), "growth")
 
 
 def test_overflow_on_the_power_route_is_an_evolution_error():
@@ -555,10 +549,7 @@ def test_overflow_on_the_driven_march_is_an_evolution_error():
     # but the Cayley apply forms 2 (I + K)^-1 psi = 2.5 psi first, which
     # leaves the float range one step earlier than the state itself.
     factory = HamiltonianFactory(
-        dimension=1,
-        build=lambda t: MatrixOperator([[ScaleOp(lambda t: np.full(4, 0.4j))]]),
-        label="driven-growth",
-        time_dependent=True,
+        MatrixOperator([[ScaleOp(lambda t: np.full(4, 0.4j))]]), "driven-growth"
     )
     state = GridFunction(small, np.full((1, 4), 1e300 + 0j))
     times, kept, copies = [], [], []
@@ -581,22 +572,11 @@ def test_overflow_on_the_driven_march_is_an_evolution_error():
 
 
 @pytest.mark.parametrize("method", ["crank-nicolson", "midpoint-exponential"])
-def test_driven_march_realizes_derivatives_at_its_first_step_only(method, monkeypatch):
-    import bundlewave.algebra as algebra_module
-
-    # DerivativeOp realizes through algebra's reference to grid.derivative_values.
-    calls = []
-    derivative = algebra_module.derivative_values
-
-    def counted(*args, **kwargs):
-        calls.append(1)
-        return derivative(*args, **kwargs)
-
-    monkeypatch.setattr(algebra_module, "derivative_values", counted)
+def test_driven_march_realizes_derivatives_at_its_first_step_only(method, derivative_calls):
     factory = dirac_hamiltonian(1.0, 1.0, Potentials(scalar=_driven_profile))
     seen = []
     evolve(_random_state(4, 5), factory, dt=0.01, steps=40, method=method,
-           callback=lambda t, state: seen.append(len(calls)))
+           callback=lambda t, state: seen.append(len(derivative_calls)))
     # The four derivative entries are one shared momentum operator: one
     # realization in all, at the first step.
     assert seen == [1] * 40
@@ -617,58 +597,99 @@ _DRIVEN_SHARED = {
 @pytest.mark.parametrize("method", ["crank-nicolson", "midpoint-exponential"])
 @pytest.mark.parametrize("model", sorted(_DRIVEN_SHARED))
 def test_driven_shared_operators_realize_derivatives_at_the_first_step_only(
-    model, method, route, monkeypatch
+    model, method, route, derivative_calls
 ):
-    import bundlewave.algebra as algebra_module
     from bundlewave.bundle import PathSampling, evolution_transport
 
-    calls = []
-    derivative = algebra_module.derivative_values
-
-    def counted(*args, **kwargs):
-        calls.append(1)
-        return derivative(*args, **kwargs)
-
-    monkeypatch.setattr(algebra_module, "derivative_values", counted)
     make, realizations = _DRIVEN_SHARED[model]
-    inner_factory = make(1.0)
-    assert inner_factory.at(0.1) is inner_factory.at(0.7)
-    # The derivative calls made before each step's operator is requested.
+    # A zero-valued callable factor records the derivative calls made
+    # before each step realizes its driven part.
     seen = []
-
-    def build(t):
-        seen.append(len(calls))
-        return inner_factory.at(t)
-
-    factory = HamiltonianFactory(inner_factory.dimension, build, time_dependent=True)
+    probe = ScaleOp(lambda t: seen.append(len(derivative_calls)) or 0.0)
+    factory = _plus_at_origin(make(1.0), probe)
+    assert not derivative_calls
     if route == "evolve":
         evolve(_random_state(factory.dimension, 5), factory, dt=0.01, steps=40, method=method)
     else:
         evolution_transport(factory, GRID, PathSampling(np.linspace(0.0, 0.4, 11)), method, 4)
-    seen.append(len(calls))
-    assert seen == [0] + [realizations] * 40
+    seen.append(len(derivative_calls))
+    assert seen == [realizations] * 41
+
+
+def _driven_dirac():
+    return dirac_hamiltonian(1.0, 1.0, Potentials(scalar=_driven_profile))
+
+
+def _driven_kg_canonical():
+    return kg_canonical_hamiltonian(1.0, 1.0, Potentials(scalar=_driven_profile))
+
+
+def _rotation(t):
+    c, s = np.cos(0.9 * t), np.sin(0.9 * t)
+    return np.array([[c, -s], [s, c]])
+
+
+_PHASES = np.array([0.3, -0.7, 1.1, 0.2])
+
+# Gauged and stacked factories built once, and the derivative realizations
+# of one 40-step march.  A constant frame or a stack realizes each distinct
+# entry of S once, as the builders do: the four conjugated momentum entries
+# of Dirac, the eight first derivatives in the four gauged kg-canonical
+# entries, the one shared momentum of a stacked Dirac, Schrodinger's
+# d^2/dx^2 beside Maxwell's four entries.
+_WRAPPED_ONCE = {
+    "dirac-phase-frame": (
+        lambda: gauge_transform(_driven_dirac(), GaugeFrame(np.diag(np.exp(1j * _PHASES)))), 4),
+    "kg-canonical-nonrel-frame": (
+        lambda: gauge_transform(_driven_kg_canonical(), kg_nonrel_frame(1.0)), 8),
+    "stacked-dirac": (lambda: block_diag_hamiltonian([_driven_dirac()]), 1),
+    "stacked-schrodinger-maxwell": (lambda: block_diag_hamiltonian(
+        [_DRIVEN_SHARED["schrodinger"][0](1.0), maxwell_hamiltonian()]), 5),
+}
+# A driven frame enters every entry of H, which is then realized whole at
+# every step: at most the 4 (Dirac) or 8 (kg-canonical) derivatives per step
+# that rebuilding H at each step takes.
+_WRAPPED_DRIVEN = {
+    "dirac-driven-phase": (lambda: gauge_transform(
+        _driven_dirac(), GaugeFrame(lambda t: np.diag(np.exp(1j * _PHASES * t)))), 160),
+    "kg-canonical-driven-rotation": (
+        lambda: gauge_transform(_driven_kg_canonical(), GaugeFrame(_rotation)), 320),
+}
+
+
+@pytest.mark.parametrize("method", ["crank-nicolson", "midpoint-exponential"])
+@pytest.mark.parametrize("model", sorted(_WRAPPED_ONCE) + sorted(_WRAPPED_DRIVEN))
+def test_gauged_and_stacked_marches_realize_their_entries_once(model, method, derivative_calls):
+    make, realizations = {**_WRAPPED_ONCE, **_WRAPPED_DRIVEN}[model]
+    factory = make()
+    assert factory.time_dependent
+    evolve(_random_state(factory.dimension, 5), factory, dt=0.01, steps=40, method=method)
+    if model in _WRAPPED_ONCE:
+        assert len(derivative_calls) == realizations
+    else:
+        assert 0 < len(derivative_calls) <= realizations
 
 
 def _realized_per_step(factory):
-    """The factory with each entry of H(t) frozen at t, so that a march
+    """The factory with every entry of H driven whole, so that a march
     realizes every entry whole at every step."""
-    from bundlewave.algebra import LinearGridOperator
+    from bundlewave.algebra import LinearGridOperator, ZeroOp
 
-    class Frozen(LinearGridOperator):
-        def __init__(self, entry, t):
-            self.entry, self.t = entry, t
+    class Whole(LinearGridOperator):
+        def __init__(self, entry):
+            self.entry = entry
 
         def apply(self, values, grid, t=0.0):
-            return self.entry.apply(values, grid, self.t)
+            return self.entry.apply(values, grid, t)
 
         def is_zero(self):
             return self.entry.is_zero()
 
-    def build(t):
-        op = factory.at(t)
-        return MatrixOperator([[Frozen(entry, t) for entry in row] for row in op.entries])
+        def split(self):
+            return ZeroOp(), self
 
-    return HamiltonianFactory(factory.dimension, build, hbar=factory.hbar, time_dependent=True)
+    op = MatrixOperator([[Whole(entry) for entry in row] for row in factory.op.entries])
+    return HamiltonianFactory(op, hbar=factory.hbar)
 
 
 @pytest.mark.parametrize("method", ["crank-nicolson", "midpoint-exponential"])
@@ -735,42 +756,12 @@ def test_evolution_operator_refuses_off_lattice_times():
 
 
 @pytest.mark.parametrize("method", ["crank-nicolson", "midpoint-exponential"])
-def test_evolution_operator_realizes_derivatives_once(method, monkeypatch):
-    import bundlewave.algebra as algebra_module
-
-    calls = []
-    derivative = algebra_module.derivative_values
-
-    def counted(*args, **kwargs):
-        calls.append(1)
-        return derivative(*args, **kwargs)
-
-    monkeypatch.setattr(algebra_module, "derivative_values", counted)
+def test_evolution_operator_realizes_derivatives_once(method, derivative_calls):
     op = EvolutionOperator(_driven_factory(), GRID, dt=0.05, steps=8, method=method)
     op.matrix(0.0, 0.4)
     # One stepper for the operator's lifetime: the shared d^2/dx^2 is
     # realized once for all eight step matrices.
-    assert len(calls) == 1
-
-
-def test_hand_built_factory_reads_its_time_dependence_from_the_operator():
-    own = schrodinger_hamiltonian(
-        1.0, potential=lambda t: np.cos(GRID.points) * np.sin(3.0 * t)
-    )
-    op = own.at()
-    hand = HamiltonianFactory(1, lambda t: op)
-    # The flag is read from the operator, so H is never frozen at the
-    # first step's midpoint.
-    assert own.time_dependent and hand.time_dependent
-    state = _random_state(1, 5)
-    for method in evolution.METHODS:
-        assert np.array_equal(
-            evolve(state, hand, dt=0.01, steps=200, method=method).values,
-            evolve(state, own, dt=0.01, steps=200, method=method).values,
-        )
-        hand_op, own_op = (EvolutionOperator(f, GRID, dt=0.01, steps=20, method=method)
-                           for f in (hand, own))
-        assert np.array_equal(hand_op.matrix(0.0, 0.2), own_op.matrix(0.0, 0.2))
+    assert len(derivative_calls) == 1
 
 
 def test_every_route_asks_for_h_at_the_step_midpoints():
@@ -973,11 +964,7 @@ def test_kg_charge_conserved_by_crank_nicolson():
 def test_crank_nicolson_unitary_for_random_hermitian(reals, seed):
     raw = np.array(reals[:4]).reshape(2, 2) + 1j * np.array(reals[4:]).reshape(2, 2)
     hermitian = 0.5 * (raw + raw.conj().T)
-    factory = HamiltonianFactory(
-        dimension=2,
-        build=lambda t: MatrixOperator.from_constant(hermitian),
-        label="random-hermitian",
-    )
+    factory = HamiltonianFactory(MatrixOperator.from_constant(hermitian), "random-hermitian")
     small = SpatialGrid1D(4, 1.0)
     rng = np.random.default_rng(seed)
     values = rng.normal(size=(2, 4)) + 1j * rng.normal(size=(2, 4))

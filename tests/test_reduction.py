@@ -1,11 +1,14 @@
 """First-order reductions, their equivalences, and gauge frames."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from bundlewave.algebra import (
     DerivativeOp,
     MatrixOperator,
+    ScaleOp,
     alpha_matrices,
     beta_matrix,
     kron_component_matrix,
@@ -14,6 +17,7 @@ from bundlewave.evolution import evolve, hamiltonian_dense
 from bundlewave.grid import GridFunction, SpatialGrid1D, derivative_matrix, derivative_values
 from bundlewave.reduction import (
     GaugeFrame,
+    HamiltonianFactory,
     LinearTimeSystem,
     Potentials,
     ReductionError,
@@ -31,6 +35,27 @@ from bundlewave.reduction import (
 )
 
 GRID = SpatialGrid1D(16, 2.0 * np.pi)
+
+
+# ---------------------------------------------------------------------------
+# Factories
+
+
+def test_factory_reads_dimension_and_time_dependence_from_its_operator():
+    assert [f.name for f in dataclasses.fields(HamiltonianFactory)] == ["op", "label", "hbar"]
+    static = MatrixOperator([[DerivativeOp(2), ScaleOp(0.5)], [ScaleOp(0.5), DerivativeOp(1)]])
+    driven = static + MatrixOperator([[ScaleOp(lambda t: np.sin(t)), ScaleOp(0.0)],
+                                      [ScaleOp(0.0), ScaleOp(0.0)]])
+    for op, varies in ((static, False), (driven, True)):
+        factory = HamiltonianFactory(op, "hand-built", 0.7)
+        assert factory.at() is op
+        assert factory.dimension == 2
+        assert factory.time_dependent is varies
+
+
+def test_factory_refuses_a_non_square_operator():
+    with pytest.raises(ReductionError, match="square"):
+        HamiltonianFactory(MatrixOperator.zeros(2, 3))
 
 
 # ---------------------------------------------------------------------------
@@ -136,11 +161,10 @@ DRIVING = Potentials(scalar=lambda t: 0.1 * t, vector=lambda t: np.cos(GRID.poin
     lambda: kg_nonrel_hamiltonian(1.0, 0.0, DRIVING),
 ])
 def test_builders_share_one_operator_across_times(build):
-    # Time enters only through callable scale factors, realized at each t,
-    # and the time-dependence flag is read from the operator: it is set
-    # exactly when the realized H varies.
+    # Time enters the one operator only through callable scale factors,
+    # realized at each t, and the time-dependence flag is read from the
+    # operator: it is set exactly when the realized H varies.
     factory = build()
-    assert factory.at(0.1) is factory.at(2.3)
     h1, h2 = hamiltonian_dense(factory, GRID, 0.1), hamiltonian_dense(factory, GRID, 2.3)
     change = np.max(np.abs(h1 - h2))
     assert change > 0.1 if factory.time_dependent else change == 0.0
@@ -368,6 +392,25 @@ def test_gauge_transform_finite_difference_rate():
     h = hamiltonian_dense(factory, GRID, t)
     expected = h - w * np.eye(GRID.npoints)
     assert np.max(np.abs(hamiltonian_dense(gauged, GRID, t) - expected)) < 1e-8
+
+
+def test_gauge_transform_refuses_a_singular_constant_frame_when_called():
+    with pytest.raises(ReductionError, match="singular"):
+        gauge_transform(_expand_to(schrodinger_hamiltonian(1.0)), GaugeFrame(np.ones((2, 2))))
+
+
+def test_driven_frame_that_leaves_its_initial_support_is_refused():
+    # A(0) = I and dA/dt(0) = 0, so the (0, 1) entry has no place in H~.
+    frame = GaugeFrame(lambda t: np.array([[1.0, t * t], [0.0, 1.0]]))
+    gauged = gauge_transform(_expand_to(schrodinger_hamiltonian(1.0)), frame)
+    assert gauged.time_dependent
+    hamiltonian_dense(gauged, GRID, 0.0)
+    with pytest.raises(ReductionError, match="leaves its support") as refused:
+        hamiltonian_dense(gauged, GRID, 0.5)
+    assert "\n" not in str(refused.value)
+    state = GridFunction(GRID, np.ones((2, GRID.npoints), dtype=complex))
+    with pytest.raises(ReductionError, match="leaves its support"):
+        evolve(state, gauged, dt=0.1, steps=5)
 
 
 def test_gauge_frame_guards():
