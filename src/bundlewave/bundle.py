@@ -34,7 +34,7 @@ import numpy as np
 from .algebra import kron_component_matrix, singular_index
 from .grid import FibreProduct, SpatialGrid1D
 from .reduction import HamiltonianFactory
-from .evolution import DENSE_STATE_LIMIT, EvolutionError, _multiply_step, _StepFactors
+from .evolution import DENSE_STATE_LIMIT, EvolutionError, _block_diagonal, _StepFactors
 
 COEFFICIENT_MODES = ("arrival", "departure")
 DERIVATION_MODES = ("limit", "coefficients")
@@ -125,7 +125,10 @@ def induced_fibre_product(frame_field: np.ndarray) -> FibreProduct:
 
 
 class TransportAlongMap:
-    """Transports K(i <- j) = F_i^{-1} F_j from per-sample frames."""
+    """Transports K(i <- j) = F_i^{-1} F_j from per-sample frames, held as
+    a direct sum of (positions, (nsamples, n, n) stack) blocks with exact
+    zeros between them: one block for frames handed to the constructor, one
+    per component group of H for an evolution transport."""
 
     def __init__(self, sampling: PathSampling, frames: np.ndarray):
         frames = np.asarray(frames, dtype=complex)
@@ -139,16 +142,21 @@ class TransportAlongMap:
         if bad is not None:
             raise BundleError(f"frame {bad} is singular")
         self.sampling = sampling
-        self.frames = frames
+        self._blocks = [(slice(0, frames.shape[1]), frames)]
 
     @classmethod
-    def _from_steps(cls, sampling: PathSampling, frames: np.ndarray) -> "TransportAlongMap":
-        """Frames built from unitary or Cayley steps and checked finite:
+    def _from_steps(cls, sampling: PathSampling, blocks: list) -> "TransportAlongMap":
+        """Blocks built from unitary or Cayley steps and checked finite:
         invertible by construction, so the conditioning guard is skipped."""
         transport = cls.__new__(cls)
         transport.sampling = sampling
-        transport.frames = frames
+        transport._blocks = blocks
         return transport
+
+    @property
+    def frames(self) -> np.ndarray:
+        """Dense (nsamples, D, D) frames; the held stack for one block."""
+        return _block_diagonal(self.fibre_dim, self._blocks)
 
     @property
     def nsamples(self) -> int:
@@ -156,7 +164,7 @@ class TransportAlongMap:
 
     @property
     def fibre_dim(self) -> int:
-        return self.frames.shape[1]
+        return sum(stack.shape[1] for _, stack in self._blocks)
 
     def _index(self, i: int) -> int:
         n = self.nsamples
@@ -165,9 +173,11 @@ class TransportAlongMap:
         return i % n
 
     def transport(self, i_to: int, i_from: int) -> np.ndarray:
-        """Dense K(i_to <- i_from)."""
+        """Dense K(i_to <- i_from), one solve per block."""
         i, j = self._index(i_to), self._index(i_from)
-        return np.linalg.solve(self.frames[i], self.frames[j])
+        return _block_diagonal(self.fibre_dim, [
+            (positions, np.linalg.solve(stack[i], stack[j])) for positions, stack in self._blocks
+        ])
 
     def with_gauge(self, gauge: Trivialization) -> "TransportAlongMap":
         """Transport in a changed gauge: K'(i <- j) = g_i^{-1} K(i <- j) g_j."""
@@ -209,20 +219,16 @@ def evolution_transport(
     `substeps` sub-intervals each; transports come out as the gauge-twisted
     propagators g_i^{-1} U(t_i <- t_j) g_j.
 
-    Each substep's U is block-diagonal over the component groups of H, so
-    column group S of F U is F[:, S] U_S, and only the row components that
-    may be nonzero in S's columns are multiplied, tracked from the
-    identity's diagonal blocks on; for frames built from the same groups
-    those rows are S.  A Crank-Nicolson substep multiplies in Cayley form,
-    F U_S = 2 F (I + K_S)^-1 - F: one LU of size |S| N and one solve with
-    |S| N right-hand sides per group, no step matrix and no dense product.
-    A midpoint-exponential substep multiplies by the group's exponential.
-    Only the driven part D(t) of H is realized at each substep.  The steps
-    come from the stepper that serves `step_matrix` and `evolve`: substep
-    U(tau_k <- tau_{k+1}) is named by its start tau_{k+1} and size -delta,
-    and the stepper takes its midpoint.  Overflow ends in EvolutionError, as
-    it does in `step_matrix`.  The frames are invertible by construction, so
-    only a gauge passes the conditioning guard.
+    F_0 is the identity and every substep's U is block-diagonal over the
+    component groups of H, so the frames are held as one stack F_S per
+    group S, and a substep multiplies F_S by U_S.  A Crank-Nicolson substep
+    does so in Cayley form, F_S U_S = 2 F_S (I + K_S)^-1 - F_S: one LU of
+    size |S| N and one solve with |S| N right-hand sides per group, and no
+    step matrix.  Only the driven part D(t) of H is realized per substep.
+    Substep U(tau_k <- tau_{k+1}) is the stepper's step of size -delta from
+    tau_{k+1}.  Overflow ends in EvolutionError, as in `step_matrix`.  The
+    frames are invertible by construction, so only a gauge, which makes
+    them dense, passes the conditioning guard.
     """
     size = factory.dimension * grid.npoints
     if size > DENSE_STATE_LIMIT:
@@ -232,25 +238,28 @@ def evolution_transport(
     if substeps < 1:
         raise BundleError(f"need at least one substep, got {substeps}")
     times = sampling.parameters
-    frames = np.empty((sampling.nsamples, size, size), dtype=complex)
-    frames[0] = np.eye(size, dtype=complex)
-    # The component blocks of the running frame that may be nonzero, and
-    # the split of H with its realized S, for the whole call.
-    pattern = np.eye(factory.dimension, dtype=bool)
+    # The split of H with its realized S, and its groups, for the whole call.
     factors = _StepFactors(factory, grid, method)
+    blocks = []
+    for group, positions, _, _ in factors.parts:
+        n = len(group) * grid.npoints
+        stack = np.empty((sampling.nsamples, n, n), dtype=complex)
+        stack[0] = np.eye(n, dtype=complex)
+        blocks.append((positions, stack))
     # Overflow surfaces as non-finite entries, refused after each interval.
     with np.errstate(over="ignore", invalid="ignore"):
         for i in range(sampling.nsamples - 1):
             delta = (times[i + 1] - times[i]) / substeps
-            frames[i + 1] = frames[i]
             for k in range(substeps):
-                # U(tau_k <- tau_{k+1}) is the step of size -delta from tau_{k+1}.
-                _multiply_step(frames[i + 1], pattern, factors, times[i] + (k + 1) * delta, -delta)
-            if not np.all(np.isfinite(frames[i + 1])):
+                steps = factors(times[i] + (k + 1) * delta, -delta)
+                for (_, stack), (_, _, step) in zip(blocks, steps):
+                    stack[i + 1] = step(stack[i + 1] if k else stack[i])
+                    del step
+            if not all(np.all(np.isfinite(stack[i + 1])) for _, stack in blocks):
                 raise EvolutionError(
                     f"transport frame {i + 1} left the finite range; reduce the sampling step"
                 )
-    transport = TransportAlongMap._from_steps(sampling, frames)
+    transport = TransportAlongMap._from_steps(sampling, blocks)
     if gauge is not None:
         transport = transport.with_gauge(gauge)
     return transport
@@ -318,10 +327,10 @@ def transported_lifting(
             f"seed of shape {seed.shape} does not fit fibre dimension {transport.fibre_dim}"
         )
     o = transport._index(origin)
-    reference = transport.frames[o] @ seed
-    values = np.stack([
-        np.linalg.solve(transport.frames[i], reference) for i in range(transport.nsamples)
-    ])
+    values = np.empty((transport.nsamples, seed.size), dtype=complex)
+    for positions, stack in transport._blocks:
+        reference = stack[o] @ seed[positions]
+        values[:, positions] = np.stack([np.linalg.solve(frame, reference) for frame in stack])
     return Lifting(transport.sampling, values)
 
 

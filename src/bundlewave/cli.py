@@ -102,7 +102,8 @@ def _framed_problem(cfg: RunConfig, grid, factory, state):
         return factory, state, None
     frames = frame.frames
     inverse = np.linalg.inv(frames)
-    state = GridFunction(grid, np.einsum("xij,jx->ix", inverse, state.values))
+    # C-ordered like every marched state, so all norms sum in one order.
+    state = GridFunction(grid, np.ascontiguousarray(np.einsum("xij,jx->ix", inverse, state.values)))
     factory = HamiltonianFactory(
         matrix_in_frame(factory.at(), frames, grid),
         factory.label + "-framed" if factory.label else "framed",

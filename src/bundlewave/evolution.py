@@ -15,13 +15,13 @@ the connected sets of the graph "H couples component i with component j"
 scalar form has three).  The stepper reads the graph from the structural
 zeros of the operator matrix.  Realized arrays carry it as their nonzero
 N x N component blocks, which `_coupling` reads: `green` takes the groups
-of a dense H, and of the eigenbasis it yields, that way.  The transport
-instead tracks which component blocks of its running frame its steps have
-touched, starting from the identity's diagonal ones.  H, I + K and
-every step are therefore block-diagonal over the groups, and each group S
-is realized, factored and applied on its own: the full (mN)^2 H is never
-built.  Per step the LU work is sum |S|^3 N^3 instead of (mN)^3, and a
-static step matrix holds sum |S|^2 N^2 entries instead of (mN)^2.  A fully
+of a dense H, and of the eigenbasis it yields, that way.  H, I + K and every
+step are therefore block-diagonal over the groups, and each group S is
+realized, factored and applied on its own: the full (mN)^2 H is never
+built.  So is every transport frame, which starts at the identity, and
+the transport holds one frame per group.  Per step the LU work is
+sum |S|^3 N^3 instead of (mN)^3, and a static step matrix, or a transport
+frame, holds sum |S|^2 N^2 entries instead of (mN)^2.  A fully
 coupled H is the one-group case, addressed by a slice, with the arithmetic
 of a single dense step.  In `green` the eigenbasis is one `eigh` per group,
 and the Born iteration runs on each union of groups that the perturbation
@@ -34,8 +34,8 @@ each group's step over as one apply, x U_S or U_S x, U_S for x = None.
 Crank-Nicolson is used in Cayley form, U_S = 2 (I + K_S)^-1 - I, from one
 in-place LU of I + K_S per group and step, applied by `_cayley` with one
 solve: against the identity for a step matrix, against the group's part
-psi_S of a driven state, and against the group's columns of a transport
-frame with |S| N right-hand sides, so no step matrix is formed there.
+psi_S of a driven state, and against the group's transport frame with
+|S| N right-hand sides, so no step matrix is formed there.
 
 Every route names a step by its start time t and size dt; the stepper
 alone evaluates H at the midpoint t + dt / 2.  Time enters only through
@@ -201,14 +201,14 @@ def _block(rows, cols):
 
 
 def _block_diagonal(size: int, blocks: list) -> np.ndarray:
-    """The (size, size) matrix with each (positions, block) of `blocks` on
-    the diagonal at its positions and exact zeros elsewhere.  A single block
-    spans the whole state and is returned as it is."""
+    """The (..., size, size) matrices with each (..., n, n) block of
+    `blocks` on the diagonal at its positions and exact zeros elsewhere.  A
+    single block spans the whole state and is returned as it is."""
     if len(blocks) == 1:
         return blocks[0][1]
-    out = np.zeros((size, size), dtype=complex)
+    out = np.zeros(blocks[0][1].shape[:-2] + (size, size), dtype=complex)
     for positions, block in blocks:
-        out[_block(positions, positions)] = block
+        out[(Ellipsis,) + _block(positions, positions)] = block
     return out
 
 
@@ -287,30 +287,6 @@ def _group_steps(factors: _StepFactors, t: float, dt: float) -> list:
         if not np.all(np.isfinite(unit)):
             raise EvolutionError("the step matrix left the finite range; reduce the time step")
     return steps
-
-
-def _multiply_step(
-    frame: np.ndarray,
-    pattern: np.ndarray,
-    factors: _StepFactors,
-    t: float,
-    dt: float,
-) -> None:
-    """frame <- frame @ U in place, for the step of size dt from t.
-
-    `pattern` is the (m, m) boolean pattern of the N x N component blocks
-    of `frame` that may be nonzero, and is updated with it.  Column group S
-    of frame @ U is frame[:, S] U_S.  Only the row components with a block
-    in S's columns are multiplied, and their blocks there are then marked;
-    the others stay exactly zero.  A Crank-Nicolson U_S enters in Cayley
-    form, with one solve and no step matrix.
-    """
-    dim, npoints = factors.factory.dimension, factors.grid.npoints
-    for group, cols, step in factors(t, dt):
-        rows = [c for c in range(dim) if np.any(pattern[c, group])]
-        at = _block(_positions(rows, npoints), cols)
-        frame[at] = step(frame[at])
-        pattern[np.ix_(rows, group)] = True
 
 
 def step_matrix(

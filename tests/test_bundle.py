@@ -35,6 +35,7 @@ from bundlewave.reduction import (
     HamiltonianFactory,
     Potentials,
     dirac_hamiltonian,
+    kg_5d_hamiltonian,
     schrodinger_hamiltonian,
 )
 
@@ -267,6 +268,39 @@ def test_evolution_transport_matches_step_matrix_products(model, driven, substep
     expected = _reference_transport_frames(factory, grid, sampling, method, substeps, gauge)
     defect = np.max(np.abs(transport.frames - expected)) / np.max(np.abs(expected))
     assert defect <= 1e-12
+    for i in range(sampling.nsamples):
+        for j in range(sampling.nsamples):
+            want = np.linalg.solve(expected[i], expected[j])
+            got = transport.transport(i, j)
+            assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want)), (i, j)
+
+
+@pytest.mark.parametrize("model, groups", [
+    ("dirac", [[0, 3], [1, 2]]),
+    ("kg-5d", [[0, 1, 2], [3], [4]]),
+    ("schrodinger", [[0]]),
+])
+def test_evolution_transport_holds_one_frame_stack_per_component_group(model, groups):
+    grid = SpatialGrid1D(8, 6.0)
+    factory = {
+        "dirac": dirac_hamiltonian(1.0, 1.0, Potentials(scalar=lambda t: 0.3 * np.cos(t))),
+        "kg-5d": kg_5d_hamiltonian(1.0),
+        "schrodinger": schrodinger_hamiltonian(1.0),
+    }[model]
+    sampling = PathSampling.uniform(0.0, 0.2, 5)
+    transport = evolution_transport(factory, grid, sampling, "crank-nicolson", substeps=2)
+    n = grid.npoints
+    held = sum(stack.nbytes for _, stack in transport._blocks)
+    assert held == sum(sampling.nsamples * (len(group) * n) ** 2 * 16 for group in groups)
+    frames = transport.frames
+    assert frames.shape == (sampling.nsamples, factory.dimension * n, factory.dimension * n)
+    # Entries between different groups are exact zeros.
+    label = np.repeat([next(g for g, group in enumerate(groups) if c in group)
+                       for c in range(factory.dimension)], n)
+    between = label[:, None] != label[None, :]
+    assert np.all(frames[:, between] == 0)
+    for i, j in [(0, 4), (4, 0), (3, 1), (2, 2)]:
+        assert np.all(transport.transport(i, j)[between] == 0), (i, j)
 
 
 @pytest.mark.parametrize("method", ["crank-nicolson", "midpoint-exponential"])
@@ -412,14 +446,16 @@ def test_generator_readback_recovers_hamiltonian():
 # Liftings and derivations
 
 
-def test_transported_lifting_is_the_sampled_solution():
-    factory = _driven_factory()
+@pytest.mark.parametrize("model", ["schrodinger", "dirac"])
+def test_transported_lifting_is_the_sampled_solution(model):
+    # Driven Dirac is held as two component groups, each solved on its own.
+    factory, grid = _transport_case(model, driven=True) if model == "dirac" else (_driven_factory(), GRID)
     sampling = PathSampling.uniform(0.0, 0.4, 5)
-    transport = evolution_transport(factory, GRID, sampling)
-    seed = _packet_flat(GRID)
+    transport = evolution_transport(factory, grid, sampling)
+    seed = np.concatenate([(c + 1) * _packet_flat(grid) for c in range(factory.dimension)])
     lifting = transported_lifting(transport, seed)
     assert np.max(np.abs(lifting.values[0] - seed)) == 0.0
-    state = GridFunction(GRID, seed[np.newaxis, :])
+    state = GridFunction(grid, seed.reshape(factory.dimension, grid.npoints))
     for i in range(1, 5):
         evolved = evolve(state, factory, dt=0.1, steps=i, method="midpoint-exponential")
         assert np.max(np.abs(lifting.values[i] - evolved.flatten())) < 1e-12

@@ -10,6 +10,7 @@ import warnings
 from dataclasses import fields
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -40,7 +41,7 @@ from bundlewave.config import (
 )
 from bundlewave.evolution import _power, evolve, kg_charge
 from bundlewave.green import MAX_BORN_ORDER
-from bundlewave.grid import GridFunction, inner
+from bundlewave.grid import GridFunction, inner, stacked_inner
 
 
 def _write(tmp_path, name, text):
@@ -215,6 +216,37 @@ def test_run_in_phase_frame_keeps_unit_norm(tmp_path, capsys):
         framed_norm = float(framed_line.split(",")[2])
         plain_norm = float(plain_line.split(",")[2])
         assert abs(framed_norm - plain_norm) < 1e-10
+
+
+def test_framed_step_zero_norm_is_summed_like_the_marched_rows(tmp_path, capsys):
+    # The framed state is handed over C-ordered, as `march` yields every
+    # later state, so the step-0 norm is summed in the same order.  In
+    # Fortran order this case reads norm^2 1.0000000000000002 instead of
+    # 0.9999999999999999.
+    cfg = _write(tmp_path, "framed.cfg", """
+        [model]
+        kind = dirac
+        [grid]
+        points = 32
+        [evolution]
+        time-step = 0.01
+        steps = 2
+        [initial]
+        profile = random
+        [frame]
+        profile = phase
+        amplitude = 0.7
+        """)
+    loaded = load_config(cfg)
+    grid = build_grid(loaded)
+    initial = build_initial_state(loaded, grid, seed=2)
+    _, state, product = _framed_problem(loaded, grid, build_factory(loaded, grid), initial)
+    assert state.values.flags.c_contiguous
+    rows = np.ascontiguousarray(state.values)[np.newaxis]
+    norm = np.sqrt(stacked_inner(grid, rows, rows, product).real[0])
+    assert main(["run", "--config", cfg, "--seed", "2"]) == EXIT_OK
+    step0 = capsys.readouterr().out.splitlines()[1].split(",")
+    assert step0[2] == format(float(norm), ".17g") == "0.99999999999999989"
 
 
 def test_run_in_constant_frame_keeps_unit_norm(tmp_path, capsys):

@@ -4,15 +4,21 @@ One hypothesis strategy draws a factory (the six model builders, a gauge
 transform by a constant, driven-phase or driven-rotation frame, or a
 block-diagonal stack), a grid, hbar, c, potentials, a method, a step count
 and a start time.  Each example propagates one random state along every
-route and holds each route against `evolve`, with one tolerance per pair of
-routes written once below:
+route and holds each route against `evolve`, or the reference named below,
+with one tolerance per pair of routes written once below:
 
 * `operator`: `EvolutionOperator.matrix` forward;
 * `operator-back`: `EvolutionOperator.matrix` backward, applied to the
   state `evolve` returned, which must give back the initial state;
 * `steps`: the product of one `step_matrix` per step;
 * `transport`: `evolution_transport` over the march with one substep per
-  step, read forward as K(t_end <- t0).
+  step, read forward as K(t_end <- t0);
+* `transport-pair`: `evolution_transport` sampled at every lattice time,
+  read as K(t_i <- t_j) for a drawn pair of samples after t0, against
+  `EvolutionOperator.matrix`: neither frame is the identity, so each
+  group's solve is a full one;
+* `eigenbasis`: for a static Hermitian H, `EigenBasis.propagator` over the
+  march against midpoint-exponential `evolve`, which is exact there.
 """
 
 import numpy as np
@@ -20,7 +26,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bundlewave.bundle import PathSampling, evolution_transport
-from bundlewave.evolution import METHODS, EvolutionOperator, evolve, step_matrix
+from bundlewave.evolution import METHODS, EvolutionOperator, evolve, hamiltonian_dense, step_matrix
+from bundlewave.green import EigenBasis
 from bundlewave.grid import GridFunction, SpatialGrid1D
 from bundlewave.reduction import (
     GaugeFrame,
@@ -35,12 +42,14 @@ from bundlewave.reduction import (
     schrodinger_hamiltonian,
 )
 
-# Worst relative difference to `evolve` allowed for each route.
+# Worst relative difference to its reference allowed for each route.
 TOLERANCE = {
     "operator": 1e-13,
     "operator-back": 1e-13,
     "steps": 1e-13,
     "transport": 1e-11,
+    "transport-pair": 1e-11,
+    "eigenbasis": 1e-13,
 }
 
 BUILDERS = ("dirac", "kg-canonical", "kg-nonrel", "kg-5d", "maxwell", "schrodinger")
@@ -121,7 +130,7 @@ def examples(draw):
 
 
 def route_differences(factory, grid, method, steps, dt, t0, seed):
-    """Relative difference to `evolve` of every other route, by route."""
+    """Relative difference of every route to its reference, by route."""
     rng = np.random.default_rng(seed)
     shape = (factory.dimension, grid.npoints)
     state = GridFunction(grid, rng.normal(size=shape) + 1j * rng.normal(size=shape))
@@ -140,6 +149,19 @@ def route_differences(factory, grid, method, steps, dt, t0, seed):
         "steps": (product @ psi, final),
         "transport": (transport.transport(-1, 0) @ psi, final),
     }
+    lattice = evolution_transport(factory, grid, PathSampling(operator.times), method)
+    i, j = rng.integers(1, steps + 1, size=2)
+    routes["transport-pair"] = (
+        lattice.transport(i, j), operator.matrix(operator.times[j], operator.times[i])
+    )
+    if not factory.time_dependent:
+        # A drawn H is Hermitian to rounding or far from it.
+        h = hamiltonian_dense(factory, grid)
+        if np.max(np.abs(h - h.conj().T)) <= 1e-12 * max(1.0, np.max(np.abs(h))):
+            exact = final if method == "midpoint-exponential" else evolve(
+                state, factory, dt, steps, t0, "midpoint-exponential").flatten()
+            basis = EigenBasis.from_factory(factory, grid)
+            routes["eigenbasis"] = (basis.propagator(t_end, t0) @ psi, exact)
     return {
         name: float(np.max(np.abs(got - want)) / np.max(np.abs(want)))
         for name, (got, want) in routes.items()

@@ -27,3 +27,18 @@ def test_every_traced_name_resolves(span, module_name, attr):
         assert method in vars(getattr(module, cls_name)), (span, attr)
     else:
         assert callable(getattr(module, attr)), (span, attr)
+
+
+def test_evolution_transport_still_exposes_dense_frames():
+    # The tracer's `bundle.frames_bytes` reads `frames.nbytes` of every
+    # `evolution_transport` result, so `frames` must stay a dense stack.
+    import numpy as np
+
+    from bundlewave.bundle import PathSampling, evolution_transport
+    from bundlewave.grid import SpatialGrid1D
+    from bundlewave.reduction import dirac_hamiltonian
+
+    grid = SpatialGrid1D(8, 6.0)
+    transport = evolution_transport(dirac_hamiltonian(1.0), grid, PathSampling.uniform(0.0, 0.2, 3))
+    assert isinstance(transport.frames, np.ndarray)
+    assert transport.frames.shape == (3, 32, 32)
