@@ -28,13 +28,16 @@ from __future__ import annotations
 
 import numbers
 from dataclasses import dataclass
+from operator import is_
 
 import numpy as np
 
 from .algebra import kron_component_matrix, singular_index
 from .grid import FibreProduct, SpatialGrid1D
 from .reduction import HamiltonianFactory
-from .evolution import DENSE_STATE_LIMIT, EvolutionError, _block_diagonal, _StepFactors
+from .evolution import (
+    DENSE_STATE_LIMIT, EvolutionError, _block_diagonal, _map_distinct, _StepFactors,
+)
 
 COEFFICIENT_MODES = ("arrival", "departure")
 DERIVATION_MODES = ("limit", "coefficients")
@@ -128,7 +131,8 @@ class TransportAlongMap:
     """Transports K(i <- j) = F_i^{-1} F_j from per-sample frames, held as
     a direct sum of (positions, (nsamples, n, n) stack) blocks with exact
     zeros between them: one block for frames handed to the constructor, one
-    per component group of H for an evolution transport."""
+    per component group of H for an evolution transport.  Twin groups hold
+    one stack object, solved once per transport."""
 
     def __init__(self, sampling: PathSampling, frames: np.ndarray):
         frames = np.asarray(frames, dtype=complex)
@@ -173,11 +177,11 @@ class TransportAlongMap:
         return i % n
 
     def transport(self, i_to: int, i_from: int) -> np.ndarray:
-        """Dense K(i_to <- i_from), one solve per block."""
+        """Dense K(i_to <- i_from), one solve per distinct stack."""
         i, j = self._index(i_to), self._index(i_from)
-        return _block_diagonal(self.fibre_dim, [
-            (positions, np.linalg.solve(stack[i], stack[j])) for positions, stack in self._blocks
-        ])
+        positions, stacks = zip(*self._blocks)
+        solved = _map_distinct(lambda stack: np.linalg.solve(stack[i], stack[j]), stacks, is_)
+        return _block_diagonal(self.fibre_dim, list(zip(positions, solved)))
 
     def with_gauge(self, gauge: Trivialization) -> "TransportAlongMap":
         """Transport in a changed gauge: K'(i <- j) = g_i^{-1} K(i <- j) g_j."""
@@ -225,6 +229,9 @@ def evolution_transport(
     does so in Cayley form, F_S U_S = 2 F_S (I + K_S)^-1 - F_S: one LU of
     size |S| N and one solve with |S| N right-hand sides per group, and no
     step matrix.  Only the driven part D(t) of H is realized per substep.
+    Groups of one size start on one stack, kept while the stepper hands
+    them one step object (twins): one LU and one solve serve them all.  A
+    group moves to a copy of the stack on the first substep where they part.
     Substep U(tau_k <- tau_{k+1}) is the stepper's step of size -delta from
     tau_{k+1}.  Overflow ends in EvolutionError, as in `step_matrix`.  The
     frames are invertible by construction, so only a gauge, which makes
@@ -240,25 +247,32 @@ def evolution_transport(
     times = sampling.parameters
     # The split of H with its realized S, and its groups, for the whole call.
     factors = _StepFactors(factory, grid, method)
-    blocks = []
-    for group, positions, _, _ in factors.parts:
-        n = len(group) * grid.npoints
-        stack = np.empty((sampling.nsamples, n, n), dtype=complex)
+    # owner[g] is the group whose stack g holds: the first of its size.
+    sizes = [len(group) * grid.npoints for group, _, _, _ in factors.parts]
+    owner = [sizes.index(n) for n in sizes]
+    stacks = {n: np.empty((sampling.nsamples, n, n), dtype=complex) for n in set(sizes)}
+    for n, stack in stacks.items():
         stack[0] = np.eye(n, dtype=complex)
-        blocks.append((positions, stack))
+    stacks = [stacks[n] for n in sizes]
     # Overflow surfaces as non-finite entries, refused after each interval.
     with np.errstate(over="ignore", invalid="ignore"):
         for i in range(sampling.nsamples - 1):
             delta = (times[i + 1] - times[i]) / substeps
             for k in range(substeps):
-                steps = factors(times[i] + (k + 1) * delta, -delta)
-                for (_, stack), (_, _, step) in zip(blocks, steps):
-                    stack[i + 1] = step(stack[i + 1] if k else stack[i])
-                    del step
-            if not all(np.all(np.isfinite(stack[i + 1])) for _, stack in blocks):
+                steps = [step for _, _, step in factors(times[i] + (k + 1) * delta, -delta)]
+                for g, o in enumerate(owner):
+                    if steps[g] is not steps[o]:
+                        # The twins part: g takes a copy of the frames so far.
+                        stacks[g], owner[g] = stacks[o].copy(), g
+                for g, o in enumerate(owner):
+                    if g == o:
+                        stacks[g][i + 1] = steps[g](stacks[g][i + 1] if k else stacks[g][i])
+                del steps
+            if not all(np.all(np.isfinite(stack[i + 1])) for stack in stacks):
                 raise EvolutionError(
                     f"transport frame {i + 1} left the finite range; reduce the sampling step"
                 )
+    blocks = [(at, stack) for (_, at, _, _), stack in zip(factors.parts, stacks)]
     transport = TransportAlongMap._from_steps(sampling, blocks)
     if gauge is not None:
         transport = transport.with_gauge(gauge)

@@ -19,32 +19,36 @@ of a dense H, and of the eigenbasis it yields, that way.  H, I + K and every
 step are therefore block-diagonal over the groups, and each group S is
 realized, factored and applied on its own: the full (mN)^2 H is never
 built.  So is every transport frame, which starts at the identity, and
-the transport holds one frame per group.  Per step the LU work is
-sum |S|^3 N^3 instead of (mN)^3, and a static step matrix, or a transport
-frame, holds sum |S|^2 N^2 entries instead of (mN)^2.  A fully
-coupled H is the one-group case, addressed by a slice, with the arithmetic
-of a single dense step.  In `green` the eigenbasis is one `eigh` per group,
-and the Born iteration runs on each union of groups that the perturbation
-couples.
+the transport holds one frame per group.  Groups whose realized blocks
+hold the same bits, *twins* such as Dirac's two, share one factorization,
+step and transport frame: per step the LU work is sum |S|^3 N^3 over the
+distinct group blocks instead of (mN)^3, and a static step matrix, or a
+transport frame, holds at most sum |S|^2 N^2 entries instead of (mN)^2.
+A fully coupled H is the one-group case, addressed by a slice, with the
+arithmetic of a single dense step.  In `green` the eigenbasis is one
+`eigh` per distinct group block, and the Born iteration runs once per
+distinct union of groups that the perturbation couples.
 
 One stepper, `_StepFactors`, serves `march` (and so `evolve`), `step_matrix`,
 `bundle.evolution_transport` (one per march) and `EvolutionOperator` (one
 per operator).  It refuses an unknown method when it is built and hands
 each group's step over as one apply, x U_S or U_S x, U_S for x = None.
 Crank-Nicolson is used in Cayley form, U_S = 2 (I + K_S)^-1 - I, from one
-in-place LU of I + K_S per group and step, applied by `_cayley` with one
-solve: against the identity for a step matrix, against the group's part
-psi_S of a driven state, and against the group's transport frame with
-|S| N right-hand sides, so no step matrix is formed there.
+in-place LU of I + K_S per distinct group block and step, applied by
+`_cayley` with one solve: against the identity for a step matrix, against
+the group's part psi_S of a driven state, and against the group's
+transport frame with |S| N right-hand sides, so no step matrix is formed
+there.
 
 Every route names a step by its start time t and size dt; the stepper
 alone evaluates H at the midpoint t + dt / 2.  Time enters only through
 callable scale factors, so `MatrixOperator.split` writes H(t) as S + D(t),
 S holding the terms that do not vary, such as the derivatives.  `march` and
 `bundle.evolution_transport` split the factory's operator once per march
-and realize S once, keeping each group's block; a step realizes D(t), adds
-the S block, then takes one LU of I + K_S and one solve per group (for the
-exponential, one expm and one product).
+and realize S once, keeping each group's block; a step realizes D(t) and
+adds the S block for every group, then takes one LU of I + K_S per distinct
+block and one solve per group (for the exponential, one expm per distinct
+block and one product per group).
 
 A static H makes the propagator over B steps U_S^B from every lattice time,
 so `march` advances it in blocks of B steps, the dense form of a
@@ -69,6 +73,7 @@ from __future__ import annotations
 
 import numbers
 from functools import partial
+from operator import is_
 
 import numpy as np
 import scipy.linalg
@@ -200,6 +205,31 @@ def _block(rows, cols):
     return np.ix_(rows, cols)
 
 
+def _same_bits(a: np.ndarray, b: np.ndarray) -> bool:
+    """Whether two arrays hold the same bits (-0.0 is not 0.0, a NaN is
+    itself), compared part by part as integers of the item size."""
+    if a.shape != b.shape or a.dtype != b.dtype:
+        return False
+    if np.iscomplexobj(a):
+        return _same_bits(a.real, b.real) and _same_bits(a.imag, b.imag)
+    return np.array_equal(a.view(f"u{a.itemsize}"), b.view(f"u{b.itemsize}"))
+
+
+def _map_distinct(function, items, same=_same_bits) -> list:
+    """[function(item) for item in items], calling `function` once per
+    distinct item: an item `same` as an earlier one gets its result object.
+    All items are compared first, and only the first of equal ones held."""
+    distinct, index = [], []
+    for item in items:
+        k = next((k for k, first in enumerate(distinct) if same(first, item)), len(distinct))
+        if k == len(distinct):
+            distinct.append(item)
+        index.append(k)
+    for k, item in enumerate(distinct):
+        distinct[k] = function(item)
+    return [distinct[k] for k in index]
+
+
 def _block_diagonal(size: int, blocks: list) -> np.ndarray:
     """The (..., size, size) matrices with each (..., n, n) block of
     `blocks` on the diagonal at its positions and exact zeros elsewhere.  A
@@ -239,30 +269,36 @@ class _StepFactors:
             s_block = np.ascontiguousarray(whole[_block(positions, positions)]) if varies else None
             self.parts.append((group, positions, part, s_block))
 
-    def __call__(self, t: float, dt: float):
-        """Yield (components, positions, step) per component group of
-        H(t + dt / 2) for the step of size dt from t, one group at a time.
+    def __call__(self, t: float, dt: float) -> list:
+        """(components, positions, step) per component group of
+        H(t + dt / 2) for the step of size dt from t.
 
         step(x=None, right=True) is x U_S if `right`, else U_S x, and U_S
         for x = None: a Cayley solve for Crank-Nicolson, a product with
-        expm(-i dt H_S / hbar) for the exponential.  Only each group's block
-        H_S is realized, and only after the caller has taken the previous
-        group's step: a caller that lets go of each step holds one at a time.
+        expm(-i dt H_S / hbar) for the exponential.  Every group's block H_S
+        is realized before any is factored.  A group whose block holds the
+        same bits as an earlier group's, a twin, is handed that group's step
+        object, so each distinct block takes one LU or expm.
         """
         mid = t + dt / 2.0
-        grid = self.grid
-        for group, positions, part, static in self.parts:
-            h_s = part.dense(grid, mid)
+
+        def realized(part, static):
+            h_s = part.dense(self.grid, mid)
             if static is not None:
                 h_s += static
-            if self.method == "midpoint-exponential":
-                h_s *= -1j * dt / self.factory.hbar
-                step = partial(_product, scipy.linalg.expm(h_s))
-            else:
-                step = partial(_cayley, _cayley_lu(h_s, 1j * dt / (2.0 * self.factory.hbar)))
-            del h_s
-            yield group, positions, step
-            del step
+            return h_s
+
+        steps = _map_distinct(partial(self._factored, dt),
+                              (realized(part, static) for _, _, part, static in self.parts))
+        return [(group, at, step) for (group, at, _, _), step in zip(self.parts, steps)]
+
+    def _factored(self, dt: float, h_s: np.ndarray):
+        """The step of size dt with the realized block H_S, factored in
+        H_S's storage."""
+        if self.method == "midpoint-exponential":
+            h_s *= -1j * dt / self.factory.hbar
+            return partial(_product, scipy.linalg.expm(h_s))
+        return partial(_cayley, _cayley_lu(h_s, 1j * dt / (2.0 * self.factory.hbar)))
 
     def matrix(self, t: float, dt: float) -> np.ndarray:
         """Dense step over [t, t + dt]; entries between different component
@@ -275,18 +311,16 @@ def _group_steps(factors: _StepFactors, t: float, dt: float) -> list:
     """(components, positions, U_S) per component group: the step over
     [t, t + dt] restricted to the group.
 
-    Each group's LU is solved into its step and let go before the next
-    group is factored."""
-    steps = []
+    Each distinct step is solved into its U_S once; twin groups hold the
+    same U_S."""
     # Overflow surfaces as non-finite entries, refused below.
     with np.errstate(over="ignore", invalid="ignore"):
-        for group, positions, step in factors(t, dt):
-            steps.append((group, positions, step()))
-            del step
-    for _, _, unit in steps:
+        parts = factors(t, dt)
+        units = _map_distinct(lambda step: step(), [step for _, _, step in parts], is_)
+    for unit in units:
         if not np.all(np.isfinite(unit)):
             raise EvolutionError("the step matrix left the finite range; reduce the time step")
-    return steps
+    return [(group, at, unit) for (group, at, _), unit in zip(parts, units)]
 
 
 def step_matrix(
@@ -318,7 +352,7 @@ def _power(unit: np.ndarray, spare: np.ndarray) -> tuple[np.ndarray, np.ndarray]
     return unit, spare
 
 
-def _static_blocks(psi: np.ndarray, units: list, steps: int, npoints: int):
+def _static_blocks(psi: np.ndarray, units: list, steps: int):
     """Yield the states after steps 1..steps of a static H from psi, B at a
     time, as the rows of fresh arrays.
 
@@ -329,22 +363,23 @@ def _static_blocks(psi: np.ndarray, units: list, steps: int, npoints: int):
     and each later block is one product of it with the previous block's
     window, applied from the left, (U_S^B @ window[:, S].T).T, which timed
     faster than the right-hand window[:, S] @ (U_S^B).T.  Below that, the
-    group keeps marching by matvec.
+    group keeps marching by matvec.  Twin groups, which hold one U_S, share
+    its power.
     """
-    powered = [steps - _BLOCK >= _SQUARINGS * len(group) * npoints for group, _, _ in units]
+    powered = [steps - _BLOCK >= _SQUARINGS * unit.shape[0] for _, _, unit in units]
     window, done = psi[np.newaxis], 0
     while done < steps:
         if done == _BLOCK:
-            # Each U_S is overwritten by its power, and the buffer left over
-            # serves the next group of the same size.
-            spare = None
-            for i, ((group, positions, unit), power) in enumerate(zip(units, powered)):
-                if power:
+            # Each distinct U_S is overwritten by its power, and the buffer
+            # left over serves the next U_S of the same size.
+            spare, powers = None, {}
+            for (_, _, unit), power in zip(units, powered):
+                if power and id(unit) not in powers:
                     if spare is None or spare.shape != unit.shape:
                         spare = np.empty_like(unit)
-                    unit, spare = _power(unit, spare)
-                    units[i] = (group, positions, unit)
-            del spare
+                    powers[id(unit)], spare = _power(unit, spare)
+            units = [(group, at, powers.get(id(unit), unit)) for group, at, unit in units]
+            del spare, powers
         rows = min(_BLOCK, steps - done)
         block = np.empty((rows, psi.size), dtype=complex)
         # Overflow surfaces as non-finite states, checked by the caller.
@@ -364,9 +399,10 @@ def _driven_blocks(psi: np.ndarray, factors: _StepFactors, t0: float, dt: float,
     """Yield the states after steps 1..steps of a time-dependent H from psi,
     one per step, as the single row of a fresh array.
 
-    Each group block of the step from t0 + k dt is realized and factored
-    at its midpoint and applied with one single-RHS solve (Cayley form) or one matvec.  The
-    static part S is realized once, when the stepper is made.
+    Each group block of the step from t0 + k dt is realized at its
+    midpoint, each distinct block factored once, and each group applied
+    with one single-RHS solve (Cayley form) or one matvec.  The static part
+    S is realized once, when the stepper is made.
     """
     for k in range(steps):
         block = np.empty((1, psi.size), dtype=complex)
@@ -425,7 +461,7 @@ def march(
     if factory.time_dependent:
         blocks = _driven_blocks(psi, factors, t0, dt, steps)
     else:
-        blocks = _static_blocks(psi, _group_steps(factors, t0, dt), steps, grid.npoints)
+        blocks = _static_blocks(psi, _group_steps(factors, t0, dt), steps)
     return _checked_blocks(blocks, t0, dt, initial.values.shape)
 
 

@@ -43,7 +43,9 @@ from .evolution import (
     _block_diagonal,
     _connected_sets,
     _coupling,
+    _map_distinct,
     _positions,
+    _same_bits,
     hamiltonian_dense,
 )
 
@@ -89,8 +91,9 @@ class EigenBasis:
         hbar: float = 1.0,
         label: str = "dense",
     ) -> "EigenBasis":
-        """One `eigh` per component group of the (mN, mN) matrix, costing
-        sum (|S| N)^3 instead of (mN)^3."""
+        """One `eigh` per distinct component-group block of the (mN, mN)
+        matrix, costing at most sum (|S| N)^3 instead of (mN)^3; twin
+        groups, whose blocks hold the same bits, share theirs."""
         size = dimension * grid.npoints
         if h_dense.shape != (size, size):
             raise GreenError(
@@ -107,11 +110,13 @@ class EigenBasis:
                 f"eigenbasis kernels need a Hermitian operator"
             )
         hermitian = 0.5 * (h_dense + h_dense.conj().T)
+        groups = [_positions(group, grid.npoints)
+                  for group in _connected_sets(_coupling(h_dense, dimension, grid.npoints))]
+        pairs = _map_distinct(np.linalg.eigh, [hermitian[_block(at, at)] for at in groups])
         energies = np.empty(size)
         blocks = []
-        for group in _connected_sets(_coupling(h_dense, dimension, grid.npoints)):
-            at = _positions(group, grid.npoints)
-            energies[at], vectors = np.linalg.eigh(hermitian[_block(at, at)])
+        for at, (values, vectors) in zip(groups, pairs):
+            energies[at] = values
             blocks.append((at, vectors / np.sqrt(grid.spacing)))
         return cls(energies, _block_diagonal(size, blocks), grid, dimension, hbar)
 
@@ -394,16 +399,14 @@ def born_kernel(
     dim, npoints = basis.dimension, basis.grid.npoints
     coupled = _coupling(perturbation, dim, npoints) | _coupling(basis.modes, dim, npoints)
     dt = (t - s) / (quad_points - 1)
-    blocks = []
-    for group in _connected_sets(coupled):
-        at = _positions(group, npoints)
-        index = _block(at, at)
-        iterate = _born_iterate(
-            basis.modes[index], basis.energies[at], perturbation[index],
-            basis.hbar, basis.grid.spacing, dt, order, quad_points,
-        )
-        blocks.append((at, iterate))
-    return _block_diagonal(size, blocks)
+    groups = [_positions(group, npoints) for group in _connected_sets(coupled)]
+    inputs = [(basis.modes[_block(at, at)], basis.energies[at], perturbation[_block(at, at)])
+              for at in groups]
+    iterates = _map_distinct(
+        lambda args: _born_iterate(*args, basis.hbar, basis.grid.spacing, dt, order, quad_points),
+        inputs, lambda a, b: all(map(_same_bits, a, b)),
+    )
+    return _block_diagonal(size, list(zip(groups, iterates)))
 
 
 def _born_iterate(

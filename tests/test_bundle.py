@@ -34,6 +34,7 @@ from bundlewave.grid import GridFunction, SpatialGrid1D, inner
 from bundlewave.reduction import (
     HamiltonianFactory,
     Potentials,
+    block_diag_hamiltonian,
     dirac_hamiltonian,
     kg_5d_hamiltonian,
     schrodinger_hamiltonian,
@@ -275,12 +276,15 @@ def test_evolution_transport_matches_step_matrix_products(model, driven, substep
             assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want)), (i, j)
 
 
-@pytest.mark.parametrize("model, groups", [
-    ("dirac", [[0, 3], [1, 2]]),
-    ("kg-5d", [[0, 1, 2], [3], [4]]),
-    ("schrodinger", [[0]]),
+# `held` lists the component count of each group that holds a stack of
+# its own; twin groups, {0, 3} and {1, 2} of Dirac and {3} and {4} of kg-5d,
+# share one.
+@pytest.mark.parametrize("model, groups, held", [
+    ("dirac", [[0, 3], [1, 2]], [2]),
+    ("kg-5d", [[0, 1, 2], [3], [4]], [3, 1]),
+    ("schrodinger", [[0]], [1]),
 ])
-def test_evolution_transport_holds_one_frame_stack_per_component_group(model, groups):
+def test_evolution_transport_holds_one_frame_stack_per_component_group(model, groups, held):
     grid = SpatialGrid1D(8, 6.0)
     factory = {
         "dirac": dirac_hamiltonian(1.0, 1.0, Potentials(scalar=lambda t: 0.3 * np.cos(t))),
@@ -290,8 +294,9 @@ def test_evolution_transport_holds_one_frame_stack_per_component_group(model, gr
     sampling = PathSampling.uniform(0.0, 0.2, 5)
     transport = evolution_transport(factory, grid, sampling, "crank-nicolson", substeps=2)
     n = grid.npoints
-    held = sum(stack.nbytes for _, stack in transport._blocks)
-    assert held == sum(sampling.nsamples * (len(group) * n) ** 2 * 16 for group in groups)
+    stacks = {id(stack): stack for _, stack in transport._blocks}.values()
+    assert sum(stack.nbytes for stack in stacks) == sum(
+        sampling.nsamples * (size * n) ** 2 * 16 for size in held)
     frames = transport.frames
     assert frames.shape == (sampling.nsamples, factory.dimension * n, factory.dimension * n)
     # Entries between different groups are exact zeros.
@@ -301,6 +306,87 @@ def test_evolution_transport_holds_one_frame_stack_per_component_group(model, gr
     assert np.all(frames[:, between] == 0)
     for i, j in [(0, 4), (4, 0), (3, 1), (2, 2)]:
         assert np.all(transport.transport(i, j)[between] == 0), (i, j)
+
+
+def test_driven_dirac_transport_factors_its_twin_groups_once(monkeypatch):
+    # The benchmark's driven Dirac route at N = 16: 11 samples of 4
+    # substeps each.  Groups {0, 3} and {1, 2} are twins at every substep.
+    from bundlewave import evolution
+
+    grid = SpatialGrid1D(16, 20.0)
+    profile = 0.3 * np.cos(2.0 * np.pi * grid.points / grid.length)
+    factory = dirac_hamiltonian(1.0, 1.0, Potentials(scalar=lambda t: profile * np.cos(3.0 * t)))
+    sampling = PathSampling.uniform(0.0, 0.4, 11)
+    calls = []
+    cayley_lu = evolution._cayley_lu
+
+    def counted(h_mid, coeff):
+        calls.append(h_mid.shape)
+        return cayley_lu(h_mid, coeff)
+
+    monkeypatch.setattr(evolution, "_cayley_lu", counted)
+    transport = evolution_transport(factory, grid, sampling, "crank-nicolson", substeps=4)
+    assert calls == [(32, 32)] * 40
+    (_, first), (_, second) = transport._blocks
+    assert first is second
+
+
+def _switched(t_star: float) -> HamiltonianFactory:
+    """Free Schrodinger plus a potential that is exactly 0 before t_star."""
+    profile = 0.3 * np.cos(2.0 * np.pi * GRID.points / GRID.length)
+    off = np.zeros(GRID.npoints)
+    return schrodinger_hamiltonian(
+        1.0, potential=lambda t: profile * np.cos(3.0 * t) if t >= t_star else off
+    )
+
+
+@pytest.mark.parametrize("method", ["crank-nicolson", "midpoint-exponential"])
+def test_twin_groups_that_diverge_match_each_group_marched_alone(method, monkeypatch):
+    # A stack of a static Schrodinger and a copy whose potential switches on
+    # at t* = 0.36: the groups are twins at every step midpoint before t*
+    # and differ from it on.  Alone, a static factory takes the static
+    # route, whose arithmetic differs, so the first group's reference
+    # carries a callable potential that is 0 at every t: the driven route.
+    from bundlewave import evolution
+
+    stacked = block_diag_hamiltonian([schrodinger_hamiltonian(1.0), _switched(0.36)])
+    alone = (_switched(np.inf), _switched(0.36))
+    n = GRID.npoints
+    calls = []
+    cayley_lu = evolution._cayley_lu
+
+    def counted(h_mid, coeff):
+        calls.append(h_mid.shape)
+        return cayley_lu(h_mid, coeff)
+
+    monkeypatch.setattr(evolution, "_cayley_lu", counted)
+    # Twelve steps of 0.05, or four intervals of three substeps: midpoints
+    # 0.025 .. 0.325 fall before t* (one LU each), 0.375 .. 0.575 after it
+    # (two LUs each).  In the transport the groups part on the second
+    # substep of an interval.
+    rng = np.random.default_rng(17)
+    values = rng.normal(size=(2, n)) + 1j * rng.normal(size=(2, n))
+    final = evolve(GridFunction(GRID, values), stacked, dt=0.05, steps=12, method=method)
+    if method == "crank-nicolson":
+        assert len(calls) == 7 + 5 * 2
+    for c, factory in enumerate(alone):
+        own = evolve(GridFunction(GRID, values[c:c + 1]), factory, dt=0.05, steps=12, method=method)
+        assert np.array_equal(final.values[c], own.values[0])
+    sampling = PathSampling.uniform(0.0, 0.6, 5)
+    calls.clear()
+    transport = evolution_transport(stacked, GRID, sampling, method, substeps=3)
+    if method == "crank-nicolson":
+        assert len(calls) == 7 + 5 * 2
+    own = [evolution_transport(factory, GRID, sampling, method, substeps=3) for factory in alone]
+    frames, seed = transport.frames, values.reshape(-1)
+    lifting = transported_lifting(transport, seed, origin=1).values
+    for c, single in enumerate(own):
+        at = slice(c * n, (c + 1) * n)
+        assert np.array_equal(frames[:, at, at], single.frames)
+        for i, j in [(4, 0), (0, 4), (3, 1), (2, 2)]:
+            assert np.array_equal(transport.transport(i, j)[at, at], single.transport(i, j))
+        assert np.array_equal(lifting[:, at], transported_lifting(single, seed[at], origin=1).values)
+    assert np.all(frames[:, :n, n:] == 0) and np.all(frames[:, n:, :n] == 0)
 
 
 @pytest.mark.parametrize("method", ["crank-nicolson", "midpoint-exponential"])

@@ -312,6 +312,7 @@ def test_dirac_in_a_mixing_frame_matches_the_identity_frame(tmp_path, capsys):
 _POWER_ROUTE_CONFIGS = {
     # Groups {0, 3} and {1, 2} with |S| N = 16 take the power route after
     # 8 + 3 * 16 = 56 steps, so 64 steps give seven full blocks of U_S^8.
+    # The two groups are twins and share one power.
     "dirac-phase": """
         [model]
         kind = dirac
@@ -385,7 +386,7 @@ def test_run_report_on_the_power_route_matches_per_state_measurement(tmp_path, m
     monkeypatch.setattr(evolution, "_power", counted)
     out = tmp_path / "out"
     assert main(["run", "--config", cfg, "--out", str(out), "--seed", "5"]) == EXIT_OK
-    assert powers == [(16, 16)] * (2 if name == "dirac-phase" else 1)
+    assert powers == [(16, 16)]
     assert (out / "report.csv").read_bytes() == _per_state_report(cfg, 5)
 
 

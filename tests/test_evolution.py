@@ -23,6 +23,7 @@ from bundlewave.evolution import (
     EvolutionOperator,
     _component_groups,
     _power,
+    _same_bits,
     evolve,
     expectation,
     hamiltonian_dense,
@@ -387,16 +388,19 @@ def _kg_5d_beside_schrodinger():
     return HamiltonianFactory(out, "kg-5d-beside-schrodinger")
 
 
-# Static models and how many of their groups take the power route over
-# _POWER_STEPS steps on GRID: a group does when the steps after the first
-# block number at least log2(B) |S| N.
+# Static models and how many powers their groups take over _POWER_STEPS
+# steps on GRID: a group takes the power route when the steps after the
+# first block number at least log2(B) |S| N, and twin groups, whose blocks
+# hold the same bits, share one power.
 _POWER_STEPS = 109  # 13 blocks of 8 and a partial block of 5
 _POWERED = {
-    "dirac": (_GROUPED["dirac"][0], 2),
-    "dirac-phase-frame": (_phase_framed_dirac, 2),
+    # Twin groups {0, 3} and {1, 2}.
+    "dirac": (_GROUPED["dirac"][0], 1),
+    "dirac-phase-frame": (_phase_framed_dirac, 1),
     "schrodinger": (_ONE_GROUP["schrodinger"], 1),
-    # Groups {0, 1, 2} (|S| N = 48) below the rule, {3} and {4} (16) above.
-    "kg-5d": (_GROUPED["kg-5d"][0], 2),
+    # Groups {0, 1, 2} (|S| N = 48) below the rule, twins {3} and {4} (16)
+    # above.
+    "kg-5d": (_GROUPED["kg-5d"][0], 1),
     "kg-5d-beside-schrodinger": (_kg_5d_beside_schrodinger, 1),
 }
 
@@ -668,6 +672,45 @@ def test_gauged_and_stacked_marches_realize_their_entries_once(model, method, de
         assert len(derivative_calls) == realizations
     else:
         assert 0 < len(derivative_calls) <= realizations
+
+
+def test_twin_blocks_are_told_apart_by_their_bits():
+    # Equal as numbers is not enough: a zero's sign tells blocks apart,
+    # while a NaN matches itself.  Views are compared where they lie.
+    block = np.arange(16.0).reshape(4, 4) * (1.0 + 0.5j)
+    signed = block.copy()
+    signed[0, 0] = complex(-0.0, 0.0)
+    assert np.array_equal(block, signed) and not _same_bits(block, signed)
+    assert _same_bits(block[1:3, ::2], block.copy()[1:3, ::2])
+    assert not _same_bits(block, block.astype(np.complex64))
+    nan = np.full(3, np.nan)
+    assert _same_bits(nan, nan.copy()) and not np.array_equal(nan, nan.copy())
+
+
+# Driven marches and the Crank-Nicolson LUs each of their steps takes: one
+# per distinct group block.  Dirac's groups {0, 3} and {1, 2} are twins,
+# whose blocks hold the same bits; Maxwell's groups differ.
+_LUS_PER_STEP = {
+    "dirac-driven": (_driven_dirac, 1),
+    "maxwell-driven-phase": (lambda: gauge_transform(
+        maxwell_hamiltonian(), GaugeFrame(lambda t: np.exp(0.7j * t) * np.eye(4))), 2),
+}
+
+
+@pytest.mark.parametrize("model", sorted(_LUS_PER_STEP))
+def test_driven_march_factors_each_distinct_group_block_once(model, monkeypatch):
+    make, per_step = _LUS_PER_STEP[model]
+    factory = make()
+    calls = []
+    cayley_lu = evolution._cayley_lu
+
+    def counted(h_mid, coeff):
+        calls.append(h_mid.shape)
+        return cayley_lu(h_mid, coeff)
+
+    monkeypatch.setattr(evolution, "_cayley_lu", counted)
+    evolve(_random_state(factory.dimension, 5), factory, dt=0.01, steps=40)
+    assert calls == [(2 * GRID.npoints,) * 2] * (40 * per_step)
 
 
 def _realized_per_step(factory):

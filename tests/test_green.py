@@ -215,6 +215,29 @@ def test_grouped_basis_matches_one_eigh_of_the_whole_matrix(model):
     assert abs(basis.completeness_defect() - reference.completeness_defect()) <= 1e-12
 
 
+def test_dirac_basis_diagonalizes_its_twin_groups_once(monkeypatch):
+    # Dirac's groups {0, 3} and {1, 2} realize to blocks with the same bits.
+    factory, basis, reference, groups = _grouped_problem("dirac")
+    h = hamiltonian_dense(factory, GRID)
+    calls = []
+    eigh = np.linalg.eigh
+
+    def counted(matrix):
+        calls.append(matrix.shape)
+        return eigh(matrix)
+
+    monkeypatch.setattr(np.linalg, "eigh", counted)
+    again = EigenBasis.from_dense(h, GRID, factory.dimension)
+    assert calls == [(2 * GRID.npoints,) * 2]
+    assert np.array_equal(again.energies, basis.energies)
+    assert np.array_equal(again.modes, basis.modes)
+    first, second = (
+        np.concatenate([np.arange(c * GRID.npoints, (c + 1) * GRID.npoints) for c in group])
+        for group in groups
+    )
+    assert np.array_equal(basis.modes[np.ix_(first, first)], basis.modes[np.ix_(second, second)])
+
+
 def test_grouped_four_component_kernel_matches_the_dense_weighting():
     factory, basis, reference, _ = _grouped_problem("dirac")
     gamma0 = np.kron(dirac_gammas().matrix(0), np.eye(GRID.npoints))
@@ -299,6 +322,30 @@ def test_grouped_born_kernel_matches_the_one_group_basis(case, order, quad_point
     if case.endswith("merged"):
         inside_basis_groups = _group_mask(GROUPED_MODELS[model][1], factory.dimension)
         assert np.any(approx[~inside_basis_groups & ~outside] != 0)
+
+
+@pytest.mark.parametrize("scalar, iterations", [(True, 1), (False, 2)])
+def test_born_kernel_iterates_once_per_distinct_group(scalar, iterations, monkeypatch):
+    # A scalar perturbation of Dirac keeps its groups {0, 3} and {1, 2}
+    # twins; a random block-diagonal one does not.
+    import bundlewave.green as green_module
+
+    factory, basis, reference, _ = _grouped_problem("dirac")
+    if scalar:
+        perturbation = np.diag(np.tile(0.05 * np.sin(GRID.points), 4)).astype(complex)
+    else:
+        perturbation = _patterned_perturbation(factory.dimension, [(0, 3), (1, 2)])
+    calls = []
+    iterate = green_module._born_iterate
+
+    def counted(*args):
+        calls.append(args[0].shape)
+        return iterate(*args)
+
+    monkeypatch.setattr(green_module, "_born_iterate", counted)
+    approx = born_kernel(basis, perturbation, 0.7, 0.2, order=2, quad_points=9)
+    assert calls == [(2 * GRID.npoints,) * 2] * iterations
+    _assert_close(approx, born_kernel(reference, perturbation, 0.7, 0.2, order=2, quad_points=9))
 
 
 # ---------------------------------------------------------------------------

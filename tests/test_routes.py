@@ -2,8 +2,11 @@
 
 One hypothesis strategy draws a factory (the six model builders, a gauge
 transform by a constant, driven-phase or driven-rotation frame, or a
-block-diagonal stack), a grid, hbar, c, potentials, a method, a step count
-and a start time.  Each example propagates one random state along every
+block-diagonal stack, a stack of a builder with itself, whose groups are
+twins, or a stack of a static Schrodinger and a copy whose potential
+switches on at a drawn time, whose groups are twins before it and differ
+after it), a grid, hbar, c, potentials, a method, a step count and a start
+time.  Each example propagates one random state along every
 route and holds each route against `evolve`, or the reference named below,
 with one tolerance per pair of routes written once below:
 
@@ -53,7 +56,8 @@ TOLERANCE = {
 }
 
 BUILDERS = ("dirac", "kg-canonical", "kg-nonrel", "kg-5d", "maxwell", "schrodinger")
-WRAPPERS = ("gauged-constant", "gauged-phase", "gauged-rotation", "block-diag")
+WRAPPERS = ("gauged-constant", "gauged-phase", "gauged-rotation", "block-diag", "block-twin",
+            "block-diverging")
 
 
 def _builder(kind, grid, hbar, c, charge, driven):
@@ -97,6 +101,17 @@ def _wrapped(kind, base, other):
     return gauge_transform(base, GaugeFrame(rotation))
 
 
+def _diverging(grid, hbar, t_star):
+    """A static Schrodinger stacked with a copy whose potential is exactly 0
+    before t_star and driven from it on."""
+    profile = 0.3 * np.cos(2.0 * np.pi * grid.points / grid.length)
+    off = np.zeros(grid.npoints)
+    switched = schrodinger_hamiltonian(
+        1.0, lambda t: profile * np.cos(3.0 * t) if t >= t_star else off, hbar
+    )
+    return block_diag_hamiltonian([schrodinger_hamiltonian(1.0, 0.0, hbar), switched])
+
+
 @st.composite
 def examples(draw):
     grid = SpatialGrid1D(
@@ -113,6 +128,11 @@ def examples(draw):
     if kind in BUILDERS:
         factory = _builder(kind, grid, hbar, c, draw(st.sampled_from([0.0, 0.5, 1.0])),
                            draw(st.booleans()))
+    elif kind == "block-twin":
+        base = builder()
+        factory = block_diag_hamiltonian([base, base])
+    elif kind == "block-diverging":
+        factory = _diverging(grid, hbar, draw(st.sampled_from([0.05, 0.35, 0.5])))
     else:
         base = builder()
         if kind == "gauged-rotation" and base.dimension == 1:
