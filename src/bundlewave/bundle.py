@@ -342,9 +342,16 @@ def transported_lifting(
         )
     o = transport._index(origin)
     values = np.empty((transport.nsamples, seed.size), dtype=complex)
+    users = {}
     for positions, stack in transport._blocks:
-        reference = stack[o] @ seed[positions]
-        values[:, positions] = np.stack([np.linalg.solve(frame, reference) for frame in stack])
+        users.setdefault(id(stack), (stack, []))[1].append(positions)
+    for stack, positions in users.values():
+        # One LU per frame, solved against the reference of every group
+        # that holds the stack.
+        references = np.stack([stack[o] @ seed[at] for at in positions], axis=-1)
+        solved = np.linalg.solve(stack, np.broadcast_to(references, stack.shape[:1] + references.shape))
+        for c, at in enumerate(positions):
+            values[:, at] = solved[..., c]
     return Lifting(transport.sampling, values)
 
 

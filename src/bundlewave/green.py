@@ -20,7 +20,9 @@ coincidence limit Id/(i hbar h) at the interval ends.  It runs in the
 eigenbasis of the free Hamiltonian, where the free kernel is diagonal and,
 on the uniform quadrature grid, a function of the lag between nodes only:
 the perturbation enters as one coupling matrix and every free kernel as a
-vector of phases.
+vector of phases.  The quadrature sum is causal, so every Born level
+advances in one sweep over the nodes and holds a few matrices, not one per
+node.
 
 The eigenbasis is built, its kernels formed and the Born iteration run one
 component group of H at a time, as the `evolution` module docstring
@@ -45,7 +47,6 @@ from .evolution import (
     _coupling,
     _map_distinct,
     _positions,
-    _same_bits,
     hamiltonian_dense,
 )
 
@@ -144,23 +145,29 @@ class EigenBasis:
         return [(at, self.modes[_block(at, at)]) for at in self._group_positions]
 
     def completeness_defect(self) -> float:
-        """max |h U U^dag - Id|, taken over the group blocks; the blocks
-        between groups are exactly zero on both sides."""
-        return max(
-            float(np.max(np.abs(self.grid.spacing * (modes @ modes.conj().T) - np.eye(modes.shape[0]))))
-            for _, modes in self._blocks()
-        )
+        """max |h U U^dag - Id|, taken over the distinct group blocks; the
+        blocks between groups are exactly zero on both sides."""
+        return max(_map_distinct(
+            lambda modes: float(np.max(np.abs(
+                self.grid.spacing * (modes @ modes.conj().T) - np.eye(modes.shape[0])))),
+            [modes for _, modes in self._blocks()],
+        ))
 
     def _phases(self, t: float, s: float) -> np.ndarray:
         return np.exp(-1j * self.energies * (t - s) / self.hbar)
 
     def propagator(self, t: float, s: float) -> np.ndarray:
         """Unitary U(t <- s) = sum_a v_a exp(-i E_a (t-s)/hbar) v_a^dag * h,
-        one product per group block."""
+        one product per distinct (group block, phases) pair: twin groups
+        share theirs."""
         phases = self._phases(t, s)
+        blocks = self._blocks()
+        products = _map_distinct(
+            lambda pair: self.grid.spacing * ((pair[0] * pair[1]) @ pair[0].conj().T),
+            [(modes, phases[at]) for at, modes in blocks],
+        )
         return _block_diagonal(self.modes.shape[0], [
-            (at, self.grid.spacing * ((modes * phases[at]) @ modes.conj().T))
-            for at, modes in self._blocks()
+            (at, product) for (at, _), product in zip(blocks, products)
         ])
 
 
@@ -378,11 +385,15 @@ def born_kernel(
     the connected sets of its own nonzero component blocks, so every iterate
     is block-diagonal over the groups that W leaves apart: a W that couples
     two basis groups merges them, and a fully coupled W makes one group.
-    The iteration runs on each merged group S alone.  The cost is
-    O(order * Q) matrix products of size |S| N per group, O(order * Q *
-    sum (|S| N)^3) in all, plus O(order * Q * sum (|S| N)^2) elementwise
-    work, holding Q coefficient matrices per group; the last level keeps
-    only the endpoint, which two products map back to the grid."""
+    The iteration runs on each merged group S alone, as one sweep over the
+    nodes: X_j of level k needs level k - 1 only at nodes i <= j, so each
+    level keeps its running sum, its node-0 term and its current iterate.
+    Level 0 is diagonal, so level 1 takes M diag(p_j) as a column scaling.
+    The cost is (order - 1) * Q matrix products of size |S| N per group,
+    O((order - 1) * Q * sum (|S| N)^3) in all, plus O(order * Q *
+    sum (|S| N)^2) elementwise work, holding O(order) matrices per group;
+    the last level forms X only at the endpoint, which two products map
+    back to the grid."""
     if not t > s:
         raise GreenError(f"the Born iteration needs t > s, got t={t}, s={s}")
     if order < 0 or order > MAX_BORN_ORDER:
@@ -404,7 +415,7 @@ def born_kernel(
               for at in groups]
     iterates = _map_distinct(
         lambda args: _born_iterate(*args, basis.hbar, basis.grid.spacing, dt, order, quad_points),
-        inputs, lambda a, b: all(map(_same_bits, a, b)),
+        inputs,
     )
     return _block_diagonal(size, list(zip(groups, iterates)))
 
@@ -420,26 +431,31 @@ def _born_iterate(
     quad_points: int,
 ) -> np.ndarray:
     """The lag-phase Born iteration of `born_kernel` on one group's modes,
-    energies and perturbation block, at quadrature step dt."""
+    energies and perturbation block, at quadrature step dt, swept once
+    over the nodes with every level advanced at each node."""
     size = modes.shape[0]
     # phases[j] = p(t_j - s) = p(j dt), the free kernel at lag j.
     phases = np.exp(-1j * np.outer(dt * np.arange(quad_points), energies) / hbar)
     coupling = modes.conj().T @ perturbation @ modes / (1j * hbar)
     step = spacing * dt
-    coefficients = [np.diag(p) for p in phases]
-    for level in range(1, order + 1):
-        # X_j is overwritten once its own term has entered the running sum;
-        # later nodes need only the sum.
-        running = np.zeros((size, size), dtype=complex)
-        for j, p in enumerate(phases):
-            term = p.conj()[:, None] * (coupling @ coefficients[j])
-            running += term
+    running = [np.zeros((size, size), dtype=complex) for _ in range(order)]
+    first = [None] * order
+    for j, p in enumerate(phases):
+        # Level 0 is diag(p_j), so M X_j is a column scaling there; X_0 stays
+        # diag(p_0) at every level.
+        product = coupling * p
+        for level in range(order):
+            term = p.conj()[:, None] * product
+            running[level] += term
             if j == 0:
-                first = term
-            elif level < order or j == quad_points - 1:
-                trapezoid = running - 0.5 * (first + term)
-                coefficients[j] = np.diag(p) + step * (p[:, None] * trapezoid)
-    return (modes @ coefficients[-1]) @ modes.conj().T / (1j * hbar)
+                first[level] = term
+                iterate = np.diag(p)
+            elif level < order - 1 or j == quad_points - 1:
+                trapezoid = running[level] - 0.5 * (first[level] + term)
+                iterate = np.diag(p) + step * (p[:, None] * trapezoid)
+            if level < order - 1:
+                product = coupling @ iterate
+    return (modes @ iterate) @ modes.conj().T / (1j * hbar)
 
 
 def green_morphism(

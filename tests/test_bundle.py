@@ -331,6 +331,31 @@ def test_driven_dirac_transport_factors_its_twin_groups_once(monkeypatch):
     assert first is second
 
 
+def test_transported_lifting_factors_each_distinct_frame_once(monkeypatch):
+    # Dirac's twin groups hold one frame stack: its frames are factored once
+    # and solved against both groups' references.
+    factory, grid = _transport_case("dirac", driven=True)
+    sampling = PathSampling.uniform(0.0, 0.4, 5)
+    transport = evolution_transport(factory, grid, sampling)
+    seed = np.concatenate([(c + 1) * _packet_flat(grid) for c in range(factory.dimension)])
+    expected = np.empty((sampling.nsamples, seed.size), dtype=complex)
+    for at, stack in transport._blocks:
+        reference = stack[0] @ seed[at]
+        expected[:, at] = np.stack([np.linalg.solve(frame, reference) for frame in stack])
+    calls = []
+    solve = np.linalg.solve
+
+    def counted(a, b):
+        calls.append((a.shape, b.shape))
+        return solve(a, b)
+
+    monkeypatch.setattr(np.linalg, "solve", counted)
+    lifting = transported_lifting(transport, seed)
+    n = 2 * grid.npoints
+    assert calls == [((sampling.nsamples, n, n), (sampling.nsamples, n, 2))]
+    assert np.max(np.abs(lifting.values - expected)) <= 1e-14 * np.max(np.abs(expected))
+
+
 def _switched(t_star: float) -> HamiltonianFactory:
     """Free Schrodinger plus a potential that is exactly 0 before t_star."""
     profile = 0.3 * np.cos(2.0 * np.pi * GRID.points / GRID.length)
