@@ -342,16 +342,10 @@ def transported_lifting(
         )
     o = transport._index(origin)
     values = np.empty((transport.nsamples, seed.size), dtype=complex)
-    users = {}
     for positions, stack in transport._blocks:
-        users.setdefault(id(stack), (stack, []))[1].append(positions)
-    for stack, positions in users.values():
-        # One LU per frame, solved against the reference of every group
-        # that holds the stack.
-        references = np.stack([stack[o] @ seed[at] for at in positions], axis=-1)
-        solved = np.linalg.solve(stack, np.broadcast_to(references, stack.shape[:1] + references.shape))
-        for c, at in enumerate(positions):
-            values[:, at] = solved[..., c]
+        reference = stack[o] @ seed[positions]
+        # One batched solve of every frame against the group's reference.
+        values[:, positions] = np.linalg.solve(stack, reference[:, None])[..., 0]
     return Lifting(transport.sampling, values)
 
 

@@ -206,11 +206,8 @@ def _block(rows, cols):
 
 
 def _same_bits(a: np.ndarray, b: np.ndarray) -> bool:
-    """Whether two arrays, or two tuples of arrays item by item, hold the
-    same bits (-0.0 is not 0.0, a NaN is itself), compared part by part as
-    integers of the item size."""
-    if isinstance(a, tuple):
-        return len(a) == len(b) and all(map(_same_bits, a, b))
+    """Whether two arrays hold the same bits (-0.0 is not 0.0, a NaN is
+    itself), compared part by part as integers of the item size."""
     if a.shape != b.shape or a.dtype != b.dtype:
         return False
     if np.iscomplexobj(a):

@@ -47,6 +47,7 @@ from .evolution import (
     _coupling,
     _map_distinct,
     _positions,
+    _same_bits,
     hamiltonian_dense,
 )
 
@@ -145,29 +146,23 @@ class EigenBasis:
         return [(at, self.modes[_block(at, at)]) for at in self._group_positions]
 
     def completeness_defect(self) -> float:
-        """max |h U U^dag - Id|, taken over the distinct group blocks; the
-        blocks between groups are exactly zero on both sides."""
-        return max(_map_distinct(
-            lambda modes: float(np.max(np.abs(
-                self.grid.spacing * (modes @ modes.conj().T) - np.eye(modes.shape[0])))),
-            [modes for _, modes in self._blocks()],
-        ))
+        """max |h U U^dag - Id|, taken over the group blocks; the blocks
+        between groups are exactly zero on both sides."""
+        return max(
+            float(np.max(np.abs(self.grid.spacing * (modes @ modes.conj().T) - np.eye(modes.shape[0]))))
+            for _, modes in self._blocks()
+        )
 
     def _phases(self, t: float, s: float) -> np.ndarray:
         return np.exp(-1j * self.energies * (t - s) / self.hbar)
 
     def propagator(self, t: float, s: float) -> np.ndarray:
         """Unitary U(t <- s) = sum_a v_a exp(-i E_a (t-s)/hbar) v_a^dag * h,
-        one product per distinct (group block, phases) pair: twin groups
-        share theirs."""
+        one product per group block."""
         phases = self._phases(t, s)
-        blocks = self._blocks()
-        products = _map_distinct(
-            lambda pair: self.grid.spacing * ((pair[0] * pair[1]) @ pair[0].conj().T),
-            [(modes, phases[at]) for at, modes in blocks],
-        )
         return _block_diagonal(self.modes.shape[0], [
-            (at, product) for (at, _), product in zip(blocks, products)
+            (at, self.grid.spacing * ((modes * phases[at]) @ modes.conj().T))
+            for at, modes in self._blocks()
         ])
 
 
@@ -388,12 +383,12 @@ def born_kernel(
     The iteration runs on each merged group S alone, as one sweep over the
     nodes: X_j of level k needs level k - 1 only at nodes i <= j, so each
     level keeps its running sum, its node-0 term and its current iterate.
-    Level 0 is diagonal, so level 1 takes M diag(p_j) as a column scaling.
-    The cost is (order - 1) * Q matrix products of size |S| N per group,
-    O((order - 1) * Q * sum (|S| N)^3) in all, plus O(order * Q *
-    sum (|S| N)^2) elementwise work, holding O(order) matrices per group;
-    the last level forms X only at the endpoint, which two products map
-    back to the grid."""
+    Level 0 is diagonal, as is X_0 at every level, so M X is a column
+    scaling there.  The cost is (order - 1) * (Q - 1) matrix products of
+    size |S| N per group, O((order - 1) * Q * sum (|S| N)^3) in all, plus
+    O(order * Q * sum (|S| N)^2) elementwise work, holding O(order)
+    matrices per group; the last level forms X only at the endpoint, which
+    two products map back to the grid."""
     if not t > s:
         raise GreenError(f"the Born iteration needs t > s, got t={t}, s={s}")
     if order < 0 or order > MAX_BORN_ORDER:
@@ -415,7 +410,7 @@ def born_kernel(
               for at in groups]
     iterates = _map_distinct(
         lambda args: _born_iterate(*args, basis.hbar, basis.grid.spacing, dt, order, quad_points),
-        inputs,
+        inputs, lambda a, b: all(map(_same_bits, a, b)),
     )
     return _block_diagonal(size, list(zip(groups, iterates)))
 
@@ -441,20 +436,19 @@ def _born_iterate(
     running = [np.zeros((size, size), dtype=complex) for _ in range(order)]
     first = [None] * order
     for j, p in enumerate(phases):
-        # Level 0 is diag(p_j), so M X_j is a column scaling there; X_0 stays
-        # diag(p_0) at every level.
+        # Level 0 is diag(p_j), and X_0 is diag(p_0) at every level, so
+        # M X is a column scaling there.
         product = coupling * p
         for level in range(order):
             term = p.conj()[:, None] * product
             running[level] += term
             if j == 0:
                 first[level] = term
-                iterate = np.diag(p)
             elif level < order - 1 or j == quad_points - 1:
                 trapezoid = running[level] - 0.5 * (first[level] + term)
                 iterate = np.diag(p) + step * (p[:, None] * trapezoid)
-            if level < order - 1:
-                product = coupling @ iterate
+                if level < order - 1:
+                    product = coupling @ iterate
     return (modes @ iterate) @ modes.conj().T / (1j * hbar)
 
 

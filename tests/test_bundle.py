@@ -331,9 +331,9 @@ def test_driven_dirac_transport_factors_its_twin_groups_once(monkeypatch):
     assert first is second
 
 
-def test_transported_lifting_factors_each_distinct_frame_once(monkeypatch):
-    # Dirac's twin groups hold one frame stack: its frames are factored once
-    # and solved against both groups' references.
+def test_transported_lifting_solves_each_group_in_one_batch(monkeypatch):
+    # One batched solve per group of all its frames against its reference,
+    # bit for bit the per-frame solves.
     factory, grid = _transport_case("dirac", driven=True)
     sampling = PathSampling.uniform(0.0, 0.4, 5)
     transport = evolution_transport(factory, grid, sampling)
@@ -352,8 +352,8 @@ def test_transported_lifting_factors_each_distinct_frame_once(monkeypatch):
     monkeypatch.setattr(np.linalg, "solve", counted)
     lifting = transported_lifting(transport, seed)
     n = 2 * grid.npoints
-    assert calls == [((sampling.nsamples, n, n), (sampling.nsamples, n, 2))]
-    assert np.max(np.abs(lifting.values - expected)) <= 1e-14 * np.max(np.abs(expected))
+    assert calls == 2 * [((sampling.nsamples, n, n), (n, 1))]
+    assert np.array_equal(lifting.values, expected)
 
 
 def _switched(t_star: float) -> HamiltonianFactory:

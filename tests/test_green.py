@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bundlewave.algebra import dirac_gammas
-from bundlewave.evolution import _block, _connected_sets, _coupling, evolve, hamiltonian_dense
+from bundlewave.evolution import _connected_sets, _coupling, evolve, hamiltonian_dense
 from bundlewave.green import (
     MAX_BORN_ORDER,
     EigenBasis,
@@ -367,41 +367,6 @@ def test_born_memory_does_not_grow_with_the_quadrature(order):
             tracemalloc.stop()
 
     assert peak(129) <= 1.25 * peak(9)
-
-
-@pytest.mark.parametrize("model, products", [("dirac", 1), ("kg-5d", 2)])
-def test_eigenbasis_forms_each_distinct_group_product_once(model, products, monkeypatch):
-    # Dirac's groups {0, 3} and {1, 2} hold the same mode blocks and
-    # phases, as do kg-5d's {3} and {4}; each shared product is formed once
-    # and placed in every group that holds it.
-    import bundlewave.green as green_module
-
-    factory, basis, reference, _ = _grouped_problem(model)
-    phases = basis._phases(0.7, 0.2)
-    expected = np.zeros_like(basis.modes, dtype=complex)
-    for at, m in basis._blocks():
-        expected[_block(at, at)] = GRID.spacing * ((m * phases[at]) @ m.conj().T)
-    completeness = max(
-        float(np.max(np.abs(GRID.spacing * (m @ m.conj().T) - np.eye(m.shape[0]))))
-        for _, m in basis._blocks()
-    )
-    formed = []
-    distinct = green_module._map_distinct
-
-    def counted(function, items, *same):
-        def form(item):
-            formed.append(item)
-            return function(item)
-
-        return distinct(form, items, *same)
-
-    monkeypatch.setattr(green_module, "_map_distinct", counted)
-    assert np.array_equal(basis.propagator(0.7, 0.2), expected)
-    assert len(formed) == products
-    formed.clear()
-    assert basis.completeness_defect() == completeness
-    assert len(formed) == products
-    _assert_close(basis.propagator(0.7, 0.2), reference.propagator(0.7, 0.2))
 
 
 # ---------------------------------------------------------------------------
