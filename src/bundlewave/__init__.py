@@ -99,7 +99,6 @@ from .green import (
     propagate_retarded,
     retarded_kernel,
     retarded_kernel_dirac,
-    vector_from_slices,
 )
 from .config import (
     ConfigError,

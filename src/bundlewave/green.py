@@ -13,8 +13,8 @@ evaluated.
 The four-component kernel carries an extra right factor of the time Clifford
 generator and weights its source accordingly.  The second-order scalar field
 gets a sine kernel over the spatial frequency operator plus a two-slot form
-whose first slot is a source-time derivative, taken by central difference
-over adjacent source slices.  A Born iteration builds kernels of a perturbed
+whose first slot is the kernel's source-time derivative, taken analytically
+over the same modes.  A Born iteration builds kernels of a perturbed
 operator from the free ones by trapezoidal time quadrature, with the
 coincidence limit Id/(i hbar h) at the interval ends.  It runs in the
 eigenbasis of the free Hamiltonian, where the free kernel is diagonal and,
@@ -57,7 +57,7 @@ HERMITICITY_TOL = 1e-10
 
 
 class GreenError(RuntimeError):
-    """Retardation violations, missing slices, or unusable spectra."""
+    """Retardation violations, mismatched shapes, or unusable spectra."""
 
 
 # ---------------------------------------------------------------------------
@@ -273,76 +273,40 @@ class ScalarFieldKernel:
     def _phase(self, delta: float) -> complex:
         return np.exp(-1j * self.charge * self.scalar_potential * delta / self.hbar)
 
-    def _slices(self, deltas: list[float]) -> np.ndarray:
-        """g at each positive lag t - s in `deltas`, stacked, from one
-        product over the modes."""
-        sines = np.stack([d * np.sinc(self.frequencies * d / np.pi) for d in deltas])  # sin(w d)/w
-        slices = (self.modes * sines[:, np.newaxis, :]) @ self.modes.conj().T
-        for slice_, delta in zip(slices, deltas):
-            np.multiply(self._phase(delta), slice_, out=slice_)
-        return slices
-
     def scalar(self, t: float, s: float) -> np.ndarray:
         """g(t, s); zero for t <= s."""
         n = self.grid.npoints
         if t <= s:
             return np.zeros((n, n), dtype=complex)
-        return self._slices([t - s])[0]
+        delta = t - s
+        sine = delta * np.sinc(self.frequencies * delta / np.pi)  # sin(w delta)/w
+        return self._phase(delta) * ((self.modes * sine) @ self.modes.conj().T)
 
     def scalar_rate(self, t: float, s: float) -> np.ndarray:
-        """Analytic -d g / d(source time), for cross-checks of the sliced form."""
+        """Analytic -d g / d(source time); zero for t <= s."""
         n = self.grid.npoints
         if t <= s:
             return np.zeros((n, n), dtype=complex)
         delta = t - s
-        sine = delta * np.sinc(self.frequencies * delta / np.pi)
-        cosine = np.cos(self.frequencies * delta)
-        inner = (self.modes * cosine) @ self.modes.conj().T
-        softened = (self.modes * sine) @ self.modes.conj().T
-        return self._phase(delta) * (inner - (1j * self.charge * self.scalar_potential / self.hbar) * softened)
+        inner = (self.modes * np.cos(self.frequencies * delta)) @ self.modes.conj().T
+        return (self._phase(delta) * inner
+                - (1j * self.charge * self.scalar_potential / self.hbar) * self.scalar(t, s))
 
-    def vector(self, t: float, s: float, source_step: float = 1e-6) -> tuple[np.ndarray, np.ndarray]:
-        """Two-slot kernel (acting on (phi, dphi/dt)) with the first slot's
-        source-time derivative taken by central difference over the adjacent
-        source slices s -+ source_step."""
+    def vector(self, t: float, s: float) -> tuple[np.ndarray, np.ndarray]:
+        """Two-slot kernel (-d_s g - (2e / i hbar) V g, g), acting on
+        (phi, dphi/dt)."""
         if t <= s:
             raise GreenError(f"the two-slot kernel needs t > s, got t={t}, s={s}")
-        if t - s <= source_step:
-            raise GreenError(
-                f"adjacent source slices at spacing {source_step} leave the causal "
-                f"region for t - s = {t - s}; shrink the step"
-            )
-        g_before, g_mid, g_after = self._slices([t - (s - source_step), t - s, t - (s + source_step)])
-        return vector_from_slices(
-            g_before, g_mid, g_after, source_step, self.charge, self.scalar_potential, self.hbar
-        )
+        g = self.scalar(t, s)
+        coupling = 2.0 * self.charge * self.scalar_potential / (1j * self.hbar)
+        return self.scalar_rate(t, s) - coupling * g, g
 
-    def propagate(self, state: GridFunction, t: float, s: float, source_step: float = 1e-6) -> np.ndarray:
+    def propagate(self, state: GridFunction, t: float, s: float) -> np.ndarray:
         """phi(t) = h * (first_slot phi(s) + g dphi/dt(s)) on a canonical state."""
         if state.components != 2:
             raise GreenError("scalar-field propagation needs a canonical two-component state")
-        first, second = self.vector(t, s, source_step)
+        first, second = self.vector(t, s)
         return self.grid.spacing * (first @ state.values[0] + second @ state.values[1])
-
-
-def vector_from_slices(
-    g_before: np.ndarray | None,
-    g_mid: np.ndarray | None,
-    g_after: np.ndarray | None,
-    source_step: float,
-    charge: float = 0.0,
-    scalar_potential: float = 0.0,
-    hbar: float = 1.0,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Assemble (-d_s g - (2e / i hbar) V g, g) from three source slices."""
-    for name, slice_ in (("before", g_before), ("mid", g_mid), ("after", g_after)):
-        if slice_ is None:
-            raise GreenError(f"missing {name!r} source slice for the two-slot kernel")
-    if g_before.shape != g_mid.shape or g_after.shape != g_mid.shape:
-        raise GreenError("source slices disagree in shape")
-    rate = -(g_after - g_before) / (2.0 * source_step)
-    first = rate - (2.0 * charge / (1j * hbar)) * scalar_potential * g_mid
-    return first, g_mid
 
 
 # ---------------------------------------------------------------------------

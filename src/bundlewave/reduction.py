@@ -58,11 +58,14 @@ class Potentials:
     """Scalar potential and the single vector-potential component of a 1D run.
 
     Each entry is a constant, a grid-sampled (N,) array, or a callable
-    t -> constant/array.
+    t -> constant/array.  `scalar_rate` is d(scalar)/dt in the same format;
+    only a charged scalar field reads it, and refuses a callable scalar
+    without one.
     """
 
     scalar: object = 0.0
     vector: object = 0.0
+    scalar_rate: object = None
 
     def is_zero(self) -> bool:
         return (
@@ -70,19 +73,6 @@ class Potentials:
             and np.all(np.asarray(self.scalar) == 0)
             and np.all(np.asarray(self.vector) == 0)
         )
-
-    def scalar_rate(self):
-        """Entry for d(scalar)/dt in the same constant/array/callable format."""
-        if callable(self.scalar):
-            src = self.scalar
-            dt = 1e-6
-
-            def rate(t):
-                return (np.asarray(src(t + dt), dtype=float)
-                        - np.asarray(src(t - dt), dtype=float)) / (2 * dt)
-
-            return rate
-        return 0.0
 
 
 def pointwise(entry, func):
@@ -246,7 +236,11 @@ def _scalar_field_f0(
     if charge != 0.0:
         terms.append(ScaleOp(pointwise(potentials.scalar, lambda v: (charge / hbar) ** 2 * v * v)))
         if callable(potentials.scalar):
-            rate = potentials.scalar_rate()
+            if potentials.scalar_rate is None:
+                raise ReductionError(
+                    "a charged scalar field with a callable scalar potential needs its scalar_rate"
+                )
+            rate = potentials.scalar_rate
             terms.append(ScaleOp(pointwise(rate, lambda v: (2 * charge / (1j * hbar)) * v)))
     return op_sum(*terms)
 
@@ -437,12 +431,16 @@ def block_diag_hamiltonian(factories: list, label: str = "block-diag") -> Hamilt
 class GaugeFrame:
     """Invertible frame A(t) on the stacked components.
 
-    `matrix` is a constant matrix or a callable t -> matrix; `derivative`
-    may be supplied analytically and is finite-differenced otherwise.
+    `matrix` is a constant matrix or a callable t -> matrix; a callable
+    `matrix` needs its `derivative` dA/dt, in the same format.
     """
 
     matrix: object
     derivative: object = None
+
+    def __post_init__(self):
+        if callable(self.matrix) and self.derivative is None:
+            raise ReductionError("a driven gauge frame needs its derivative")
 
     @property
     def time_dependent(self) -> bool:
@@ -456,13 +454,10 @@ class GaugeFrame:
         return m
 
     def rate(self, t: float = 0.0) -> np.ndarray:
-        if self.derivative is not None:
-            d = self.derivative(t) if callable(self.derivative) else self.derivative
-            return np.asarray(d, dtype=complex)
-        if not callable(self.matrix):
+        if self.derivative is None:
             return np.zeros_like(self.at(t))
-        eps = 1e-6
-        return (self.at(t + eps) - self.at(t - eps)) / (2 * eps)
+        d = self.derivative(t) if callable(self.derivative) else self.derivative
+        return np.asarray(d, dtype=complex)
 
     def inverse_at(self, t: float = 0.0) -> np.ndarray:
         m = self.at(t)

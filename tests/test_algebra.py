@@ -203,6 +203,7 @@ def test_dense_matches_columnwise_apply(model, boundary):
     if model == "schrodinger":
         factory = schrodinger_hamiltonian(1.3, potential=lambda t: 0.5 * np.cos(x - t))
     elif model == "kg-canonical":
+        potentials.scalar_rate = lambda t: -0.3 * np.sin(x + t)
         factory = kg_canonical_hamiltonian(0.8, 1.0, potentials)
     else:
         factory = dirac_hamiltonian(0.7, 1.0, potentials)

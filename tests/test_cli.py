@@ -478,7 +478,7 @@ def test_green_scalar_field_duality(tmp_path, capsys):
     assert main(["green", "--config", cfg]) == EXIT_OK
     lines = capsys.readouterr().out.splitlines()
     assert lines[0] == "quantity,value"
-    assert float(dict(l.split(",", 1) for l in lines[1:])["duality-defect"]) < 1e-8
+    assert float(dict(l.split(",", 1) for l in lines[1:])["duality-defect"]) < 1e-12
 
 
 def test_green_rejects_nonconstant_scalar_potential(tmp_path, capsys):

@@ -269,6 +269,10 @@ def _driven_profile(t):
     return 0.3 * np.cos(GRID.points) * np.cos(3.0 * t)
 
 
+def _driven_rate(t):
+    return -0.9 * np.cos(GRID.points) * np.sin(3.0 * t)
+
+
 # Models with more than one group, and the groups they must have.
 _GROUPED = {
     "dirac": (
@@ -293,7 +297,7 @@ _ONE_GROUP = {
         1.0, 1.0, Potentials(scalar=0.2 * np.cos(GRID.points))
     ),
     "kg-canonical-driven": lambda: kg_canonical_hamiltonian(
-        1.0, 1.0, Potentials(scalar=_driven_profile)
+        1.0, 1.0, Potentials(scalar=_driven_profile, scalar_rate=_driven_rate)
     ),
 }
 
@@ -593,7 +597,7 @@ _DRIVEN_SHARED = {
     "schrodinger": (lambda hbar: schrodinger_hamiltonian(
         1.0, potential=lambda t: 0.3 * np.cos(GRID.points) * np.cos(3.0 * t), hbar=hbar), 1),
     "kg-canonical": (lambda hbar: kg_canonical_hamiltonian(
-        1.0, 1.0, Potentials(scalar=_driven_profile), hbar=hbar), 2),
+        1.0, 1.0, Potentials(scalar=_driven_profile, scalar_rate=_driven_rate), hbar=hbar), 2),
 }
 
 
@@ -625,12 +629,18 @@ def _driven_dirac():
 
 
 def _driven_kg_canonical():
-    return kg_canonical_hamiltonian(1.0, 1.0, Potentials(scalar=_driven_profile))
+    return kg_canonical_hamiltonian(
+        1.0, 1.0, Potentials(scalar=_driven_profile, scalar_rate=_driven_rate))
 
 
 def _rotation(t):
     c, s = np.cos(0.9 * t), np.sin(0.9 * t)
     return np.array([[c, -s], [s, c]])
+
+
+def _rotation_rate(t):
+    c, s = np.cos(0.9 * t), np.sin(0.9 * t)
+    return 0.9 * np.array([[-s, -c], [c, -s]])
 
 
 _PHASES = np.array([0.3, -0.7, 1.1, 0.2])
@@ -655,9 +665,11 @@ _WRAPPED_ONCE = {
 # that rebuilding H at each step takes.
 _WRAPPED_DRIVEN = {
     "dirac-driven-phase": (lambda: gauge_transform(
-        _driven_dirac(), GaugeFrame(lambda t: np.diag(np.exp(1j * _PHASES * t)))), 160),
+        _driven_dirac(), GaugeFrame(lambda t: np.diag(np.exp(1j * _PHASES * t)),
+                                    lambda t: np.diag(1j * _PHASES * np.exp(1j * _PHASES * t)))),
+        160),
     "kg-canonical-driven-rotation": (
-        lambda: gauge_transform(_driven_kg_canonical(), GaugeFrame(_rotation)), 320),
+        lambda: gauge_transform(_driven_kg_canonical(), GaugeFrame(_rotation, _rotation_rate)), 320),
 }
 
 
@@ -693,7 +705,8 @@ def test_twin_blocks_are_told_apart_by_their_bits():
 _LUS_PER_STEP = {
     "dirac-driven": (_driven_dirac, 1),
     "maxwell-driven-phase": (lambda: gauge_transform(
-        maxwell_hamiltonian(), GaugeFrame(lambda t: np.exp(0.7j * t) * np.eye(4))), 2),
+        maxwell_hamiltonian(), GaugeFrame(lambda t: np.exp(0.7j * t) * np.eye(4),
+                                          lambda t: 0.7j * np.exp(0.7j * t) * np.eye(4))), 2),
 }
 
 

@@ -21,7 +21,6 @@ from bundlewave.green import (
     propagate_retarded,
     retarded_kernel,
     retarded_kernel_dirac,
-    vector_from_slices,
 )
 from bundlewave.grid import GridFunction, SpatialGrid1D
 from bundlewave.reduction import (
@@ -382,7 +381,7 @@ def test_scalar_kernel_free_plane_wave_frequency():
     mode = np.exp(1j * k * GRID.points)
     state = GridFunction(GRID, np.stack([mode, -1j * omega * mode]))
     phi = kernel.propagate(state, 0.5, 0.0)
-    assert np.max(np.abs(phi - np.exp(-1j * omega * 0.5) * mode)) < 1e-8
+    assert np.max(np.abs(phi - np.exp(-1j * omega * 0.5) * mode)) < 1e-12
 
 
 def test_scalar_kernel_free_field_duality():
@@ -392,7 +391,7 @@ def test_scalar_kernel_free_field_duality():
     state = _packet(GRID, components=2)
     stepped = evolve(state, factory, dt=1e-3, steps=500, method="midpoint-exponential")
     phi = kernel.propagate(state, 0.5, 0.0)
-    assert np.max(np.abs(phi - stepped.values[0])) < 1e-9
+    assert np.max(np.abs(phi - stepped.values[0])) < 1e-12
 
 
 def test_scalar_kernel_constant_potential_duality():
@@ -402,16 +401,7 @@ def test_scalar_kernel_constant_potential_duality():
     state = _packet(GRID, components=2)
     stepped = evolve(state, factory, dt=1e-3, steps=500, method="midpoint-exponential")
     phi = kernel.propagate(state, 0.5, 0.0)
-    assert np.max(np.abs(phi - stepped.values[0])) < 1e-9
-
-
-def test_sliced_first_slot_matches_analytic_rate():
-    kernel = ScalarFieldKernel.build(GRID, 1.0, charge=0.5, scalar_potential=0.7)
-    t, s = 0.6, 0.1
-    first, second = kernel.vector(t, s)
-    analytic = kernel.scalar_rate(t, s) - (2.0 * 0.5 / (1j * 1.0)) * 0.7 * kernel.scalar(t, s)
-    assert np.max(np.abs(first - analytic)) < 1e-8
-    assert np.array_equal(second, kernel.scalar(t, s))
+    assert np.max(np.abs(phi - stepped.values[0])) < 1e-12
 
 
 def test_scalar_kernel_guards():
@@ -419,14 +409,8 @@ def test_scalar_kernel_guards():
     assert np.all(kernel.scalar(0.2, 0.2) == 0)
     with pytest.raises(GreenError):
         kernel.vector(0.2, 0.2)
-    with pytest.raises(GreenError, match="causal"):
-        kernel.vector(0.1 + 1e-8, 0.1, source_step=1e-6)
     with pytest.raises(GreenError):
         kernel.propagate(_packet(GRID), 0.5, 0.0)
-    with pytest.raises(GreenError):
-        vector_from_slices(None, np.eye(2), np.eye(2), 1e-6)
-    with pytest.raises(GreenError):
-        vector_from_slices(np.eye(3), np.eye(2), np.eye(2), 1e-6)
 
 
 # ---------------------------------------------------------------------------

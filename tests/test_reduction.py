@@ -134,6 +134,8 @@ def test_dirac_free_is_hermitian():
 
 
 def test_dirac_time_dependent_potential():
+    # Dirac's H has no scalar-rate term: a callable scalar without its rate
+    # builds and marches.
     factory = dirac_hamiltonian(
         1.0, charge=1.0, potentials=Potentials(scalar=lambda t: 2.0 * t)
     )
@@ -141,6 +143,8 @@ def test_dirac_time_dependent_potential():
     h0 = hamiltonian_dense(factory, GRID, t=0.0)
     h1 = hamiltonian_dense(factory, GRID, t=1.0)
     assert np.max(np.abs((h1 - h0) - 2.0 * np.eye(4 * GRID.npoints))) < 1e-12
+    state = GridFunction(GRID, np.ones((4, GRID.npoints), dtype=complex))
+    assert np.all(np.isfinite(evolve(state, factory, dt=0.1, steps=3).values))
 
 
 DRIVING = Potentials(scalar=lambda t: 0.1 * t, vector=lambda t: np.cos(GRID.points + t))
@@ -150,8 +154,8 @@ DRIVING = Potentials(scalar=lambda t: 0.1 * t, vector=lambda t: np.cos(GRID.poin
     lambda: dirac_hamiltonian(1.0, 1.0, Potentials(scalar=lambda t: np.cos(GRID.points + t))),
     lambda: dirac_hamiltonian(1.0),
     lambda: schrodinger_hamiltonian(1.0, potential=lambda t: np.cos(GRID.points - t)),
-    lambda: kg_nonrel_hamiltonian(1.0, 1.0, Potentials(scalar=lambda t: 0.1 * t)),
-    lambda: kg_canonical_hamiltonian(1.0, 1.0, Potentials(scalar=lambda t: 0.1 * t)),
+    lambda: kg_nonrel_hamiltonian(1.0, 1.0, Potentials(scalar=lambda t: 0.1 * t, scalar_rate=0.1)),
+    lambda: kg_canonical_hamiltonian(1.0, 1.0, Potentials(scalar=lambda t: 0.1 * t, scalar_rate=0.1)),
     lambda: kg_canonical_hamiltonian(1.0),
     lambda: kg_5d_hamiltonian(1.0),
     lambda: maxwell_hamiltonian(),
@@ -252,6 +256,13 @@ def test_five_component_tracks_canonical():
 def test_five_component_needs_mass():
     with pytest.raises(ReductionError):
         kg_5d_hamiltonian(0.0)
+
+
+@pytest.mark.parametrize("builder", [kg_canonical_hamiltonian, kg_nonrel_hamiltonian])
+def test_charged_scalar_field_refuses_a_callable_scalar_without_its_rate(builder):
+    with pytest.raises(ReductionError, match="scalar_rate") as refused:
+        builder(1.0, 0.5, Potentials(scalar=lambda t: 0.1 * t))
+    assert "\n" not in str(refused.value)
 
 
 @pytest.mark.parametrize("mass", [0.0, -1.0, -1e-300])
@@ -383,15 +394,10 @@ def test_gauge_transform_time_dependent_term():
     assert np.max(np.abs(hamiltonian_dense(gauged, GRID, t) - expected)) < 1e-11
 
 
-def test_gauge_transform_finite_difference_rate():
-    w = 0.7
-    factory = schrodinger_hamiltonian(mass=1.0)
-    frame = GaugeFrame(lambda t: np.array([[np.exp(1j * w * t)]]))
-    gauged = gauge_transform(factory, frame)
-    t = 0.3
-    h = hamiltonian_dense(factory, GRID, t)
-    expected = h - w * np.eye(GRID.npoints)
-    assert np.max(np.abs(hamiltonian_dense(gauged, GRID, t) - expected)) < 1e-8
+def test_driven_gauge_frame_without_its_derivative_is_refused():
+    with pytest.raises(ReductionError, match="derivative") as refused:
+        GaugeFrame(lambda t: np.array([[np.exp(0.7j * t)]]))
+    assert "\n" not in str(refused.value)
 
 
 def test_gauge_transform_refuses_a_singular_constant_frame_when_called():
@@ -401,7 +407,10 @@ def test_gauge_transform_refuses_a_singular_constant_frame_when_called():
 
 def test_driven_frame_that_leaves_its_initial_support_is_refused():
     # A(0) = I and dA/dt(0) = 0, so the (0, 1) entry has no place in H~.
-    frame = GaugeFrame(lambda t: np.array([[1.0, t * t], [0.0, 1.0]]))
+    frame = GaugeFrame(
+        lambda t: np.array([[1.0, t * t], [0.0, 1.0]]),
+        derivative=lambda t: np.array([[0.0, 2.0 * t], [0.0, 0.0]]),
+    )
     gauged = gauge_transform(_expand_to(schrodinger_hamiltonian(1.0)), frame)
     assert gauged.time_dependent
     hamiltonian_dense(gauged, GRID, 0.0)
