@@ -1,0 +1,94 @@
+"""Write the command line's byte-identity tables into one directory.
+
+Every table is written in-process through `bundlewave.cli.main`:
+
+* `run` and `green` on the kg-canonical configuration of the c13
+  acceptance criterion and on the `ini` block of the README;
+* `run` on the `run-dirac-static` benchmark configuration and `green` on
+  `green-dirac-born`;
+
+each at every seed, and `check` with all suites at seed 7.  Table NAME at
+seed S lands in OUT/NAME-seedS/.  Two checkouts that print the same
+numbers give directories that `diff -r` finds equal.  Prints one
+`table,exit_code` line per table and fails unless every command exits 0.
+
+Example:
+
+    PYTHONPATH=src python3 scripts/table_gate.py /tmp/tables-before
+    PYTHONPATH=src python3 scripts/table_gate.py /tmp/tables-after
+    diff -r /tmp/tables-before /tmp/tables-after
+"""
+
+import argparse
+import re
+import sys
+import tempfile
+import textwrap
+from pathlib import Path
+
+from bundlewave.cli import EXIT_OK, main as cli_main
+
+ROOT = Path(__file__).resolve().parent.parent
+BENCH_CONFIGS = ROOT / "perfbench" / "configs"
+
+# The configuration of `test_c13_cli_determinism`.
+C13_CONFIG = textwrap.dedent(
+    """
+    [model]
+    kind = kg-canonical
+    [grid]
+    points = 16
+    [evolution]
+    time-step = 0.01
+    steps = 5
+    [initial]
+    profile = random
+    """
+)
+
+
+def _readme_config() -> str:
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    blocks = re.findall(r"^```ini\n(.*?)^```", readme, re.MULTILINE | re.DOTALL)
+    if len(blocks) != 1:
+        raise SystemExit(f"README.md holds {len(blocks)} ini blocks, expected one")
+    return blocks[0]
+
+
+def build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("out", type=Path, help="directory that receives the tables")
+    parser.add_argument("--seeds", type=int, nargs="+", default=[5, 7, 1001])
+    return parser
+
+
+def main(argv=None) -> int:
+    args = build_parser().parse_args(argv)
+    failed = False
+    with tempfile.TemporaryDirectory() as scratch:
+        written = {}
+        for name, text in (("c13", C13_CONFIG), ("readme", _readme_config())):
+            written[name] = Path(scratch) / f"{name}.cfg"
+            written[name].write_text(text, encoding="utf-8")
+        tables = [
+            (f"{command}-{name}", [command, "--config", str(path)])
+            for name, path in written.items()
+            for command in ("run", "green")
+        ]
+        tables += [
+            ("run-dirac-static", ["run", "--config", str(BENCH_CONFIGS / "run-dirac-static.cfg")]),
+            ("green-dirac-born", ["green", "--config", str(BENCH_CONFIGS / "green-dirac-born.cfg")]),
+        ]
+        runs = [(f"{name}-seed{seed}", words + ["--seed", str(seed)])
+                for seed in args.seeds for name, words in tables]
+        runs.append(("check-seed7", ["check", "--seed", "7"]))
+        sys.stdout.write("table,exit_code\n")
+        for name, words in runs:
+            code = cli_main(words + ["--out", str(args.out / name)])
+            sys.stdout.write(f"{name},{code}\n")
+            failed = failed or code != EXIT_OK
+    return 1 if failed else 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())

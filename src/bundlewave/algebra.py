@@ -61,9 +61,6 @@ class LinearGridOperator:
     def __sub__(self, other: "LinearGridOperator") -> "LinearGridOperator":
         return op_sum(self, op_scale(-1.0, other))
 
-    def __neg__(self) -> "LinearGridOperator":
-        return op_scale(-1.0, self)
-
     def __mul__(self, scalar: complex) -> "LinearGridOperator":
         return op_scale(scalar, self)
 
@@ -321,11 +318,6 @@ class MatrixOperator:
             raise AlgebraError(f"cannot add shapes {self.shape} and {other.shape}")
         return MatrixOperator([[op_sum(a, b) for a, b in zip(*rows)]
                                for rows in zip(self.entries, other.entries)])
-
-    def __mul__(self, scalar: complex) -> "MatrixOperator":
-        return MatrixOperator([[op_scale(scalar, entry) for entry in row] for row in self.entries])
-
-    __rmul__ = __mul__
 
     def is_zero(self) -> bool:
         return all(entry.is_zero() for row in self.entries for entry in row)

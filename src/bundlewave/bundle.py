@@ -13,9 +13,9 @@ which satisfies both laws to rounding error by construction.
 Two frame sources are provided.  A flat transport takes the frames directly
 from a frame field (transport then depends only on the endpoint frames, so
 it is path independent).  An evolution transport over the time axis uses
-F_i = U(t_0 <- t_i) g_i, the backward propagator times an optional
-per-sample gauge: transports become the gauge-twisted propagators
-g_i^{-1} U(t_i <- t_j) g_j.
+F_i = U(t_0 <- t_i), the backward propagator; `with_gauge` twists it by a
+per-sample gauge g_i into F_i g_i, whose transports are the gauge-twisted
+propagators g_i^{-1} U(t_i <- t_j) g_j.
 
 Connection coefficients are read off the transport by differencing: the
 arrival coefficient d/dt K(t <- s)|_{t=s} equals -(i/hbar) H(s) for an
@@ -112,10 +112,10 @@ class Trivialization:
     def dim(self) -> int:
         return self.frames.shape[1]
 
-    def is_unitary(self, tol: float = 1e-12) -> bool:
+    def is_unitary(self) -> bool:
         eye = np.eye(self.dim)
         defect = np.max(np.abs(np.einsum("kij,kil->kjl", self.frames.conj(), self.frames) - eye))
-        return bool(defect <= tol)
+        return bool(defect <= 1e-12)
 
 
 def induced_fibre_product(frame_field: np.ndarray) -> FibreProduct:
@@ -215,13 +215,12 @@ def evolution_transport(
     sampling: PathSampling,
     method: str = "midpoint-exponential",
     substeps: int = 1,
-    gauge: Trivialization | None = None,
 ) -> TransportAlongMap:
-    """Transport over the time axis with frames F_i = U(t_0 <- t_i) g_i.
+    """Transport over the time axis with frames F_i = U(t_0 <- t_i).
 
     The backward propagators are accumulated interval by interval with
-    `substeps` sub-intervals each; transports come out as the gauge-twisted
-    propagators g_i^{-1} U(t_i <- t_j) g_j.
+    `substeps` sub-intervals each; transports come out as the propagators
+    U(t_i <- t_j), and `with_gauge` twists them by a per-sample gauge.
 
     F_0 is the identity and every substep's U is block-diagonal over the
     component groups of H, so the frames are held as one stack F_S per
@@ -234,8 +233,8 @@ def evolution_transport(
     group moves to a copy of the stack on the first substep where they part.
     Substep U(tau_k <- tau_{k+1}) is the stepper's step of size -delta from
     tau_{k+1}.  Overflow ends in EvolutionError, as in `step_matrix`.  The
-    frames are invertible by construction, so only a gauge, which makes
-    them dense, passes the conditioning guard.
+    frames are invertible by construction and skip the conditioning guard,
+    which `with_gauge` applies to the dense gauged frames.
     """
     size = factory.dimension * grid.npoints
     if size > DENSE_STATE_LIMIT:
@@ -273,10 +272,7 @@ def evolution_transport(
                     f"transport frame {i + 1} left the finite range; reduce the sampling step"
                 )
     blocks = [(at, stack) for (_, at, _, _), stack in zip(factors.parts, stacks)]
-    transport = TransportAlongMap._from_steps(sampling, blocks)
-    if gauge is not None:
-        transport = transport.with_gauge(gauge)
-    return transport
+    return TransportAlongMap._from_steps(sampling, blocks)
 
 
 # ---------------------------------------------------------------------------

@@ -210,11 +210,14 @@ def _green_first_order(cfg: RunConfig, args) -> list[str]:
                      method="midpoint-exponential")
     h = hamiltonian_dense(factory, grid)
     basis = EigenBasis.from_dense(h, grid, factory.dimension, factory.hbar, factory.label)
-    kernelled = propagate_retarded(basis, state, t, s, dirac=cfg.model.kind == "dirac")
+    kernelled = propagate_retarded(basis, state, t, s)
     lines = [
         f"duality-defect,{_fmt((evolved - kernelled).norm())}",
         f"kernel-completeness,{_fmt(basis.completeness_defect())}",
     ]
+    # Free the basis and its cached mode blocks before the Born comparison,
+    # which sets the peak memory of this command.
+    del basis
     # Born comparison against the exactly-known kernel of the scaled problem.
     m = cfg.model
     if m.kind == "dirac":

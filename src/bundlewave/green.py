@@ -11,7 +11,9 @@ time, and propagation requests with t <= s are refused rather than silently
 evaluated.
 
 The four-component kernel carries an extra right factor of the time Clifford
-generator and weights its source accordingly.  The second-order scalar field
+generator.  The generator squares to the identity, so on a source weighted
+by it the four-component kernel propagates as the plain one does, and one
+propagation serves both conventions.  The second-order scalar field
 gets a sine kernel over the spatial frequency operator plus a two-slot form
 whose first slot is the kernel's source-time derivative, taken analytically
 over the same modes.  A Born iteration builds kernels of a perturbed
@@ -123,34 +125,26 @@ class EigenBasis:
         return cls(energies, _block_diagonal(size, blocks), grid, dimension, hbar)
 
     @classmethod
-    def from_factory(
-        cls,
-        factory: HamiltonianFactory,
-        grid: SpatialGrid1D,
-        t: float = 0.0,
-    ) -> "EigenBasis":
+    def from_factory(cls, factory: HamiltonianFactory, grid: SpatialGrid1D) -> "EigenBasis":
         return cls.from_dense(
-            hamiltonian_dense(factory, grid, t), grid, factory.dimension, factory.hbar, factory.label
+            hamiltonian_dense(factory, grid), grid, factory.dimension, factory.hbar, factory.label
         )
 
     @functools.cached_property
-    def _group_positions(self) -> list:
-        """Flat positions of each component group, read from `modes` once
-        per basis."""
+    def _blocks(self) -> list:
+        """(positions, modes restricted to them) per component group, read
+        from `modes` and copied out of it once per basis."""
         npoints = self.grid.npoints
         groups = _connected_sets(_coupling(self.modes, self.dimension, npoints))
-        return [_positions(group, npoints) for group in groups]
-
-    def _blocks(self) -> list:
-        """(positions, modes restricted to them) per component group."""
-        return [(at, self.modes[_block(at, at)]) for at in self._group_positions]
+        positions = [_positions(group, npoints) for group in groups]
+        return [(at, self.modes[_block(at, at)]) for at in positions]
 
     def completeness_defect(self) -> float:
         """max |h U U^dag - Id|, taken over the group blocks; the blocks
         between groups are exactly zero on both sides."""
         return max(
             float(np.max(np.abs(self.grid.spacing * (modes @ modes.conj().T) - np.eye(modes.shape[0]))))
-            for _, modes in self._blocks()
+            for _, modes in self._blocks
         )
 
     def _phases(self, t: float, s: float) -> np.ndarray:
@@ -162,7 +156,7 @@ class EigenBasis:
         phases = self._phases(t, s)
         return _block_diagonal(self.modes.shape[0], [
             (at, self.grid.spacing * ((modes * phases[at]) @ modes.conj().T))
-            for at, modes in self._blocks()
+            for at, modes in self._blocks
         ])
 
 
@@ -174,28 +168,22 @@ def retarded_kernel(basis: EigenBasis, t: float, s: float) -> np.ndarray:
     return basis.propagator(t, s) / (1j * basis.hbar * basis.grid.spacing)
 
 
-def _time_generator(basis: EigenBasis) -> np.ndarray:
-    """The 4 x 4 time Clifford generator that weights four-component kernels."""
+def retarded_kernel_dirac(basis: EigenBasis, t: float, s: float) -> np.ndarray:
+    """Four-component kernel: the plain kernel times the 4 x 4 time Clifford
+    generator, which mixes the kernel's column components."""
     if basis.dimension != 4:
         raise GreenError("the four-component kernel needs a four-component basis")
-    return dirac_gammas().matrix(0)
-
-
-def retarded_kernel_dirac(basis: EigenBasis, t: float, s: float) -> np.ndarray:
-    """Four-component kernel: the plain kernel times the time generator,
-    which mixes the kernel's column components."""
-    gamma0 = _time_generator(basis)
+    gamma0 = dirac_gammas().matrix(0)
     kernel = retarded_kernel(basis, t, s)
     size, npoints = kernel.shape[0], basis.grid.npoints
     columns = kernel.reshape(size, 4, npoints)
     return np.einsum("rcx,cd->rdx", columns, gamma0).reshape(size, size)
 
 
-def propagate_retarded(
-    basis: EigenBasis, state: GridFunction, t: float, s: float, dirac: bool = False
-) -> GridFunction:
-    """psi(t) = i hbar h G(t,s) psi(s), with the source weighted by the time
-    generator in the four-component convention.
+def propagate_retarded(basis: EigenBasis, state: GridFunction, t: float, s: float) -> GridFunction:
+    """psi(t) = i hbar h G(t,s) psi(s).  In the four-component convention
+    the kernel's right factor of the time generator cancels the generator
+    that weights the source, so the same call serves it.
 
     The kernel is applied without being formed: each group S contributes
     h U_S (p_S * (U_S^dag psi_S)), O((|S| N)^2) work."""
@@ -205,15 +193,10 @@ def propagate_retarded(
         raise GreenError(
             f"state has {state.components} components, the basis has {basis.dimension}"
         )
-    values = state.values
-    if dirac:
-        gamma0 = _time_generator(basis)
-        # The kernel's right factor of the generator meets the weighted source.
-        values = gamma0 @ (gamma0 @ values)
-    source = values.reshape(-1)
+    source = state.flatten()
     phases = basis._phases(t, s)
     flat = np.empty(source.size, dtype=complex)
-    for at, modes in basis._blocks():
+    for at, modes in basis._blocks:
         flat[at] = basis.grid.spacing * (modes @ (phases[at] * (modes.conj().T @ source[at])))
     return GridFunction.from_flat(basis.grid, flat, basis.dimension)
 
@@ -287,10 +270,14 @@ class ScalarFieldKernel:
         n = self.grid.npoints
         if t <= s:
             return np.zeros((n, n), dtype=complex)
+        return self._rate(t, s, self.scalar(t, s))
+
+    def _rate(self, t: float, s: float, g: np.ndarray) -> np.ndarray:
+        """`scalar_rate` for t > s, given g(t, s)."""
         delta = t - s
         inner = (self.modes * np.cos(self.frequencies * delta)) @ self.modes.conj().T
         return (self._phase(delta) * inner
-                - (1j * self.charge * self.scalar_potential / self.hbar) * self.scalar(t, s))
+                - (1j * self.charge * self.scalar_potential / self.hbar) * g)
 
     def vector(self, t: float, s: float) -> tuple[np.ndarray, np.ndarray]:
         """Two-slot kernel (-d_s g - (2e / i hbar) V g, g), acting on
@@ -299,7 +286,7 @@ class ScalarFieldKernel:
             raise GreenError(f"the two-slot kernel needs t > s, got t={t}, s={s}")
         g = self.scalar(t, s)
         coupling = 2.0 * self.charge * self.scalar_potential / (1j * self.hbar)
-        return self.scalar_rate(t, s) - coupling * g, g
+        return self._rate(t, s, g) - coupling * g, g
 
     def propagate(self, state: GridFunction, t: float, s: float) -> np.ndarray:
         """phi(t) = h * (first_slot phi(s) + g dphi/dt(s)) on a canonical state."""

@@ -133,9 +133,6 @@ class GridFunction:
     def components(self) -> int:
         return self.values.shape[0]
 
-    def copy(self) -> "GridFunction":
-        return GridFunction(self.grid, self.values.copy())
-
     def flatten(self) -> np.ndarray:
         """Component-major flattening: index = component * N + point."""
         return self.values.reshape(-1)
@@ -152,10 +149,6 @@ class GridFunction:
 
     def norm(self, fibre_product: "FibreProduct | None" = None) -> float:
         return float(np.sqrt(max(inner(self, self, fibre_product).real, 0.0)))
-
-    def __add__(self, other: "GridFunction") -> "GridFunction":
-        _require_same_grid(self, other)
-        return GridFunction(self.grid, self.values + other.values)
 
     def __sub__(self, other: "GridFunction") -> "GridFunction":
         _require_same_grid(self, other)
@@ -201,11 +194,11 @@ class FibreProduct:
     def components(self) -> int:
         return self.weights.shape[-1]
 
-    def validate(self, tol: float = 1e-12):
+    def validate(self):
         """Check Hermiticity exactly-ish and positive-definiteness per point."""
         w = self.weights if self.weights.ndim == 3 else self.weights[None, :, :]
         herm_defect = np.max(np.abs(w - np.conj(np.swapaxes(w, -1, -2))))
-        if herm_defect > tol * max(1.0, np.max(np.abs(w))):
+        if herm_defect > 1e-12 * max(1.0, np.max(np.abs(w))):
             raise GridError(f"fibre product weight is not Hermitian (defect {herm_defect:.3e})")
         eigs = np.linalg.eigvalsh(w)
         if np.min(eigs) <= 0:

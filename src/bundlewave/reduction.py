@@ -465,12 +465,9 @@ class GaugeFrame:
             raise ReductionError("gauge frame is singular")
         return np.linalg.inv(m)
 
-    def condition_number(self, t: float = 0.0) -> float:
-        return float(np.linalg.cond(self.at(t)))
-
-    def is_unitary(self, t: float = 0.0, tol: float = 1e-12) -> bool:
+    def is_unitary(self, t: float = 0.0) -> bool:
         m = self.at(t)
-        return bool(np.max(np.abs(m.conj().T @ m - np.eye(m.shape[0]))) <= tol)
+        return bool(np.max(np.abs(m.conj().T @ m - np.eye(m.shape[0]))) <= 1e-12)
 
 
 def gauge_transform(factory: HamiltonianFactory, frame: GaugeFrame) -> HamiltonianFactory:

@@ -120,11 +120,11 @@ def test_c05_kernel_evolution_duality():
     grid = SpatialGrid1D(32, 2.0 * np.pi)
     rng = np.random.default_rng(0)
     cases = [
-        ("one-component", schrodinger_hamiltonian(1.0, potential=0.4 * np.cos(grid.points)), False),
-        ("four-component", dirac_hamiltonian(mass=1.0), True),
+        ("one-component", schrodinger_hamiltonian(1.0, potential=0.4 * np.cos(grid.points))),
+        ("four-component", dirac_hamiltonian(mass=1.0)),
     ]
     measurements = []
-    for label, factory, dirac in cases:
+    for label, factory in cases:
         basis = EigenBasis.from_factory(factory, grid)
         worst = 0.0
         for _ in range(5):
@@ -133,7 +133,7 @@ def test_c05_kernel_evolution_duality():
                 grid, rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
             )
             stepped = evolve(state, factory, dt=0.01, steps=50, method="midpoint-exponential")
-            kernelled = propagate_retarded(basis, state, 0.5, 0.0, dirac=dirac)
+            kernelled = propagate_retarded(basis, state, 0.5, 0.0)
             worst = max(worst, (stepped - kernelled).norm())
         measurements.append((label, worst, 1e-8))
     _report("c05 kernel-evolution-duality", measurements)

@@ -265,7 +265,9 @@ def test_evolution_transport_matches_step_matrix_products(model, driven, substep
     if with_gauge:
         angles = np.linspace(0.0, 1.1, sampling.nsamples)
         gauge = Trivialization.phase(angles, factory.dimension)
-    transport = evolution_transport(factory, grid, sampling, method, substeps, gauge)
+    transport = evolution_transport(factory, grid, sampling, method, substeps)
+    if gauge is not None:
+        transport = transport.with_gauge(gauge)
     expected = _reference_transport_frames(factory, grid, sampling, method, substeps, gauge)
     defect = np.max(np.abs(transport.frames - expected)) / np.max(np.abs(expected))
     assert defect <= 1e-12
@@ -500,7 +502,7 @@ def test_only_gauged_evolution_transports_pass_the_frame_guard(monkeypatch):
     assert calls == []
     gauge = Trivialization.phase(np.linspace(0.0, 1.0, 5), factory.dimension)
     calls.clear()
-    evolution_transport(factory, grid, sampling, gauge=gauge)
+    evolution_transport(factory, grid, sampling).with_gauge(gauge)
     # `with_gauge` guards the gauged frames.
     assert calls == [(5, 32, 32)]
     calls.clear()

@@ -85,22 +85,11 @@ def test_four_component_kernel_duality():
     basis = EigenBasis.from_factory(factory, GRID)
     state = _packet(GRID, components=4)
     stepped = evolve(state, factory, dt=0.01, steps=40, method="midpoint-exponential")
-    from_kernel = propagate_retarded(basis, state, 0.4, 0.0, dirac=True)
+    from_kernel = propagate_retarded(basis, state, 0.4, 0.0)
     assert np.max(np.abs(from_kernel.values - stepped.values)) < 1e-11
     _, plain = _schrodinger_basis()
     with pytest.raises(GreenError):
         retarded_kernel_dirac(plain, 0.4, 0.0)
-
-
-def test_four_component_weighting_is_a_net_identity():
-    # The right factor of the time generator cancels against the weighted
-    # source because the generator squares to the identity.
-    factory = dirac_hamiltonian(mass=1.0)
-    basis = EigenBasis.from_factory(factory, GRID)
-    state = _packet(GRID, components=4)
-    weighted = propagate_retarded(basis, state, 0.4, 0.0, dirac=True)
-    plain = propagate_retarded(basis, state, 0.4, 0.0)
-    assert np.max(np.abs(weighted.values - plain.values)) < 1e-12
 
 
 def test_chaining_through_an_intermediate_time():
@@ -245,13 +234,13 @@ def test_grouped_four_component_kernel_matches_the_dense_weighting():
     dense = retarded_kernel(reference, 0.7, 0.2) @ gamma0
     _assert_close(retarded_kernel_dirac(basis, 0.7, 0.2), dense)
     _assert_close(retarded_kernel_dirac(reference, 0.7, 0.2), dense)
-    # Applied without forming the kernel, against the formed one.
+    # Applied without forming the kernel, against the formed ones: G psi,
+    # and G gamma0 gamma0 psi, the four-component kernel on a weighted source.
     state = _packet(GRID, components=4)
-    for dirac, kernel in ((False, retarded_kernel(reference, 0.7, 0.2)), (True, dense)):
-        source = gamma0 @ state.flatten() if dirac else state.flatten()
-        formed = (1j * GRID.spacing) * (kernel @ source)
-        applied = propagate_retarded(basis, state, 0.7, 0.2, dirac=dirac).flatten()
-        _assert_close(applied, formed)
+    applied = propagate_retarded(basis, state, 0.7, 0.2).flatten()
+    for kernel, source in ((retarded_kernel(reference, 0.7, 0.2), state.flatten()),
+                           (dense, gamma0 @ state.flatten())):
+        _assert_close(applied, (1j * GRID.spacing) * (kernel @ source))
     with pytest.raises(GreenError, match="components"):
         propagate_retarded(basis, _packet(GRID, components=2), 0.7, 0.2)
 
@@ -264,22 +253,29 @@ def test_basis_reads_its_groups_from_the_modes_once(monkeypatch):
     state = _packet(GRID, components=4)
     readings = (
         lambda basis: basis.propagator(0.7, 0.2),
-        lambda basis: propagate_retarded(basis, state, 0.7, 0.2, dirac=True).values,
+        lambda basis: propagate_retarded(basis, state, 0.7, 0.2).values,
         lambda basis: basis.completeness_defect(),
     )
     # A fresh basis per call reads its groups for that call alone.
     fresh = [read(EigenBasis.from_dense(h, GRID, factory.dimension)) for read in readings]
     basis = EigenBasis.from_dense(h, GRID, factory.dimension)
-    calls = []
-    scan = green_module._coupling
+    calls, blocks = [], []
+    scan, block = green_module._coupling, green_module._block
 
     def counted(*args):
         calls.append(args[1:])
         return scan(*args)
 
+    def counted_block(*args):
+        blocks.append(args)
+        return block(*args)
+
     monkeypatch.setattr(green_module, "_coupling", counted)
+    monkeypatch.setattr(green_module, "_block", counted_block)
     repeated = [[read(basis) for read in readings] for _ in range(2)]
     assert calls == [(factory.dimension, GRID.npoints)]
+    # One mode block per group, {0, 3} and {1, 2}, taken for all six reads.
+    assert len(blocks) == 2
     for values in repeated:
         for value, expected in zip(values, fresh):
             assert np.array_equal(value, expected)
@@ -402,6 +398,25 @@ def test_scalar_kernel_constant_potential_duality():
     stepped = evolve(state, factory, dt=1e-3, steps=500, method="midpoint-exponential")
     phi = kernel.propagate(state, 0.5, 0.0)
     assert np.max(np.abs(phi - stepped.values[0])) < 1e-12
+
+
+def test_two_slot_kernel_forms_g_once(monkeypatch):
+    mass, charge, potential = 1.0, 0.5, 0.7
+    kernel = ScalarFieldKernel.build(GRID, mass, charge=charge, scalar_potential=potential)
+    coupling = 2.0 * charge * potential / (1j * kernel.hbar)
+    expected = (kernel.scalar_rate(0.5, 0.1) - coupling * kernel.scalar(0.5, 0.1),
+                kernel.scalar(0.5, 0.1))
+    calls = []
+    scalar = kernel.scalar
+
+    def counted(t, s):
+        calls.append((t, s))
+        return scalar(t, s)
+
+    monkeypatch.setattr(kernel, "scalar", counted)
+    first, second = kernel.vector(0.5, 0.1)
+    assert calls == [(0.5, 0.1)]
+    assert np.array_equal(first, expected[0]) and np.array_equal(second, expected[1])
 
 
 def test_scalar_kernel_guards():

@@ -46,3 +46,20 @@ def test_dirac_wavepacket_keeps_unit_norm(capsys, method):
     assert lines[0] == "step,time,norm,center"
     assert [line.split(",")[0] for line in lines[1:]] == ["0", "10", "20", "30", "40"]
     assert all(abs(float(line.split(",")[2]) - 1.0) <= 1e-10 for line in lines[1:])
+
+
+def test_table_gate_writes_every_table_once(tmp_path, capsys):
+    script = _load("table_gate")
+    assert script.main([str(tmp_path), "--seeds", "7"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "table,exit_code"
+    assert all(line.endswith(",0") for line in lines[1:])
+    names = {
+        "run-c13": "report.csv", "green-c13": "green.csv",
+        "run-readme": "report.csv", "green-readme": "green.csv",
+        "run-dirac-static": "report.csv", "green-dirac-born": "green.csv",
+    }
+    expected = {f"{name}-seed7/{table}" for name, table in names.items()} | {"check-seed7/checks.csv"}
+    written = {str(path.relative_to(tmp_path)) for path in tmp_path.rglob("*") if path.is_file()}
+    assert written == expected
+    assert len(lines) == 1 + len(expected)
