@@ -5,12 +5,20 @@ Every table is written in-process through `bundlewave.cli.main`:
 * `run` and `green` on the kg-canonical configuration of the c13
   acceptance criterion and on the `ini` block of the README;
 * `run` on the `run-dirac-static` benchmark configuration and `green` on
-  `green-dirac-born`;
+  `green-dirac-born`, and on that configuration at Born orders 0, 1 and 3
+  and with `kind = schrodinger`, a basis of one component group;
 
 each at every seed, and `check` with all suites at seed 7.  Table NAME at
 seed S lands in OUT/NAME-seedS/.  Two checkouts that print the same
 numbers give directories that `diff -r` finds equal.  Prints one
 `table,exit_code` line per table and fails unless every command exits 0.
+
+The last digits of some tables depend on the size of the BLAS thread pool,
+which numpy reads when it loads.  Run as a script, this pins the pool to
+one thread first, as `perfbench/run.py` does; imported into a process
+that has loaded numpy, it pins nothing.  Either way OUT/blas.txt records
+the pool variables it ran under, so two outputs taken at different
+settings differ in that file.
 
 Example:
 
@@ -20,16 +28,16 @@ Example:
 """
 
 import argparse
+import os
 import re
 import sys
 import tempfile
 import textwrap
 from pathlib import Path
 
-from bundlewave.cli import EXIT_OK, main as cli_main
-
 ROOT = Path(__file__).resolve().parent.parent
 BENCH_CONFIGS = ROOT / "perfbench" / "configs"
+BLAS_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 # The configuration of `test_c13_cli_determinism`.
 C13_CONFIG = textwrap.dedent(
@@ -55,6 +63,14 @@ def _readme_config() -> str:
     return blocks[0]
 
 
+def _variant(text: str, key: str, value: str) -> str:
+    """`text` with its one `key = ...` line set to `value`."""
+    changed, count = re.subn(rf"^{key} = .*$", f"{key} = {value}", text, flags=re.MULTILINE)
+    if count != 1:
+        raise SystemExit(f"expected one {key!r} line in the configuration, found {count}")
+    return changed
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("out", type=Path, help="directory that receives the tables")
@@ -63,22 +79,34 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    from bundlewave.cli import EXIT_OK, main as cli_main
+
     args = build_parser().parse_args(argv)
+    args.out.mkdir(parents=True, exist_ok=True)
+    (args.out / "blas.txt").write_text(
+        "".join(f"{name}={os.environ.get(name, '')}\n" for name in BLAS_VARIABLES),
+        encoding="utf-8",
+    )
+    born = (BENCH_CONFIGS / "green-dirac-born.cfg").read_text(encoding="utf-8")
     failed = False
     with tempfile.TemporaryDirectory() as scratch:
+        variants = {f"dirac-born-order{order}": _variant(born, "born-order", str(order))
+                    for order in (0, 1, 3)}
+        variants["schrodinger-born"] = _variant(born, "kind", "schrodinger")
         written = {}
-        for name, text in (("c13", C13_CONFIG), ("readme", _readme_config())):
+        for name, text in [("c13", C13_CONFIG), ("readme", _readme_config()), *variants.items()]:
             written[name] = Path(scratch) / f"{name}.cfg"
             written[name].write_text(text, encoding="utf-8")
         tables = [
-            (f"{command}-{name}", [command, "--config", str(path)])
-            for name, path in written.items()
+            (f"{command}-{name}", [command, "--config", str(written[name])])
+            for name in ("c13", "readme")
             for command in ("run", "green")
         ]
         tables += [
             ("run-dirac-static", ["run", "--config", str(BENCH_CONFIGS / "run-dirac-static.cfg")]),
             ("green-dirac-born", ["green", "--config", str(BENCH_CONFIGS / "green-dirac-born.cfg")]),
         ]
+        tables += [(f"green-{name}", ["green", "--config", str(written[name])]) for name in variants]
         runs = [(f"{name}-seed{seed}", words + ["--seed", str(seed)])
                 for seed in args.seeds for name, words in tables]
         runs.append(("check-seed7", ["check", "--seed", "7"]))
@@ -91,4 +119,7 @@ def main(argv=None) -> int:
 
 
 if __name__ == "__main__":
+    # Before bundlewave, and so numpy, is imported.
+    for variable in BLAS_VARIABLES:
+        os.environ[variable] = "1"
     raise SystemExit(main())

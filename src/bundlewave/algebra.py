@@ -451,11 +451,9 @@ METRIC_SIGNATURE = (1.0, -1.0, -1.0, -1.0)
 
 @dataclass(frozen=True, eq=False)
 class GammaSet:
-    """Four matrices with a (+,-,-,-) metric attached."""
+    """Four equally sized square matrices under the (+,-,-,-) `METRIC_SIGNATURE`."""
 
     matrices: tuple
-    label: str = ""
-    signature: tuple = METRIC_SIGNATURE
 
     def __post_init__(self):
         if len(self.matrices) != 4:
@@ -483,7 +481,7 @@ def dirac_gammas() -> GammaSet:
         g[:2, 2:] = s
         g[2:, :2] = -s
         gs.append(g)
-    return GammaSet(tuple(gs), label="dirac")
+    return GammaSet(tuple(gs))
 
 
 def kg_gammas() -> GammaSet:
@@ -495,7 +493,7 @@ def kg_gammas() -> GammaSet:
         g[mu, 4] = 1.0
         g[4, mu] = METRIC_SIGNATURE[mu]
         gs.append(g)
-    return GammaSet(tuple(gs), label="kg")
+    return GammaSet(tuple(gs))
 
 
 def pauli_matrices() -> tuple:
@@ -505,16 +503,15 @@ def pauli_matrices() -> tuple:
     return sx, sy, sz
 
 
-def alpha_matrices(gammas: GammaSet | None = None) -> tuple:
+def alpha_matrices() -> tuple:
     """alpha_i = g0 g_i for the 4x4 set (velocity matrices)."""
-    gammas = gammas or dirac_gammas()
+    gammas = dirac_gammas()
     g0 = gammas.matrix(0)
     return tuple(g0 @ gammas.matrix(i) for i in (1, 2, 3))
 
 
-def beta_matrix(gammas: GammaSet | None = None) -> np.ndarray:
-    gammas = gammas or dirac_gammas()
-    return gammas.matrix(0)
+def beta_matrix() -> np.ndarray:
+    return dirac_gammas().matrix(0)
 
 
 def anticommutator_defect(gammas: GammaSet) -> float:
@@ -524,7 +521,7 @@ def anticommutator_defect(gammas: GammaSet) -> float:
     for mu in range(4):
         for nu in range(4):
             a, b = gammas.matrix(mu), gammas.matrix(nu)
-            target = 2.0 * (gammas.signature[mu] if mu == nu else 0.0) * eye
+            target = 2.0 * (METRIC_SIGNATURE[mu] if mu == nu else 0.0) * eye
             worst = max(worst, float(np.max(np.abs(a @ b + b @ a - target))))
     return worst
 

@@ -12,6 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import (
+    METRIC_SIGNATURE,
     MatrixOperator,
     anticommutator_defect,
     dirac_gammas,
@@ -70,7 +71,7 @@ def check_scalar_set_structure() -> CheckResult:
         g = gammas.matrix(mu)
         expected = np.zeros((5, 5))
         expected[mu, 4] = 1.0
-        expected[4, mu] = gammas.signature[mu]
+        expected[4, mu] = METRIC_SIGNATURE[mu]
         worst = max(worst, float(np.max(np.abs(g - expected))))
     return CheckResult("scalar-set-structure", worst, 0.0)
 

@@ -15,7 +15,7 @@ the connected sets of the graph "H couples component i with component j"
 scalar form has three).  The stepper reads the graph from the structural
 zeros of the operator matrix.  Realized arrays carry it as their nonzero
 N x N component blocks, which `_coupling` reads: `green` takes the groups
-of a dense H, and of the eigenbasis it yields, that way.  H, I + K and every
+of a dense H and of a Born perturbation that way.  H, I + K and every
 step are therefore block-diagonal over the groups, and each group S is
 realized, factored and applied on its own: the full (mN)^2 H is never
 built.  So is every transport frame, which starts at the identity, and

@@ -33,7 +33,6 @@ describes.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -74,14 +73,15 @@ class EigenBasis:
     h * sum_a v_a v_a^dag = Id.
 
     Each component group of H (see `evolution`) is diagonalised on its
-    own: `modes` is exactly zero off the group blocks, so the groups are
-    read back from its nonzero component blocks, and `energies` sit at
-    their group's positions, ascending within each group rather than over
-    the whole spectrum.
+    own: `blocks` holds one (positions, modes) pair per group, the modes
+    being the columns at the group's flat state positions, and `energies`
+    sit at their group's positions, ascending within each group rather
+    than over the whole spectrum.  The modes are exactly zero off the
+    group blocks, so no dense matrix of them is held.
     """
 
     energies: np.ndarray
-    modes: np.ndarray
+    blocks: list
     grid: SpatialGrid1D
     dimension: int
     hbar: float
@@ -122,7 +122,7 @@ class EigenBasis:
         for at, (values, vectors) in zip(groups, pairs):
             energies[at] = values
             blocks.append((at, vectors / np.sqrt(grid.spacing)))
-        return cls(energies, _block_diagonal(size, blocks), grid, dimension, hbar)
+        return cls(energies, blocks, grid, dimension, hbar)
 
     @classmethod
     def from_factory(cls, factory: HamiltonianFactory, grid: SpatialGrid1D) -> "EigenBasis":
@@ -130,21 +130,12 @@ class EigenBasis:
             hamiltonian_dense(factory, grid), grid, factory.dimension, factory.hbar, factory.label
         )
 
-    @functools.cached_property
-    def _blocks(self) -> list:
-        """(positions, modes restricted to them) per component group, read
-        from `modes` and copied out of it once per basis."""
-        npoints = self.grid.npoints
-        groups = _connected_sets(_coupling(self.modes, self.dimension, npoints))
-        positions = [_positions(group, npoints) for group in groups]
-        return [(at, self.modes[_block(at, at)]) for at in positions]
-
     def completeness_defect(self) -> float:
         """max |h U U^dag - Id|, taken over the group blocks; the blocks
         between groups are exactly zero on both sides."""
         return max(
             float(np.max(np.abs(self.grid.spacing * (modes @ modes.conj().T) - np.eye(modes.shape[0]))))
-            for _, modes in self._blocks
+            for _, modes in self.blocks
         )
 
     def _phases(self, t: float, s: float) -> np.ndarray:
@@ -154,15 +145,15 @@ class EigenBasis:
         """Unitary U(t <- s) = sum_a v_a exp(-i E_a (t-s)/hbar) v_a^dag * h,
         one product per group block."""
         phases = self._phases(t, s)
-        return _block_diagonal(self.modes.shape[0], [
+        return _block_diagonal(self.energies.size, [
             (at, self.grid.spacing * ((modes * phases[at]) @ modes.conj().T))
-            for at, modes in self._blocks
+            for at, modes in self.blocks
         ])
 
 
 def retarded_kernel(basis: EigenBasis, t: float, s: float) -> np.ndarray:
     """The one-component-convention retarded kernel; zero for t <= s."""
-    size = basis.modes.shape[0]
+    size = basis.energies.size
     if t <= s:
         return np.zeros((size, size), dtype=complex)
     return basis.propagator(t, s) / (1j * basis.hbar * basis.grid.spacing)
@@ -196,7 +187,7 @@ def propagate_retarded(basis: EigenBasis, state: GridFunction, t: float, s: floa
     source = state.flatten()
     phases = basis._phases(t, s)
     flat = np.empty(source.size, dtype=complex)
-    for at, modes in basis._blocks:
+    for at, modes in basis.blocks:
         flat[at] = basis.grid.spacing * (modes @ (phases[at] * (modes.conj().T @ source[at])))
     return GridFunction.from_flat(basis.grid, flat, basis.dimension)
 
@@ -315,7 +306,8 @@ def born_kernel(
     with trapezoidal quadrature on `quad_points` uniform nodes t_j and the
     coincidence limit Id/(i hbar h) at the interval ends.
 
-    The iteration runs in the eigenbasis U = `basis.modes` of H0.  There the
+    The iteration runs in the eigenbasis U of H0, whose group blocks are
+    `basis.blocks`, placed on the diagonal for this call.  There the
     free kernel is G_0(tau) = U diag(p(tau)) U^dag / (i hbar) with phases
     p(tau) = exp(-i E tau / hbar), and the coincidence limit is the lag-zero
     case p(0) = 1.  Each iterate is held as coefficients X_j with
@@ -346,7 +338,7 @@ def born_kernel(
         raise GreenError(f"Born order must lie in 0..{MAX_BORN_ORDER}, got {order}")
     if quad_points < 3:
         raise GreenError("need at least three quadrature points")
-    size = basis.modes.shape[0]
+    size = basis.energies.size
     if perturbation.shape != (size, size):
         raise GreenError(
             f"perturbation shape {perturbation.shape} does not match state size {size}"
@@ -354,10 +346,11 @@ def born_kernel(
     if order == 0:
         return retarded_kernel(basis, t, s)
     dim, npoints = basis.dimension, basis.grid.npoints
-    coupled = _coupling(perturbation, dim, npoints) | _coupling(basis.modes, dim, npoints)
+    modes = _block_diagonal(size, basis.blocks)
+    coupled = _coupling(perturbation, dim, npoints) | _coupling(modes, dim, npoints)
     dt = (t - s) / (quad_points - 1)
     groups = [_positions(group, npoints) for group in _connected_sets(coupled)]
-    inputs = [(basis.modes[_block(at, at)], basis.energies[at], perturbation[_block(at, at)])
+    inputs = [(modes[_block(at, at)], basis.energies[at], perturbation[_block(at, at)])
               for at in groups]
     iterates = _map_distinct(
         lambda args: _born_iterate(*args, basis.hbar, basis.grid.spacing, dt, order, quad_points),

@@ -39,8 +39,8 @@ class SpatialGrid1D:
     def __post_init__(self):
         if self.npoints < 2:
             raise GridError(f"need at least 2 grid points, got {self.npoints}")
-        if self.length <= 0:
-            raise GridError(f"grid length must be positive, got {self.length}")
+        if not 0 < self.length < np.inf:
+            raise GridError(f"grid length must be positive and finite, got {self.length}")
         if self.boundary not in BOUNDARIES:
             raise GridError(
                 f"unknown boundary {self.boundary!r}, expected one of {BOUNDARIES}"
@@ -195,8 +195,10 @@ class FibreProduct:
         return self.weights.shape[-1]
 
     def validate(self):
-        """Check Hermiticity exactly-ish and positive-definiteness per point."""
+        """Check finiteness, Hermiticity and positive-definiteness per point."""
         w = self.weights if self.weights.ndim == 3 else self.weights[None, :, :]
+        if not np.all(np.isfinite(w)):
+            raise GridError("fibre product weights must be finite")
         herm_defect = np.max(np.abs(w - np.conj(np.swapaxes(w, -1, -2))))
         if herm_defect > 1e-12 * max(1.0, np.max(np.abs(w))):
             raise GridError(f"fibre product weight is not Hermitian (defect {herm_defect:.3e})")

@@ -140,15 +140,11 @@ class LinearTimeSystem:
                 f"order-{self.order} system needs {self.order} coefficients, "
                 f"got {len(self.coefficients)}"
             )
-        if any(callable(coeff) for coeff in self.coefficients):
-            raise ReductionError("coefficients are operators; let t enter through a ScaleOp")
+        if not all(isinstance(coeff, MatrixOperator) for coeff in self.coefficients):
+            raise ReductionError("coefficients are MatrixOperators; let t enter through a ScaleOp")
 
     def coefficient(self, i: int) -> MatrixOperator:
         op = self.coefficients[i]
-        if isinstance(op, LinearGridOperator):
-            op = MatrixOperator([[op]])
-        if not isinstance(op, MatrixOperator):
-            op = promote(op)
         m = self.base_components
         if op.shape != (m, m):
             raise ReductionError(

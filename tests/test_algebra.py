@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from bundlewave.algebra import (
+    METRIC_SIGNATURE,
     AlgebraError,
     DerivativeOp,
     IdentityOp,
@@ -340,7 +341,7 @@ def test_five_component_set_structure():
         g = gammas.matrix(mu)
         expected = np.zeros((5, 5))
         expected[mu, 4] = 1.0
-        expected[4, mu] = gammas.signature[mu]
+        expected[4, mu] = METRIC_SIGNATURE[mu]
         assert np.array_equal(g, expected)
 
 

@@ -34,6 +34,7 @@ from bundlewave.config import (
     POTENTIAL_PROFILES,
     RunConfig,
     build_factory,
+    build_frame,
     build_grid,
     build_initial_state,
     load_config,
@@ -249,13 +250,14 @@ def test_framed_step_zero_norm_is_summed_like_the_marched_rows(tmp_path, capsys)
     assert step0[2] == format(float(norm), ".17g") == "0.99999999999999989"
 
 
-def test_run_in_constant_frame_keeps_unit_norm(tmp_path, capsys):
+@pytest.mark.parametrize("kind", ["dirac", "schrodinger"])
+def test_run_in_constant_frame_keeps_unit_norm(tmp_path, capsys, kind):
     cfg = _write(
         tmp_path,
         "rot.cfg",
-        """
+        f"""
         [model]
-        kind = dirac
+        kind = {kind}
         [grid]
         points = 16
         [evolution]
@@ -272,6 +274,11 @@ def test_run_in_constant_frame_keeps_unit_norm(tmp_path, capsys):
     lines = capsys.readouterr().out.splitlines()
     norms = [float(line.split(",")[2]) for line in lines[1:]]
     assert max(abs(n - 1.0) for n in norms) < 1e-10
+    if kind == "schrodinger":
+        # One component: the constant frame is the phase e^{i angle}.
+        loaded = load_config(cfg)
+        frame = build_frame(loaded, build_grid(loaded))
+        assert np.array_equal(frame.frames, np.full((16, 1, 1), np.exp(0.4j)))
 
 
 def test_dirac_in_a_mixing_frame_matches_the_identity_frame(tmp_path, capsys):
@@ -689,6 +696,17 @@ def test_sampled_profiles_at_the_float_limits(tmp_path, capsys, section, expecte
     rows = [line.split(",") for line in captured.out.splitlines()[1:]]
     assert len(rows) == 4
     assert all(abs(float(row[2]) - 1.0) < 1e-12 and float(row[3]) < 1e-12 for row in rows)
+
+
+def test_all_zero_initial_samples_are_refused(tmp_path, capsys):
+    text = ("[model]\nkind = schrodinger\n[grid]\npoints = 4\n[evolution]\nsteps = 3\n"
+            "[initial]\nprofile = samples\nsamples = 0, 0, 0, 0\n")
+    cfg = _write(tmp_path, "zero.cfg", text)
+    out = tmp_path / "out"
+    assert main(["run", "--config", cfg, "--out", str(out)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "initial state came out identically zero" in err and len(err.splitlines()) == 1
+    assert not (out / "report.csv").exists()
 
 
 # ---------------------------------------------------------------------------

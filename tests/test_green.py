@@ -9,7 +9,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bundlewave.algebra import dirac_gammas
-from bundlewave.evolution import _connected_sets, _coupling, evolve, hamiltonian_dense
+from bundlewave.evolution import (
+    _block,
+    _connected_sets,
+    _coupling,
+    _positions,
+    evolve,
+    hamiltonian_dense,
+)
 from bundlewave.green import (
     MAX_BORN_ORDER,
     EigenBasis,
@@ -52,7 +59,8 @@ def _schrodinger_basis():
 
 def test_eigenbasis_is_weighted_orthonormal_and_complete():
     _, basis = _schrodinger_basis()
-    gram = GRID.spacing * (basis.modes.conj().T @ basis.modes)
+    [(_, modes)] = basis.blocks
+    gram = GRID.spacing * (modes.conj().T @ modes)
     assert np.max(np.abs(gram - np.eye(GRID.npoints))) < 1e-12
     assert basis.completeness_defect() < 1e-12
 
@@ -145,7 +153,9 @@ def test_connected_sets_partition_the_coupling_graph(bits):
 def _one_eigh_basis(h: np.ndarray, dimension: int) -> EigenBasis:
     """The reference basis: a single eigh of the whole matrix."""
     energies, vectors = np.linalg.eigh(0.5 * (h + h.conj().T))
-    return EigenBasis(energies, vectors / np.sqrt(GRID.spacing), GRID, dimension, 1.0)
+    size = dimension * GRID.npoints
+    return EigenBasis(energies, [(slice(0, size), vectors / np.sqrt(GRID.spacing))], GRID,
+                      dimension, 1.0)
 
 
 def _group_mask(groups: list[list[int]], dimension: int) -> np.ndarray:
@@ -154,6 +164,17 @@ def _group_mask(groups: list[list[int]], dimension: int) -> np.ndarray:
     for group in groups:
         same[np.ix_(group, group)] = True
     return np.kron(same, np.ones((GRID.npoints, GRID.npoints), dtype=bool))
+
+
+def _assert_block_positions(basis: EigenBasis, groups: list[list[int]]) -> None:
+    """The basis holds one block per group, at the group's flat positions."""
+    flat = np.arange(basis.energies.size)
+    assert len(basis.blocks) == len(groups)
+    for (at, modes), group in zip(basis.blocks, groups):
+        expected = _positions(group, GRID.npoints)
+        assert type(at) is type(expected)
+        assert np.array_equal(flat[at], flat[expected])
+        assert modes.shape == (flat[at].size,) * 2
 
 
 def _assert_close(value: np.ndarray, reference: np.ndarray) -> None:
@@ -184,19 +205,20 @@ def test_one_group_basis_is_one_eigh_of_the_whole_matrix():
     factory, basis = _schrodinger_basis()
     h = hamiltonian_dense(factory, GRID)
     energies, vectors = np.linalg.eigh(0.5 * (h + h.conj().T))
-    assert _connected_sets(_coupling(basis.modes, 1, GRID.npoints)) == [[0]]
+    _assert_block_positions(basis, [[0]])
     assert np.array_equal(basis.energies, energies)
-    assert np.array_equal(basis.modes, vectors / np.sqrt(GRID.spacing))
+    assert np.array_equal(basis.blocks[0][1], vectors / np.sqrt(GRID.spacing))
 
 
 @pytest.mark.parametrize("model", sorted(GROUPED_MODELS))
 def test_grouped_basis_matches_one_eigh_of_the_whole_matrix(model):
     factory, basis, reference, groups = _grouped_problem(model)
-    assert _connected_sets(_coupling(basis.modes, factory.dimension, GRID.npoints)) == groups
-    assert np.all(basis.modes[~_group_mask(groups, factory.dimension)] == 0)
-    for group in groups:
-        at = np.concatenate([np.arange(c * GRID.npoints, (c + 1) * GRID.npoints) for c in group])
+    _assert_block_positions(basis, groups)
+    h = hamiltonian_dense(factory, GRID)
+    for at, modes in basis.blocks:
         assert np.all(np.diff(basis.energies[at]) >= 0)
+        # Each block holds the eigenvectors of its own group block of H.
+        _assert_close(h[_block(at, at)] @ modes, modes * basis.energies[at])
     spectrum = np.sort(reference.energies)
     assert np.max(np.abs(np.sort(basis.energies) - spectrum)) <= 1e-12 * np.max(np.abs(spectrum))
     _assert_close(basis.propagator(0.7, 0.2), reference.propagator(0.7, 0.2))
@@ -220,12 +242,11 @@ def test_dirac_basis_diagonalizes_its_twin_groups_once(monkeypatch):
     again = EigenBasis.from_dense(h, GRID, factory.dimension)
     assert calls == [(2 * GRID.npoints,) * 2]
     assert np.array_equal(again.energies, basis.energies)
-    assert np.array_equal(again.modes, basis.modes)
-    first, second = (
-        np.concatenate([np.arange(c * GRID.npoints, (c + 1) * GRID.npoints) for c in group])
-        for group in groups
-    )
-    assert np.array_equal(basis.modes[np.ix_(first, first)], basis.modes[np.ix_(second, second)])
+    _assert_block_positions(again, groups)
+    for (_, modes), (_, expected) in zip(again.blocks, basis.blocks):
+        assert np.array_equal(modes, expected)
+    (_, first), (_, second) = basis.blocks
+    assert np.array_equal(first, second)
 
 
 def test_grouped_four_component_kernel_matches_the_dense_weighting():
@@ -245,7 +266,7 @@ def test_grouped_four_component_kernel_matches_the_dense_weighting():
         propagate_retarded(basis, _packet(GRID, components=2), 0.7, 0.2)
 
 
-def test_basis_reads_its_groups_from_the_modes_once(monkeypatch):
+def test_reading_a_basis_never_scans_or_copies_its_modes(monkeypatch):
     import bundlewave.green as green_module
 
     factory = GROUPED_MODELS["dirac"][0]()
@@ -256,7 +277,7 @@ def test_basis_reads_its_groups_from_the_modes_once(monkeypatch):
         lambda basis: propagate_retarded(basis, state, 0.7, 0.2).values,
         lambda basis: basis.completeness_defect(),
     )
-    # A fresh basis per call reads its groups for that call alone.
+    # A fresh basis per call gives the values each read must repeat.
     fresh = [read(EigenBasis.from_dense(h, GRID, factory.dimension)) for read in readings]
     basis = EigenBasis.from_dense(h, GRID, factory.dimension)
     calls, blocks = [], []
@@ -273,9 +294,9 @@ def test_basis_reads_its_groups_from_the_modes_once(monkeypatch):
     monkeypatch.setattr(green_module, "_coupling", counted)
     monkeypatch.setattr(green_module, "_block", counted_block)
     repeated = [[read(basis) for read in readings] for _ in range(2)]
-    assert calls == [(factory.dimension, GRID.npoints)]
-    # One mode block per group, {0, 3} and {1, 2}, taken for all six reads.
-    assert len(blocks) == 2
+    # The basis holds its group blocks: no read scans or indexes dense modes.
+    assert calls == []
+    assert blocks == []
     for values in repeated:
         for value, expected in zip(values, fresh):
             assert np.array_equal(value, expected)
@@ -476,7 +497,7 @@ def test_born_first_order_error_scales_quadratically():
 def _born_reference(basis, perturbation, t, s, order, quad_points):
     """The direct route: one dense free kernel per quadrature pair, summed by
     the trapezoid rule in the grid basis."""
-    size = basis.modes.shape[0]
+    size = basis.energies.size
     h = basis.grid.spacing
     coincidence = np.eye(size, dtype=complex) / (1j * basis.hbar * h)
     times = np.linspace(s, t, quad_points)
@@ -509,7 +530,7 @@ BORN_FACTORIES = {
 def _born_problem(model):
     """Free basis of the model and a dense random Hermitian perturbation."""
     basis = EigenBasis.from_factory(BORN_FACTORIES[model], GRID)
-    size = basis.modes.shape[0]
+    size = basis.energies.size
     rng = np.random.default_rng(23)
     a = rng.normal(size=(size, size)) + 1j * rng.normal(size=(size, size))
     return basis, 0.05 * (a + a.conj().T)

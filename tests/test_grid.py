@@ -29,8 +29,9 @@ def test_grid_spacing_conventions():
 def test_grid_validation():
     with pytest.raises(GridError):
         SpatialGrid1D(1, 1.0)
-    with pytest.raises(GridError):
-        SpatialGrid1D(8, -1.0)
+    for length in (-1.0, 0.0, np.nan, np.inf, -np.inf):
+        with pytest.raises(GridError, match="positive and finite"):
+            SpatialGrid1D(8, length)
     with pytest.raises(GridError):
         SpatialGrid1D(8, 1.0, "absorbing")
     with pytest.raises(GridError):
@@ -133,6 +134,16 @@ def test_fibre_product_rejects_bad_weights():
         FibreProduct(np.array([[1.0, 0.0], [0.0, -1.0]]))  # indefinite
     with pytest.raises(GridError):
         FibreProduct(np.zeros((2, 3)))
+    # Non-finite entries, in a constant and in a per-point weight, are refused
+    # before numpy can warn (the suite turns warnings into errors).
+    for bad in (np.nan, np.inf):
+        constant = np.eye(2)
+        constant[0, 0] = bad
+        per_point = np.tile(np.eye(2), (3, 1, 1))
+        per_point[1, 1, 1] = bad
+        for weights in (constant, per_point):
+            with pytest.raises(GridError, match="finite"):
+                FibreProduct(weights)
 
 
 def test_weighted_inner_positive():

@@ -58,8 +58,13 @@ def test_table_gate_writes_every_table_once(tmp_path, capsys):
         "run-c13": "report.csv", "green-c13": "green.csv",
         "run-readme": "report.csv", "green-readme": "green.csv",
         "run-dirac-static": "report.csv", "green-dirac-born": "green.csv",
+        "green-dirac-born-order0": "green.csv", "green-dirac-born-order1": "green.csv",
+        "green-dirac-born-order3": "green.csv", "green-schrodinger-born": "green.csv",
     }
     expected = {f"{name}-seed7/{table}" for name, table in names.items()} | {"check-seed7/checks.csv"}
     written = {str(path.relative_to(tmp_path)) for path in tmp_path.rglob("*") if path.is_file()}
-    assert written == expected
+    assert written == expected | {"blas.txt"}
     assert len(lines) == 1 + len(expected)
+    # In process numpy is already loaded, so the pool is recorded, not pinned.
+    recorded = (tmp_path / "blas.txt").read_text(encoding="utf-8").splitlines()
+    assert [line.split("=")[0] for line in recorded] == list(script.BLAS_VARIABLES)
