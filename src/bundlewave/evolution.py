@@ -32,13 +32,22 @@ distinct union of groups that the perturbation couples.
 One stepper, `_StepFactors`, serves `march` (and so `evolve`), `step_matrix`,
 `bundle.evolution_transport` (one per march) and `EvolutionOperator` (one
 per operator).  It refuses an unknown method when it is built and hands
-each group's step over as one apply, x U_S or U_S x, U_S for x = None.
-Crank-Nicolson is used in Cayley form, U_S = 2 (I + K_S)^-1 - I, from one
-in-place LU of I + K_S per distinct group block and step, applied by
-`_cayley` with one solve: against the identity for a step matrix, against
-the group's part psi_S of a driven state, and against the group's
-transport frame with |S| N right-hand sides, so no step matrix is formed
-there.
+each group's step over either as one apply, x U_S or U_S x, or as the
+step matrix U_S itself.  Crank-Nicolson is used in Cayley form,
+U_S = 2 (I + K_S)^-1 - I.  A step matrix, the one `step_matrix`,
+`EvolutionOperator` and a static march hold, comes from `numpy.linalg.inv`
+of (I + K_S)^T per distinct group block, which factors the same F-ordered
+matrix as an LU would and solves it against the identity.  A driven march
+and a transport apply the step without forming it: one in-place scipy LU
+of I + K_S per distinct group block and step, applied by `_cayley` with
+one solve against the group's part psi_S of a driven state, or against
+the group's transport frame with |S| N right-hand sides.
+
+numpy and scipy each bring their own OpenBLAS with its own thread pool,
+and a pool's workers keep spinning for a while after a threaded call, so
+on a small host a scipy call between numpy products leaves more busy
+threads than cores.  Everything that forms a Crank-Nicolson step matrix
+therefore runs in numpy's pool alone.
 
 Every route names a step by its start time t and size dt; the stepper
 alone evaluates H at the midpoint t + dt / 2.  Time enters only through
@@ -57,7 +66,8 @@ least log2 B |S| N steps left has U_S replaced by U_S^B, at the cost of
 log2 B squarings of O((|S| N)^3), and each later block costs one product of
 U_S^B, applied from the left, with the (|S| N x B) window of the previous
 block's states, which reads U_S^B once for B states instead of U_S once
-per state.
+per state.  Twin groups share U_S^B and stack their windows of a full
+block into that one product.
 
 `march` hands the states over a block at a time, (rows, m, N) per block,
 so a caller can measure a whole block with one stacked reduction, as
@@ -73,7 +83,6 @@ from __future__ import annotations
 
 import numbers
 from functools import partial
-from operator import is_
 
 import numpy as np
 import scipy.linalg
@@ -106,46 +115,63 @@ def _check_step(dt: float) -> None:
         raise EvolutionError(f"need a finite nonzero time step dt, got {dt}")
 
 
-def _cayley_lu(h_mid: np.ndarray, coeff: complex):
-    """LU of (I + coeff H)^T, factored in place in H_mid's C-ordered storage."""
+def _cayley_matrix(h_mid: np.ndarray, coeff: complex) -> np.ndarray:
+    """I + coeff H, formed in place in H_mid's storage."""
     h_mid *= coeff
     h_mid[np.diag_indices_from(h_mid)] += 1.0
     if not np.all(np.isfinite(h_mid)):
         raise EvolutionError("the Crank-Nicolson matrix left the finite range; reduce the time step")
-    return scipy.linalg.lu_factor(h_mid.T, overwrite_a=True, check_finite=False)
+    return h_mid
 
 
-def _cayley(lu, x: np.ndarray | None = None, right: bool = True) -> np.ndarray:
+def _cayley_lu(h_mid: np.ndarray, coeff: complex):
+    """LU of (I + coeff H)^T, factored in place in H_mid's C-ordered storage."""
+    a = _cayley_matrix(h_mid, coeff)
+    return scipy.linalg.lu_factor(a.T, overwrite_a=True, check_finite=False)
+
+
+def _cayley_unit(h_mid: np.ndarray, coeff: complex) -> np.ndarray:
+    """The Crank-Nicolson step U = 2 (I + K)^-1 - I, K = coeff H, formed in
+    H_mid's C-ordered storage.
+
+    `numpy.linalg.inv` of the F-ordered (I + K)^T factors the matrix that
+    `_cayley_lu` factors and solves it against the identity, in numpy's
+    BLAS pool.  Its C-ordered result is the transpose of (I + K)^-1, so U
+    is written back transposed, in C order: the order picks the BLAS
+    variant of every later product with U, and so its bits.
+    """
+    a = _cayley_matrix(h_mid, coeff)
+    try:
+        inverse = np.linalg.inv(a.T)
+    except np.linalg.LinAlgError:
+        raise EvolutionError("the Crank-Nicolson matrix is singular; change the time step") from None
+    a[...] = inverse.T
+    a *= 2.0
+    a[np.diag_indices_from(a)] -= 1.0
+    return a
+
+
+def _cayley(lu, x: np.ndarray, right: bool = True) -> np.ndarray:
     """x U if `right`, else U x, for the Crank-Nicolson step
     U = 2 (I + K)^-1 - I, given the LU of (I + K)^T.
 
     x (I + K)^-1 is the transpose of a solve of (I + K)^T against x^T, and
     (I + K)^-1 x a transposed solve against x, so either product takes one
     solve with as many right-hand sides as x has rows or columns.  `x` is
-    left untouched; None stands for the identity, whose product is U itself
-    and whose right-hand side the solve may overwrite.
+    left untouched.
     """
-    if x is None:
-        rhs = np.eye(lu[0].shape[0], dtype=complex, order="F")
-    else:
-        rhs = x.T if right else x
-    out = scipy.linalg.lu_solve(
-        lu, rhs, trans=0 if right else 1, overwrite_b=x is None, check_finite=False
-    )
+    out = scipy.linalg.lu_solve(lu, x.T if right else x, trans=0 if right else 1, check_finite=False)
     if right:
         # The transpose of the F-ordered solution is C-ordered.
         out = out.T
     out *= 2.0
-    if x is None:
-        out[np.diag_indices_from(out)] -= 1.0
-    else:
-        out -= x
+    out -= x
     return out
 
 
-def _product(unit: np.ndarray, x: np.ndarray | None = None, right: bool = True) -> np.ndarray:
-    """x U if `right`, else U x, for a step matrix U; U itself for x = None."""
-    return unit if x is None else (x @ unit if right else unit @ x)
+def _product(unit: np.ndarray, x: np.ndarray, right: bool = True) -> np.ndarray:
+    """x U if `right`, else U x, for a step matrix U."""
+    return x @ unit if right else unit @ x
 
 
 def _connected_sets(pattern: np.ndarray) -> list[list[int]]:
@@ -269,16 +295,17 @@ class _StepFactors:
             s_block = np.ascontiguousarray(whole[_block(positions, positions)]) if varies else None
             self.parts.append((group, positions, part, s_block))
 
-    def __call__(self, t: float, dt: float) -> list:
+    def __call__(self, t: float, dt: float, units: bool = False) -> list:
         """(components, positions, step) per component group of
         H(t + dt / 2) for the step of size dt from t.
 
-        step(x=None, right=True) is x U_S if `right`, else U_S x, and U_S
-        for x = None: a Cayley solve for Crank-Nicolson, a product with
-        expm(-i dt H_S / hbar) for the exponential.  Every group's block H_S
-        is realized before any is factored.  A group whose block holds the
-        same bits as an earlier group's, a twin, is handed that group's step
-        object, so each distinct block takes one LU or expm.
+        step(x, right=True) is x U_S if `right`, else U_S x: a Cayley solve
+        for Crank-Nicolson, a product with expm(-i dt H_S / hbar) for the
+        exponential.  With `units`, step is the step matrix U_S itself.
+        Every group's block H_S is realized before any is factored.  A group
+        whose block holds the same bits as an earlier group's, a twin, is
+        handed that group's step object, so each distinct block takes one
+        LU, inverse or expm.
         """
         mid = t + dt / 2.0
 
@@ -288,17 +315,19 @@ class _StepFactors:
                 h_s += static
             return h_s
 
-        steps = _map_distinct(partial(self._factored, dt),
+        steps = _map_distinct(partial(self._factored, dt, units),
                               (realized(part, static) for _, _, part, static in self.parts))
         return [(group, at, step) for (group, at, _, _), step in zip(self.parts, steps)]
 
-    def _factored(self, dt: float, h_s: np.ndarray):
+    def _factored(self, dt: float, units: bool, h_s: np.ndarray):
         """The step of size dt with the realized block H_S, factored in
-        H_S's storage."""
+        H_S's storage: its apply, or with `units` its step matrix."""
         if self.method == "midpoint-exponential":
             h_s *= -1j * dt / self.factory.hbar
-            return partial(_product, scipy.linalg.expm(h_s))
-        return partial(_cayley, _cayley_lu(h_s, 1j * dt / (2.0 * self.factory.hbar)))
+            unit = scipy.linalg.expm(h_s)
+            return unit if units else partial(_product, unit)
+        coeff = 1j * dt / (2.0 * self.factory.hbar)
+        return _cayley_unit(h_s, coeff) if units else partial(_cayley, _cayley_lu(h_s, coeff))
 
     def matrix(self, t: float, dt: float) -> np.ndarray:
         """Dense step over [t, t + dt]; entries between different component
@@ -311,16 +340,15 @@ def _group_steps(factors: _StepFactors, t: float, dt: float) -> list:
     """(components, positions, U_S) per component group: the step over
     [t, t + dt] restricted to the group.
 
-    Each distinct step is solved into its U_S once; twin groups hold the
+    Each distinct block is formed into its U_S once; twin groups hold the
     same U_S."""
     # Overflow surfaces as non-finite entries, refused below.
     with np.errstate(over="ignore", invalid="ignore"):
-        parts = factors(t, dt)
-        units = _map_distinct(lambda step: step(), [step for _, _, step in parts], is_)
-    for unit in units:
+        parts = factors(t, dt, units=True)
+    for _, _, unit in parts:
         if not np.all(np.isfinite(unit)):
             raise EvolutionError("the step matrix left the finite range; reduce the time step")
-    return [(group, at, unit) for (group, at, _), unit in zip(parts, units)]
+    return parts
 
 
 def step_matrix(
@@ -364,33 +392,45 @@ def _static_blocks(psi: np.ndarray, units: list, steps: int):
     window, applied from the left, (U_S^B @ window[:, S].T).T, which timed
     faster than the right-hand window[:, S] @ (U_S^B).T.  Below that, the
     group keeps marching by matvec.  Twin groups, which hold one U_S, share
-    its power.
+    its power, and in a full block their windows are stacked as rows into
+    one product.  That product holds the bits of the per-group products
+    only where each group brings a multiple of four rows (OpenBLAS 0.3.31,
+    1 and 2 threads), so a partial last block keeps one product per group.
     """
-    powered = [steps - _BLOCK >= _SQUARINGS * unit.shape[0] for _, _, unit in units]
+    # One (U_S, positions of the groups that hold it) per distinct U_S.
+    shared = {}
+    for _, at, unit in units:
+        shared.setdefault(id(unit), (unit, []))[1].append(at)
+    shared = list(shared.values())
+    powered = [steps - _BLOCK >= _SQUARINGS * unit.shape[0] for unit, _ in shared]
     window, done = psi[np.newaxis], 0
     while done < steps:
         if done == _BLOCK:
             # Each distinct U_S is overwritten by its power, and the buffer
             # left over serves the next U_S of the same size.
-            spare, powers = None, {}
-            for (_, _, unit), power in zip(units, powered):
-                if power and id(unit) not in powers:
+            spare = None
+            for k, (unit, ats) in enumerate(shared):
+                if powered[k]:
                     if spare is None or spare.shape != unit.shape:
                         spare = np.empty_like(unit)
-                    powers[id(unit)], spare = _power(unit, spare)
-            units = [(group, at, powers.get(id(unit), unit)) for group, at, unit in units]
-            del spare, powers
+                    unit, spare = _power(unit, spare)
+                    shared[k] = (unit, ats)
+            del spare
         rows = min(_BLOCK, steps - done)
         block = np.empty((rows, psi.size), dtype=complex)
         # Overflow surfaces as non-finite states, checked by the caller.
         with np.errstate(over="ignore", invalid="ignore"):
-            for (_, positions, unit), power in zip(units, powered):
+            for (unit, ats), power in zip(shared, powered):
                 if power and done:
-                    block[:, positions] = (unit @ window[:rows, positions].T).T
+                    for stacked in [ats] if rows == _BLOCK else [[at] for at in ats]:
+                        out = unit @ np.concatenate([window[:rows, at] for at in stacked]).T
+                        for g, at in enumerate(stacked):
+                            block[:, at] = out[:, g * rows:(g + 1) * rows].T
                     continue
-                part = window[-1, positions]
-                for j in range(rows):
-                    block[j, positions] = part = unit @ part
+                for at in ats:
+                    part = window[-1, at]
+                    for j in range(rows):
+                        block[j, at] = part = unit @ part
         yield block
         window, done = block, done + rows
 

@@ -97,7 +97,8 @@ class EigenBasis:
     ) -> "EigenBasis":
         """One `eigh` per distinct component-group block of the (mN, mN)
         matrix, costing at most sum (|S| N)^3 instead of (mN)^3; twin
-        groups, whose blocks hold the same bits, share theirs."""
+        groups, whose blocks hold the same bits, share theirs and hold one
+        mode array."""
         size = dimension * grid.npoints
         if h_dense.shape != (size, size):
             raise GreenError(
@@ -116,12 +117,17 @@ class EigenBasis:
         hermitian = 0.5 * (h_dense + h_dense.conj().T)
         groups = [_positions(group, grid.npoints)
                   for group in _connected_sets(_coupling(h_dense, dimension, grid.npoints))]
-        pairs = _map_distinct(np.linalg.eigh, [hermitian[_block(at, at)] for at in groups])
+
+        def weighted(block):
+            values, vectors = np.linalg.eigh(block)
+            return values, vectors / np.sqrt(grid.spacing)
+
+        pairs = _map_distinct(weighted, [hermitian[_block(at, at)] for at in groups])
         energies = np.empty(size)
         blocks = []
-        for at, (values, vectors) in zip(groups, pairs):
+        for at, (values, modes) in zip(groups, pairs):
             energies[at] = values
-            blocks.append((at, vectors / np.sqrt(grid.spacing)))
+            blocks.append((at, modes))
         return cls(energies, blocks, grid, dimension, hbar)
 
     @classmethod
@@ -307,7 +313,7 @@ def born_kernel(
     coincidence limit Id/(i hbar h) at the interval ends.
 
     The iteration runs in the eigenbasis U of H0, whose group blocks are
-    `basis.blocks`, placed on the diagonal for this call.  There the
+    `basis.blocks`; no dense U is formed.  There the
     free kernel is G_0(tau) = U diag(p(tau)) U^dag / (i hbar) with phases
     p(tau) = exp(-i E tau / hbar), and the coincidence limit is the lag-zero
     case p(0) = 1.  Each iterate is held as coefficients X_j with
@@ -319,10 +325,12 @@ def born_kernel(
     The phases factor as p(t_j - t_i) = p_j * conj(p_i), so the trapezoid sums
     over i <= j are running sums of conj(p_i)[:, None] * (M X_i).
 
-    G_0 is block-diagonal over the component groups of the basis, and W over
-    the connected sets of its own nonzero component blocks, so every iterate
-    is block-diagonal over the groups that W leaves apart: a W that couples
-    two basis groups merges them, and a fully coupled W makes one group.
+    G_0 is block-diagonal over the component groups of the basis, read from
+    the positions of its blocks, and W over the connected sets of its own
+    nonzero component blocks, so every iterate is block-diagonal over the
+    groups that W leaves apart: a W that couples two basis groups merges
+    them, with their mode blocks on the merged group's diagonal, and a fully
+    coupled W makes one group.
     The iteration runs on each merged group S alone, as one sweep over the
     nodes: X_j of level k needs level k - 1 only at nodes i <= j, so each
     level keeps its running sum, its node-0 term and its current iterate.
@@ -345,13 +353,24 @@ def born_kernel(
         )
     if order == 0:
         return retarded_kernel(basis, t, s)
-    dim, npoints = basis.dimension, basis.grid.npoints
-    modes = _block_diagonal(size, basis.blocks)
-    coupled = _coupling(perturbation, dim, npoints) | _coupling(modes, dim, npoints)
+    npoints = basis.grid.npoints
+    # The components of each basis block, joined with W's own coupling.
+    members = [np.unique(np.arange(size)[at] // npoints) for at, _ in basis.blocks]
+    coupled = _coupling(perturbation, basis.dimension, npoints)
+    for components in members:
+        coupled[np.ix_(components, components)] = True
     dt = (t - s) / (quad_points - 1)
-    groups = [_positions(group, npoints) for group in _connected_sets(coupled)]
-    inputs = [(modes[_block(at, at)], basis.energies[at], perturbation[_block(at, at)])
-              for at in groups]
+    groups, inputs = [], []
+    for group in _connected_sets(coupled):
+        at = _positions(group, npoints)
+        # The group's modes: its basis blocks on the diagonal at their
+        # positions within the group.
+        modes = _block_diagonal(len(group) * npoints, [
+            (_positions([group.index(c) for c in components], npoints), block)
+            for components, (_, block) in zip(members, basis.blocks) if components[0] in group
+        ])
+        groups.append(at)
+        inputs.append((modes, basis.energies[at], perturbation[_block(at, at)]))
     iterates = _map_distinct(
         lambda args: _born_iterate(*args, basis.hbar, basis.grid.spacing, dt, order, quad_points),
         inputs, lambda a, b: all(map(_same_bits, a, b)),

@@ -237,7 +237,13 @@ def _full_matrix_step(factory, grid, t, dt, method):
     if method == "midpoint-exponential":
         h *= -1j * dt / factory.hbar
         return scipy.linalg.expm(h)
-    h *= 1j * dt / (2.0 * factory.hbar)
+    return _scipy_cayley_step(h, dt, factory.hbar)
+
+
+def _scipy_cayley_step(h, dt, hbar):
+    """2 (I + K)^-1 - I, K = i dt H / 2 hbar, from scipy's LU of (I + K)^T
+    solved against the identity."""
+    h *= 1j * dt / (2.0 * hbar)
     h[np.diag_indices_from(h)] += 1.0
     lu = scipy.linalg.lu_factor(h.T)
     step = scipy.linalg.lu_solve(lu, np.eye(h.shape[0], dtype=complex, order="F")).T
@@ -455,6 +461,93 @@ def test_power_route_callback_sees_every_state_once_and_in_order():
     expected = _reference_static_march(state, factory, dt, _POWER_STEPS, "crank-nicolson")
     got = np.array([held.flatten() for held in kept])
     assert np.max(np.abs(got - expected)) <= 1e-12 * np.max(np.abs(expected))
+
+
+@pytest.mark.parametrize("dt", [0.03, -0.03])
+@pytest.mark.parametrize("model", ["dirac", "kg-5d"])
+def test_static_crank_nicolson_group_steps_are_the_scipy_steps(model, dt):
+    # The step matrix comes from numpy's inverse; restricted to a group it
+    # holds the bits of scipy's LU solved against the identity.
+    build, groups = _GROUPED[model]
+    factory = build()
+    step = step_matrix(factory, GRID, 0.2, dt)
+    h = hamiltonian_dense(factory, GRID, 0.2 + dt / 2.0)
+    for group in groups:
+        flat = np.concatenate([np.arange(c * GRID.npoints, (c + 1) * GRID.npoints) for c in group])
+        at = np.ix_(flat, flat)
+        expected = _scipy_cayley_step(h[at], dt, factory.hbar)
+        assert np.array_equal(step[at], expected)
+
+
+def test_static_crank_nicolson_runs_without_scipy(monkeypatch):
+    dirac = _GROUPED["dirac"][0]()
+    driven = _GROUPED["dirac-driven"][0]()
+    state = _random_state(4, 9)
+    routes = {
+        "march": lambda: evolve(state, dirac, dt=0.02, steps=_POWER_STEPS).values,
+        "step_matrix": lambda: step_matrix(dirac, GRID, 0.1, 0.02),
+        "operator": lambda: EvolutionOperator(dirac, GRID, 0.02, 3).matrix(0.0, 0.06),
+        "driven operator": lambda: EvolutionOperator(driven, GRID, 0.02, 3).matrix(0.0, 0.06),
+    }
+    expected = {name: route() for name, route in routes.items()}
+
+    def refused(*args, **kwargs):
+        raise AssertionError("scipy was called")
+
+    for name in ("lu_factor", "lu_solve", "expm"):
+        monkeypatch.setattr(evolution.scipy.linalg, name, refused)
+    for name, route in routes.items():
+        assert np.array_equal(route(), expected[name]), name
+
+
+class _CountedUnit(np.ndarray):
+    """A step matrix that records the shape of every right operand of @."""
+
+    operands: list = []
+
+    def __matmul__(self, other):
+        _CountedUnit.operands.append(np.shape(other))
+        return np.asarray(self) @ other
+
+
+@pytest.mark.parametrize("model", ["dirac", "dirac-phase-frame"])
+def test_twin_groups_take_one_block_product(model, monkeypatch):
+    factory = _POWERED[model][0]()
+    factors = evolution._StepFactors(factory, GRID, "crank-nicolson")
+    units = evolution._group_steps(factors, 0.0, 0.02)
+    psi = _random_state(4, 11).flatten()
+    monkeypatch.setattr(_CountedUnit, "operands", [])
+    # Twins share one U_S; copies stand for groups that do not.
+    (group, at, unit), (twin, twin_at, same) = units
+    assert same is unit
+    shared = unit.view(_CountedUnit)
+    apart = [(group, at, shared.copy()), (twin, twin_at, shared.copy())]
+    together = list(evolution._static_blocks(psi, [(group, at, shared), (twin, twin_at, shared)],
+                                             _POWER_STEPS))
+    products = [shape for shape in _CountedUnit.operands if len(shape) == 2]
+    # Blocks 1..12 after the first block of matvecs take one product; the
+    # last block, of 5 rows, takes one per group.
+    n = unit.shape[0]
+    assert products == [(n, 2 * evolution._BLOCK)] * 12 + [(n, 5)] * 2
+    _CountedUnit.operands.clear()
+    separate = list(evolution._static_blocks(psi, apart, _POWER_STEPS))
+    products = [shape for shape in _CountedUnit.operands if len(shape) == 2]
+    assert products == [(n, evolution._BLOCK)] * 24 + [(n, 5)] * 2
+    for joint, alone in zip(together, separate, strict=True):
+        assert np.array_equal(joint, alone)
+
+
+def test_singular_crank_nicolson_matrix_is_an_evolution_error():
+    # H = (2 i hbar / dt) I makes I + K = 0.
+    grid, dt = SpatialGrid1D(8, 1.0), 0.1
+    factory = HamiltonianFactory(MatrixOperator.from_constant([[2j / dt]]), "singular")
+    state = GridFunction(grid, np.ones((1, grid.npoints), dtype=complex))
+    with pytest.raises(EvolutionError, match="singular"):
+        step_matrix(factory, grid, 0.0, dt)
+    with pytest.raises(EvolutionError, match="singular"):
+        evolve(state, factory, dt=dt, steps=3)
+    with pytest.raises(EvolutionError, match="singular"):
+        EvolutionOperator(factory, grid, dt, steps=2).matrix(0.0, dt)
 
 
 def _growing_factory(rate: float) -> HamiltonianFactory:

@@ -342,6 +342,55 @@ def test_grouped_born_kernel_matches_the_one_group_basis(case, order, quad_point
         assert np.any(approx[~inside_basis_groups & ~outside] != 0)
 
 
+def test_twin_groups_hold_one_mode_array():
+    _, basis, _, _ = _grouped_problem("dirac")
+    (_, first), (_, second) = basis.blocks
+    assert first is second
+
+
+def _dense_mode_born_kernel(basis, perturbation, t, s, order, quad_points):
+    """`born_kernel` with its groups read from a dense mode matrix, as
+    well as from W, and each group's modes sliced out of it."""
+    import bundlewave.green as green_module
+
+    size, npoints = basis.energies.size, basis.grid.npoints
+    modes = np.zeros((size, size), dtype=complex)
+    for at, block in basis.blocks:
+        modes[_block(at, at)] = block
+    coupled = (_coupling(perturbation, basis.dimension, npoints)
+               | _coupling(modes, basis.dimension, npoints))
+    out = np.zeros((size, size), dtype=complex)
+    for group in _connected_sets(coupled):
+        at = _positions(group, npoints)
+        out[_block(at, at)] = green_module._born_iterate(
+            modes[_block(at, at)], basis.energies[at], perturbation[_block(at, at)],
+            basis.hbar, basis.grid.spacing, (t - s) / (quad_points - 1), order, quad_points)
+    return out
+
+
+@pytest.mark.parametrize("case", sorted(BORN_GROUP_CASES))
+def test_born_kernel_reads_its_groups_from_the_basis_blocks(case, monkeypatch):
+    # The groups come from the blocks' positions and W's coupling alone, and
+    # give the bits of the groups a dense mode matrix gives.
+    import bundlewave.green as green_module
+
+    model, pattern, _ = BORN_GROUP_CASES[case]
+    factory, basis, _, _ = _grouped_problem(model)
+    perturbation = _patterned_perturbation(factory.dimension, pattern)
+    expected = _dense_mode_born_kernel(basis, perturbation, 0.7, 0.2, 2, 9)
+    scanned = []
+    scan = green_module._coupling
+
+    def counted(matrix, *args):
+        scanned.append(matrix)
+        return scan(matrix, *args)
+
+    monkeypatch.setattr(green_module, "_coupling", counted)
+    approx = born_kernel(basis, perturbation, 0.7, 0.2, order=2, quad_points=9)
+    assert len(scanned) == 1 and scanned[0] is perturbation
+    assert np.array_equal(approx, expected)
+
+
 @pytest.mark.parametrize("scalar, iterations", [(True, 1), (False, 2)])
 def test_born_kernel_iterates_once_per_distinct_group(scalar, iterations, monkeypatch):
     # A scalar perturbation of Dirac keeps its groups {0, 3} and {1, 2}
