@@ -14,7 +14,6 @@ import sys
 
 import numpy as np
 
-from bundlewave.evolution import hamiltonian_dense
 from bundlewave.green import EigenBasis, born_kernel, retarded_kernel
 from bundlewave.grid import SpatialGrid1D
 from bundlewave.reduction import schrodinger_hamiltonian
@@ -38,7 +37,7 @@ def main(argv=None) -> int:
     grid = SpatialGrid1D(args.points, args.length)
     base = schrodinger_hamiltonian(args.mass)
     basis = EigenBasis.from_factory(base, grid)
-    h0 = hamiltonian_dense(base, grid)
+    h0 = base.at().dense(grid)
     profile = np.diag(args.profile_amplitude * np.cos(grid.points))
 
     sys.stdout.write("order,epsilon,error,ratio_to_previous\n")

@@ -48,7 +48,6 @@ from .algebra import (
 from .reduction import (
     GaugeFrame,
     HamiltonianFactory,
-    LinearTimeSystem,
     Potentials,
     ReductionError,
     block_diag_hamiltonian,
@@ -69,7 +68,6 @@ from .evolution import (
     EvolutionOperator,
     evolve,
     expectation,
-    hamiltonian_dense,
     kg_charge,
     kg_charges,
     march,

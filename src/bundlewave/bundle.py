@@ -47,6 +47,14 @@ class BundleError(RuntimeError):
     """Degenerate frames, off-path samples, or boundary-sample requests."""
 
 
+def _solve(frames: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """`numpy.linalg.solve` against transport frames; a singular frame is refused."""
+    try:
+        return np.linalg.solve(frames, rhs)
+    except np.linalg.LinAlgError:
+        raise BundleError("a transport frame is singular; change the sampling step") from None
+
+
 @dataclass(frozen=True)
 class PathSampling:
     """Strictly increasing parameter values along a path."""
@@ -112,11 +120,6 @@ class Trivialization:
     def dim(self) -> int:
         return self.frames.shape[1]
 
-    def is_unitary(self) -> bool:
-        eye = np.eye(self.dim)
-        defect = np.max(np.abs(np.einsum("kij,kil->kjl", self.frames.conj(), self.frames) - eye))
-        return bool(defect <= 1e-12)
-
 
 def induced_fibre_product(frame_field: np.ndarray) -> FibreProduct:
     """Weight l(x)^dag l(x) making a frame field isometric pointwise."""
@@ -150,8 +153,8 @@ class TransportAlongMap:
 
     @classmethod
     def _from_steps(cls, sampling: PathSampling, blocks: list) -> "TransportAlongMap":
-        """Blocks built from unitary or Cayley steps and checked finite:
-        invertible by construction, so the conditioning guard is skipped."""
+        """Blocks built from steps and checked finite, without the conditioning
+        guard: a frame that a Cayley step made singular is refused when solved against."""
         transport = cls.__new__(cls)
         transport.sampling = sampling
         transport._blocks = blocks
@@ -180,7 +183,7 @@ class TransportAlongMap:
         """Dense K(i_to <- i_from), one solve per distinct stack."""
         i, j = self._index(i_to), self._index(i_from)
         positions, stacks = zip(*self._blocks)
-        solved = _map_distinct(lambda stack: np.linalg.solve(stack[i], stack[j]), stacks, is_)
+        solved = _map_distinct(lambda stack: _solve(stack[i], stack[j]), stacks, is_)
         return _block_diagonal(self.fibre_dim, list(zip(positions, solved)))
 
     def with_gauge(self, gauge: Trivialization) -> "TransportAlongMap":
@@ -233,8 +236,8 @@ def evolution_transport(
     group moves to a copy of the stack on the first substep where they part.
     Substep U(tau_k <- tau_{k+1}) is the stepper's step of size -delta from
     tau_{k+1}.  Overflow ends in EvolutionError, as in `step_matrix`.  The
-    frames are invertible by construction and skip the conditioning guard,
-    which `with_gauge` applies to the dense gauged frames.
+    frames skip the conditioning guard, which `with_gauge` applies to the
+    dense gauged frames; a singular one is refused when solved against.
     """
     size = factory.dimension * grid.npoints
     if size > DENSE_STATE_LIMIT:
@@ -341,7 +344,7 @@ def transported_lifting(
     for positions, stack in transport._blocks:
         reference = stack[o] @ seed[positions]
         # One batched solve of every frame against the group's reference.
-        values[:, positions] = np.linalg.solve(stack, reference[:, None])[..., 0]
+        values[:, positions] = _solve(stack, reference[:, None])[..., 0]
     return Lifting(transport.sampling, values)
 
 

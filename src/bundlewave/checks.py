@@ -19,6 +19,7 @@ from .algebra import (
     kg_gammas,
     matrix_in_frame,
     DerivativeOp,
+    ScaleOp,
 )
 from .bundle import (
     PathSampling,
@@ -27,11 +28,10 @@ from .bundle import (
     flat_transport,
     transported_lifting,
 )
-from .evolution import evolve, hamiltonian_dense, kg_charge
+from .evolution import evolve, kg_charge
 from .green import EigenBasis, propagate_retarded
 from .grid import GridFunction, SpatialGrid1D, derivative_matrix
 from .reduction import (
-    LinearTimeSystem,
     companion_hamiltonian,
     dirac_hamiltonian,
     kg_canonical_hamiltonian,
@@ -88,11 +88,8 @@ def check_companion_structure() -> CheckResult:
     """Companion blocks: identities above the diagonal, coefficients in the
     bottom block row, nothing else."""
     grid = SpatialGrid1D(8, 2.0 * np.pi)
-    f0 = MatrixOperator([[(-2.0) * DerivativeOp(2)]])
-    f1 = MatrixOperator([[0.5 * DerivativeOp(1)]])
-    f2 = MatrixOperator.from_constant(np.array([[0.25]]))
-    factory = companion_hamiltonian(LinearTimeSystem(3, [f0, f1, f2]), hbar=1.0)
-    dense = hamiltonian_dense(factory, grid)
+    factory = companion_hamiltonian([(-2.0) * DerivativeOp(2), 0.5 * DerivativeOp(1), ScaleOp(0.25)])
+    dense = factory.at().dense(grid)
     n = grid.npoints
     eye = np.eye(n)
     expected = np.zeros((3 * n, 3 * n), dtype=complex)
@@ -264,9 +261,5 @@ def run_checks(suite: str = "all", seed: int = 0, tolerance_scale: float = 1.0) 
         names = [suite]
     else:
         raise KeyError(suite)
-    results = [check(seed) for name in names for check in SUITES[name]]
-    if tolerance_scale != 1.0:
-        results = [
-            CheckResult(r.name, r.value, r.tolerance * tolerance_scale) for r in results
-        ]
-    return results
+    results = (check(seed) for name in names for check in SUITES[name])
+    return [CheckResult(r.name, r.value, r.tolerance * tolerance_scale) for r in results]

@@ -40,7 +40,6 @@ from .config import (
 from .evolution import (
     EvolutionError,
     evolve,
-    hamiltonian_dense,
     kg_charges,
     march,
 )
@@ -182,7 +181,10 @@ def _cmd_check(args) -> tuple[int, list[str]]:
         raise ConfigError(
             f"unknown check suite {suite!r}: available are all, {', '.join(sorted(SUITES))}"
         )
-    results = run_checks(suite, seed=args.seed, tolerance_scale=args.tolerance_scale)
+    scale = args.tolerance_scale
+    if not (np.isfinite(scale) and scale > 0):
+        raise ConfigError(f"--tolerance-scale must be finite and positive, got {scale}")
+    results = run_checks(suite, seed=args.seed, tolerance_scale=scale)
     lines = ["name,status,value,tolerance"]
     failed = False
     for r in results:
@@ -208,7 +210,7 @@ def _green_first_order(cfg: RunConfig, args) -> list[str]:
     dt = (t - s) / cfg.evolution.steps
     evolved = evolve(state, factory, dt=dt, steps=cfg.evolution.steps, t0=s,
                      method="midpoint-exponential")
-    h = hamiltonian_dense(factory, grid)
+    h = factory.at().dense(grid)
     basis = EigenBasis.from_dense(h, grid, factory.dimension, factory.hbar, factory.label)
     kernelled = propagate_retarded(basis, state, t, s)
     lines = [
@@ -224,7 +226,7 @@ def _green_first_order(cfg: RunConfig, args) -> list[str]:
         free = dirac_hamiltonian(m.mass, 0.0, None, m.hbar, m.light_speed)
     else:
         free = schrodinger_hamiltonian(m.mass, 0.0, m.hbar)
-    h0 = hamiltonian_dense(free, grid)
+    h0 = free.at().dense(grid)
     perturbation = h - h0
     if np.max(np.abs(perturbation)) > 0:
         eps = cfg.green.perturbation_scale
@@ -311,12 +313,11 @@ def build_parser() -> argparse.ArgumentParser:
         else:
             p.add_argument("suite", nargs="?", default="all",
                            help="suite name (all, %s)" % ", ".join(sorted(SUITES)))
-            p.add_argument("--config", required=False, help="ignored; checks are self-contained")
+            p.add_argument("--tolerance-scale", type=float, default=1.0,
+                           help="multiply all check tolerances by this factor")
         p.add_argument("--out", default=None,
                        help="write CSV artifacts into this directory instead of standard output")
         p.add_argument("--seed", type=int, default=0, help="seed for any randomised content")
-        p.add_argument("--tolerance-scale", type=float, default=1.0,
-                       help="multiply all check tolerances by this factor")
     return parser
 
 
@@ -324,10 +325,6 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     out_dir = args.out
     try:
-        if not (np.isfinite(args.tolerance_scale) and args.tolerance_scale > 0):
-            raise ConfigError(
-                f"--tolerance-scale must be finite and positive, got {args.tolerance_scale}"
-            )
         if args.seed < 0:
             raise ConfigError(f"--seed must be nonnegative, got {args.seed}")
         if args.command == "check":

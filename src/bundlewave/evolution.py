@@ -82,12 +82,13 @@ taken literally; it refuses off-lattice times and oversized systems.
 from __future__ import annotations
 
 import numbers
+import warnings
 from functools import partial
 
 import numpy as np
 import scipy.linalg
 
-from .grid import FibreProduct, GridFunction, SpatialGrid1D, inner
+from .grid import GridFunction, SpatialGrid1D, inner
 from .algebra import MatrixOperator
 from .reduction import HamiltonianFactory
 
@@ -104,15 +105,17 @@ class EvolutionError(RuntimeError):
     """Unstable, oversized, or ill-posed evolution request."""
 
 
-def hamiltonian_dense(factory: HamiltonianFactory, grid: SpatialGrid1D, t: float = 0.0) -> np.ndarray:
-    """Dense (m N, m N) matrix of the Hamiltonian at time t."""
-    return factory.at().dense(grid, t)
-
-
 def _check_step(dt: float) -> None:
     """Refuse a step dt that is zero or not finite."""
     if not (np.isfinite(dt) and dt != 0):
         raise EvolutionError(f"need a finite nonzero time step dt, got {dt}")
+
+
+def _check_dense(factory: HamiltonianFactory, grid: SpatialGrid1D, what: str) -> None:
+    """Refuse a dense (m N)^2 `what` with m N above `DENSE_STATE_LIMIT`."""
+    size = factory.dimension * grid.npoints
+    if size > DENSE_STATE_LIMIT:
+        raise EvolutionError(f"{what} of size {size} exceeds limit {DENSE_STATE_LIMIT}")
 
 
 def _cayley_matrix(h_mid: np.ndarray, coeff: complex) -> np.ndarray:
@@ -141,10 +144,7 @@ def _cayley_unit(h_mid: np.ndarray, coeff: complex) -> np.ndarray:
     variant of every later product with U, and so its bits.
     """
     a = _cayley_matrix(h_mid, coeff)
-    try:
-        inverse = np.linalg.inv(a.T)
-    except np.linalg.LinAlgError:
-        raise EvolutionError("the Crank-Nicolson matrix is singular; change the time step") from None
+    inverse = np.linalg.inv(a.T)
     a[...] = inverse.T
     a *= 2.0
     a[np.diag_indices_from(a)] -= 1.0
@@ -321,13 +321,21 @@ class _StepFactors:
 
     def _factored(self, dt: float, units: bool, h_s: np.ndarray):
         """The step of size dt with the realized block H_S, factored in
-        H_S's storage: its apply, or with `units` its step matrix."""
+        H_S's storage: its apply, or with `units` its step matrix.  A
+        singular I + K_S, which numpy refuses and scipy only warns of, is
+        refused."""
         if self.method == "midpoint-exponential":
             h_s *= -1j * dt / self.factory.hbar
             unit = scipy.linalg.expm(h_s)
             return unit if units else partial(_product, unit)
         coeff = 1j * dt / (2.0 * self.factory.hbar)
-        return _cayley_unit(h_s, coeff) if units else partial(_cayley, _cayley_lu(h_s, coeff))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", scipy.linalg.LinAlgWarning)
+            try:
+                return _cayley_unit(h_s, coeff) if units else partial(_cayley, _cayley_lu(h_s, coeff))
+            except (np.linalg.LinAlgError, scipy.linalg.LinAlgWarning):
+                message = "the Crank-Nicolson matrix is singular; change the time step"
+                raise EvolutionError(message) from None
 
     def matrix(self, t: float, dt: float) -> np.ndarray:
         """Dense step over [t, t + dt]; entries between different component
@@ -361,9 +369,10 @@ def step_matrix(
     """Dense one-step propagator over [t, t + dt] (dt may be negative).
 
     Entries between different component groups are exactly zero.  dt must
-    be finite and nonzero.
+    be finite and nonzero, and m N at most `DENSE_STATE_LIMIT`.
     """
     _check_step(dt)
+    _check_dense(factory, grid, "dense step matrix")
     return _StepFactors(factory, grid, method).matrix(t, dt)
 
 
@@ -566,11 +575,7 @@ class EvolutionOperator:
         method: str = "crank-nicolson",
     ):
         _check_step(dt)
-        size = factory.dimension * grid.npoints
-        if size > DENSE_STATE_LIMIT:
-            raise EvolutionError(
-                f"dense evolution operator of size {size} exceeds limit {DENSE_STATE_LIMIT}"
-            )
+        _check_dense(factory, grid, "dense evolution operator")
         if not isinstance(steps, numbers.Integral):
             raise EvolutionError(f"steps must be an integer, got {steps!r}")
         if steps < 1:
@@ -581,7 +586,6 @@ class EvolutionOperator:
         self.dt = float(dt)
         self.steps = int(steps)
         self.t0 = float(t0)
-        self.method = method
         self.times = self.t0 + self.dt * np.arange(self.steps + 1)
         self._step_cache: dict[int, np.ndarray] = {}
 
@@ -603,28 +607,23 @@ class EvolutionOperator:
         i, j = self.time_index(t_from), self.time_index(t_to)
         size = self.factory.dimension * self.grid.npoints
         out = np.eye(size, dtype=complex)
-        if j >= i:
-            for k in range(i, j):
-                out = self._step(k) @ out
-            return out
-        for k in range(j, i):
+        for k in range(min(i, j), max(i, j)):
             out = self._step(k) @ out
-        return np.linalg.inv(out)
+        if j >= i:
+            return out
+        try:
+            return np.linalg.inv(out)
+        except np.linalg.LinAlgError:
+            raise EvolutionError(f"the propagator from {t_to} to {t_from} is singular") from None
 
     def apply(self, state: GridFunction, t_from: float, t_to: float) -> GridFunction:
         flat = self.matrix(t_from, t_to) @ state.flatten()
         return GridFunction.from_flat(self.grid, flat, self.factory.dimension)
 
 
-def expectation(
-    operator: MatrixOperator,
-    state: GridFunction,
-    t: float = 0.0,
-    fibre_product: FibreProduct | None = None,
-) -> complex:
+def expectation(operator: MatrixOperator, state: GridFunction, t: float = 0.0) -> complex:
     """<psi, A psi> / <psi, psi>."""
-    applied = operator.apply(state, t)
-    return inner(state, applied, fibre_product) / inner(state, state, fibre_product)
+    return inner(state, operator.apply(state, t)) / inner(state, state)
 
 
 def kg_charge(state: GridFunction) -> float:

@@ -49,7 +49,6 @@ from .evolution import (
     _map_distinct,
     _positions,
     _same_bits,
-    hamiltonian_dense,
 )
 
 MAX_BORN_ORDER = 3
@@ -133,7 +132,7 @@ class EigenBasis:
     @classmethod
     def from_factory(cls, factory: HamiltonianFactory, grid: SpatialGrid1D) -> "EigenBasis":
         return cls.from_dense(
-            hamiltonian_dense(factory, grid), grid, factory.dimension, factory.hbar, factory.label
+            factory.at().dense(grid), grid, factory.dimension, factory.hbar, factory.label
         )
 
     def completeness_defect(self) -> float:

@@ -10,14 +10,15 @@ Two boundary treatments are supported:
 
 States are arrays of shape (components, N).  The discrete inner product is
 h * sum_x  psi(x)^dagger . w(x) . chi(x) with a per-point Hermitian weight
-w(x) (identity unless a fibre product says otherwise); it is conjugate-linear
-in the first argument.  `stacked_inner` takes it for states stacked along
+w(x): the identity, or the (N, m, m) weights of a fibre product, which
+holds one matrix per grid point.  It is conjugate-linear in the first
+argument.  `stacked_inner` takes it for states stacked along
 leading axes, (..., m, N), and `inner` is its one-state case.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -171,32 +172,17 @@ def _require_same_grid(a: GridFunction, b: GridFunction):
 
 @dataclass
 class FibreProduct:
-    """Per-point Hermitian positive-definite weight for the fibre product.
-
-    `weights` is either a constant (m, m) matrix applied at every point or a
-    per-point (N, m, m) array.
-    """
+    """Per-point Hermitian positive-definite weights w(x) for the fibre
+    product, an (N, m, m) array."""
 
     weights: np.ndarray
-    _by_point: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        self.weights = np.asarray(self.weights, dtype=complex)
-        if self.weights.ndim not in (2, 3):
-            raise GridError(
-                f"fibre product weights must be (m, m) or (N, m, m), got shape {self.weights.shape}"
-            )
-        if self.weights.shape[-1] != self.weights.shape[-2]:
+        self.weights = w = np.asarray(self.weights, dtype=complex)
+        if w.ndim != 3:
+            raise GridError(f"fibre product weights must be (N, m, m), got shape {w.shape}")
+        if w.shape[-1] != w.shape[-2]:
             raise GridError("fibre product weight matrices must be square")
-        self.validate()
-
-    @property
-    def components(self) -> int:
-        return self.weights.shape[-1]
-
-    def validate(self):
-        """Check finiteness, Hermiticity and positive-definiteness per point."""
-        w = self.weights if self.weights.ndim == 3 else self.weights[None, :, :]
         if not np.all(np.isfinite(w)):
             raise GridError("fibre product weights must be finite")
         herm_defect = np.max(np.abs(w - np.conj(np.swapaxes(w, -1, -2))))
@@ -209,22 +195,19 @@ class FibreProduct:
                 f"fibre product weight is not positive definite at point index {bad} "
                 f"(min eigenvalue {np.min(eigs):.3e})"
             )
+        # Validated once and taken as fixed, so laid out for `by_point` once.
+        self._by_point = np.ascontiguousarray(np.moveaxis(w, 0, -1))
+
+    @property
+    def components(self) -> int:
+        return self.weights.shape[-1]
 
     def by_point(self, npoints: int) -> np.ndarray:
-        """Weights as an (m, m, N) array with the point index last.
-
-        Per-point weights are copied into that layout on the first call and
-        kept, as the weights are validated once and taken as fixed; a
-        constant weight is broadcast without a copy.
-        """
-        if self.weights.ndim == 2:
-            return np.broadcast_to(self.weights[:, :, np.newaxis], self.weights.shape + (npoints,))
+        """Weights as an (m, m, N) array with the point index last."""
         if self.weights.shape[0] != npoints:
             raise GridError(
                 f"fibre product sampled at {self.weights.shape[0]} points, grid has {npoints}"
             )
-        if self._by_point is None:
-            self._by_point = np.ascontiguousarray(np.moveaxis(self.weights, 0, -1))
         return self._by_point
 
 

@@ -1,12 +1,13 @@
 """Order reduction of wave equations to first-order Hamiltonian systems.
 
-A linear equation of order n in time,
+A linear equation of order n in time for a one-component field phi,
 
     d^n phi / dt^n = sum_i f_i d^i phi / dt^i,
 
-becomes i*hbar d psi/dt = H psi for the stacked state
+with grid operators f_0..f_{n-1} as its coefficients, becomes
+i*hbar d psi/dt = H psi for the stacked state
 psi = (phi, dphi/dt, ..., d^{n-1}phi/dt^{n-1}) with H = i*hbar times the
-block companion matrix: identities on the superdiagonal, the f_i along the
+companion matrix: identities on the superdiagonal, the f_i along the
 bottom row.  The factories below produce the four-component spin-1/2
 Hamiltonian, three equivalent stackings of the second-order scalar-field
 equation (two-component canonical, two-component nonrelativistic split,
@@ -119,52 +120,24 @@ class HamiltonianFactory:
         return self.op
 
 
-@dataclass
-class LinearTimeSystem:
-    """Spatial coefficients f_0..f_{n-1} of a linear order-n equation.
-
-    Coefficients are `MatrixOperator`s over the base components of phi (1x1
-    for a one-component field); time enters them only through callable
-    `ScaleOp` factors.
-    """
-
-    order: int
-    coefficients: list
-    base_components: int = 1
-
-    def __post_init__(self):
-        if self.order < 1:
-            raise ReductionError(f"time order must be >= 1, got {self.order}")
-        if len(self.coefficients) != self.order:
-            raise ReductionError(
-                f"order-{self.order} system needs {self.order} coefficients, "
-                f"got {len(self.coefficients)}"
-            )
-        if not all(isinstance(coeff, MatrixOperator) for coeff in self.coefficients):
-            raise ReductionError("coefficients are MatrixOperators; let t enter through a ScaleOp")
-
-    def coefficient(self, i: int) -> MatrixOperator:
-        op = self.coefficients[i]
-        m = self.base_components
-        if op.shape != (m, m):
-            raise ReductionError(
-                f"coefficient f_{i} has shape {op.shape}, expected {(m, m)}"
-            )
-        return op
-
-
 def companion_hamiltonian(
-    system: LinearTimeSystem, hbar: float = 1.0, label: str | None = None
+    coefficients: list, hbar: float = 1.0, label: str | None = None
 ) -> HamiltonianFactory:
-    """i*hbar times the block companion matrix of the stacked system."""
-    n, m = system.order, system.base_components
-    out = MatrixOperator.zeros(n * m, n * m)
-    for k in range((n - 1) * m):
-        out.entries[k][k + m] = op_scale(1j * hbar, IdentityOp())
-    for i in range(n):
-        fi = system.coefficient(i)
-        for r, col in np.ndindex(m, m):
-            out.entries[(n - 1) * m + r][i * m + col] = op_scale(1j * hbar, fi.entry(r, col))
+    """i*hbar times the companion matrix of the order-n equation with the
+    grid operators f_0..f_{n-1} as its coefficients, n = len(coefficients).
+
+    Time enters the coefficients only through callable `ScaleOp` factors.
+    """
+    n = len(coefficients)
+    if n == 0:
+        raise ReductionError("the companion form needs at least one coefficient")
+    if not all(isinstance(fi, LinearGridOperator) for fi in coefficients):
+        raise ReductionError("coefficients are LinearGridOperators; let t enter through a ScaleOp")
+    out = MatrixOperator.zeros(n, n)
+    for k in range(n - 1):
+        out.entries[k][k + 1] = op_scale(1j * hbar, IdentityOp())
+    for i, fi in enumerate(coefficients):
+        out.entries[n - 1][i] = op_scale(1j * hbar, fi)
     return HamiltonianFactory(out, label or f"companion-order-{n}", hbar)
 
 
@@ -257,14 +230,11 @@ def kg_canonical_hamiltonian(
 ) -> HamiltonianFactory:
     """Two-component stacking (phi, dphi/dt): the order-2 companion form."""
     potentials = potentials or Potentials()
-    system = LinearTimeSystem(
-        order=2,
-        coefficients=[
-            MatrixOperator([[_scalar_field_f0(mass, charge, potentials, hbar, c)]]),
-            MatrixOperator([[_scalar_field_f1(charge, potentials, hbar)]]),
-        ],
-    )
-    return companion_hamiltonian(system, hbar=hbar, label="kg-canonical")
+    coefficients = [
+        _scalar_field_f0(mass, charge, potentials, hbar, c),
+        _scalar_field_f1(charge, potentials, hbar),
+    ]
+    return companion_hamiltonian(coefficients, hbar=hbar, label="kg-canonical")
 
 
 def kg_nonrel_hamiltonian(
@@ -460,10 +430,6 @@ class GaugeFrame:
         if singular_index(m) is not None:
             raise ReductionError("gauge frame is singular")
         return np.linalg.inv(m)
-
-    def is_unitary(self, t: float = 0.0) -> bool:
-        m = self.at(t)
-        return bool(np.max(np.abs(m.conj().T @ m - np.eye(m.shape[0]))) <= 1e-12)
 
 
 def gauge_transform(factory: HamiltonianFactory, frame: GaugeFrame) -> HamiltonianFactory:

@@ -11,7 +11,7 @@ import pytest
 
 from bundlewave.algebra import (
     METRIC_SIGNATURE,
-    MatrixOperator,
+    ScaleOp,
     alpha_matrices,
     anticommutator_defect,
     beta_matrix,
@@ -29,11 +29,10 @@ from bundlewave.bundle import (
     transported_lifting,
 )
 from bundlewave.cli import EXIT_OK, main
-from bundlewave.evolution import EvolutionOperator, evolve, hamiltonian_dense, kg_charge
+from bundlewave.evolution import EvolutionOperator, evolve, kg_charge
 from bundlewave.green import EigenBasis, born_kernel, propagate_retarded, retarded_kernel
 from bundlewave.grid import GridFunction, SpatialGrid1D
 from bundlewave.reduction import (
-    LinearTimeSystem,
     Potentials,
     companion_hamiltonian,
     dirac_hamiltonian,
@@ -150,18 +149,11 @@ def test_c06_companion_reduction_fidelity():
     c_minus = phi0 - c_plus
     exact = c_plus * np.exp(r_plus) + c_minus * np.exp(r_minus)
 
-    system = LinearTimeSystem(
-        2,
-        [
-            MatrixOperator.from_constant(np.array([[beta]])),
-            MatrixOperator.from_constant(np.array([[alpha]])),
-        ],
-    )
     grid = SpatialGrid1D(2, 1.0)
     initial = GridFunction(
         grid, np.stack([np.full(2, phi0, dtype=complex), np.full(2, dphi0, dtype=complex)])
     )
-    final = evolve(initial, companion_hamiltonian(system), dt=1e-4, steps=10000)
+    final = evolve(initial, companion_hamiltonian([ScaleOp(beta), ScaleOp(alpha)]), dt=1e-4, steps=10000)
     relative = float(np.max(np.abs(final.values[0] - exact)) / abs(exact))
     _report("c06 companion-reduction-fidelity", [("relative-error", relative, 1e-6)])
 
@@ -194,7 +186,7 @@ def test_c07_scalar_cross_form_equivalence():
     gauged = gauge_transform(kg_canonical_hamiltonian(mass, hbar=hbar, c=c), frame)
     direct = kg_nonrel_hamiltonian(mass, hbar=hbar, c=c)
     frame_defect = float(
-        np.max(np.abs(hamiltonian_dense(gauged, grid) - hamiltonian_dense(direct, grid)))
+        np.max(np.abs(gauged.at().dense(grid) - direct.at().dense(grid)))
     )
     _report(
         "c07 scalar-cross-form-equivalence",
@@ -322,7 +314,7 @@ def test_c10_transported_lifting_derivation():
     eps = 3e-4
     probe = evolution_transport(free, grid, PathSampling(np.array([0.5 - eps, 0.5, 0.5 + eps])))
     gamma = transport_coefficients(probe, 1, mode="arrival")
-    expected = -1j * hamiltonian_dense(free, grid)
+    expected = -1j * free.at().dense(grid)
     gamma_defect = float(np.max(np.abs(gamma - expected)))
     _report(
         "c10 transported-lifting-derivation",
@@ -338,7 +330,7 @@ def test_c11_born_series_scaling():
     t = 0.6
     errors = []
     for eps in (0.1, 0.05, 0.025):
-        perturbed = hamiltonian_dense(base, grid) + eps * profile
+        perturbed = base.at().dense(grid) + eps * profile
         exact = retarded_kernel(EigenBasis.from_dense(perturbed, grid, 1), t, 0.0)
         approx = born_kernel(basis, eps * profile, t, 0.0, order=1, quad_points=129)
         errors.append(float(np.max(np.abs(approx - exact))))

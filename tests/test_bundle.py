@@ -27,7 +27,6 @@ from bundlewave.evolution import (
     EvolutionError,
     EvolutionOperator,
     evolve,
-    hamiltonian_dense,
     step_matrix,
 )
 from bundlewave.grid import GridFunction, SpatialGrid1D, inner
@@ -95,11 +94,28 @@ def test_trivialization_constructors_and_checks():
     with pytest.raises(BundleError, match="frame 2 is singular"):
         Trivialization(np.stack([np.eye(2), np.eye(2), np.diag([1e8, 1e-9])]))
     assert Trivialization.constant(0.5 * np.eye(64), 2).dim == 64
-    assert Trivialization.identity(4, 3).is_unitary()
+    def unitary_defect(trivialization):
+        frames = trivialization.frames
+        return np.max(np.abs(frames.conj().swapaxes(1, 2) @ frames - np.eye(trivialization.dim)))
+
+    assert unitary_defect(Trivialization.identity(4, 3)) == 0.0
     phases = Trivialization.phase(np.linspace(0, 1, 4), dim=2)
-    assert phases.dim == 2 and phases.is_unitary()
-    stretched = Trivialization.constant(np.diag([2.0, 1.0]), 3)
-    assert not stretched.is_unitary()
+    assert phases.dim == 2 and unitary_defect(phases) <= 1e-12
+    assert unitary_defect(Trivialization.constant(np.diag([2.0, 1.0]), 3)) == 3.0
+
+
+def test_a_singular_cayley_frame_is_a_bundle_error():
+    # H = (2 i hbar / dt) I makes every backward Crank-Nicolson substep zero.
+    grid, dt = SpatialGrid1D(8, 1.0), 0.1
+    factory = HamiltonianFactory(MatrixOperator.from_constant([[2j / dt]]), "vanishing")
+    transport = evolution_transport(factory, grid, PathSampling.uniform(0.0, 0.3, 4),
+                                    method="crank-nicolson")
+    assert not np.any(transport.frames[1])
+    assert np.array_equal(transport.transport(0, 1), transport.frames[1])
+    with pytest.raises(BundleError, match="singular"):
+        transport.transport(1, 0)
+    with pytest.raises(BundleError, match="singular"):
+        transported_lifting(transport, np.ones(grid.npoints))
 
 
 def test_induced_fibre_product_makes_frames_isometric():
@@ -448,7 +464,7 @@ def _summed_driven_factory(grid: SpatialGrid1D) -> HamiltonianFactory:
 def _two_sided_step(factory, grid, mid, dt, method):
     """The step of size dt from the whole H at `mid`, by a two-sided solve
     or a full-matrix exponential."""
-    h = hamiltonian_dense(factory, grid, mid)
+    h = factory.at().dense(grid, mid)
     if method == "midpoint-exponential":
         return scipy.linalg.expm(-1j * dt * h / factory.hbar)
     eye, k = np.eye(h.shape[0]), 0.5j * dt * h / factory.hbar
@@ -551,7 +567,7 @@ def test_generator_readback_recovers_hamiltonian():
     sampling = PathSampling(np.array([0.5 - eps, 0.5, 0.5 + eps]))
     transport = evolution_transport(_free_factory(), GRID, sampling)
     recovered = generator_from_transport(transport, 1, hbar=hbar)
-    dense = hamiltonian_dense(_free_factory(), GRID)
+    dense = _free_factory().at().dense(GRID)
     assert np.max(np.abs(recovered - dense)) < 1e-8
 
 
@@ -604,7 +620,7 @@ def test_derivation_of_constant_lifting_reads_the_generator():
     seed = _packet_flat(GRID)
     frozen = Lifting(sampling, np.tile(seed, (4, 1)))
     residual = derivation_along_path(transport, frozen, 1, mode="limit")
-    expected = 1j * hamiltonian_dense(factory, GRID) @ seed
+    expected = 1j * factory.at().dense(GRID) @ seed
     assert np.max(np.abs(residual - expected)) < 1e-6
 
 

@@ -431,6 +431,22 @@ def test_check_rejects_a_tolerance_scale_that_is_not_finite_and_positive(capsys,
     assert len(captured.err.splitlines()) == 1
 
 
+@pytest.mark.parametrize("command, flag", [
+    ("run", "--tolerance-scale"),
+    ("green", "--tolerance-scale"),
+    ("reduce", "--tolerance-scale"),
+    ("check", "--config"),
+])
+def test_a_flag_that_selects_nothing_is_refused(tmp_path, capsys, command, flag):
+    argv = [command] if command == "check" else [command, "--config", _run_cfg(tmp_path)]
+    with pytest.raises(SystemExit) as stopped:
+        main(argv + [flag, "2"])
+    assert stopped.value.code == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"unrecognized arguments: {flag}" in captured.err
+
+
 def test_check_rejects_unknown_suite(capsys):
     assert main(["check", "spectra"]) == EXIT_CONFIG
     err = capsys.readouterr().err

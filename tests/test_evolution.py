@@ -14,6 +14,7 @@ from bundlewave.algebra import (
     IdentityOp,
     MatrixOperator,
     ScaleOp,
+    ZeroOp,
     matrix_in_frame,
 )
 from bundlewave.evolution import (
@@ -26,7 +27,6 @@ from bundlewave.evolution import (
     _same_bits,
     evolve,
     expectation,
-    hamiltonian_dense,
     kg_charge,
     kg_charges,
     march,
@@ -36,7 +36,6 @@ from bundlewave.grid import FibreProduct, GridFunction, SpatialGrid1D, inner
 from bundlewave.reduction import (
     GaugeFrame,
     HamiltonianFactory,
-    LinearTimeSystem,
     Potentials,
     block_diag_hamiltonian,
     companion_hamiltonian,
@@ -134,7 +133,7 @@ def _static_factories():
 
 def test_step_matrix_forms():
     factory = schrodinger_hamiltonian(1.0, potential=np.sin(GRID.points))
-    h = hamiltonian_dense(factory, GRID)
+    h = factory.at().dense(GRID)
     dt = 0.03
     expm_step = step_matrix(factory, GRID, 0.0, dt, "midpoint-exponential")
     assert np.max(np.abs(expm_step - scipy.linalg.expm(-1j * dt * h))) < 1e-12
@@ -146,7 +145,7 @@ def test_step_matrix_forms():
 @pytest.mark.parametrize("kind", ["schrodinger", "dirac"])
 def test_cayley_step_matrix_matches_two_sided_solve(kind, dt):
     factory = _static_factories()[kind]
-    expected = _reference_crank_nicolson(hamiltonian_dense(factory, GRID), dt, factory.hbar)
+    expected = _reference_crank_nicolson(factory.at().dense(GRID), dt, factory.hbar)
     step = step_matrix(factory, GRID, 0.0, dt, "crank-nicolson")
     assert np.max(np.abs(step - expected)) <= 1e-12 * np.max(np.abs(expected))
 
@@ -181,9 +180,7 @@ def test_time_dependent_evolve_matches_two_sided_solves(kind):
         # The order-2 Klein-Gordon form, m = c = hbar = 1, with a driven
         # term: t enters only through the ScaleOp in f_0.
         f0 = DerivativeOp(2) - IdentityOp() - ScaleOp(lambda t: 0.5 * np.cos(x) * np.sin(1.3 * t))
-        factory = companion_hamiltonian(
-            LinearTimeSystem(2, [MatrixOperator([[f0]]), MatrixOperator.zeros(1, 1)])
-        )
+        factory = companion_hamiltonian([f0, ZeroOp()])
     rng = np.random.default_rng(11)
     shape = (factory.dimension, GRID.npoints)
     state = GridFunction(GRID, rng.normal(size=shape) + 1j * rng.normal(size=shape))
@@ -191,7 +188,7 @@ def test_time_dependent_evolve_matches_two_sided_solves(kind):
     dt, steps, t0 = 0.02, 60, 0.1
     psi = state.flatten()
     for k in range(steps):
-        h_mid = hamiltonian_dense(factory, GRID, t0 + (k + 0.5) * dt)
+        h_mid = factory.at().dense(GRID, t0 + (k + 0.5) * dt)
         psi = _reference_crank_nicolson(h_mid, dt, factory.hbar) @ psi
     stepped = evolve(state, factory, dt=dt, steps=steps, t0=t0)
     assert np.max(np.abs(stepped.flatten() - psi)) <= 1e-12 * np.max(np.abs(psi))
@@ -203,7 +200,7 @@ def test_step_matrix_uses_midpoint_of_interval():
     small = SpatialGrid1D(4, 1.0)
     dt = 0.2
     step = step_matrix(factory, small, 1.0, dt, "midpoint-exponential")
-    kinetic = hamiltonian_dense(schrodinger_hamiltonian(1.0), small)
+    kinetic = schrodinger_hamiltonian(1.0).at().dense(small)
     mid = kinetic + ((1.0 + dt / 2) ** 2) * np.eye(4)
     assert np.max(np.abs(step - scipy.linalg.expm(-1j * dt * mid))) < 1e-12
 
@@ -233,7 +230,7 @@ def test_time_dependent_stepping_is_second_order(method):
 def _full_matrix_step(factory, grid, t, dt, method):
     """The step from the whole (mN)^2 H, in the grouped stepper's order of
     operations: one LU of all of I + K, or expm of all of -i dt H / hbar."""
-    h = hamiltonian_dense(factory, grid, t + dt / 2.0)
+    h = factory.at().dense(grid, t + dt / 2.0)
     if method == "midpoint-exponential":
         h *= -1j * dt / factory.hbar
         return scipy.linalg.expm(h)
@@ -263,7 +260,7 @@ def _full_matrix_evolve(state, factory, dt, steps, method):
         elif method == "midpoint-exponential":
             psi = _full_matrix_step(factory, GRID, k * dt, dt, method) @ psi
         else:
-            h = hamiltonian_dense(factory, GRID, k * dt + dt / 2.0)
+            h = factory.at().dense(GRID, k * dt + dt / 2.0)
             h *= 1j * dt / (2.0 * factory.hbar)
             h[np.diag_indices_from(h)] += 1.0
             lu = scipy.linalg.lu_factor(h.T)
@@ -471,7 +468,7 @@ def test_static_crank_nicolson_group_steps_are_the_scipy_steps(model, dt):
     build, groups = _GROUPED[model]
     factory = build()
     step = step_matrix(factory, GRID, 0.2, dt)
-    h = hamiltonian_dense(factory, GRID, 0.2 + dt / 2.0)
+    h = factory.at().dense(GRID, 0.2 + dt / 2.0)
     for group in groups:
         flat = np.concatenate([np.arange(c * GRID.npoints, (c + 1) * GRID.npoints) for c in group])
         at = np.ix_(flat, flat)
@@ -548,6 +545,27 @@ def test_singular_crank_nicolson_matrix_is_an_evolution_error():
         evolve(state, factory, dt=dt, steps=3)
     with pytest.raises(EvolutionError, match="singular"):
         EvolutionOperator(factory, grid, dt, steps=2).matrix(0.0, dt)
+
+
+def test_a_singular_forward_product_has_no_backward_one():
+    # H = (-2 i hbar / dt) I makes I + K = 2 I and the step U = 0.
+    grid, dt = SpatialGrid1D(8, 1.0), 0.1
+    factory = HamiltonianFactory(MatrixOperator.from_constant([[-2j / dt]]), "vanishing")
+    op = EvolutionOperator(factory, grid, dt, steps=2)
+    assert not np.any(op.matrix(0.0, 0.2))
+    with pytest.raises(EvolutionError, match="singular"):
+        op.matrix(0.2, 0.0)
+
+
+def test_a_driven_singular_crank_nicolson_matrix_is_refused_without_a_warning():
+    # I + K = 0 at the first midpoint, t = dt / 2, and nowhere else.  The
+    # suite turns a warning into an error, so none may be raised first.
+    grid, dt = SpatialGrid1D(8, 1.0), 0.1
+    driven = ScaleOp(lambda t: (2j / dt) * np.cos(np.pi * (t - dt / 2)))
+    factory = HamiltonianFactory(MatrixOperator([[driven]]), "driven-singular")
+    state = GridFunction(grid, np.ones((1, grid.npoints), dtype=complex))
+    with pytest.raises(EvolutionError, match="the Crank-Nicolson matrix is singular"):
+        evolve(state, factory, dt=dt, steps=3)
 
 
 def _growing_factory(rate: float) -> HamiltonianFactory:
@@ -958,6 +976,13 @@ def test_size_guards():
     dense_big = SpatialGrid1D(DENSE_STATE_LIMIT + 1, 1.0)
     with pytest.raises(EvolutionError):
         EvolutionOperator(schrodinger_hamiltonian(1.0), dense_big, dt=0.1, steps=1)
+    # A step matrix is as dense as the operator, and refused the same way.
+    with pytest.raises(EvolutionError, match="dense step matrix of size 2048 exceeds limit 1024"):
+        step_matrix(dirac_hamiltonian(1.0), SpatialGrid1D(512, 10.0), 0.0, 0.01)
+    with pytest.raises(EvolutionError, match="exceeds limit"):
+        step_matrix(schrodinger_hamiltonian(1.0), dense_big, 0.0, 0.1)
+    at_limit = SpatialGrid1D(DENSE_STATE_LIMIT // 4, 10.0)
+    assert step_matrix(dirac_hamiltonian(1.0), at_limit, 0.0, 0.01).shape == (DENSE_STATE_LIMIT,) * 2
 
 
 def test_rejected_inputs():
@@ -1072,7 +1097,7 @@ def test_observable_respects_fibre_product():
     position = MatrixOperator([[ScaleOp(GRID.points.astype(complex))]])
     state = _gaussian(GRID, np.pi, 0.5)
     applied = position.apply(state)
-    doubled = inner(state, applied, FibreProduct(2.0 * np.eye(1)))
+    doubled = inner(state, applied, FibreProduct(np.full((GRID.npoints, 1, 1), 2.0)))
     assert abs(doubled - 2.0 * inner(state, applied)) < 1e-12
 
 

@@ -15,7 +15,6 @@ from bundlewave.evolution import (
     _coupling,
     _positions,
     evolve,
-    hamiltonian_dense,
 )
 from bundlewave.green import (
     MAX_BORN_ORDER,
@@ -67,7 +66,7 @@ def test_eigenbasis_is_weighted_orthonormal_and_complete():
 
 def test_propagator_matches_matrix_exponential():
     factory, basis = _schrodinger_basis()
-    h = hamiltonian_dense(factory, GRID)
+    h = factory.at().dense(GRID)
     delta = 0.7
     assert np.max(np.abs(basis.propagator(delta, 0.0) - scipy.linalg.expm(-1j * delta * h))) < 1e-12
 
@@ -195,7 +194,7 @@ def _grouped_problem(model):
     """(factory, grouped basis, one-eigh reference basis, groups) of a model."""
     build, groups = GROUPED_MODELS[model]
     factory = build()
-    h = hamiltonian_dense(factory, GRID)
+    h = factory.at().dense(GRID)
     return factory, EigenBasis.from_dense(h, GRID, factory.dimension), _one_eigh_basis(
         h, factory.dimension
     ), groups
@@ -203,7 +202,7 @@ def _grouped_problem(model):
 
 def test_one_group_basis_is_one_eigh_of_the_whole_matrix():
     factory, basis = _schrodinger_basis()
-    h = hamiltonian_dense(factory, GRID)
+    h = factory.at().dense(GRID)
     energies, vectors = np.linalg.eigh(0.5 * (h + h.conj().T))
     _assert_block_positions(basis, [[0]])
     assert np.array_equal(basis.energies, energies)
@@ -214,7 +213,7 @@ def test_one_group_basis_is_one_eigh_of_the_whole_matrix():
 def test_grouped_basis_matches_one_eigh_of_the_whole_matrix(model):
     factory, basis, reference, groups = _grouped_problem(model)
     _assert_block_positions(basis, groups)
-    h = hamiltonian_dense(factory, GRID)
+    h = factory.at().dense(GRID)
     for at, modes in basis.blocks:
         assert np.all(np.diff(basis.energies[at]) >= 0)
         # Each block holds the eigenvectors of its own group block of H.
@@ -230,7 +229,7 @@ def test_grouped_basis_matches_one_eigh_of_the_whole_matrix(model):
 def test_dirac_basis_diagonalizes_its_twin_groups_once(monkeypatch):
     # Dirac's groups {0, 3} and {1, 2} realize to blocks with the same bits.
     factory, basis, reference, groups = _grouped_problem("dirac")
-    h = hamiltonian_dense(factory, GRID)
+    h = factory.at().dense(GRID)
     calls = []
     eigh = np.linalg.eigh
 
@@ -270,7 +269,7 @@ def test_reading_a_basis_never_scans_or_copies_its_modes(monkeypatch):
     import bundlewave.green as green_module
 
     factory = GROUPED_MODELS["dirac"][0]()
-    h = hamiltonian_dense(factory, GRID)
+    h = factory.at().dense(GRID)
     state = _packet(GRID, components=4)
     readings = (
         lambda basis: basis.propagator(0.7, 0.2),
@@ -532,7 +531,7 @@ def test_born_first_order_error_scales_quadratically():
     t = 0.6
     errors = []
     for eps in (0.1, 0.05):
-        perturbed = hamiltonian_dense(schrodinger_hamiltonian(1.0), GRID) + 0.4 * np.cos(
+        perturbed = schrodinger_hamiltonian(1.0).at().dense(GRID) + 0.4 * np.cos(
             GRID.points
         ) * np.eye(GRID.npoints) + eps * profile
         exact_basis = EigenBasis.from_dense(perturbed, GRID, 1)

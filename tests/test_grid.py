@@ -122,28 +122,29 @@ def test_inner_product_conjugate_linear_in_first_slot():
 def test_inner_product_weight():
     grid = SpatialGrid1D(4, 2.0)
     a = GridFunction(grid, np.ones((2, 4)))
-    w = FibreProduct(np.array([[2.0, 0.0], [0.0, 3.0]]))
+    w = FibreProduct(np.tile(np.diag([2.0, 3.0]), (4, 1, 1)))
     # h * sum over 4 points of (2 + 3)
     assert inner(a, a, w) == pytest.approx(grid.spacing * 4 * 5)
 
 
 def test_fibre_product_rejects_bad_weights():
-    with pytest.raises(GridError):
-        FibreProduct(np.array([[0.0, 1.0], [0.0, 0.0]]))  # not Hermitian
-    with pytest.raises(GridError):
-        FibreProduct(np.array([[1.0, 0.0], [0.0, -1.0]]))  # indefinite
-    with pytest.raises(GridError):
-        FibreProduct(np.zeros((2, 3)))
-    # Non-finite entries, in a constant and in a per-point weight, are refused
-    # before numpy can warn (the suite turns warnings into errors).
+    with pytest.raises(GridError, match="Hermitian"):
+        FibreProduct(np.tile([[0.0, 1.0], [0.0, 0.0]], (3, 1, 1)))
+    with pytest.raises(GridError, match="positive definite at point index 0"):
+        FibreProduct(np.tile([[1.0, 0.0], [0.0, -1.0]], (3, 1, 1)))
+    with pytest.raises(GridError, match="square"):
+        FibreProduct(np.zeros((3, 2, 3)))
+    # One constant (m, m) weight for every point is not a form of its own.
+    for weights in (np.eye(2), np.diag([2.0, 3.0]), np.zeros((2, 3))):
+        with pytest.raises(GridError, match=r"must be \(N, m, m\)"):
+            FibreProduct(weights)
+    # Non-finite entries are refused before numpy can warn (the suite turns
+    # warnings into errors).
     for bad in (np.nan, np.inf):
-        constant = np.eye(2)
-        constant[0, 0] = bad
         per_point = np.tile(np.eye(2), (3, 1, 1))
         per_point[1, 1, 1] = bad
-        for weights in (constant, per_point):
-            with pytest.raises(GridError, match="finite"):
-                FibreProduct(weights)
+        with pytest.raises(GridError, match="finite"):
+            FibreProduct(per_point)
 
 
 def test_weighted_inner_positive():
@@ -163,14 +164,13 @@ def _hermitian_weights(rng, shape, m):
 
 
 @pytest.mark.parametrize("rows", [1, 8])
-@pytest.mark.parametrize("weight", ["per-point", "constant", "none"])
+@pytest.mark.parametrize("weight", ["per-point", "none"])
 @pytest.mark.parametrize("m, npoints", [(1, 8), (2, 7), (4, 16)])
 def test_stacked_inner_rows_equal_inner_bitwise(m, npoints, weight, rows):
     grid = SpatialGrid1D(npoints, 3.0)
     rng = np.random.default_rng(m * 100 + npoints)
     fp = {
         "per-point": lambda: FibreProduct(_hermitian_weights(rng, (npoints,), m)),
-        "constant": lambda: FibreProduct(_hermitian_weights(rng, (), m)),
         "none": lambda: None,
     }[weight]()
     shape = (rows, m, npoints)
@@ -183,16 +183,12 @@ def test_stacked_inner_rows_equal_inner_bitwise(m, npoints, weight, rows):
         assert complex(stacked[row]) == single
     # States held in point-major (Fortran) order, as a frame change leaves
     # them, sum in their own memory order, stacked or not, exactly as the
-    # formula written out for one pair does.  (Written out with a broadcast
-    # constant weight, the formula's product is C-ordered whatever the
-    # states' order, so that case is compared only through `inner`.)
+    # formula written out for one pair does.
     for order in "CF":
         first, second = np.asarray(a[0], order=order), np.asarray(b[0], order=order)
         single = inner(GridFunction(grid, first), GridFunction(grid, second), fp)
         stacked = stacked_inner(grid, first[np.newaxis], second[np.newaxis], fp)
         assert complex(stacked[0]) == single
-        if weight == "constant":
-            continue
         if fp is not None:
             second = np.einsum("xij,jx->ix", fp.weights, second)
         assert single == complex(grid.spacing * np.sum(np.conj(first) * second))
@@ -207,7 +203,8 @@ def test_stacked_inner_refuses_mismatched_shapes():
     with pytest.raises(GridError):
         stacked_inner(grid, np.zeros(8), np.zeros(8))
     with pytest.raises(GridError):
-        stacked_inner(grid, np.zeros((2, 1, 8)), np.zeros((2, 1, 8)), FibreProduct(np.eye(2)))
+        stacked_inner(grid, np.zeros((2, 1, 8)), np.zeros((2, 1, 8)),
+                      FibreProduct(np.tile(np.eye(2), (8, 1, 1))))
 
 
 def test_discrete_delta_has_unit_mass():

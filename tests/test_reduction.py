@@ -9,16 +9,16 @@ from bundlewave.algebra import (
     DerivativeOp,
     MatrixOperator,
     ScaleOp,
+    ZeroOp,
     alpha_matrices,
     beta_matrix,
     kron_component_matrix,
 )
-from bundlewave.evolution import evolve, hamiltonian_dense
+from bundlewave.evolution import evolve
 from bundlewave.grid import GridFunction, SpatialGrid1D, derivative_matrix, derivative_values
 from bundlewave.reduction import (
     GaugeFrame,
     HamiltonianFactory,
-    LinearTimeSystem,
     Potentials,
     ReductionError,
     block_diag_hamiltonian,
@@ -64,11 +64,9 @@ def test_factory_refuses_a_non_square_operator():
 
 def test_companion_block_structure():
     # Identities above the diagonal, coefficients along the bottom row.
-    f0 = MatrixOperator([[(-2.0) * DerivativeOp(2)]])
-    f1 = MatrixOperator([[0.5 * DerivativeOp(1)]])
-    f2 = MatrixOperator.from_constant(np.array([[0.25]]))
-    factory = companion_hamiltonian(LinearTimeSystem(3, [f0, f1, f2]))
-    dense = hamiltonian_dense(factory, GRID)
+    factory = companion_hamiltonian([(-2.0) * DerivativeOp(2), 0.5 * DerivativeOp(1), ScaleOp(0.25)])
+    assert factory.label == "companion-order-3"
+    dense = factory.at().dense(GRID)
     n = GRID.npoints
     expected = np.zeros((3 * n, 3 * n), dtype=complex)
     expected[0:n, n:2 * n] = 1j * np.eye(n)
@@ -80,15 +78,11 @@ def test_companion_block_structure():
 
 
 def test_companion_validates_coefficients():
-    with pytest.raises(ReductionError):
-        LinearTimeSystem(2, [MatrixOperator.identity(1)])
-    with pytest.raises(ReductionError):
-        LinearTimeSystem(0, [])
-    with pytest.raises(ReductionError):
-        LinearTimeSystem(1, [lambda t: MatrixOperator.identity(1)])
-    bad = LinearTimeSystem(1, [MatrixOperator.identity(2)], base_components=1)
-    with pytest.raises(ReductionError):
-        companion_hamiltonian(bad).at()
+    # An empty list, and any coefficient that is not a grid operator.
+    for coefficients in ([], [lambda t: ScaleOp(1.0)], [MatrixOperator.identity(1)],
+                         [DerivativeOp(2), MatrixOperator.zeros(1, 1)]):
+        with pytest.raises(ReductionError):
+            companion_hamiltonian(coefficients)
 
 
 def test_companion_matches_second_order_solution():
@@ -96,9 +90,7 @@ def test_companion_matches_second_order_solution():
     # reproduces cosine motion.
     grid = SpatialGrid1D(2, 1.0)
     omega = 2.0
-    factory = companion_hamiltonian(
-        LinearTimeSystem(2, [MatrixOperator.from_constant([[-(omega**2)]]), MatrixOperator.zeros(1, 1)])
-    )
+    factory = companion_hamiltonian([ScaleOp(-(omega**2)), ZeroOp()])
     state = GridFunction(grid, np.array([[1.0, 1.0], [0.0, 0.0]], dtype=complex))
     final = evolve(state, factory, dt=1e-3, steps=1000, method="midpoint-exponential")
     assert final.values[0, 0] == pytest.approx(np.cos(omega * 1.0), abs=1e-9)
@@ -115,7 +107,7 @@ def test_dirac_dense_assembly():
     scalar = 0.2 * np.cos(x)
     vector = 0.1 * np.sin(x)
     factory = dirac_hamiltonian(mass, charge, Potentials(scalar, vector), hbar, c)
-    dense = hamiltonian_dense(factory, GRID)
+    dense = factory.at().dense(GRID)
     alpha1 = alpha_matrices()[0]
     beta = beta_matrix()
     n = GRID.npoints
@@ -129,7 +121,7 @@ def test_dirac_dense_assembly():
 
 
 def test_dirac_free_is_hermitian():
-    dense = hamiltonian_dense(dirac_hamiltonian(mass=1.0), GRID)
+    dense = dirac_hamiltonian(mass=1.0).at().dense(GRID)
     assert np.max(np.abs(dense - dense.conj().T)) < 1e-13
 
 
@@ -140,8 +132,8 @@ def test_dirac_time_dependent_potential():
         1.0, charge=1.0, potentials=Potentials(scalar=lambda t: 2.0 * t)
     )
     assert factory.time_dependent
-    h0 = hamiltonian_dense(factory, GRID, t=0.0)
-    h1 = hamiltonian_dense(factory, GRID, t=1.0)
+    h0 = factory.at().dense(GRID, t=0.0)
+    h1 = factory.at().dense(GRID, t=1.0)
     assert np.max(np.abs((h1 - h0) - 2.0 * np.eye(4 * GRID.npoints))) < 1e-12
     state = GridFunction(GRID, np.ones((4, GRID.npoints), dtype=complex))
     assert np.all(np.isfinite(evolve(state, factory, dt=0.1, steps=3).values))
@@ -169,7 +161,7 @@ def test_builders_share_one_operator_across_times(build):
     # realized at each t, and the time-dependence flag is read from the
     # operator: it is set exactly when the realized H varies.
     factory = build()
-    h1, h2 = hamiltonian_dense(factory, GRID, 0.1), hamiltonian_dense(factory, GRID, 2.3)
+    h1, h2 = factory.at().dense(GRID, 0.1), factory.at().dense(GRID, 2.3)
     change = np.max(np.abs(h1 - h2))
     assert change > 0.1 if factory.time_dependent else change == 0.0
 
@@ -182,7 +174,7 @@ def test_canonical_free_bottom_row():
     # f_0 = -(c/hbar)^2 p.p - (m c^2 / hbar)^2 in the lower-left block, with
     # the momentum squared realised as two composed first derivatives.
     mass, hbar, c = 1.5, 0.8, 2.0
-    dense = hamiltonian_dense(kg_canonical_hamiltonian(mass, hbar=hbar, c=c), GRID)
+    dense = kg_canonical_hamiltonian(mass, hbar=hbar, c=c).at().dense(GRID)
     n = GRID.npoints
     d1 = derivative_matrix(GRID, 1)
     f0 = (c**2) * (d1 @ d1) - ((mass * c * c / hbar) ** 2) * np.eye(n)
@@ -194,13 +186,13 @@ def test_canonical_free_bottom_row():
 def test_canonical_with_potential_terms():
     charge, v0, hbar = 0.6, 0.9, 1.0
     pots = Potentials(scalar=v0)
-    dense = hamiltonian_dense(kg_canonical_hamiltonian(1.0, charge, pots, hbar), GRID)
+    dense = kg_canonical_hamiltonian(1.0, charge, pots, hbar).at().dense(GRID)
     n = GRID.npoints
     f1_block = dense[n:, n:]
     expected = 1j * hbar * (2 * charge / (1j * hbar)) * v0 * np.eye(n)
     assert np.max(np.abs(f1_block - expected)) < 1e-13
     # The f_0 block gains +(e V / hbar)^2 relative to the free form.
-    free = hamiltonian_dense(kg_canonical_hamiltonian(1.0, hbar=hbar), GRID)
+    free = kg_canonical_hamiltonian(1.0, hbar=hbar).at().dense(GRID)
     shift = (dense[n:, :n] - free[n:, :n]) / (1j * hbar)
     assert np.max(np.abs(shift - (charge * v0 / hbar) ** 2 * np.eye(n))) < 1e-12
 
@@ -212,7 +204,7 @@ def test_nonrel_split_equals_gauged_canonical():
     split = kg_nonrel_hamiltonian(mass, charge, pots, hbar, c)
     frame = kg_nonrel_frame(mass, hbar, c)
     gauged = gauge_transform(canonical, frame)
-    diff = hamiltonian_dense(gauged, GRID) - hamiltonian_dense(split, GRID)
+    diff = gauged.at().dense(GRID) - split.at().dense(GRID)
     assert np.max(np.abs(diff)) < 1e-10
 
 
@@ -226,7 +218,7 @@ def test_nonrel_needs_mass():
 def test_nonrel_free_slow_component_is_schrodinger_like():
     # For a slow mode the first diagonal entry acts as mc^2 - (hbar^2/2m) d^2.
     mass, hbar, c = 1.0, 1.0, 1.0
-    dense = hamiltonian_dense(kg_nonrel_hamiltonian(mass, hbar=hbar, c=c), GRID)
+    dense = kg_nonrel_hamiltonian(mass, hbar=hbar, c=c).at().dense(GRID)
     n = GRID.npoints
     d1 = derivative_matrix(GRID, 1)
     expected = mass * c * c * np.eye(n) - (hbar**2 / (2 * mass)) * (d1 @ d1)
@@ -319,7 +311,7 @@ def test_curl_system_plane_wave_dispersion():
     # Right-moving pair (E_y, H_z) with E_y = -H_z travels at speed c.
     c = 1.0
     factory = maxwell_hamiltonian(c=c)
-    dense = hamiltonian_dense(factory, GRID)
+    dense = factory.at().dense(GRID)
     assert np.max(np.abs(dense - dense.conj().T)) < 1e-12
     k = 3.0
     x = GRID.points
@@ -336,7 +328,7 @@ def test_curl_system_plane_wave_dispersion():
 
 def test_schrodinger_factory():
     factory = schrodinger_hamiltonian(mass=2.0, potential=np.cos(GRID.points))
-    dense = hamiltonian_dense(factory, GRID)
+    dense = factory.at().dense(GRID)
     expected = -(1.0 / 4.0) * derivative_matrix(GRID, 2) + np.diag(np.cos(GRID.points))
     assert np.max(np.abs(dense - expected)) < 1e-12
     with pytest.raises(ReductionError):
@@ -348,10 +340,10 @@ def test_block_diag_stacks_factories():
     b = maxwell_hamiltonian()
     stacked = block_diag_hamiltonian([a, b])
     assert stacked.dimension == 5
-    dense = hamiltonian_dense(stacked, GRID)
+    dense = stacked.at().dense(GRID)
     n = GRID.npoints
-    assert np.max(np.abs(dense[:n, :n] - hamiltonian_dense(a, GRID))) == 0.0
-    assert np.max(np.abs(dense[n:, n:] - hamiltonian_dense(b, GRID))) == 0.0
+    assert np.max(np.abs(dense[:n, :n] - a.at().dense(GRID))) == 0.0
+    assert np.max(np.abs(dense[n:, n:] - b.at().dense(GRID))) == 0.0
     assert np.max(np.abs(dense[:n, n:])) == 0.0
 
 
@@ -365,14 +357,14 @@ def test_gauge_transform_constant_conjugation():
     gauged = gauge_transform(
         _expand_to(factory), GaugeFrame(np.array([[1.0, 0.5], [0.0, 1.0]]))
     )
-    h = hamiltonian_dense(_expand_to(factory), GRID)
+    h = _expand_to(factory).at().dense(GRID)
     m = np.array([[1.0, 0.5], [0.0, 1.0]])
     expected = (
         kron_component_matrix(m, GRID.npoints)
         @ h
         @ kron_component_matrix(np.linalg.inv(m), GRID.npoints)
     )
-    assert np.max(np.abs(hamiltonian_dense(gauged, GRID) - expected)) < 1e-11
+    assert np.max(np.abs(gauged.at().dense(GRID) - expected)) < 1e-11
 
 
 def _expand_to(factory):
@@ -389,9 +381,9 @@ def test_gauge_transform_time_dependent_term():
     )
     gauged = gauge_transform(factory, frame)
     t = 0.3
-    h = hamiltonian_dense(factory, GRID, t)
+    h = factory.at().dense(GRID, t)
     expected = h + 2.0 * 1j * (1j * w) * np.eye(GRID.npoints)
-    assert np.max(np.abs(hamiltonian_dense(gauged, GRID, t) - expected)) < 1e-11
+    assert np.max(np.abs(gauged.at().dense(GRID, t) - expected)) < 1e-11
 
 
 def test_driven_gauge_frame_without_its_derivative_is_refused():
@@ -413,9 +405,9 @@ def test_driven_frame_that_leaves_its_initial_support_is_refused():
     )
     gauged = gauge_transform(_expand_to(schrodinger_hamiltonian(1.0)), frame)
     assert gauged.time_dependent
-    hamiltonian_dense(gauged, GRID, 0.0)
+    gauged.at().dense(GRID, 0.0)
     with pytest.raises(ReductionError, match="leaves its support") as refused:
-        hamiltonian_dense(gauged, GRID, 0.5)
+        gauged.at().dense(GRID, 0.5)
     assert "\n" not in str(refused.value)
     state = GridFunction(GRID, np.ones((2, GRID.npoints), dtype=complex))
     with pytest.raises(ReductionError, match="leaves its support"):
@@ -429,4 +421,5 @@ def test_gauge_frame_guards():
         GaugeFrame(np.zeros((2, 3))).at()
     with pytest.raises(ReductionError):
         gauge_transform(schrodinger_hamiltonian(1.0), GaugeFrame(np.eye(3)))
-    assert GaugeFrame(np.eye(2)).is_unitary()
+    frame = GaugeFrame(np.eye(2)).at()
+    assert np.array_equal(frame.conj().T @ frame, np.eye(2))

@@ -33,7 +33,7 @@ from hypothesis import strategies as st
 
 from bundlewave.algebra import matrix_in_frame
 from bundlewave.bundle import PathSampling, evolution_transport
-from bundlewave.evolution import METHODS, EvolutionOperator, evolve, hamiltonian_dense, step_matrix
+from bundlewave.evolution import METHODS, EvolutionOperator, evolve, step_matrix
 from bundlewave.green import EigenBasis
 from bundlewave.grid import GridFunction, SpatialGrid1D
 from bundlewave.reduction import (
@@ -205,7 +205,7 @@ def route_differences(factory, grid, method, steps, dt, t0, seed):
     routes["frame"] = (np.einsum("xij,jx->ix", frames, marched).reshape(-1), final)
     if not factory.time_dependent:
         # A drawn H is Hermitian to rounding or far from it.
-        h = hamiltonian_dense(factory, grid)
+        h = factory.at().dense(grid)
         if np.max(np.abs(h - h.conj().T)) <= 1e-12 * max(1.0, np.max(np.abs(h))):
             exact = final if method == "midpoint-exponential" else evolve(
                 state, factory, dt, steps, t0, "midpoint-exponential").flatten()
