@@ -4,9 +4,11 @@ Every table is written in-process through `bundlewave.cli.main`:
 
 * `run` and `green` on the kg-canonical configuration of the c13
   acceptance criterion and on the `ini` block of the README;
-* `run` on the `run-dirac-static` benchmark configuration and `green` on
-  `green-dirac-born`, and on that configuration at Born orders 0, 1 and 3
-  and with `kind = schrodinger`, a basis of one component group;
+* `run` and `reduce` on the c13 configuration in a constant frame
+  (`angle = 0.4`) and in a phase frame (`amplitude = 0.7`);
+* `run` and `reduce` on the `run-dirac-static` benchmark configuration,
+  `green` on `green-dirac-born`, and on that configuration at Born orders
+  0, 1 and 3 and with `kind = schrodinger`, a basis of one component group;
 
 each at every seed, and `check` with all suites at seed 7.  Table NAME at
 seed S lands in OUT/NAME-seedS/.  Two checkouts that print the same
@@ -39,7 +41,7 @@ ROOT = Path(__file__).resolve().parent.parent
 BENCH_CONFIGS = ROOT / "perfbench" / "configs"
 BLAS_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
-# The configuration of `test_c13_cli_determinism`.
+# The configuration of `test_c13_cli_determinism`, and its framed variants.
 C13_CONFIG = textwrap.dedent(
     """
     [model]
@@ -53,6 +55,10 @@ C13_CONFIG = textwrap.dedent(
     profile = random
     """
 )
+C13_FRAMES = {
+    "c13-frame-constant": "[frame]\nprofile = constant\nangle = 0.4\n",
+    "c13-frame-phase": "[frame]\nprofile = phase\namplitude = 0.7\n",
+}
 
 
 def _readme_config() -> str:
@@ -94,7 +100,10 @@ def main(argv=None) -> int:
                     for order in (0, 1, 3)}
         variants["schrodinger-born"] = _variant(born, "kind", "schrodinger")
         written = {}
-        for name, text in [("c13", C13_CONFIG), ("readme", _readme_config()), *variants.items()]:
+        framed = {name: C13_CONFIG + section for name, section in C13_FRAMES.items()}
+        configs = [("c13", C13_CONFIG), ("readme", _readme_config()), *framed.items(),
+                   *variants.items()]
+        for name, text in configs:
             written[name] = Path(scratch) / f"{name}.cfg"
             written[name].write_text(text, encoding="utf-8")
         tables = [
@@ -103,7 +112,14 @@ def main(argv=None) -> int:
             for command in ("run", "green")
         ]
         tables += [
-            ("run-dirac-static", ["run", "--config", str(BENCH_CONFIGS / "run-dirac-static.cfg")]),
+            (f"{command}-{name}", [command, "--config", str(written[name])])
+            for name in framed
+            for command in ("run", "reduce")
+        ]
+        static = str(BENCH_CONFIGS / "run-dirac-static.cfg")
+        tables += [
+            ("run-dirac-static", ["run", "--config", static]),
+            ("reduce-dirac-static", ["reduce", "--config", static]),
             ("green-dirac-born", ["green", "--config", str(BENCH_CONFIGS / "green-dirac-born.cfg")]),
         ]
         tables += [(f"green-{name}", ["green", "--config", str(written[name])]) for name in variants]

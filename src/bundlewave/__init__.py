@@ -22,6 +22,7 @@ from .algebra import (
     AlgebraError,
     ComposeOp,
     DerivativeOp,
+    Frame,
     GammaSet,
     IdentityOp,
     LinearGridOperator,
@@ -46,7 +47,6 @@ from .algebra import (
     slashed_contract,
 )
 from .reduction import (
-    GaugeFrame,
     HamiltonianFactory,
     Potentials,
     ReductionError,
@@ -78,7 +78,6 @@ from .bundle import (
     Lifting,
     PathSampling,
     TransportAlongMap,
-    Trivialization,
     derivation_along_path,
     evolution_transport,
     flat_transport,

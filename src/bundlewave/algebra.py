@@ -8,9 +8,10 @@ multiplication operators, so constants multiply states and operator matrices
 alike through the same product.
 
 The module also provides the 4x4 Dirac matrices, the 5x5 first-order matrix
-set used by the five-component scalar-field form, and helpers to contract a
-matrix set with covector components and to re-express an operator matrix in
-an x-dependent frame.
+set used by the five-component scalar-field form, a helper to contract a
+matrix set with covector components, and the `Frame` of the stacked
+components, with `matrix_in_frame` re-expressing an operator matrix in a
+frame constant in t.
 """
 
 from __future__ import annotations
@@ -401,32 +402,63 @@ def singular_index(matrices: np.ndarray) -> int | None:
 
 
 def _frame_inverse(frame: np.ndarray) -> np.ndarray:
-    """Per-point inverse of a frame stack (N, n, n), refused if singular."""
+    """Inverse of a frame matrix (n, n), or per point of a field (N, n, n),
+    refused if singular: the one guarded frame inverse."""
     bad = singular_index(frame)
     if bad is not None:
         raise AlgebraError(f"frame is singular at point index {bad}")
     return np.linalg.inv(frame)
 
 
-def matrix_in_frame(op: MatrixOperator, frame: np.ndarray, grid: SpatialGrid1D) -> MatrixOperator:
-    """Re-express an operator matrix in an x-dependent frame.
+@dataclass(frozen=True, eq=False)
+class Frame:
+    """A frame f(t, x) of the stacked components: a trivialization of their
+    bundle over space-time.
 
-    `frame` holds the frame matrix f(x) per point, shape (N, n, n) (or a
-    constant (n, n)).  The returned matrix is f^{-1} (.) op (.) f with the
-    frame factors acting as multiplication-operator matrices; derivative
-    entries therefore pick up the f^{-1} (df/dx) term through the product
-    rule of the discrete derivative.
+    `matrix` is a constant (m, m), a field (N, m, m) of one matrix per grid
+    point, or a callable t -> either; a callable needs its `derivative`, a
+    callable t -> df/dt.  One convention serves every caller: the
+    state in the frame is f^{-1} psi, an operator H becomes
+    f^{-1} H f - i*hbar f^{-1} df/dt, and a kernel f(t)^{-1} G(t, s) f(s).
+    """
+
+    matrix: object
+    derivative: object = None
+
+    def __post_init__(self):
+        if callable(self.matrix) and not callable(self.derivative):
+            raise AlgebraError("a driven frame needs its derivative, a callable of t")
+
+    @property
+    def time_dependent(self) -> bool:
+        return callable(self.matrix)
+
+    def at(self, t: float = 0.0) -> np.ndarray:
+        m = np.asarray(self.matrix(t) if callable(self.matrix) else self.matrix, dtype=complex)
+        if m.ndim not in (2, 3) or m.shape[-1] != m.shape[-2]:
+            raise AlgebraError(f"a frame is (m, m) or (N, m, m), got shape {m.shape}")
+        return m
+
+    def inverse(self, t: float = 0.0) -> np.ndarray:
+        return _frame_inverse(self.at(t))
+
+
+def matrix_in_frame(op: MatrixOperator, frame: np.ndarray) -> MatrixOperator:
+    """f^{-1} (.) op (.) f for a frame matrix f constant in t.
+
+    `frame` is a constant (n, n) or a field (N, n, n), whose factors act as
+    multiplication-operator matrices; derivative entries therefore pick up
+    the f^{-1} (df/dx) term through the product rule of the discrete
+    derivative.  A field that does not fit the grid is refused when the
+    result is realized.
     """
     dim = op.shape[0]
     if op.shape[0] != op.shape[1]:
         raise AlgebraError("frame change needs a square operator matrix")
     frame = np.asarray(frame, dtype=complex)
-    if frame.ndim == 2:
-        frame = np.broadcast_to(frame, (grid.npoints,) + frame.shape).copy()
-    if frame.shape != (grid.npoints, dim, dim):
+    if frame.ndim not in (2, 3) or frame.shape[-2:] != (dim, dim):
         raise AlgebraError(
-            f"frame of shape {frame.shape} does not fit a {dim}-dimensional fibre "
-            f"on {grid.npoints} points"
+            f"frame of shape {frame.shape} does not fit a {dim}-dimensional fibre"
         )
     return promote(_frame_inverse(frame)).odot(op).odot(promote(frame))
 

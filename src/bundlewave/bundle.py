@@ -14,8 +14,8 @@ Two frame sources are provided.  A flat transport takes the frames directly
 from a frame field (transport then depends only on the endpoint frames, so
 it is path independent).  An evolution transport over the time axis uses
 F_i = U(t_0 <- t_i), the backward propagator; `with_gauge` twists it by a
-per-sample gauge g_i into F_i g_i, whose transports are the gauge-twisted
-propagators g_i^{-1} U(t_i <- t_j) g_j.
+frame g_i realized at each sample into F_i g_i, whose transports are the
+propagators of the framed state g^{-1} psi, g_i^{-1} U(t_i <- t_j) g_j.
 
 Connection coefficients are read off the transport by differencing: the
 arrival coefficient d/dt K(t <- s)|_{t=s} equals -(i/hbar) H(s) for an
@@ -80,45 +80,6 @@ class PathSampling:
 
     def spacing(self, i: int) -> float:
         return float(self.parameters[i + 1] - self.parameters[i])
-
-
-@dataclass
-class Trivialization:
-    """Per-sample invertible gauge frames g_i on an m-dimensional fibre."""
-
-    frames: np.ndarray
-
-    def __post_init__(self):
-        self.frames = np.asarray(self.frames, dtype=complex)
-        if self.frames.ndim != 3 or self.frames.shape[1] != self.frames.shape[2]:
-            raise BundleError(
-                f"trivialization frames must be (nsamples, m, m), got {self.frames.shape}"
-            )
-        bad = singular_index(self.frames)
-        if bad is not None:
-            raise BundleError(f"trivialization frame {bad} is singular")
-
-    @classmethod
-    def identity(cls, nsamples: int, dim: int) -> "Trivialization":
-        return cls(np.broadcast_to(np.eye(dim), (nsamples, dim, dim)).copy())
-
-    @classmethod
-    def constant(cls, matrix: np.ndarray, nsamples: int) -> "Trivialization":
-        matrix = np.asarray(matrix, dtype=complex)
-        return cls(np.broadcast_to(matrix, (nsamples,) + matrix.shape).copy())
-
-    @classmethod
-    def phase(cls, angles: np.ndarray, dim: int = 1) -> "Trivialization":
-        angles = np.asarray(angles, dtype=float)
-        return cls(np.exp(1j * angles)[:, None, None] * np.eye(dim))
-
-    @property
-    def nsamples(self) -> int:
-        return self.frames.shape[0]
-
-    @property
-    def dim(self) -> int:
-        return self.frames.shape[1]
 
 
 def induced_fibre_product(frame_field: np.ndarray) -> FibreProduct:
@@ -186,24 +147,25 @@ class TransportAlongMap:
         solved = _map_distinct(lambda stack: _solve(stack[i], stack[j]), stacks, is_)
         return _block_diagonal(self.fibre_dim, list(zip(positions, solved)))
 
-    def with_gauge(self, gauge: Trivialization) -> "TransportAlongMap":
-        """Transport in a changed gauge: K'(i <- j) = g_i^{-1} K(i <- j) g_j."""
-        if gauge.nsamples != self.nsamples:
-            raise BundleError(
-                f"gauge has {gauge.nsamples} samples, transport has {self.nsamples}"
-            )
-        if gauge.dim == self.fibre_dim:
-            expanded = gauge.frames
-        elif self.fibre_dim % gauge.dim == 0:
-            npoints = self.fibre_dim // gauge.dim
-            expanded = np.stack(
-                [kron_component_matrix(g, npoints) for g in gauge.frames]
-            )
-        else:
-            raise BundleError(
-                f"gauge dimension {gauge.dim} does not divide fibre dimension {self.fibre_dim}"
-            )
-        return TransportAlongMap(self.sampling, np.einsum("kij,kjl->kil", self.frames, expanded))
+    def with_gauge(self, gauge: np.ndarray) -> "TransportAlongMap":
+        """Transport in a changed frame, g_i at sample i:
+        K'(i <- j) = g_i^{-1} K(i <- j) g_j, as `algebra.Frame` moves states.
+
+        `gauge` is (nsamples, D, D) on the fibre, or (nsamples, m, m) on the
+        components, m dividing D, acting as g_i (x) Id; a singular g_i is
+        refused.
+        """
+        gauge = np.asarray(gauge, dtype=complex)
+        dim = gauge.shape[-1] if gauge.ndim == 3 else -1
+        if gauge.shape != (self.nsamples, dim, dim) or dim < 1 or self.fibre_dim % dim:
+            raise BundleError(f"gauge of shape {gauge.shape} does not fit {self.nsamples} "
+                              f"samples of a {self.fibre_dim}-dimensional fibre")
+        bad = singular_index(gauge)
+        if bad is not None:
+            raise BundleError(f"gauge frame {bad} is singular")
+        if dim != self.fibre_dim:
+            gauge = np.stack([kron_component_matrix(g, self.fibre_dim // dim) for g in gauge])
+        return TransportAlongMap(self.sampling, np.einsum("kij,kjl->kil", self.frames, gauge))
 
 
 def flat_transport(sampling: PathSampling, frames: np.ndarray) -> TransportAlongMap:
@@ -223,7 +185,7 @@ def evolution_transport(
 
     The backward propagators are accumulated interval by interval with
     `substeps` sub-intervals each; transports come out as the propagators
-    U(t_i <- t_j), and `with_gauge` twists them by a per-sample gauge.
+    U(t_i <- t_j), and `with_gauge` twists them by a per-sample frame.
 
     F_0 is the identity and every substep's U is block-diagonal over the
     component groups of H, so the frames are held as one stack F_S per

@@ -23,7 +23,6 @@ from .algebra import (
 )
 from .bundle import (
     PathSampling,
-    Trivialization,
     evolution_transport,
     flat_transport,
     transported_lifting,
@@ -117,7 +116,7 @@ def check_frame_change_connection() -> CheckResult:
     theta = np.sin(x)
     frame = np.exp(1j * theta)[:, None, None] * np.eye(1)
     op = MatrixOperator([[DerivativeOp(1)]])
-    framed = matrix_in_frame(op, frame, grid)
+    framed = matrix_in_frame(op, frame)
     psi = GridFunction(grid, np.exp(np.cos(x))[None, :])
     got = framed.apply(psi).values[0]
     expected = (-np.sin(x)) * np.exp(np.cos(x)) + 1j * np.cos(x) * np.exp(np.cos(x))
@@ -184,11 +183,10 @@ def check_gauge_invariance(seed: int) -> CheckResult:
             rng.standard_normal((size, size)) + 1j * rng.standard_normal((size, size))
         )
         frames[i] = q
-    gauge = Trivialization(frames)
     seed_vec = rng.standard_normal(size) + 1j * rng.standard_normal(size)
     plain = transported_lifting(transport, seed_vec)
     changed = transported_lifting(
-        transport.with_gauge(gauge), np.linalg.solve(frames[0], seed_vec)
+        transport.with_gauge(frames), np.linalg.solve(frames[0], seed_vec)
     )
     worst = max(
         float(np.max(np.abs(changed.values[i] - np.linalg.solve(frames[i], plain.values[i]))))

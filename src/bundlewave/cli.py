@@ -24,7 +24,7 @@ from itertools import count
 
 import numpy as np
 
-from .algebra import AlgebraError, matrix_in_frame
+from .algebra import AlgebraError
 from .bundle import BundleError, induced_fibre_product
 from .checks import SUITES, run_checks
 from .config import (
@@ -53,9 +53,9 @@ from .green import (
 )
 from .grid import FibreProduct, GridError, GridFunction, stacked_inner
 from .reduction import (
-    HamiltonianFactory,
     ReductionError,
     dirac_hamiltonian,
+    gauge_transform,
     schrodinger_hamiltonian,
 )
 
@@ -90,7 +90,8 @@ def _write_csv(lines: list[str], out_dir: str | None, name: str) -> None:
 
 
 def _framed_problem(cfg: RunConfig, grid, factory, state):
-    """Move the run into the configured gauge frame.
+    """Move the run into the configured frame f: the state f^{-1} psi and
+    the operator f^{-1} H f.
 
     Returns the (possibly transformed) factory and state plus the fibre
     product in which norms are taken; the induced product makes the frame
@@ -99,16 +100,10 @@ def _framed_problem(cfg: RunConfig, grid, factory, state):
     frame = build_frame(cfg, grid)
     if frame is None:
         return factory, state, None
-    frames = frame.frames
-    inverse = np.linalg.inv(frames)
     # C-ordered like every marched state, so all norms sum in one order.
-    state = GridFunction(grid, np.ascontiguousarray(np.einsum("xij,jx->ix", inverse, state.values)))
-    factory = HamiltonianFactory(
-        matrix_in_frame(factory.at(), frames, grid),
-        factory.label + "-framed" if factory.label else "framed",
-        factory.hbar,
-    )
-    return factory, state, induced_fibre_product(frames)
+    state = GridFunction(grid, np.ascontiguousarray(
+        np.einsum("xij,jx->ix", frame.inverse(), state.values)))
+    return gauge_transform(factory, frame), state, induced_fibre_product(frame.at())
 
 
 def _run_observables(cfg: RunConfig, grid, product: FibreProduct | None):
@@ -285,12 +280,11 @@ def _cmd_green(cfg: RunConfig, args) -> tuple[int, list[str]]:
 def _cmd_reduce(cfg: RunConfig, args) -> tuple[int, list[str]]:
     grid = build_grid(cfg)
     factory = build_factory(cfg, grid)
-    op = factory.at()
     frame = build_frame(cfg, grid)
     if frame is not None:
-        op = matrix_in_frame(op, frame.frames, grid)
+        factory = gauge_transform(factory, frame)
     lines = ["row,col,operator"]
-    for i, j, text in op.describe():
+    for i, j, text in factory.at().describe():
         lines.append(f"{i},{j},{text}")
     return EXIT_OK, lines
 

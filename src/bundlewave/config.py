@@ -13,7 +13,7 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .bundle import Trivialization
+from .algebra import Frame
 from .evolution import METHODS
 from .green import MAX_BORN_ORDER
 from .grid import BOUNDARIES, SpatialGrid1D, GridFunction, discrete_delta
@@ -456,9 +456,9 @@ def build_initial_state(cfg: RunConfig, grid: SpatialGrid1D, seed: int = 0) -> G
     return state * (1.0 / state.norm())
 
 
-def build_frame(cfg: RunConfig, grid: SpatialGrid1D) -> Trivialization | None:
-    """Per-point gauge frames from the [frame] section, or None when the
-    configuration is the identity frame."""
+def build_frame(cfg: RunConfig, grid: SpatialGrid1D) -> Frame | None:
+    """The [frame] section as a field of one matrix per grid point, or None
+    when the configuration is the identity frame."""
     frame = cfg.frame
     dim = MODEL_DIMENSIONS[cfg.model.kind]
     if frame.profile == "identity":
@@ -473,10 +473,10 @@ def build_frame(cfg: RunConfig, grid: SpatialGrid1D) -> Trivialization | None:
             cos_a, sin_a = np.cos(frame.angle), np.sin(frame.angle)
             matrix[0, 0] = matrix[1, 1] = cos_a
             matrix[0, 1], matrix[1, 0] = -sin_a, sin_a
-        return Trivialization.constant(matrix, grid.npoints)
+        return Frame(np.broadcast_to(matrix, (grid.npoints,) + matrix.shape).copy())
     if frame.profile == "phase":
         if frame.amplitude == 0.0:
             return None
         angles = frame.amplitude * np.cos(2.0 * np.pi * grid.points / grid.length)
-        return Trivialization.phase(angles, dim)
+        return Frame(np.exp(1j * angles)[:, None, None] * np.eye(dim))
     raise ConfigError(f"unknown frame profile {frame.profile!r}")

@@ -37,7 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import kron_component_matrix, dirac_gammas, singular_index
+from .algebra import Frame, kron_component_matrix, dirac_gammas
 from .grid import GridFunction, SpatialGrid1D, derivative_matrix
 from .reduction import HamiltonianFactory
 from .evolution import (
@@ -414,16 +414,8 @@ def _born_iterate(
     return (modes @ iterate) @ modes.conj().T / (1j * hbar)
 
 
-def green_morphism(
-    kernel: np.ndarray,
-    frame_at_target: np.ndarray,
-    frame_at_source: np.ndarray,
-    npoints: int,
-) -> np.ndarray:
-    """Kernel seen through fibre frames l: l(t')^{-1} G(t', t) l(t); a
-    singular target frame is refused with `GreenError`."""
-    if singular_index(frame_at_target) is not None:
-        raise GreenError("the target frame is singular")
-    left = kron_component_matrix(np.linalg.inv(frame_at_target), npoints)
-    right = kron_component_matrix(frame_at_source, npoints)
-    return left @ kernel @ right
+def green_morphism(kernel: np.ndarray, frame: Frame, t: float, s: float, npoints: int) -> np.ndarray:
+    """Kernel seen through a frame f constant in x: f(t)^{-1} G(t, s) f(s),
+    the kernel of the framed state f^{-1} psi; a singular f(t) is refused."""
+    left = kron_component_matrix(frame.inverse(t), npoints)
+    return left @ kernel @ kron_component_matrix(frame.at(s), npoints)

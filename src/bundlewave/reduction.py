@@ -15,9 +15,9 @@ five-component derivative stacking), the source-free field-pair curl system,
 and plain Schrodinger operators.  Each is one `MatrixOperator` for all t,
 in which time enters only through callable scale factors.
 
-Gauge freedom: for an invertible time-dependent frame A(t) mixing the
-stacked components, psi~ = A psi solves the transformed equation with
-H~ = A H A^{-1} + i*hbar*(dA/dt) A^{-1}.  The transformed and the
+Gauge freedom: for an invertible frame f(t, x) of the stacked components
+(`algebra.Frame`), f^{-1} psi solves the transformed equation with
+H' = f^{-1} H f - i*hbar f^{-1} df/dt.  The transformed and the
 block-diagonally stacked Hamiltonians are built once as well.
 """
 
@@ -29,6 +29,7 @@ import numpy as np
 
 from .algebra import (
     DerivativeOp,
+    Frame,
     IdentityOp,
     LinearGridOperator,
     MatrixOperator,
@@ -37,11 +38,10 @@ from .algebra import (
     kg_gammas,
     alpha_matrices,
     beta_matrix,
+    matrix_in_frame,
     op_compose,
     op_scale,
     op_sum,
-    promote,
-    singular_index,
 )
 from .grid import GridFunction, derivative_values
 
@@ -267,12 +267,14 @@ def kg_nonrel_hamiltonian(
     return HamiltonianFactory(out, "kg-nonrel", hbar)
 
 
-def kg_nonrel_frame(mass: float, hbar: float = 1.0, c: float = 1.0) -> "GaugeFrame":
-    """Constant frame mapping (phi, dphi/dt) to the nonrelativistic split."""
+def kg_nonrel_frame(mass: float, hbar: float = 1.0, c: float = 1.0) -> Frame:
+    """Constant frame in which (phi, dphi/dt) is the nonrelativistic split:
+    f^{-1} maps (phi, dphi/dt) to (phi + b dphi/dt, phi - b dphi/dt),
+    b = i hbar/mc^2, so f is its inverse in closed form."""
     if not mass > 0:
         raise ReductionError("the nonrelativistic split needs a positive mass")
-    b = 1j * hbar / (mass * c * c)
-    return GaugeFrame(np.array([[1.0, b], [1.0, -b]], dtype=complex))
+    h = 0.5j * mass * c * c / hbar
+    return Frame(np.array([[0.5, 0.5], [-h, h]], dtype=complex))
 
 
 def kg_5d_hamiltonian(mass: float, hbar: float = 1.0, c: float = 1.0) -> HamiltonianFactory:
@@ -390,86 +392,47 @@ def block_diag_hamiltonian(factories: list, label: str = "block-diag") -> Hamilt
 
 
 # ---------------------------------------------------------------------------
-# Gauge frames
+# Frames
 
 
-@dataclass
-class GaugeFrame:
-    """Invertible frame A(t) on the stacked components.
+def gauge_transform(factory: HamiltonianFactory, frame: Frame) -> HamiltonianFactory:
+    """H' = f^{-1} H f - i*hbar f^{-1} df/dt for the state f^{-1} psi in the
+    frame f, built once; a frame singular at t = 0 is refused here.
 
-    `matrix` is a constant matrix or a callable t -> matrix; a callable
-    `matrix` needs its `derivative` dA/dt, in the same format.
-    """
-
-    matrix: object
-    derivative: object = None
-
-    def __post_init__(self):
-        if callable(self.matrix) and self.derivative is None:
-            raise ReductionError("a driven gauge frame needs its derivative")
-
-    @property
-    def time_dependent(self) -> bool:
-        return callable(self.matrix) or callable(self.derivative)
-
-    def at(self, t: float = 0.0) -> np.ndarray:
-        m = self.matrix(t) if callable(self.matrix) else self.matrix
-        m = np.asarray(m, dtype=complex)
-        if m.ndim != 2 or m.shape[0] != m.shape[1]:
-            raise ReductionError(f"gauge frame must be square, got shape {m.shape}")
-        return m
-
-    def rate(self, t: float = 0.0) -> np.ndarray:
-        if self.derivative is None:
-            return np.zeros_like(self.at(t))
-        d = self.derivative(t) if callable(self.derivative) else self.derivative
-        return np.asarray(d, dtype=complex)
-
-    def inverse_at(self, t: float = 0.0) -> np.ndarray:
-        m = self.at(t)
-        if singular_index(m) is not None:
-            raise ReductionError("gauge frame is singular")
-        return np.linalg.inv(m)
-
-
-def gauge_transform(factory: HamiltonianFactory, frame: GaugeFrame) -> HamiltonianFactory:
-    """H~ = A H A^{-1} + i*hbar*(dA/dt) A^{-1} for the transformed state A psi,
-    built once; a frame singular at t = 0 is refused here.
-
-    A constant frame enters as constant matrices.  A driven frame enters as
-    one callable scale factor per entry of A(t), A(t)^-1 and the rate term,
-    all reading one evaluation of the frame per t.  They are placed on the
-    union of the three supports at t = 0; a later t that puts a nonzero
-    outside it is refused, never dropped.
+    A frame constant in t enters through `matrix_in_frame`.  A driven frame
+    enters as one callable scale factor per entry of f(t)^-1, f(t) and the
+    rate term, all reading one evaluation of the frame per t; a driven field
+    gives each entry its (N,) samples.  They are placed on the union of the
+    three supports at t = 0; a later t that puts a nonzero outside it is
+    refused, never dropped.
     """
     dim, hbar = factory.dimension, factory.hbar
-    shape = frame.at(0.0).shape
+    shape = frame.at(0.0).shape[-2:]
     if shape != (dim, dim):
-        raise ReductionError(f"gauge frame of shape {shape} does not fit dimension {dim}")
+        raise ReductionError(f"frame of shape {shape} does not fit dimension {dim}")
+    label = f"{factory.label}-gauged"
+    if not frame.time_dependent:
+        return HamiltonianFactory(matrix_in_frame(factory.op, frame.at()), label, hbar)
 
     def terms(t: float) -> np.ndarray:
-        a_inv = frame.inverse_at(t)
-        return np.stack([frame.at(t), a_inv, 1j * hbar * (frame.rate(t) @ a_inv)])
+        f_inv = frame.inverse(t)
+        return np.stack([f_inv, frame.at(t), -1j * hbar * (f_inv @ frame.derivative(t))])
 
     latest = {0.0: terms(0.0)}
-    if frame.time_dependent:
-        support = np.any(latest[0.0] != 0, axis=0)
+    support = np.any(latest[0.0].reshape(-1, dim, dim) != 0, axis=0)
 
-        def shared(t: float) -> np.ndarray:
-            if t not in latest:
-                values = terms(t)
-                if np.any(values[:, ~support] != 0):
-                    raise ReductionError(f"gauge frame at t = {t} leaves its support at t = 0")
-                latest.clear()
-                latest[t] = values
-            return latest[t]
+    def shared(t: float) -> np.ndarray:
+        if t not in latest:
+            values = terms(t)
+            if np.any(values[..., ~support] != 0):
+                raise ReductionError(f"frame at t = {t} leaves its support at t = 0")
+            latest.clear()
+            latest[t] = values
+        return latest[t]
 
-        a, a_inv, rate = (MatrixOperator([
-            [ScaleOp(lambda t, k=k, i=i, j=j: shared(t)[k, i, j]) if support[i, j] else ZeroOp()
-             for j in range(dim)]
-            for i in range(dim)
-        ]) for k in range(3))
-    else:
-        a, a_inv, rate = map(promote, latest[0.0])
-    op = a.odot(factory.op).odot(a_inv) + rate
-    return HamiltonianFactory(op, f"{factory.label}-gauged", hbar)
+    f_inv, f, rate = (MatrixOperator([
+        [ScaleOp(lambda t, k=k, i=i, j=j: shared(t)[k, ..., i, j]) if support[i, j] else ZeroOp()
+         for j in range(dim)]
+        for i in range(dim)
+    ]) for k in range(3))
+    return HamiltonianFactory(f_inv.odot(factory.op).odot(f) + rate, label, hbar)

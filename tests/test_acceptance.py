@@ -21,7 +21,6 @@ from bundlewave.algebra import (
 from bundlewave.bundle import (
     PathSampling,
     TransportAlongMap,
-    Trivialization,
     derivation_along_path,
     evolution_transport,
     flat_transport,
@@ -261,13 +260,13 @@ def test_c09_transport_laws():
             ),
         )
 
-    gauge = Trivialization(frames(8, 3))
+    gauge = frames(8, 3)
     twisted = transport.with_gauge(gauge)
     gauge_defect = 0.0
     for _ in range(100):
         i, j = rng.integers(0, 8, size=2)
         direct = np.linalg.solve(
-            gauge.frames[i], transport.transport(i, j) @ gauge.frames[j]
+            gauge[i], transport.transport(i, j) @ gauge[j]
         )
         gauge_defect = max(
             gauge_defect, float(np.max(np.abs(twisted.transport(i, j) - direct)))

@@ -211,7 +211,7 @@ def test_dense_matches_columnwise_apply(model, boundary):
     t = 0.37
     op = factory.at()
     if model == "framed-dirac":
-        op = matrix_in_frame(op, _rotation_frames(grid, 4), grid)
+        op = matrix_in_frame(op, _rotation_frames(grid, 4))
     expected = _dense_by_columns(op, grid, t)
     assert np.max(np.abs(op.dense(grid, t) - expected)) <= 1e-13 * max(np.max(np.abs(expected)), 1.0)
 
@@ -263,7 +263,7 @@ def test_phase_frame_shifts_derivative():
     grid = SpatialGrid1D(32, 2.0 * np.pi)
     x = grid.points
     frame = np.exp(1j * np.sin(x))[:, None, None] * np.eye(1)
-    framed = matrix_in_frame(MatrixOperator([[DerivativeOp(1)]]), frame, grid)
+    framed = matrix_in_frame(MatrixOperator([[DerivativeOp(1)]]), frame)
     psi = GridFunction(grid, np.exp(np.cos(x))[None, :])
     got = framed.apply(psi).values[0]
     expected = (-np.sin(x) + 1j * np.cos(x)) * np.exp(np.cos(x))
@@ -292,7 +292,7 @@ def test_singular_frame_detected():
     frame = np.ones((GRID.npoints, 1, 1), dtype=complex)
     frame[3] = 0.0
     with pytest.raises(AlgebraError, match="point index 3"):
-        matrix_in_frame(MatrixOperator([[IdentityOp()]]), frame, GRID)
+        matrix_in_frame(MatrixOperator([[IdentityOp()]]), frame)
 
 
 def test_singularity_guard_tests_conditioning_not_scale():
@@ -304,9 +304,9 @@ def test_singularity_guard_tests_conditioning_not_scale():
     ill = np.broadcast_to(np.diag([1e8, 1e-9]), (GRID.npoints, 2, 2)).copy()
     ill[:5] = np.eye(2)
     with pytest.raises(AlgebraError, match="point index 5"):
-        matrix_in_frame(MatrixOperator.identity(2), ill, GRID)
+        matrix_in_frame(MatrixOperator.identity(2), ill)
     halves = np.broadcast_to(0.5 * np.eye(2), (GRID.npoints, 2, 2))
-    assert matrix_in_frame(MatrixOperator.identity(2), halves, GRID).shape == (2, 2)
+    assert matrix_in_frame(MatrixOperator.identity(2), halves).shape == (2, 2)
 
 
 # ---------------------------------------------------------------------------

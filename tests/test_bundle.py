@@ -8,13 +8,12 @@ import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bundlewave.algebra import MatrixOperator, ScaleOp, op_sum
+from bundlewave.algebra import Frame, MatrixOperator, ScaleOp, op_sum, promote
 from bundlewave.bundle import (
     BundleError,
     Lifting,
     PathSampling,
     TransportAlongMap,
-    Trivialization,
     derivation_along_path,
     evolution_transport,
     flat_transport,
@@ -35,6 +34,7 @@ from bundlewave.reduction import (
     Potentials,
     block_diag_hamiltonian,
     dirac_hamiltonian,
+    gauge_transform,
     kg_5d_hamiltonian,
     schrodinger_hamiltonian,
 )
@@ -86,22 +86,15 @@ def test_path_sampling_validation():
     assert abs(sampling.spacing(2) - 0.25) < 1e-15
 
 
-def test_trivialization_constructors_and_checks():
+def test_with_gauge_refuses_ill_formed_and_singular_stacks():
+    transport = TransportAlongMap(PathSampling.uniform(0.0, 1.0, 3),
+                                  np.broadcast_to(np.eye(2), (3, 2, 2)))
     with pytest.raises(BundleError):
-        Trivialization(np.ones((3, 2)))
+        transport.with_gauge(np.ones((3, 2)))
     with pytest.raises(BundleError, match="frame 1"):
-        Trivialization(np.stack([np.eye(2), np.zeros((2, 2))]))
+        transport.with_gauge(np.stack([np.eye(2), np.zeros((2, 2)), np.eye(2)]))
     with pytest.raises(BundleError, match="frame 2 is singular"):
-        Trivialization(np.stack([np.eye(2), np.eye(2), np.diag([1e8, 1e-9])]))
-    assert Trivialization.constant(0.5 * np.eye(64), 2).dim == 64
-    def unitary_defect(trivialization):
-        frames = trivialization.frames
-        return np.max(np.abs(frames.conj().swapaxes(1, 2) @ frames - np.eye(trivialization.dim)))
-
-    assert unitary_defect(Trivialization.identity(4, 3)) == 0.0
-    phases = Trivialization.phase(np.linspace(0, 1, 4), dim=2)
-    assert phases.dim == 2 and unitary_defect(phases) <= 1e-12
-    assert unitary_defect(Trivialization.constant(np.diag([2.0, 1.0]), 3)) == 3.0
+        transport.with_gauge(np.stack([np.eye(2), np.eye(2), np.diag([1e8, 1e-9])]))
 
 
 def test_a_singular_cayley_frame_is_a_bundle_error():
@@ -180,9 +173,9 @@ def test_with_gauge_conjugates_transports():
     rng = np.random.default_rng(5)
     sampling = PathSampling.uniform(0.0, 1.0, 4)
     transport = TransportAlongMap(sampling, _conditioned_frames(rng, 4, 3))
-    gauge = Trivialization(_conditioned_frames(rng, 4, 3))
+    gauge = _conditioned_frames(rng, 4, 3)
     twisted = transport.with_gauge(gauge)
-    expected = np.linalg.solve(gauge.frames[2], transport.transport(2, 1) @ gauge.frames[1])
+    expected = np.linalg.solve(gauge[2], transport.transport(2, 1) @ gauge[1])
     assert np.max(np.abs(twisted.transport(2, 1) - expected)) < 1e-12
 
 
@@ -191,15 +184,35 @@ def test_with_gauge_expands_componentwise():
     rng = np.random.default_rng(9)
     sampling = PathSampling.uniform(0.0, 1.0, 3)
     transport = TransportAlongMap(sampling, _conditioned_frames(rng, 3, 4))
-    gauge = Trivialization(_conditioned_frames(rng, 3, 2))
+    gauge = _conditioned_frames(rng, 3, 2)
     twisted = transport.with_gauge(gauge)
-    big = np.stack([np.kron(g, np.eye(2)) for g in gauge.frames])
+    big = np.stack([np.kron(g, np.eye(2)) for g in gauge])
     expected = np.linalg.solve(big[1], transport.transport(1, 0) @ big[0])
     assert np.max(np.abs(twisted.transport(1, 0) - expected)) < 1e-12
     with pytest.raises(BundleError):
-        transport.with_gauge(Trivialization.identity(3, 3))
+        transport.with_gauge(np.broadcast_to(np.eye(3), (3, 3, 3)))
     with pytest.raises(BundleError):
-        transport.with_gauge(Trivialization.identity(5, 2))
+        transport.with_gauge(np.broadcast_to(np.eye(2), (5, 2, 2)))
+
+
+@pytest.mark.parametrize("method", ["crank-nicolson", "midpoint-exponential"])
+def test_gauged_factory_and_gauged_transport_agree(method):
+    # One frame, both places: the transport of f^-1 H f for a static x-field
+    # f is the transport of H twisted by f realized on the fibre at every
+    # sample, f^-1 K(i <- j) f.
+    grid = SpatialGrid1D(16, 6.0)
+    chi = np.cos(2.0 * np.pi * grid.points / grid.length)
+    factory = dirac_hamiltonian(1.0, 1.0, Potentials(scalar=lambda t: 0.3 * np.cos(3.0 * t) * chi))
+    c, s = np.cos(0.6 * chi), np.sin(0.6 * chi)
+    field = np.exp(1j * np.outer(chi, [0.3, -0.7, 1.1, 0.2]))[:, :, None] * np.eye(4)
+    field[:, 0, 0], field[:, 0, 3], field[:, 3, 0], field[:, 3, 3] = c, -s, s, c
+    sampling = PathSampling.uniform(0.1, 0.5, 9)
+    gauged = evolution_transport(gauge_transform(factory, Frame(field)), grid, sampling, method)
+    stack = np.broadcast_to(promote(field).dense(grid), (sampling.nsamples, 64, 64))
+    twisted = evolution_transport(factory, grid, sampling, method).with_gauge(stack)
+    worst = max(np.max(np.abs(gauged.transport(i, j) - twisted.transport(i, j)))
+                for i in range(sampling.nsamples) for j in range(sampling.nsamples))
+    assert worst <= 1e-13
 
 
 @settings(max_examples=20, deadline=None)
@@ -280,7 +293,7 @@ def test_evolution_transport_matches_step_matrix_products(model, driven, substep
     gauge = None
     if with_gauge:
         angles = np.linspace(0.0, 1.1, sampling.nsamples)
-        gauge = Trivialization.phase(angles, factory.dimension)
+        gauge = np.exp(1j * angles)[:, None, None] * np.eye(factory.dimension)
     transport = evolution_transport(factory, grid, sampling, method, substeps)
     if gauge is not None:
         transport = transport.with_gauge(gauge)
@@ -516,11 +529,10 @@ def test_only_gauged_evolution_transports_pass_the_frame_guard(monkeypatch):
     for method in ("crank-nicolson", "midpoint-exponential"):
         evolution_transport(factory, grid, sampling, method, substeps=2)
     assert calls == []
-    gauge = Trivialization.phase(np.linspace(0.0, 1.0, 5), factory.dimension)
-    calls.clear()
+    gauge = np.exp(1j * np.linspace(0.0, 1.0, 5))[:, None, None] * np.eye(factory.dimension)
     evolution_transport(factory, grid, sampling).with_gauge(gauge)
-    # `with_gauge` guards the gauged frames.
-    assert calls == [(5, 32, 32)]
+    # `with_gauge` guards the gauge on the components, then the gauged frames.
+    assert calls == [(5, 4, 4), (5, 32, 32)]
     calls.clear()
     TransportAlongMap(sampling, np.broadcast_to(np.eye(3), (5, 3, 3)))
     flat_transport(sampling, np.broadcast_to(np.eye(3), (5, 3, 3)))

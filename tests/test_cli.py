@@ -278,7 +278,7 @@ def test_run_in_constant_frame_keeps_unit_norm(tmp_path, capsys, kind):
         # One component: the constant frame is the phase e^{i angle}.
         loaded = load_config(cfg)
         frame = build_frame(loaded, build_grid(loaded))
-        assert np.array_equal(frame.frames, np.full((16, 1, 1), np.exp(0.4j)))
+        assert np.array_equal(frame.at(), np.full((16, 1, 1), np.exp(0.4j)))
 
 
 def test_dirac_in_a_mixing_frame_matches_the_identity_frame(tmp_path, capsys):
@@ -569,7 +569,7 @@ def test_reduce_in_a_frame_prints_the_conjugated_operator(tmp_path, capsys):
     lines = capsys.readouterr().out.splitlines()
     config = load_config(cfg)
     grid = build_grid(config)
-    framed = matrix_in_frame(build_factory(config, grid).at(), build_frame(config, grid).frames, grid)
+    framed = matrix_in_frame(build_factory(config, grid).at(), build_frame(config, grid).at())
     assert lines == ["row,col,operator"] + [f"{i},{j},{text}" for i, j, text in framed.describe()]
     # The frame shows in the table: the reference-frame rows differ.
     plain = _write(tmp_path, "plain.cfg", "[model]\nkind = dirac\n[grid]\npoints = 8\n")

@@ -386,28 +386,26 @@ def test_identity_and_collapsed_frames_build_to_none():
 
 def test_constant_frame_rotates_the_leading_pair():
     cfg = parse_config("[model]\nkind = dirac\n[grid]\npoints = 8\n[frame]\nprofile = constant\nangle = 0.3\n")
-    frame = build_frame(cfg, build_grid(cfg))
-    assert frame.nsamples == 8 and frame.dim == 4
-    frames = frame.frames
-    assert np.max(np.abs(frames.conj().swapaxes(1, 2) @ frames - np.eye(frame.dim))) <= 1e-12
-    top_left = frame.frames[0][:2, :2]
+    frames = build_frame(cfg, build_grid(cfg)).at()
+    assert frames.shape == (8, 4, 4)
+    assert np.max(np.abs(frames.conj().swapaxes(1, 2) @ frames - np.eye(4))) <= 1e-12
+    top_left = frames[0][:2, :2]
     expected = np.array(
         [[np.cos(0.3), -np.sin(0.3)], [np.sin(0.3), np.cos(0.3)]]
     )
     assert np.max(np.abs(top_left - expected)) < 1e-15
-    assert np.array_equal(frame.frames[0][2:, 2:], np.eye(2))
+    assert np.array_equal(frames[0][2:, 2:], np.eye(2))
 
 
 def test_phase_frame_is_diagonal_and_unitary():
     cfg = parse_config("[model]\nkind = kg-canonical\n[frame]\nprofile = phase\namplitude = 0.4\n")
     grid = build_grid(cfg)
-    frame = build_frame(cfg, grid)
-    assert frame.dim == 2 and frame.nsamples == grid.npoints
-    frames = frame.frames
-    assert np.max(np.abs(frames.conj().swapaxes(1, 2) @ frames - np.eye(frame.dim))) <= 1e-12
+    frames = build_frame(cfg, grid).at()
+    assert frames.shape == (grid.npoints, 2, 2)
+    assert np.max(np.abs(frames.conj().swapaxes(1, 2) @ frames - np.eye(2))) <= 1e-12
     phases = np.exp(1j * 0.4 * np.cos(2.0 * np.pi * grid.points / grid.length))
-    assert np.max(np.abs(frame.frames[:, 0, 0] - phases)) < 1e-14
-    assert np.max(np.abs(frame.frames[:, 0, 1])) == 0.0
+    assert np.max(np.abs(frames[:, 0, 0] - phases)) < 1e-14
+    assert np.max(np.abs(frames[:, 0, 1])) == 0.0
 
 
 def test_observable_defaults_follow_the_model():

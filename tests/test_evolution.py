@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from bundlewave import evolution
 from bundlewave.algebra import (
+    Frame,
     DerivativeOp,
     IdentityOp,
     MatrixOperator,
@@ -34,7 +35,6 @@ from bundlewave.evolution import (
 )
 from bundlewave.grid import FibreProduct, GridFunction, SpatialGrid1D, inner
 from bundlewave.reduction import (
-    GaugeFrame,
     HamiltonianFactory,
     Potentials,
     block_diag_hamiltonian,
@@ -321,9 +321,9 @@ def test_component_groups_follow_the_coupling_graph():
     assert _component_groups(kg_nonrel_hamiltonian(1.0).at()) == [[0, 1]]
     # A frame that mixes components 0 and 1 joins the two Dirac groups.
     dirac = dirac_hamiltonian(1.0).at()
-    assert _component_groups(matrix_in_frame(dirac, _rotation_frame(0.4), GRID)) == [[0, 1, 2, 3]]
+    assert _component_groups(matrix_in_frame(dirac, _rotation_frame(0.4))) == [[0, 1, 2, 3]]
     phase = np.exp(0.7j * np.cos(GRID.points))[:, None, None] * np.eye(4)
-    assert _component_groups(matrix_in_frame(dirac, phase, GRID)) == [[0, 3], [1, 2]]
+    assert _component_groups(matrix_in_frame(dirac, phase)) == [[0, 3], [1, 2]]
 
 
 @pytest.mark.parametrize("dt", [0.03, -0.03])
@@ -358,7 +358,7 @@ def test_one_group_steps_are_the_full_matrix_steps(model, method):
 def test_mixing_frame_makes_one_group_of_the_full_matrix_step():
     base = dirac_hamiltonian(1.0, 1.0, Potentials(scalar=0.3 * np.cos(GRID.points)))
     framed = HamiltonianFactory(
-        matrix_in_frame(base.at(), _rotation_frame(0.4), GRID), "dirac-rotated"
+        matrix_in_frame(base.at(), _rotation_frame(0.4)), "dirac-rotated"
     )
     step = step_matrix(framed, GRID, 0.0, 0.03)
     assert np.array_equal(step, _full_matrix_step(framed, GRID, 0.0, 0.03, "crank-nicolson"))
@@ -380,7 +380,7 @@ def _reference_static_march(state, factory, dt, steps, method):
 def _phase_framed_dirac():
     base = dirac_hamiltonian(1.0, 1.0, Potentials(scalar=0.3 * np.cos(GRID.points)))
     phase = np.exp(0.7j * np.cos(GRID.points))[:, None, None] * np.eye(4)
-    return HamiltonianFactory(matrix_in_frame(base.at(), phase, GRID), "dirac-phase")
+    return HamiltonianFactory(matrix_in_frame(base.at(), phase), "dirac-phase")
 
 
 def _kg_5d_beside_schrodinger():
@@ -764,7 +764,7 @@ _PHASES = np.array([0.3, -0.7, 1.1, 0.2])
 # d^2/dx^2 beside Maxwell's four entries.
 _WRAPPED_ONCE = {
     "dirac-phase-frame": (
-        lambda: gauge_transform(_driven_dirac(), GaugeFrame(np.diag(np.exp(1j * _PHASES)))), 4),
+        lambda: gauge_transform(_driven_dirac(), Frame(np.diag(np.exp(1j * _PHASES)))), 4),
     "kg-canonical-nonrel-frame": (
         lambda: gauge_transform(_driven_kg_canonical(), kg_nonrel_frame(1.0)), 8),
     "stacked-dirac": (lambda: block_diag_hamiltonian([_driven_dirac()]), 1),
@@ -776,11 +776,11 @@ _WRAPPED_ONCE = {
 # that rebuilding H at each step takes.
 _WRAPPED_DRIVEN = {
     "dirac-driven-phase": (lambda: gauge_transform(
-        _driven_dirac(), GaugeFrame(lambda t: np.diag(np.exp(1j * _PHASES * t)),
-                                    lambda t: np.diag(1j * _PHASES * np.exp(1j * _PHASES * t)))),
+        _driven_dirac(), Frame(lambda t: np.diag(np.exp(1j * _PHASES * t)),
+                               lambda t: np.diag(1j * _PHASES * np.exp(1j * _PHASES * t)))),
         160),
     "kg-canonical-driven-rotation": (
-        lambda: gauge_transform(_driven_kg_canonical(), GaugeFrame(_rotation, _rotation_rate)), 320),
+        lambda: gauge_transform(_driven_kg_canonical(), Frame(_rotation, _rotation_rate)), 320),
 }
 
 
@@ -816,8 +816,8 @@ def test_twin_blocks_are_told_apart_by_their_bits():
 _LUS_PER_STEP = {
     "dirac-driven": (_driven_dirac, 1),
     "maxwell-driven-phase": (lambda: gauge_transform(
-        maxwell_hamiltonian(), GaugeFrame(lambda t: np.exp(0.7j * t) * np.eye(4),
-                                          lambda t: 0.7j * np.exp(0.7j * t) * np.eye(4))), 2),
+        maxwell_hamiltonian(), Frame(lambda t: np.exp(0.7j * t) * np.eye(4),
+                                     lambda t: 0.7j * np.exp(0.7j * t) * np.eye(4))), 2),
 }
 
 

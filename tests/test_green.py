@@ -8,7 +8,7 @@ import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bundlewave.algebra import dirac_gammas
+from bundlewave.algebra import AlgebraError, Frame, dirac_gammas
 from bundlewave.evolution import (
     _block,
     _connected_sets,
@@ -622,13 +622,18 @@ def test_born_guards():
 # Frame changes of kernels
 
 
+def _linear_frame(source, target):
+    """The frame running linearly from `source` at t = 0 to `target` at t = 1."""
+    return Frame(lambda t: source + t * (target - source), lambda t: target - source)
+
+
 def test_green_morphism_conjugates_componentwise():
     rng = np.random.default_rng(17)
     n = 6
     kernel = rng.normal(size=(2 * n, 2 * n)) + 1j * rng.normal(size=(2 * n, 2 * n))
     l_target = np.array([[1.0, 0.5j], [0.0, 2.0]])
     l_source = np.array([[2.0, 0.0], [1.0, 1.0 + 1j]])
-    seen = green_morphism(kernel, l_target, l_source, n)
+    seen = green_morphism(kernel, _linear_frame(l_source, l_target), 1.0, 0.0, n)
     expected = np.kron(np.linalg.inv(l_target), np.eye(n)) @ kernel @ np.kron(l_source, np.eye(n))
     assert np.max(np.abs(seen - expected)) < 1e-12
 
@@ -639,5 +644,5 @@ def test_green_morphism_conjugates_componentwise():
 def test_green_morphism_refuses_a_singular_target_frame(target):
     n = 4
     kernel = np.eye(2 * n, dtype=complex)
-    with pytest.raises(GreenError, match="singular"):
-        green_morphism(kernel, target, np.eye(2), n)
+    with pytest.raises(AlgebraError, match="singular"):
+        green_morphism(kernel, _linear_frame(np.eye(2), target), 1.0, 0.0, n)

@@ -1,4 +1,4 @@
-"""First-order reductions, their equivalences, and gauge frames."""
+"""First-order reductions, their equivalences, and frames."""
 
 import dataclasses
 
@@ -6,7 +6,9 @@ import numpy as np
 import pytest
 
 from bundlewave.algebra import (
+    AlgebraError,
     DerivativeOp,
+    Frame,
     MatrixOperator,
     ScaleOp,
     ZeroOp,
@@ -17,7 +19,6 @@ from bundlewave.algebra import (
 from bundlewave.evolution import evolve
 from bundlewave.grid import GridFunction, SpatialGrid1D, derivative_matrix, derivative_values
 from bundlewave.reduction import (
-    GaugeFrame,
     HamiltonianFactory,
     Potentials,
     ReductionError,
@@ -352,17 +353,15 @@ def test_block_diag_stacks_factories():
 
 
 def test_gauge_transform_constant_conjugation():
+    # H' = f^-1 H f for the state f^-1 psi.
     factory = schrodinger_hamiltonian(mass=1.0)
-    a = np.array([[2.0]])
-    gauged = gauge_transform(
-        _expand_to(factory), GaugeFrame(np.array([[1.0, 0.5], [0.0, 1.0]]))
-    )
-    h = _expand_to(factory).at().dense(GRID)
     m = np.array([[1.0, 0.5], [0.0, 1.0]])
+    gauged = gauge_transform(_expand_to(factory), Frame(m))
+    h = _expand_to(factory).at().dense(GRID)
     expected = (
-        kron_component_matrix(m, GRID.npoints)
+        kron_component_matrix(np.linalg.inv(m), GRID.npoints)
         @ h
-        @ kron_component_matrix(np.linalg.inv(m), GRID.npoints)
+        @ kron_component_matrix(m, GRID.npoints)
     )
     assert np.max(np.abs(gauged.at().dense(GRID) - expected)) < 1e-11
 
@@ -372,34 +371,35 @@ def _expand_to(factory):
 
 
 def test_gauge_transform_time_dependent_term():
-    # H~ = A H A^{-1} + i hbar A' A^{-1} with A = exp(i w t) on one component.
+    # H' = f^-1 H f - i hbar f^-1 f' with f = exp(i w t) on one component:
+    # e^{-i w t} psi runs at energies raised by hbar w.
     w = 0.7
     factory = schrodinger_hamiltonian(mass=1.0, hbar=2.0)
-    frame = GaugeFrame(
+    frame = Frame(
         lambda t: np.array([[np.exp(1j * w * t)]]),
         derivative=lambda t: np.array([[1j * w * np.exp(1j * w * t)]]),
     )
     gauged = gauge_transform(factory, frame)
     t = 0.3
     h = factory.at().dense(GRID, t)
-    expected = h + 2.0 * 1j * (1j * w) * np.eye(GRID.npoints)
+    expected = h + 2.0 * w * np.eye(GRID.npoints)
     assert np.max(np.abs(gauged.at().dense(GRID, t) - expected)) < 1e-11
 
 
 def test_driven_gauge_frame_without_its_derivative_is_refused():
-    with pytest.raises(ReductionError, match="derivative") as refused:
-        GaugeFrame(lambda t: np.array([[np.exp(0.7j * t)]]))
+    with pytest.raises(AlgebraError, match="derivative") as refused:
+        Frame(lambda t: np.array([[np.exp(0.7j * t)]]))
     assert "\n" not in str(refused.value)
 
 
 def test_gauge_transform_refuses_a_singular_constant_frame_when_called():
-    with pytest.raises(ReductionError, match="singular"):
-        gauge_transform(_expand_to(schrodinger_hamiltonian(1.0)), GaugeFrame(np.ones((2, 2))))
+    with pytest.raises(AlgebraError, match="singular"):
+        gauge_transform(_expand_to(schrodinger_hamiltonian(1.0)), Frame(np.ones((2, 2))))
 
 
 def test_driven_frame_that_leaves_its_initial_support_is_refused():
-    # A(0) = I and dA/dt(0) = 0, so the (0, 1) entry has no place in H~.
-    frame = GaugeFrame(
+    # f(0) = I and df/dt(0) = 0, so the (0, 1) entry has no place in H'.
+    frame = Frame(
         lambda t: np.array([[1.0, t * t], [0.0, 1.0]]),
         derivative=lambda t: np.array([[0.0, 2.0 * t], [0.0, 0.0]]),
     )
@@ -415,11 +415,65 @@ def test_driven_frame_that_leaves_its_initial_support_is_refused():
 
 
 def test_gauge_frame_guards():
+    with pytest.raises(AlgebraError):
+        Frame(np.zeros((2, 2))).inverse()
+    with pytest.raises(AlgebraError):
+        Frame(np.zeros((2, 3))).at()
     with pytest.raises(ReductionError):
-        GaugeFrame(np.zeros((2, 2))).inverse_at()
+        gauge_transform(schrodinger_hamiltonian(1.0), Frame(np.eye(3)))
     with pytest.raises(ReductionError):
-        GaugeFrame(np.zeros((2, 3))).at()
-    with pytest.raises(ReductionError):
-        gauge_transform(schrodinger_hamiltonian(1.0), GaugeFrame(np.eye(3)))
-    frame = GaugeFrame(np.eye(2)).at()
+        gauge_transform(schrodinger_hamiltonian(1.0), Frame(np.ones((GRID.npoints, 2, 2))))
+    frame = Frame(np.eye(2)).at()
     assert np.array_equal(frame.conj().T @ frame, np.eye(2))
+
+
+def test_nonrel_frame_is_the_inverse_of_the_split_map():
+    # f^-1 maps (phi, dphi/dt) to (phi + b dphi/dt, phi - b dphi/dt), b = i hbar/mc^2.
+    mass, hbar, c = 1.2, 0.9, 1.5
+    b = 1j * hbar / (mass * c * c)
+    split = np.array([[1.0, b], [1.0, -b]])
+    assert np.max(np.abs(kg_nonrel_frame(mass, hbar, c).inverse() - split)) < 1e-15
+
+
+# A driven x-field frame f(t, x) = diag(exp(i sin(0.9 t) chi(x) w_k)), its
+# static counterpart at sin = 1, and the state f^-1 psi.
+_CHI = np.cos(GRID.points)
+_WEIGHTS = np.array([0.3, -0.7, 1.1, 0.2])
+
+
+def _field_frame(driven):
+    def matrix(t):
+        return np.exp(1j * np.sin(0.9 * t) * np.outer(_CHI, _WEIGHTS))[:, :, None] * np.eye(4)
+
+    def rate(t):
+        return 0.9j * np.cos(0.9 * t) * np.outer(_CHI, _WEIGHTS)[:, :, None] * matrix(t)
+
+    return Frame(matrix, rate) if driven else Frame(matrix(np.pi / 1.8))
+
+
+def _in_frame(frame, t, state):
+    return np.einsum("xij,jx->ix", frame.inverse(t), state.values)
+
+
+@pytest.mark.parametrize("method", ["crank-nicolson", "midpoint-exponential"])
+def test_gauged_march_is_the_framed_plain_march(method):
+    # March H' from f(0)^-1 psi and compare with f(T)^-1 times the march of
+    # H.  A static frame conjugates each step exactly; a driven one moves the
+    # midpoint rule by O(dt^2), so the gap falls 4x per halving of dt.  A
+    # wrong sign of the rate term would leave an O(1) gap.
+    factory = dirac_hamiltonian(1.0, 1.0, Potentials(scalar=0.3 * np.cos(GRID.points)))
+    rng = np.random.default_rng(3)
+    state = GridFunction(GRID, rng.normal(size=(4, GRID.npoints)) + 0j)
+    frames = {driven: _field_frame(driven) for driven in (False, True)}
+    gauged = {driven: gauge_transform(factory, frame) for driven, frame in frames.items()}
+    gaps = {}
+    for steps in (20, 40, 80):
+        plain = evolve(state, factory, 1.0 / steps, steps, method=method)
+        for driven, frame in frames.items():
+            start = GridFunction(GRID, _in_frame(frame, 0.0, state))
+            framed = evolve(start, gauged[driven], 1.0 / steps, steps, method=method).values
+            gap = np.max(np.abs(framed - _in_frame(frame, 1.0, plain)))
+            gaps[driven, steps] = gap / np.max(np.abs(framed))
+    assert max(gaps[False, steps] for steps in (20, 40, 80)) <= 1e-13
+    ratios = [gaps[True, 20] / gaps[True, 40], gaps[True, 40] / gaps[True, 80]]
+    assert max(max(r / 4.0, 4.0 / r) for r in ratios) <= 1.5, ratios

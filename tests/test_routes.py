@@ -1,19 +1,22 @@
 """Route agreement: every way of propagating a state gives the same state.
 
 One hypothesis strategy draws a factory (the six model builders, a gauge
-transform by a constant, driven-phase or driven-rotation frame, or a
-block-diagonal stack, a stack of a builder with itself, whose groups are
-twins, or a stack of a static Schrodinger and a copy whose potential
-switches on at a drawn time, whose groups are twins before it and differ
-after it), a grid, hbar, c, potentials, a method, a step count and a start
-time.  Each example propagates one random state along every
-route and holds each route against `evolve`, or the reference named below,
+transform by a constant, driven-phase, driven-rotation or driven x-field
+frame, or a block-diagonal stack, a stack of a builder with itself, whose
+groups are twins, or a stack of a static Schrodinger and a copy whose
+potential switches on at a drawn time, whose groups are twins before it and
+differ after it), a grid, hbar, c, potentials, a method, a step count and
+a start time.  Each example propagates one random state along every route
+and holds each route against `evolve`, or the reference named below,
 with one tolerance per pair of routes written once below:
 
 * `operator`: `EvolutionOperator.matrix` forward;
 * `operator-back`: `EvolutionOperator.matrix` backward, applied to the
   state `evolve` returned, which must give back the initial state;
-* `steps`: the product of one `step_matrix` per step;
+* `steps`: a textbook stepper written here, independent of the library's
+  stepper: H realized whole, `op.dense(grid, t + dt/2)` on the full mN
+  matrix, then `scipy.linalg.expm`, or one Crank-Nicolson solve with
+  I + K/2 against I - K/2, per step, with no component groups or twins;
 * `transport`: `evolution_transport` over the march with one substep per
   step, read forward as K(t_end <- t0);
 * `transport-pair`: `evolution_transport` sampled at every lattice time,
@@ -22,22 +25,26 @@ with one tolerance per pair of routes written once below:
   group's solve is a full one;
 * `eigenbasis`: for a static Hermitian H, `EigenBasis.propagator` over the
   march against midpoint-exponential `evolve`, which is exact there;
-* `frame`: `evolve` of `matrix_in_frame(op, f, grid)` from f^-1 psi, mapped
+* `frame`: `evolve` of `matrix_in_frame(op, f)` from f^-1 psi, mapped
   back by f, for an x-dependent phase or rotation field f drawn from the
   example's seed.
+
+The gauged wrappers march f^-1 psi under f^-1 H f - i hbar f^-1 df/dt
+(`algebra.Frame`); every column marches that one factory, so the sign of
+the rate term is held by `test_reduction.py`, not here.
 """
 
 import numpy as np
+import scipy.linalg
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from bundlewave.algebra import matrix_in_frame
+from bundlewave.algebra import Frame, matrix_in_frame
 from bundlewave.bundle import PathSampling, evolution_transport
-from bundlewave.evolution import METHODS, EvolutionOperator, evolve, step_matrix
+from bundlewave.evolution import METHODS, EvolutionOperator, evolve
 from bundlewave.green import EigenBasis
 from bundlewave.grid import GridFunction, SpatialGrid1D
 from bundlewave.reduction import (
-    GaugeFrame,
     HamiltonianFactory,
     Potentials,
     block_diag_hamiltonian,
@@ -62,8 +69,8 @@ TOLERANCE = {
 }
 
 BUILDERS = ("dirac", "kg-canonical", "kg-nonrel", "kg-5d", "maxwell", "schrodinger")
-WRAPPERS = ("gauged-constant", "gauged-phase", "gauged-rotation", "block-diag", "block-twin",
-            "block-diverging")
+WRAPPERS = ("gauged-constant", "gauged-phase", "gauged-rotation", "gauged-field", "block-diag",
+            "block-twin", "block-diverging")
 
 
 def _builder(kind, grid, hbar, c, charge, driven):
@@ -87,29 +94,42 @@ def _builder(kind, grid, hbar, c, charge, driven):
     return schrodinger_hamiltonian(1.0, scalar, hbar)
 
 
-def _wrapped(kind, base, other):
-    """A gauge transform of `base`, or the stack of `base` and `other`."""
+def _wrapped(kind, base, other, grid):
+    """A gauge transform of `base`, or the stack of `base` and `other`.  The
+    constant, phase and rotation frames undo I + 0.3i E_01, diag(e^{i r t})
+    and a rotation at rate 0.8: f is their inverse."""
     m = base.dimension
     if kind == "block-diag":
         return block_diag_hamiltonian([base, other])
     if kind == "gauged-constant":
         frame = np.eye(m, dtype=complex) + 0.3j * np.eye(m, k=1)
-        return gauge_transform(base, GaugeFrame(frame))
+        return gauge_transform(base, Frame(np.linalg.inv(frame)))
     rates = np.linspace(-0.9, 1.3, m)
     if kind == "gauged-phase":
-        return gauge_transform(base, GaugeFrame(lambda t: np.diag(np.exp(1j * rates * t)),
-                                                lambda t: np.diag(1j * rates * np.exp(1j * rates * t))))
+        return gauge_transform(base, Frame(lambda t: np.diag(np.exp(-1j * rates * t)),
+                                           lambda t: np.diag(-1j * rates * np.exp(-1j * rates * t))))
+    if kind == "gauged-field":
+        # f(t, x) = diag(exp(i sin(0.9 t) chi(x) r_k)).
+        chi = np.cos(2.0 * np.pi * grid.points / grid.length)
+
+        def field(t):
+            return np.exp(1j * np.sin(0.9 * t) * np.outer(chi, rates))[:, :, None] * np.eye(m)
+
+        def field_rate(t):
+            return 0.9j * np.cos(0.9 * t) * np.outer(chi, rates)[:, :, None] * field(t)
+
+        return gauge_transform(base, Frame(field, field_rate))
 
     def rotation(t):
-        # Mixes the first and the last component at rate 0.8.
+        # Mixes the first and the last component at rate -0.8.
         frame = np.eye(m, dtype=complex)
         c, s = np.cos(0.8 * t), np.sin(0.8 * t)
-        frame[0, 0], frame[0, -1], frame[-1, 0], frame[-1, -1] = c, -s, s, c
+        frame[0, 0], frame[0, -1], frame[-1, 0], frame[-1, -1] = c, s, -s, c
         return frame
 
     generator = np.zeros((m, m))
-    generator[-1, 0], generator[0, -1] = 0.8, -0.8
-    return gauge_transform(base, GaugeFrame(rotation, lambda t: generator @ rotation(t)))
+    generator[-1, 0], generator[0, -1] = -0.8, 0.8
+    return gauge_transform(base, Frame(rotation, lambda t: generator @ rotation(t)))
 
 
 def _diverging(grid, hbar, t_star):
@@ -161,7 +181,7 @@ def examples(draw):
         base = builder()
         if kind == "gauged-rotation" and base.dimension == 1:
             base = block_diag_hamiltonian([base, builder()])
-        factory = _wrapped(kind, base, builder() if kind == "block-diag" else None)
+        factory = _wrapped(kind, base, builder() if kind == "block-diag" else None, grid)
     return dict(
         factory=factory,
         grid=grid,
@@ -173,6 +193,20 @@ def examples(draw):
     )
 
 
+def _textbook_march(factory, grid, psi, method, steps, dt, t0):
+    """`psi` after `steps` steps, each with the whole H at its midpoint and
+    K = i H dt / hbar: exp(-K) by `scipy.linalg.expm`, or Crank-Nicolson,
+    (I + K/2) psi' = (I - K/2) psi."""
+    eye = np.eye(psi.size)
+    for k in range(steps):
+        kdt = (1j * dt / factory.hbar) * factory.at().dense(grid, t0 + k * dt + dt / 2)
+        if method == "midpoint-exponential":
+            psi = scipy.linalg.expm(-kdt) @ psi
+        else:
+            psi = np.linalg.solve(eye + kdt / 2, (eye - kdt / 2) @ psi)
+    return psi
+
+
 def route_differences(factory, grid, method, steps, dt, t0, seed):
     """Relative difference of every route to its reference, by route."""
     rng = np.random.default_rng(seed)
@@ -182,15 +216,12 @@ def route_differences(factory, grid, method, steps, dt, t0, seed):
     t_end = t0 + steps * dt
     final = evolve(state, factory, dt, steps, t0, method).flatten()
     operator = EvolutionOperator(factory, grid, dt, steps, t0, method)
-    product = np.eye(psi.size, dtype=complex)
-    for k in range(steps):
-        product = step_matrix(factory, grid, t0 + k * dt, dt, method) @ product
     sampling = PathSampling(np.array([t0, t_end]))
     transport = evolution_transport(factory, grid, sampling, method, substeps=steps)
     routes = {
         "operator": (operator.matrix(t0, t_end) @ psi, final),
         "operator-back": (operator.matrix(t_end, t0) @ final, psi),
-        "steps": (product @ psi, final),
+        "steps": (_textbook_march(factory, grid, psi, method, steps, dt, t0), final),
         "transport": (transport.transport(-1, 0) @ psi, final),
     }
     lattice = evolution_transport(factory, grid, PathSampling(operator.times), method)
@@ -199,7 +230,7 @@ def route_differences(factory, grid, method, steps, dt, t0, seed):
         lattice.transport(i, j), operator.matrix(operator.times[j], operator.times[i])
     )
     frames = _frame_field(rng, grid, factory.dimension)
-    framed = HamiltonianFactory(matrix_in_frame(factory.at(), frames, grid), hbar=factory.hbar)
+    framed = HamiltonianFactory(matrix_in_frame(factory.at(), frames), hbar=factory.hbar)
     start = GridFunction(grid, np.einsum("xij,jx->ix", np.linalg.inv(frames), state.values))
     marched = evolve(start, framed, dt, steps, t0, method).values
     routes["frame"] = (np.einsum("xij,jx->ix", frames, marched).reshape(-1), final)
@@ -225,7 +256,8 @@ _PINNED_GRID = SpatialGrid1D(12, 6.0, "periodic")
 # kg-nonrel under the driven phase frame: a frame rate 1e-10 off the exact
 # one puts its `transport` at 1.02e-11.
 @example(dict(
-    factory=_wrapped("gauged-phase", _builder("kg-nonrel", _PINNED_GRID, 1.0, 1.0, 0.0, False), None),
+    factory=_wrapped("gauged-phase", _builder("kg-nonrel", _PINNED_GRID, 1.0, 1.0, 0.0, False), None,
+                     _PINNED_GRID),
     grid=_PINNED_GRID, method="midpoint-exponential", steps=11, dt=0.04, t0=0.3, seed=29077,
 ))
 def test_every_route_agrees_with_evolve(example):

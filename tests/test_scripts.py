@@ -57,7 +57,10 @@ def test_table_gate_writes_every_table_once(tmp_path, capsys):
     names = {
         "run-c13": "report.csv", "green-c13": "green.csv",
         "run-readme": "report.csv", "green-readme": "green.csv",
-        "run-dirac-static": "report.csv", "green-dirac-born": "green.csv",
+        "run-c13-frame-constant": "report.csv", "reduce-c13-frame-constant": "reduce.csv",
+        "run-c13-frame-phase": "report.csv", "reduce-c13-frame-phase": "reduce.csv",
+        "run-dirac-static": "report.csv", "reduce-dirac-static": "reduce.csv",
+        "green-dirac-born": "green.csv",
         "green-dirac-born-order0": "green.csv", "green-dirac-born-order1": "green.csv",
         "green-dirac-born-order3": "green.csv", "green-schrodinger-born": "green.csv",
     }
