@@ -45,6 +45,19 @@ class LinearGridOperator:
         the rows of the identity gives the columns."""
         return self.apply(np.eye(grid.npoints, dtype=complex), grid, t).T
 
+    def pointwise(self) -> bool:
+        """Whether the operator acts pointwise in x, so that `dense` is
+        diagonal."""
+        return False
+
+    def diagonal(self, grid: SpatialGrid1D, t: float = 0.0) -> np.ndarray:
+        """The (N,) values of a pointwise operator: `apply` on ones, which
+        acts on each point as `dense` acts on its column of the identity, so
+        they equal the diagonal of `dense` bit for bit."""
+        if not self.pointwise():
+            raise AlgebraError(f"{self!r} does not act pointwise")
+        return self.apply(np.ones(grid.npoints, dtype=complex), grid, t)
+
     def is_zero(self) -> bool:
         return False
 
@@ -75,6 +88,9 @@ class ZeroOp(LinearGridOperator):
     def apply(self, values, grid, t=0.0):
         return np.zeros_like(np.asarray(values, dtype=complex))
 
+    def pointwise(self):
+        return True
+
     def is_zero(self):
         return True
 
@@ -85,6 +101,9 @@ class ZeroOp(LinearGridOperator):
 class IdentityOp(LinearGridOperator):
     def apply(self, values, grid, t=0.0):
         return np.asarray(values, dtype=complex).copy()
+
+    def pointwise(self):
+        return True
 
     def __repr__(self):
         return "id"
@@ -111,6 +130,9 @@ class ScaleOp(LinearGridOperator):
 
     def apply(self, values, grid, t=0.0):
         return self.factor_values(grid, t) * np.asarray(values, dtype=complex)
+
+    def pointwise(self):
+        return True
 
     def is_zero(self):
         f = self.factor
@@ -154,6 +176,9 @@ class ComposeOp(LinearGridOperator):
             out = op.apply(out, grid, t)
         return out
 
+    def pointwise(self):
+        return all(op.pointwise() for op in self.factors)
+
     def is_zero(self):
         return any(op.is_zero() for op in self.factors)
 
@@ -181,6 +206,9 @@ class SumOp(LinearGridOperator):
         for op in self.terms:
             out = out + op.apply(values, grid, t)
         return out
+
+    def pointwise(self):
+        return all(op.pointwise() for op in self.terms)
 
     def is_zero(self):
         return not self.terms
@@ -417,8 +445,8 @@ class Frame:
 
     `matrix` is a constant (m, m), a field (N, m, m) of one matrix per grid
     point, or a callable t -> either; a callable needs its `derivative`, a
-    callable t -> df/dt.  One convention serves every caller: the
-    state in the frame is f^{-1} psi, an operator H becomes
+    callable t -> df/dt, and a constant takes none.  One convention serves
+    every caller: the state in the frame is f^{-1} psi, an operator H becomes
     f^{-1} H f - i*hbar f^{-1} df/dt, and a kernel f(t)^{-1} G(t, s) f(s).
     """
 
@@ -428,6 +456,8 @@ class Frame:
     def __post_init__(self):
         if callable(self.matrix) and not callable(self.derivative):
             raise AlgebraError("a driven frame needs its derivative, a callable of t")
+        if not callable(self.matrix) and self.derivative is not None:
+            raise AlgebraError("a frame constant in t takes no derivative")
 
     @property
     def time_dependent(self) -> bool:

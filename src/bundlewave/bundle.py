@@ -192,10 +192,14 @@ def evolution_transport(
     group S, and a substep multiplies F_S by U_S.  A Crank-Nicolson substep
     does so in Cayley form, F_S U_S = 2 F_S (I + K_S)^-1 - F_S: one LU of
     size |S| N and one solve with |S| N right-hand sides per group, and no
-    step matrix.  Only the driven part D(t) of H is realized per substep.
-    Groups of one size start on one stack, kept while the stepper hands
-    them one step object (twins): one LU and one solve serve them all.  A
-    group moves to a copy of the stack on the first substep where they part.
+    step matrix.  A substep writes only the entries of its matrix that the
+    driven part D(t) of H reaches, into a copy of each distinct group's
+    base (see `evolution`), and solves into a frame: the substeps of an
+    interval alternate between the frame slot and one spare frame per
+    stack, so that the last lands in the slot.  Groups of one size start on
+    one stack, kept while the stepper hands them one step object (twins):
+    one LU and one solve serve them all.  A group moves to a copy of the
+    stack, and of its spare, on the first substep where they part.
     Substep U(tau_k <- tau_{k+1}) is the stepper's step of size -delta from
     tau_{k+1}.  Overflow ends in EvolutionError, as in `step_matrix`.  The
     frames skip the conditioning guard, which `with_gauge` applies to the
@@ -212,12 +216,15 @@ def evolution_transport(
     # The split of H with its realized S, and its groups, for the whole call.
     factors = _StepFactors(factory, grid, method)
     # owner[g] is the group whose stack g holds: the first of its size.
-    sizes = [len(group) * grid.npoints for group, _, _, _ in factors.parts]
+    sizes = [len(group) * grid.npoints for group, _, _ in factors.parts]
     owner = [sizes.index(n) for n in sizes]
     stacks = {n: np.empty((sampling.nsamples, n, n), dtype=complex) for n in set(sizes)}
     for n, stack in stacks.items():
         stack[0] = np.eye(n, dtype=complex)
     stacks = [stacks[n] for n in sizes]
+    # Substep k of an interval writes into frame slot i + 1 or a spare frame,
+    # alternately, so that the last one lands in the slot.
+    spares = {}
     # Overflow surfaces as non-finite entries, refused after each interval.
     with np.errstate(over="ignore", invalid="ignore"):
         for i in range(sampling.nsamples - 1):
@@ -228,15 +235,21 @@ def evolution_transport(
                     if steps[g] is not steps[o]:
                         # The twins part: g takes a copy of the frames so far.
                         stacks[g], owner[g] = stacks[o].copy(), g
+                        if o in spares:
+                            spares[g] = spares[o].copy()
                 for g, o in enumerate(owner):
                     if g == o:
-                        stacks[g][i + 1] = steps[g](stacks[g][i + 1] if k else stacks[g][i])
+                        if substeps > 1 and g not in spares:
+                            spares[g] = np.empty_like(stacks[g][0])
+                        slots = (stacks[g][i + 1], spares.get(g))
+                        source = slots[(substeps - k) % 2] if k else stacks[g][i]
+                        steps[g](source, out=slots[(substeps - 1 - k) % 2])
                 del steps
             if not all(np.all(np.isfinite(stack[i + 1])) for stack in stacks):
                 raise EvolutionError(
                     f"transport frame {i + 1} left the finite range; reduce the sampling step"
                 )
-    blocks = [(at, stack) for (_, at, _, _), stack in zip(factors.parts, stacks)]
+    blocks = [(at, stack) for (_, at, _), stack in zip(factors.parts, stacks)]
     return TransportAlongMap._from_steps(sampling, blocks)
 
 

@@ -54,10 +54,16 @@ alone evaluates H at the midpoint t + dt / 2.  Time enters only through
 callable scale factors, so `MatrixOperator.split` writes H(t) as S + D(t),
 S holding the terms that do not vary, such as the derivatives.  `march` and
 `bundle.evolution_transport` split the factory's operator once per march
-and realize S once, keeping each group's block; a step realizes D(t) and
-adds the S block for every group, then takes one LU of I + K_S per distinct
-block and one solve per group (for the exponential, one expm per distinct
-block and one product per group).
+and realize S once.  Each group keeps its S block and a *base*,
+coeff S_S + shift I: the part that does not vary of the matrix a step
+factors, I + K_S or the exponential's argument.  The base is formed again
+only when dt changes.  A step copies the base once per distinct group and
+writes only the entries that D(t) reaches, as (S + D(t)) coeff plus shift
+on the diagonal: the N values of a pointwise entry on the diagonal of its
+block (`LinearGridOperator.diagonal`), or the whole block of any other.
+Only those entries are checked finite and compared between twins.  Then
+it takes one LU of I + K_S per distinct group and one solve per group (for
+the exponential, one expm per distinct group and one product per group).
 
 A static H makes the propagator over B steps U_S^B from every lattice time,
 so `march` advances it in blocks of B steps, the dense form of a
@@ -84,6 +90,7 @@ from __future__ import annotations
 import numbers
 import warnings
 from functools import partial
+from operator import is_
 
 import numpy as np
 import scipy.linalg
@@ -118,24 +125,33 @@ def _check_dense(factory: HamiltonianFactory, grid: SpatialGrid1D, what: str) ->
         raise EvolutionError(f"{what} of size {size} exceeds limit {DENSE_STATE_LIMIT}")
 
 
-def _cayley_matrix(h_mid: np.ndarray, coeff: complex) -> np.ndarray:
-    """I + coeff H, formed in place in H_mid's storage."""
-    h_mid *= coeff
-    h_mid[np.diag_indices_from(h_mid)] += 1.0
-    if not np.all(np.isfinite(h_mid)):
+def _formed(h: np.ndarray, coeff: complex, shift: float) -> np.ndarray:
+    """coeff H + shift I, formed in place in H's storage; a 1-D H holds
+    the diagonal of a block."""
+    h *= coeff
+    if shift:
+        h[np.diag_indices_from(h) if h.ndim == 2 else ...] += shift
+    return h
+
+
+def _check_cayley(written) -> None:
+    """Refuse a Crank-Nicolson matrix with a non-finite entry among the
+    arrays `written`, which hold its entries not yet checked."""
+    if not all(np.all(np.isfinite(values)) for values in written):
         raise EvolutionError("the Crank-Nicolson matrix left the finite range; reduce the time step")
-    return h_mid
 
 
-def _cayley_lu(h_mid: np.ndarray, coeff: complex):
-    """LU of (I + coeff H)^T, factored in place in H_mid's C-ordered storage."""
-    a = _cayley_matrix(h_mid, coeff)
+def _cayley_lu(a: np.ndarray, written):
+    """LU of (I + K)^T, factored in place in the C-ordered storage of the
+    formed I + K; `written` holds its entries not yet checked finite."""
+    _check_cayley(written)
     return scipy.linalg.lu_factor(a.T, overwrite_a=True, check_finite=False)
 
 
-def _cayley_unit(h_mid: np.ndarray, coeff: complex) -> np.ndarray:
-    """The Crank-Nicolson step U = 2 (I + K)^-1 - I, K = coeff H, formed in
-    H_mid's C-ordered storage.
+def _cayley_unit(a: np.ndarray, written) -> np.ndarray:
+    """The Crank-Nicolson step U = 2 (I + K)^-1 - I, formed in the
+    C-ordered storage of the formed I + K; `written` holds its entries not
+    yet checked finite.
 
     `numpy.linalg.inv` of the F-ordered (I + K)^T factors the matrix that
     `_cayley_lu` factors and solves it against the identity, in numpy's
@@ -143,7 +159,7 @@ def _cayley_unit(h_mid: np.ndarray, coeff: complex) -> np.ndarray:
     is written back transposed, in C order: the order picks the BLAS
     variant of every later product with U, and so its bits.
     """
-    a = _cayley_matrix(h_mid, coeff)
+    _check_cayley(written)
     inverse = np.linalg.inv(a.T)
     a[...] = inverse.T
     a *= 2.0
@@ -151,27 +167,32 @@ def _cayley_unit(h_mid: np.ndarray, coeff: complex) -> np.ndarray:
     return a
 
 
-def _cayley(lu, x: np.ndarray, right: bool = True) -> np.ndarray:
-    """x U if `right`, else U x, for the Crank-Nicolson step
+def _cayley(lu, x: np.ndarray, right: bool = True, out: np.ndarray | None = None) -> np.ndarray:
+    """x U if `right`, else U x for a state x, for the Crank-Nicolson step
     U = 2 (I + K)^-1 - I, given the LU of (I + K)^T.
 
     x (I + K)^-1 is the transpose of a solve of (I + K)^T against x^T, and
     (I + K)^-1 x a transposed solve against x, so either product takes one
     solve with as many right-hand sides as x has rows or columns.  `x` is
-    left untouched.
+    left untouched.  The solve runs in the storage of `out`, a C-ordered
+    array apart from x, or a fresh one, which is returned.
     """
-    out = scipy.linalg.lu_solve(lu, x.T if right else x, trans=0 if right else 1, check_finite=False)
-    if right:
-        # The transpose of the F-ordered solution is C-ordered.
-        out = out.T
+    if out is None:
+        out = np.empty(x.shape, dtype=complex)
+    out[...] = x
+    # out, or for x U its F-ordered transpose, is solved in place by LAPACK.
+    scipy.linalg.lu_solve(lu, out.T if right else out, trans=0 if right else 1,
+                          overwrite_b=True, check_finite=False)
     out *= 2.0
     out -= x
     return out
 
 
-def _product(unit: np.ndarray, x: np.ndarray, right: bool = True) -> np.ndarray:
-    """x U if `right`, else U x, for a step matrix U."""
-    return x @ unit if right else unit @ x
+def _product(unit: np.ndarray, x: np.ndarray, right: bool = True,
+             out: np.ndarray | None = None) -> np.ndarray:
+    """x U if `right`, else U x, for a step matrix U, written into `out`
+    if given."""
+    return np.matmul(x, unit, out=out) if right else np.matmul(unit, x, out=out)
 
 
 def _connected_sets(pattern: np.ndarray) -> list[list[int]]:
@@ -268,15 +289,41 @@ def _block_diagonal(size: int, blocks: list) -> np.ndarray:
     return out
 
 
+def _driven_entries(part: MatrixOperator, static: np.ndarray, npoints: int) -> list:
+    """(block, index, entry, S values) per nonzero entry of a group's driven
+    part, block (a, b) in the group's component order.
+
+    A pointwise entry writes the diagonal of its N x N block, and any other
+    entry the whole block; `index` addresses those entries of the group's
+    matrix, and the S values are the group's S block `static` there."""
+    entries = []
+    size = part.shape[0]
+    for a in range(size):
+        for b in range(size):
+            entry = part.entry(a, b)
+            if entry.is_zero():
+                continue
+            rows, cols = (slice(k * npoints, (k + 1) * npoints) for k in (a, b))
+            if entry.pointwise():
+                rows, cols = (np.arange(k.start, k.stop) for k in (rows, cols))
+            entries.append(((a, b), (rows, cols), entry, static[rows, cols]))
+    return entries
+
+
 class _StepFactors:
     """The stepper of one march, or one `EvolutionOperator`, of `factory`
     on `grid` with `method`.
 
     A step is named by its start t and size dt; only here is H taken at the
-    midpoint t + dt / 2.  The factory's operator is split into S + D(t) per
-    component group once, when the stepper is made.  If D is not zero, S is
-    realized whole then and each group keeps its block; a static operator
-    keeps nothing.
+    midpoint t + dt / 2.  Each step forms per component group the matrix
+    coeff H_S + shift I that it factors: I + K_S for Crank-Nicolson,
+    (coeff, shift) = (i dt / 2 hbar, 1), and the exponential's argument,
+    (-i dt / hbar, 0).  A static operator keeps nothing and realizes each
+    group's block at every step.  A driven one is split into S + D(t) per
+    group once, when the stepper is made: S is realized whole then, and each
+    group keeps its S block and the *base* coeff S_S + shift I, formed again
+    only when dt changes.  Twin groups, whose S blocks hold the same bits,
+    share one S block and one base.
     """
 
     def __init__(self, factory: HamiltonianFactory, grid: SpatialGrid1D, method: str):
@@ -285,15 +332,19 @@ class _StepFactors:
         self.factory, self.grid, self.method = factory, grid, method
         op = factory.op
         static, driven = op.split()
-        varies = not driven.is_zero()
-        whole = static.dense(grid) if varies else None
-        stepped = driven if varies else op
+        self.driven = not driven.is_zero()
+        stepped = driven if self.driven else op
         self.parts = []
         for group in _component_groups(op):
-            positions = _positions(group, grid.npoints)
             part = MatrixOperator([[stepped.entry(i, j) for j in group] for i in group])
-            s_block = np.ascontiguousarray(whole[_block(positions, positions)]) if varies else None
-            self.parts.append((group, positions, part, s_block))
+            self.parts.append((group, _positions(group, grid.npoints), part))
+        if self.driven:
+            whole = static.dense(grid)
+            self._static = _map_distinct(np.ascontiguousarray,
+                                         [whole[_block(at, at)] for _, at, _ in self.parts])
+            self._entries = [_driven_entries(part, block, grid.npoints)
+                             for (_, _, part), block in zip(self.parts, self._static)]
+            self._dt = self._bases = None
 
     def __call__(self, t: float, dt: float, units: bool = False) -> list:
         """(components, positions, step) per component group of
@@ -302,37 +353,87 @@ class _StepFactors:
         step(x, right=True) is x U_S if `right`, else U_S x: a Cayley solve
         for Crank-Nicolson, a product with expm(-i dt H_S / hbar) for the
         exponential.  With `units`, step is the step matrix U_S itself.
-        Every group's block H_S is realized before any is factored.  A group
-        whose block holds the same bits as an earlier group's, a twin, is
-        handed that group's step object, so each distinct block takes one
-        LU, inverse or expm.
+        Every group's matrix is formed, or for a driven H its written
+        entries computed, before any is factored.  A group whose matrix
+        holds the same bits as an earlier group's, a twin, is handed that
+        group's step object, so each distinct matrix takes one LU, inverse
+        or expm.
         """
         mid = t + dt / 2.0
-
-        def realized(part, static):
-            h_s = part.dense(self.grid, mid)
-            if static is not None:
-                h_s += static
-            return h_s
-
-        steps = _map_distinct(partial(self._factored, dt, units),
-                              (realized(part, static) for _, _, part, static in self.parts))
-        return [(group, at, step) for (group, at, _, _), step in zip(self.parts, steps)]
-
-    def _factored(self, dt: float, units: bool, h_s: np.ndarray):
-        """The step of size dt with the realized block H_S, factored in
-        H_S's storage: its apply, or with `units` its step matrix.  A
-        singular I + K_S, which numpy refuses and scipy only warns of, is
-        refused."""
         if self.method == "midpoint-exponential":
-            h_s *= -1j * dt / self.factory.hbar
-            unit = scipy.linalg.expm(h_s)
+            coeff, shift = -1j * dt / self.factory.hbar, 0.0
+        else:
+            coeff, shift = 1j * dt / (2.0 * self.factory.hbar), 1.0
+        if self.driven:
+            steps = self._driven_steps(mid, dt, coeff, shift, units)
+        else:
+            # A generator, so that a twin's matrix is dropped once compared.
+            steps = _map_distinct(lambda a: self._factored(units, a, [a]),
+                                  (_formed(part.dense(self.grid, mid), coeff, shift)
+                                   for _, _, part in self.parts))
+        return [(group, at, step) for (group, at, _), step in zip(self.parts, steps)]
+
+    def _driven_steps(self, mid: float, dt: float, coeff: complex, shift: float, units: bool) -> list:
+        """The step per group of a driven H: a copy of the group's base per
+        distinct group, with the entries that D reaches written as
+        (S + D(mid)) coeff, plus shift on the diagonal.  Only those entries
+        are checked finite and compared between groups that share a base:
+        where one group writes and the other does not, against the base."""
+        if dt != self._dt:
+            def base(static):
+                # + 0.0 stands for the exact zeros of D that a step adds to S.
+                formed = _formed(static + 0.0, coeff, shift)
+                if self.method == "crank-nicolson":
+                    _check_cayley([formed])
+                return formed
+
+            # One base per held S block, and one object for bases with the same bits.
+            self._bases = _map_distinct(lambda same: same, _map_distinct(base, self._static, is_))
+            self._dt = dt
+        realized = {}
+
+        def written(entries):
+            values = {}
+            for (a, b), index, entry, static in entries:
+                if id(entry) not in realized:
+                    realized[id(entry)] = (entry.diagonal(self.grid, mid) if static.ndim == 1
+                                           else entry.dense(self.grid, mid))
+                summed = realized[id(entry)] + static
+                values[a, b] = index, _formed(summed, coeff, shift if a == b else 0.0)
+            return values
+
+        writes = [written(entries) for entries in self._entries]
+
+        def twins(g: int, h: int) -> bool:
+            if self._bases[g] is not self._bases[h]:
+                return False
+            for block in writes[g].keys() | writes[h].keys():
+                index, _ = writes[g].get(block) or writes[h][block]
+                unwritten = index, self._bases[g][index]
+                if not _same_bits(*(writes[k].get(block, unwritten)[1] for k in (g, h))):
+                    return False
+            return True
+
+        def factored(g: int):
+            a = self._bases[g].copy()
+            for index, values in writes[g].values():
+                a[index] = values
+            return self._factored(units, a, [values for _, values in writes[g].values()])
+
+        return _map_distinct(factored, range(len(self.parts)), twins)
+
+    def _factored(self, units: bool, a: np.ndarray, written):
+        """The step from the formed matrix `a`, factored in a's storage: its
+        apply, or with `units` its step matrix.  `written` holds the
+        entries of `a` not yet checked finite.  A singular I + K_S, which
+        numpy refuses and scipy only warns of, is refused."""
+        if self.method == "midpoint-exponential":
+            unit = scipy.linalg.expm(a)
             return unit if units else partial(_product, unit)
-        coeff = 1j * dt / (2.0 * self.factory.hbar)
         with warnings.catch_warnings():
             warnings.simplefilter("error", scipy.linalg.LinAlgWarning)
             try:
-                return _cayley_unit(h_s, coeff) if units else partial(_cayley, _cayley_lu(h_s, coeff))
+                return _cayley_unit(a, written) if units else partial(_cayley, _cayley_lu(a, written))
             except (np.linalg.LinAlgError, scipy.linalg.LinAlgWarning):
                 message = "the Crank-Nicolson matrix is singular; change the time step"
                 raise EvolutionError(message) from None
@@ -448,10 +549,10 @@ def _driven_blocks(psi: np.ndarray, factors: _StepFactors, t0: float, dt: float,
     """Yield the states after steps 1..steps of a time-dependent H from psi,
     one per step, as the single row of a fresh array.
 
-    Each group block of the step from t0 + k dt is realized at its
-    midpoint, each distinct block factored once, and each group applied
-    with one single-RHS solve (Cayley form) or one matvec.  The static part
-    S is realized once, when the stepper is made.
+    The step from t0 + k dt writes the entries that D reaches at its
+    midpoint into a copy of each distinct group's base, factors it once,
+    and applies each group with one single-RHS solve (Cayley form) or one
+    matvec.  The static part S is realized once, when the stepper is made.
     """
     for k in range(steps):
         block = np.empty((1, psi.size), dtype=complex)

@@ -416,6 +416,10 @@ def _born_iterate(
 
 def green_morphism(kernel: np.ndarray, frame: Frame, t: float, s: float, npoints: int) -> np.ndarray:
     """Kernel seen through a frame f constant in x: f(t)^{-1} G(t, s) f(s),
-    the kernel of the framed state f^{-1} psi; a singular f(t) is refused."""
+    the kernel of the framed state f^{-1} psi; a field frame, or a singular
+    f(t), is refused."""
+    if frame.at(t).ndim == 3 or frame.at(s).ndim == 3:
+        raise GreenError("the kernel morphism needs a frame constant in x, not a field frame "
+                         "(N, m, m)")
     left = kron_component_matrix(frame.inverse(t), npoints)
     return left @ kernel @ kron_component_matrix(frame.at(s), npoints)

@@ -197,6 +197,10 @@ class FibreProduct:
             )
         # Validated once and taken as fixed, so laid out for `by_point` once.
         self._by_point = np.ascontiguousarray(np.moveaxis(w, 0, -1))
+        # Weights with exactly zero off-diagonal entries, such as a phase
+        # frame's, as their (m, N) diagonal; otherwise None.
+        off = ~np.eye(w.shape[-1], dtype=bool)
+        self._diagonal = None if np.any(w[:, off]) else np.diagonal(self._by_point).T.copy()
 
     @property
     def components(self) -> int:
@@ -238,9 +242,15 @@ def stacked_inner(
                 f"fibre product is {fibre_product.components}-dimensional, "
                 f"state has {a.shape[-2]} components"
             )
-        # Written in b's layout, which the sum below then follows.
-        b = np.einsum("ijx,...jx->...ix", fibre_product.by_point(grid.npoints), b,
-                      out=np.empty_like(b, dtype=complex))
+        # Written in b's layout, which the sum below then follows.  Diagonal
+        # weights take one broadcast multiply, whose products are the only
+        # nonzero terms of the einsum's sums.
+        weights = fibre_product.by_point(grid.npoints)  # checks the point count
+        out = np.empty_like(b, dtype=complex)
+        if fibre_product._diagonal is not None:
+            b = np.multiply(fibre_product._diagonal, b, out=out)
+        else:
+            b = np.einsum("ijx,...jx->...ix", weights, b, out=out)
     return grid.spacing * np.sum(np.conj(a) * b, axis=(-2, -1))
 
 

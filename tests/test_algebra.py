@@ -157,6 +157,32 @@ def test_dense_realizes_a_shared_entry_once(derivative_calls):
     assert np.array_equal(realized[n:, n:], block) and not np.any(realized[n:, :n])
 
 
+_FIELD = np.cos(np.arange(GRID.npoints)) - 0.5  # both signs, zero imaginary parts
+
+
+@pytest.mark.parametrize("op", [
+    ZeroOp(), IdentityOp(), ScaleOp(-2.0), ScaleOp(_FIELD), ScaleOp(lambda t: (1j - t) * _FIELD),
+    op_compose(ScaleOp(-0.5j), ScaleOp(_FIELD)), op_sum(IdentityOp(), ScaleOp(lambda t: t * _FIELD)),
+    op_scale(3.0, op_sum(ScaleOp(_FIELD), op_compose(ScaleOp(-1.0), ScaleOp(_FIELD[::-1].copy())))),
+], ids=repr)
+def test_pointwise_diagonal_is_the_diagonal_of_dense_bit_for_bit(op):
+    assert op.pointwise()
+    for t in (0.0, 0.7):
+        diagonal = op.diagonal(GRID, t)
+        assert diagonal.shape == (GRID.npoints,)
+        assert diagonal.tobytes() == np.diagonal(op.dense(GRID, t)).copy().tobytes()
+
+
+@pytest.mark.parametrize("op", [
+    DerivativeOp(1), op_compose(ScaleOp(_FIELD), DerivativeOp(2)),
+    op_sum(ScaleOp(_FIELD), op_scale(-1j, DerivativeOp(1))),
+], ids=repr)
+def test_an_operator_with_a_derivative_is_not_pointwise(op):
+    assert not op.pointwise()
+    with pytest.raises(AlgebraError, match="pointwise"):
+        op.diagonal(GRID)
+
+
 def test_scale_factor_shape_check():
     with pytest.raises(AlgebraError):
         ScaleOp(np.ones(5)).factor_values(GRID)

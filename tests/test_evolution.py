@@ -17,6 +17,7 @@ from bundlewave.algebra import (
     ScaleOp,
     ZeroOp,
     matrix_in_frame,
+    op_compose,
 )
 from bundlewave.evolution import (
     DENSE_STATE_LIMIT,
@@ -875,6 +876,142 @@ def test_split_marches_agree_with_whole_realizations(model, hbar, method):
     split = evolution_transport(factory, GRID, sampling, method, 2).frames
     whole = evolution_transport(reference, GRID, sampling, method, 2).frames
     assert np.max(np.abs(split - whole)) <= 1e-13 * np.max(np.abs(whole))
+
+
+# ---------------------------------------------------------------------------
+# Driven steps: a base per group, and only the entries that D reaches written
+
+
+def _driven_vector_dirac():
+    # A driven vector potential reaches the blocks (0, 3), (1, 2), (2, 1)
+    # and (3, 0) pointwise: the written diagonals lie off the diagonal.
+    vector = lambda t: 0.4 * np.sin(GRID.points) * np.cos(2.0 * t)  # noqa: E731
+    return dirac_hamiltonian(1.0, 1.0, Potentials(vector=vector))
+
+
+def _driven_drift():
+    # A driven first derivative beside the static kinetic term: the whole
+    # (0, 0) block is written, over an S block that is not zero.
+    drift = op_compose(ScaleOp(lambda t: 0.3 * np.cos(2.0 * t)), DerivativeOp(1))
+    return _plus_at_origin(schrodinger_hamiltonian(1.0), drift)
+
+
+# Driven factories and which kinds of entry their driven part holds: True
+# for pointwise.  A driven frame brings derivatives into it.
+_DRIVEN_ENTRIES = {
+    "dirac-scalar": (_driven_dirac, {True}),
+    "dirac-vector": (_driven_vector_dirac, {True}),
+    "dirac-driven-frame": (_WRAPPED_DRIVEN["dirac-driven-phase"][0], {True, False}),
+    "schrodinger-drift": (_driven_drift, {False}),
+}
+
+
+def _reference_formed(factory, grid, t, dt, method):
+    """(positions, matrix) per component group of the step of size dt from
+    t: (D(mid) + S) coeff + shift I with D and S realized whole, as each
+    step formed it before bases were kept."""
+    static, driven = factory.op.split()
+    whole = static.dense(grid)
+    if method == "midpoint-exponential":
+        coeff, shift = -1j * dt / factory.hbar, 0.0
+    else:
+        coeff, shift = 1j * dt / (2.0 * factory.hbar), 1.0
+    n = grid.npoints
+    formed = []
+    for group in _component_groups(factory.op):
+        at = np.concatenate([np.arange(c * n, (c + 1) * n) for c in group])
+        part = MatrixOperator([[driven.entry(i, j) for j in group] for i in group])
+        matrix = part.dense(grid, t + dt / 2.0) + whole[np.ix_(at, at)]
+        matrix *= coeff
+        if shift:
+            matrix[np.diag_indices_from(matrix)] += shift
+        formed.append((at, matrix))
+    return formed
+
+
+def _reference_unit(matrix, method):
+    """The step matrix from a formed matrix: expm, or 2 (I + K)^-1 - I from
+    numpy's inverse of (I + K)^T."""
+    if method == "midpoint-exponential":
+        return scipy.linalg.expm(matrix)
+    unit = np.ascontiguousarray(np.linalg.inv(matrix.T).T)
+    unit *= 2.0
+    unit[np.diag_indices_from(unit)] -= 1.0
+    return unit
+
+
+def _reference_apply(matrix, x, method, right):
+    """x U if `right`, else U x, from a formed matrix: a product with expm,
+    or a Cayley solve against scipy's LU of (I + K)^T."""
+    if method == "midpoint-exponential":
+        unit = scipy.linalg.expm(matrix)
+        return x @ unit if right else unit @ x
+    lu = scipy.linalg.lu_factor(matrix.T, check_finite=False)
+    solved = scipy.linalg.lu_solve(lu, x.T if right else x, trans=0 if right else 1,
+                                   check_finite=False)
+    return 2.0 * (solved.T if right else solved) - x
+
+
+@pytest.mark.parametrize("method", ["crank-nicolson", "midpoint-exponential"])
+@pytest.mark.parametrize("model", sorted(_DRIVEN_ENTRIES))
+def test_driven_steps_equal_the_whole_formula_bit_for_bit(model, method):
+    from bundlewave.bundle import PathSampling, evolution_transport
+
+    make, kinds = _DRIVEN_ENTRIES[model]
+    factory = make()
+    driven = factory.op.split()[1]
+    assert {entry.pointwise() for row in driven.entries for entry in row
+            if not entry.is_zero()} == kinds
+    size = factory.dimension * GRID.npoints
+    # step_matrix
+    t, dt = 0.3, 0.02
+    expected = np.zeros((size, size), dtype=complex)
+    for at, matrix in _reference_formed(factory, GRID, t, dt, method):
+        expected[np.ix_(at, at)] = _reference_unit(matrix, method)
+    assert np.array_equal(step_matrix(factory, GRID, t, dt, method), expected)
+    # evolve
+    state, steps = _random_state(factory.dimension, 9), 12
+    psi = state.flatten()
+    for k in range(steps):
+        following = np.empty_like(psi)
+        for at, matrix in _reference_formed(factory, GRID, k * dt, dt, method):
+            following[at] = _reference_apply(matrix, psi[at], method, right=False)
+        psi = following
+    assert np.array_equal(evolve(state, factory, dt, steps, method=method).flatten(), psi)
+    # evolution_transport: uneven intervals, so that the base is formed again
+    times, substeps = np.array([0.0, 0.07, 0.2, 0.23]), 3
+    frames = np.zeros((times.size, size, size), dtype=complex)
+    frames[0] = np.eye(size)
+    for i in range(times.size - 1):
+        delta = (times[i + 1] - times[i]) / substeps
+        frame = frames[i]
+        for k in range(substeps):
+            following = np.zeros_like(frame)
+            for at, matrix in _reference_formed(factory, GRID, times[i] + (k + 1) * delta,
+                                                -delta, method):
+                block = np.ix_(at, at)
+                following[block] = _reference_apply(matrix, frame[block], method, right=True)
+            frame = following
+        frames[i + 1] = frame
+    transport = evolution_transport(factory, GRID, PathSampling(times), method, substeps)
+    assert np.array_equal(transport.frames, frames)
+
+
+def test_a_driven_march_realizes_no_operator_matrix_per_step(monkeypatch):
+    # S is realized once, when the stepper is made; the steps write D's
+    # pointwise diagonals without a dense operator matrix.
+    realizations = []
+    dense = MatrixOperator.dense
+
+    def counted(self, grid, t=0.0):
+        realizations.append(t)
+        return dense(self, grid, t)
+
+    monkeypatch.setattr(MatrixOperator, "dense", counted)
+    seen = []
+    evolve(_random_state(4, 5), _driven_dirac(), dt=0.01, steps=40,
+           callback=lambda t, state: seen.append(len(realizations)))
+    assert seen == [1] * 40
 
 
 # ---------------------------------------------------------------------------

@@ -646,3 +646,12 @@ def test_green_morphism_refuses_a_singular_target_frame(target):
     kernel = np.eye(2 * n, dtype=complex)
     with pytest.raises(AlgebraError, match="singular"):
         green_morphism(kernel, _linear_frame(np.eye(2), target), 1.0, 0.0, n)
+
+
+def test_green_morphism_refuses_a_field_frame():
+    n = 4
+    kernel = np.eye(2 * n, dtype=complex)
+    field = np.broadcast_to(np.eye(2, dtype=complex), (n, 2, 2)).copy()
+    with pytest.raises(GreenError, match="field frame") as refused:
+        green_morphism(kernel, Frame(field), 1.0, 0.0, n)
+    assert "\n" not in str(refused.value)

@@ -164,13 +164,16 @@ def _hermitian_weights(rng, shape, m):
 
 
 @pytest.mark.parametrize("rows", [1, 8])
-@pytest.mark.parametrize("weight", ["per-point", "none"])
+@pytest.mark.parametrize("weight", ["per-point", "diagonal", "none"])
 @pytest.mark.parametrize("m, npoints", [(1, 8), (2, 7), (4, 16)])
 def test_stacked_inner_rows_equal_inner_bitwise(m, npoints, weight, rows):
+    # Diagonal weights, as a phase frame induces, take a broadcast multiply
+    # in place of the einsum, and must sum to the same bits.
     grid = SpatialGrid1D(npoints, 3.0)
     rng = np.random.default_rng(m * 100 + npoints)
     fp = {
         "per-point": lambda: FibreProduct(_hermitian_weights(rng, (npoints,), m)),
+        "diagonal": lambda: FibreProduct(rng.uniform(0.5, 2.0, (npoints, m))[..., None] * np.eye(m)),
         "none": lambda: None,
     }[weight]()
     shape = (rows, m, npoints)

@@ -392,6 +392,13 @@ def test_driven_gauge_frame_without_its_derivative_is_refused():
     assert "\n" not in str(refused.value)
 
 
+def test_constant_frame_with_a_derivative_is_refused():
+    # A constant frame has no rate; a derivative given with one would be dropped.
+    with pytest.raises(AlgebraError, match="constant in t takes no derivative") as refused:
+        Frame(np.eye(2), lambda t: np.zeros((2, 2)))
+    assert "\n" not in str(refused.value)
+
+
 def test_gauge_transform_refuses_a_singular_constant_frame_when_called():
     with pytest.raises(AlgebraError, match="singular"):
         gauge_transform(_expand_to(schrodinger_hamiltonian(1.0)), Frame(np.ones((2, 2))))

@@ -71,3 +71,52 @@ def test_table_gate_writes_every_table_once(tmp_path, capsys):
     # In process numpy is already loaded, so the pool is recorded, not pinned.
     recorded = (tmp_path / "blas.txt").read_text(encoding="utf-8").splitlines()
     assert [line.split("=")[0] for line in recorded] == list(script.BLAS_VARIABLES)
+
+
+def _bench_run(wall, rss, load):
+    """A run as bench_pairs.run_once returns it, with two metrics."""
+    metrics = {"wall_s": {"value": wall, "unit": "s"}, "peak_rss_mb": {"value": rss, "unit": "MiB"}}
+    return {"host": {"blas_threads": 1},
+            "result": {"correct": True, "attempted": 3, "failed": 0, "metrics": metrics},
+            "load": {"before": [load, 0.4, 0.3], "after": [load + 0.1, 0.4, 0.3]}}
+
+
+def _bench_pairs(parent_walls, change_walls):
+    return [{"pair": p, "seed": 10 + p, "first": ("parent", "change")[p % 2],
+             "parent": _bench_run(before, 80.0, 0.5 + p),
+             "change": _bench_run(after, 80.0 - p, 1.5 + p)}
+            for p, (before, after) in enumerate(zip(parent_walls, change_walls))]
+
+
+def test_bench_pairs_folds_runs_into_quartiles_and_pair_counts():
+    script = _load("bench_pairs")
+    better = {"wall_s": "lower", "peak_rss_mb": "lower"}
+    record = script.fold(_bench_pairs([1.0, 1.2, 1.1, 1.3, 0.9], [0.8, 0.9, 1.1, 1.0, 0.7]), better)
+    assert record["seeds"] == [10, 11, 12, 13, 14] and record["blas_threads"] == 1
+    assert record["parent"]["wall_s"] == {"median": 1.1, "q1": 1.0, "q3": 1.2, "n": 5, "unit": "s"}
+    assert record["change"]["wall_s"]["median"] == 0.9
+    change = record["change"]
+    assert (change["runs"], change["attempted"], change["failed"]) == (5, 15, 0)
+    # Equal readings count for neither side: pair 2's wall, pair 0's memory.
+    assert record["pairs"]["wall_s"] == {"change_better": 4, "change_worse": 0, "pairs": 5}
+    assert record["pairs"]["peak_rss_mb"] == {"change_better": 4, "change_worse": 0, "pairs": 5}
+    assert [entry["first"] for entry in record["load"]] == ["parent", "change"] * 2 + ["parent"]
+    assert record["load"][3]["change"] == {"before": [4.5, 0.4, 0.3], "after": [4.6, 0.4, 0.3]}
+    # Four wins in five pairs fall short of nine tenths.
+    claim = script.claim(record, "w", "wall_s", "lower")
+    assert not claim["met"] and "better in 4 of 5 pairs" in claim["reading"]
+
+
+def test_bench_pairs_claim_needs_a_gap_wider_than_the_parent_spread():
+    script = _load("bench_pairs")
+    better = {"wall_s": "lower", "peak_rss_mb": "lower"}
+    parent = [1.0, 1.4, 1.1, 1.3, 0.9]
+    met = script.fold(_bench_pairs(parent, [w - 0.4 for w in parent]), better)
+    assert script.claim(met, "w", "wall_s", "lower")["met"]
+    # Better in every pair, but by less than the parent's interquartile range.
+    close = script.fold(_bench_pairs(parent, [w - 0.1 for w in parent]), better)
+    assert close["pairs"]["wall_s"]["change_better"] == 5
+    assert not script.claim(close, "w", "wall_s", "lower")["met"]
+    # A metric where higher is better counts the other way round.
+    flipped = script.fold(_bench_pairs(parent, [w - 0.3 for w in parent]), {"wall_s": "higher"})
+    assert flipped["pairs"]["wall_s"] == {"change_better": 0, "change_worse": 5, "pairs": 5}
