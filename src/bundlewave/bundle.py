@@ -27,6 +27,7 @@ derivation along the path vanishes.
 from __future__ import annotations
 
 import numbers
+from contextlib import closing
 from dataclasses import dataclass
 from operator import is_
 
@@ -201,9 +202,12 @@ def evolution_transport(
     one LU and one solve serve them all.  A group moves to a copy of the
     stack, and of its spare, on the first substep where they part.
     Substep U(tau_k <- tau_{k+1}) is the stepper's step of size -delta from
-    tau_{k+1}.  Overflow ends in EvolutionError, as in `step_matrix`.  The
-    frames skip the conditioning guard, which `with_gauge` applies to the
-    dense gauged frames; a singular one is refused when solved against.
+    tau_{k+1}.  The substeps come one ahead (`_StepFactors.ahead`): the LU
+    of the next one is taken on a worker thread while this one is solved
+    into the frames, and a refusal met while forming the next one is raised
+    when it is due.  Overflow ends in EvolutionError, as in `step_matrix`.
+    The frames skip the conditioning guard, which `with_gauge` applies to
+    the dense gauged frames; a singular one is refused when solved against.
     """
     size = factory.dimension * grid.npoints
     if size > DENSE_STATE_LIMIT:
@@ -213,6 +217,13 @@ def evolution_transport(
     if substeps < 1:
         raise BundleError(f"need at least one substep, got {substeps}")
     times = sampling.parameters
+
+    def starts():
+        for i in range(sampling.nsamples - 1):
+            delta = (times[i + 1] - times[i]) / substeps
+            for k in range(substeps):
+                yield times[i] + (k + 1) * delta, -delta
+
     # The split of H with its realized S, and its groups, for the whole call.
     factors = _StepFactors(factory, grid, method)
     # owner[g] is the group whose stack g holds: the first of its size.
@@ -226,11 +237,10 @@ def evolution_transport(
     # alternately, so that the last one lands in the slot.
     spares = {}
     # Overflow surfaces as non-finite entries, refused after each interval.
-    with np.errstate(over="ignore", invalid="ignore"):
+    with closing(factors.ahead(starts())) as ahead, np.errstate(over="ignore", invalid="ignore"):
         for i in range(sampling.nsamples - 1):
-            delta = (times[i + 1] - times[i]) / substeps
             for k in range(substeps):
-                steps = [step for _, _, step in factors(times[i] + (k + 1) * delta, -delta)]
+                steps = [step for _, _, step in next(ahead)]
                 for g, o in enumerate(owner):
                     if steps[g] is not steps[o]:
                         # The twins part: g takes a copy of the frames so far.

@@ -38,10 +38,23 @@ U_S = 2 (I + K_S)^-1 - I.  A step matrix, the one `step_matrix`,
 `EvolutionOperator` and a static march hold, comes from `numpy.linalg.inv`
 of (I + K_S)^T per distinct group block, which factors the same F-ordered
 matrix as an LU would and solves it against the identity.  A driven march
-and a transport apply the step without forming it: one in-place scipy LU
-of I + K_S per distinct group block and step, applied by `_cayley` with
-one solve against the group's part psi_S of a driven state, or against
-the group's transport frame with |S| N right-hand sides.
+and a transport apply the step without forming it: one in-place LAPACK
+`getrf` of (I + K_S)^T per distinct group block and step, applied by
+`_cayley` with one solve against the group's part psi_S of a driven state,
+or against the group's transport frame with |S| N right-hand sides.
+
+Those applies run one step ahead (`_StepFactors.ahead`): the matrices of
+step k + 1 are formed and checked on the caller's thread, and their
+`getrf` handed to a worker thread, before step k is applied, so that on a
+host with a second core the LU of one step runs beside the solve of the
+step before it.  The LU depends on H alone, never on the state or the
+frame.  The worker runs `getrf` and nothing else: two threads in scipy's
+`zgetrs` at once were seen to corrupt the heap, while `getrf` beside
+`getrs` stayed bit for bit the serial result, so every solve stays on the
+caller's thread.  Each march or transport starts its own worker and joins
+it when it ends, fails or is closed; none is shared by the process, which a
+forked child would inherit without its thread.  The exponential's `expm`
+stays on the caller's thread.
 
 numpy and scipy each bring their own OpenBLAS with its own thread pool,
 and a pool's workers keep spinning for a while after a threaded call, so
@@ -62,8 +75,9 @@ writes only the entries that D(t) reaches, as (S + D(t)) coeff plus shift
 on the diagonal: the N values of a pointwise entry on the diagonal of its
 block (`LinearGridOperator.diagonal`), or the whole block of any other.
 Only those entries are checked finite and compared between twins.  Then
-it takes one LU of I + K_S per distinct group and one solve per group (for
-the exponential, one expm per distinct group and one product per group).
+it takes one LU of I + K_S per distinct group, on the worker, and one solve
+per group (for the exponential, one expm per distinct group and one
+product per group).
 
 A static H makes the propagator over B steps U_S^B from every lattice time,
 so `march` advances it in blocks of B steps, the dense form of a
@@ -88,7 +102,8 @@ taken literally; it refuses off-lattice times and oversized systems.
 from __future__ import annotations
 
 import numbers
-import warnings
+from concurrent.futures import Future, ThreadPoolExecutor
+from contextlib import closing
 from functools import partial
 from operator import is_
 
@@ -134,6 +149,9 @@ def _formed(h: np.ndarray, coeff: complex, shift: float) -> np.ndarray:
     return h
 
 
+_SINGULAR = "the Crank-Nicolson matrix is singular; change the time step"
+
+
 def _check_cayley(written) -> None:
     """Refuse a Crank-Nicolson matrix with a non-finite entry among the
     arrays `written`, which hold its entries not yet checked."""
@@ -141,25 +159,22 @@ def _check_cayley(written) -> None:
         raise EvolutionError("the Crank-Nicolson matrix left the finite range; reduce the time step")
 
 
-def _cayley_lu(a: np.ndarray, written):
-    """LU of (I + K)^T, factored in place in the C-ordered storage of the
-    formed I + K; `written` holds its entries not yet checked finite."""
-    _check_cayley(written)
-    return scipy.linalg.lu_factor(a.T, overwrite_a=True, check_finite=False)
+def _getrf(a: np.ndarray):
+    """(lu, piv, info) of LAPACK's `getrf` of (I + K)^T, factored in place in
+    the C-ordered storage of the formed I + K: all that a step worker runs."""
+    return scipy.linalg.lapack.zgetrf(a.T, overwrite_a=True)
 
 
-def _cayley_unit(a: np.ndarray, written) -> np.ndarray:
+def _cayley_unit(a: np.ndarray) -> np.ndarray:
     """The Crank-Nicolson step U = 2 (I + K)^-1 - I, formed in the
-    C-ordered storage of the formed I + K; `written` holds its entries not
-    yet checked finite.
+    C-ordered storage of the formed I + K.
 
     `numpy.linalg.inv` of the F-ordered (I + K)^T factors the matrix that
-    `_cayley_lu` factors and solves it against the identity, in numpy's
-    BLAS pool.  Its C-ordered result is the transpose of (I + K)^-1, so U
-    is written back transposed, in C order: the order picks the BLAS
-    variant of every later product with U, and so its bits.
+    `_getrf` factors and solves it against the identity, in numpy's BLAS
+    pool.  Its C-ordered result is the transpose of (I + K)^-1, so U is
+    written back transposed, in C order: the order picks the BLAS variant
+    of every later product with U, and so its bits.
     """
-    _check_cayley(written)
     inverse = np.linalg.inv(a.T)
     a[...] = inverse.T
     a *= 2.0
@@ -167,21 +182,27 @@ def _cayley_unit(a: np.ndarray, written) -> np.ndarray:
     return a
 
 
-def _cayley(lu, x: np.ndarray, right: bool = True, out: np.ndarray | None = None) -> np.ndarray:
+def _cayley(lu: Future, x: np.ndarray, right: bool = True,
+            out: np.ndarray | None = None) -> np.ndarray:
     """x U if `right`, else U x for a state x, for the Crank-Nicolson step
-    U = 2 (I + K)^-1 - I, given the LU of (I + K)^T.
+    U = 2 (I + K)^-1 - I, given the future of `_getrf` of (I + K)^T.
 
-    x (I + K)^-1 is the transpose of a solve of (I + K)^T against x^T, and
-    (I + K)^-1 x a transposed solve against x, so either product takes one
-    solve with as many right-hand sides as x has rows or columns.  `x` is
-    left untouched.  The solve runs in the storage of `out`, a C-ordered
-    array apart from x, or a fresh one, which is returned.
+    The first call waits for the LU; a singular I + K, which `getrf`
+    reports in its `info`, is refused then.  x (I + K)^-1 is the transpose
+    of a solve of (I + K)^T against x^T, and (I + K)^-1 x a transposed
+    solve against x, so either product takes one solve with as many
+    right-hand sides as x has rows or columns.  `x` is left untouched.  The
+    solve runs in the storage of `out`, a C-ordered array apart from x, or
+    a fresh one, which is returned.
     """
+    lu, piv, info = lu.result()
+    if info > 0:
+        raise EvolutionError(_SINGULAR)
     if out is None:
         out = np.empty(x.shape, dtype=complex)
     out[...] = x
     # out, or for x U its F-ordered transpose, is solved in place by LAPACK.
-    scipy.linalg.lu_solve(lu, out.T if right else out, trans=0 if right else 1,
+    scipy.linalg.lu_solve((lu, piv), out.T if right else out, trans=0 if right else 1,
                           overwrite_b=True, check_finite=False)
     out *= 2.0
     out -= x
@@ -324,6 +345,10 @@ class _StepFactors:
     group keeps its S block and the *base* coeff S_S + shift I, formed again
     only when dt changes.  Twin groups, whose S blocks hold the same bits,
     share one S block and one base.
+
+    Applies are taken through `ahead`, one step ahead: a Crank-Nicolson
+    matrix is formed, compared and checked finite on the caller's thread,
+    and only its `getrf` runs on the worker thread that `ahead` owns.
     """
 
     def __init__(self, factory: HamiltonianFactory, grid: SpatialGrid1D, method: str):
@@ -345,6 +370,7 @@ class _StepFactors:
             self._entries = [_driven_entries(part, block, grid.npoints)
                              for (_, _, part), block in zip(self.parts, self._static)]
             self._dt = self._bases = None
+        self._worker = None
 
     def __call__(self, t: float, dt: float, units: bool = False) -> list:
         """(components, positions, step) per component group of
@@ -352,12 +378,13 @@ class _StepFactors:
 
         step(x, right=True) is x U_S if `right`, else U_S x: a Cayley solve
         for Crank-Nicolson, a product with expm(-i dt H_S / hbar) for the
-        exponential.  With `units`, step is the step matrix U_S itself.
-        Every group's matrix is formed, or for a driven H its written
-        entries computed, before any is factored.  A group whose matrix
-        holds the same bits as an earlier group's, a twin, is handed that
-        group's step object, so each distinct matrix takes one LU, inverse
-        or expm.
+        exponential.  With `units`, step is the step matrix U_S itself;
+        without, a Crank-Nicolson step is factored on the worker of `ahead`,
+        inside which alone it may be called.  Every group's matrix is
+        formed, or for a driven H its written entries computed, before any
+        is factored.  A group whose matrix holds the same bits as an earlier
+        group's, a twin, is handed that group's step object, so each
+        distinct matrix takes one LU, inverse or expm.
         """
         mid = t + dt / 2.0
         if self.method == "midpoint-exponential":
@@ -372,6 +399,34 @@ class _StepFactors:
                                   (_formed(part.dense(self.grid, mid), coeff, shift)
                                    for _, _, part in self.parts))
         return [(group, at, step) for (group, at, _), step in zip(self.parts, steps)]
+
+    def ahead(self, starts):
+        """Yield the steps, as `__call__` hands them without `units`, of
+        size dt from t for each (t, dt) of `starts`, one step ahead.
+
+        The steps from the next start are formed, and their Crank-Nicolson
+        LUs handed to a worker thread, before the current ones are yielded,
+        so that an LU runs while the step before it is applied.  A refusal
+        met while forming the next steps is raised when they are due, after
+        the current ones.  The worker belongs to the generator, which joins
+        it, after any LU it runs, when it ends, fails or is closed.
+        """
+        with ThreadPoolExecutor(max_workers=1) as self._worker:
+            try:
+                pending = []
+                for t, dt in starts:
+                    try:
+                        # Overflow surfaces as non-finite entries, refused by `_check_cayley`.
+                        with np.errstate(over="ignore", invalid="ignore"):
+                            following = self(t, dt)
+                    except EvolutionError:
+                        yield from pending
+                        raise
+                    yield from pending
+                    pending = [following]
+                yield from pending
+            finally:
+                self._worker = None
 
     def _driven_steps(self, mid: float, dt: float, coeff: complex, shift: float, units: bool) -> list:
         """The step per group of a driven H: a copy of the group's base per
@@ -425,18 +480,18 @@ class _StepFactors:
     def _factored(self, units: bool, a: np.ndarray, written):
         """The step from the formed matrix `a`, factored in a's storage: its
         apply, or with `units` its step matrix.  `written` holds the
-        entries of `a` not yet checked finite.  A singular I + K_S, which
-        numpy refuses and scipy only warns of, is refused."""
+        entries of `a` not yet checked finite.  A singular I + K_S is
+        refused, by the apply when its LU is taken on the worker."""
         if self.method == "midpoint-exponential":
             unit = scipy.linalg.expm(a)
             return unit if units else partial(_product, unit)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", scipy.linalg.LinAlgWarning)
-            try:
-                return _cayley_unit(a, written) if units else partial(_cayley, _cayley_lu(a, written))
-            except (np.linalg.LinAlgError, scipy.linalg.LinAlgWarning):
-                message = "the Crank-Nicolson matrix is singular; change the time step"
-                raise EvolutionError(message) from None
+        _check_cayley(written)
+        if not units:
+            return partial(_cayley, self._worker.submit(_getrf, a))
+        try:
+            return _cayley_unit(a)
+        except np.linalg.LinAlgError:
+            raise EvolutionError(_SINGULAR) from None
 
     def matrix(self, t: float, dt: float) -> np.ndarray:
         """Dense step over [t, t + dt]; entries between different component
@@ -552,16 +607,19 @@ def _driven_blocks(psi: np.ndarray, factors: _StepFactors, t0: float, dt: float,
     The step from t0 + k dt writes the entries that D reaches at its
     midpoint into a copy of each distinct group's base, factors it once,
     and applies each group with one single-RHS solve (Cayley form) or one
-    matvec.  The static part S is realized once, when the stepper is made.
+    matvec.  The steps come one step ahead (`_StepFactors.ahead`), so the
+    LU of step k + 1 runs while step k is applied.  The static part S is
+    realized once, when the stepper is made.
     """
-    for k in range(steps):
-        block = np.empty((1, psi.size), dtype=complex)
-        # Overflow surfaces as a non-finite state, checked by the caller.
-        with np.errstate(over="ignore", invalid="ignore"):
-            for _, positions, step in factors(t0 + k * dt, dt):
-                block[0, positions] = step(psi[positions], right=False)
-        yield block
-        psi = block[0]
+    with closing(factors.ahead((t0 + k * dt, dt) for k in range(steps))) as ahead:
+        for parts in ahead:
+            block = np.empty((1, psi.size), dtype=complex)
+            # Overflow surfaces as a non-finite state, checked by the caller.
+            with np.errstate(over="ignore", invalid="ignore"):
+                for _, positions, step in parts:
+                    block[0, positions] = step(psi[positions], right=False)
+            yield block
+            psi = block[0]
 
 
 def march(
@@ -581,8 +639,9 @@ def march(
     component group S of H is stepped on its own entries of the state.  A
     static H gets one propagator U_S per group and is marched in blocks of
     B steps, by matvecs or by U_S^B as the module docstring describes.  A
-    time-dependent H is factored at every step midpoint and applied with
-    one single-RHS solve per group, one step per block.
+    time-dependent H is factored at every step midpoint, one step ahead on
+    a worker thread, and applied with one single-RHS solve per group, one
+    step per block.
 
     The arguments are checked when `march` is called.  States are checked
     for finiteness once per block: a block that holds a non-finite state

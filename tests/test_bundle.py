@@ -349,13 +349,13 @@ def test_driven_dirac_transport_factors_its_twin_groups_once(monkeypatch):
     factory = dirac_hamiltonian(1.0, 1.0, Potentials(scalar=lambda t: profile * np.cos(3.0 * t)))
     sampling = PathSampling.uniform(0.0, 0.4, 11)
     calls = []
-    cayley_lu = evolution._cayley_lu
+    getrf = evolution._getrf
 
-    def counted(h_mid, coeff):
-        calls.append(h_mid.shape)
-        return cayley_lu(h_mid, coeff)
+    def counted(a):
+        calls.append(a.shape)
+        return getrf(a)
 
-    monkeypatch.setattr(evolution, "_cayley_lu", counted)
+    monkeypatch.setattr(evolution, "_getrf", counted)
     transport = evolution_transport(factory, grid, sampling, "crank-nicolson", substeps=4)
     assert calls == [(32, 32)] * 40
     (_, first), (_, second) = transport._blocks
@@ -409,13 +409,13 @@ def test_twin_groups_that_diverge_match_each_group_marched_alone(method, monkeyp
     alone = (_switched(np.inf), _switched(0.36))
     n = GRID.npoints
     calls = []
-    cayley_lu = evolution._cayley_lu
+    getrf = evolution._getrf
 
-    def counted(h_mid, coeff):
-        calls.append(h_mid.shape)
-        return cayley_lu(h_mid, coeff)
+    def counted(a):
+        calls.append(a.shape)
+        return getrf(a)
 
-    monkeypatch.setattr(evolution, "_cayley_lu", counted)
+    monkeypatch.setattr(evolution, "_getrf", counted)
     # Twelve steps of 0.05, or four intervals of three substeps: midpoints
     # 0.025 .. 0.325 fall before t* (one LU each), 0.375 .. 0.575 after it
     # (two LUs each).  In the transport the groups part on the second

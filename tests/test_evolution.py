@@ -1,6 +1,13 @@
 """Time stepping, dense propagators, observables, and conserved charge."""
 
+import os
+import re
+import subprocess
+import sys
+import threading
 import warnings
+from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -827,13 +834,13 @@ def test_driven_march_factors_each_distinct_group_block_once(model, monkeypatch)
     make, per_step = _LUS_PER_STEP[model]
     factory = make()
     calls = []
-    cayley_lu = evolution._cayley_lu
+    getrf = evolution._getrf
 
-    def counted(h_mid, coeff):
-        calls.append(h_mid.shape)
-        return cayley_lu(h_mid, coeff)
+    def counted(a):
+        calls.append(a.shape)
+        return getrf(a)
 
-    monkeypatch.setattr(evolution, "_cayley_lu", counted)
+    monkeypatch.setattr(evolution, "_getrf", counted)
     evolve(_random_state(factory.dimension, 5), factory, dt=0.01, steps=40)
     assert calls == [(2 * GRID.npoints,) * 2] * (40 * per_step)
 
@@ -1282,3 +1289,153 @@ def test_crank_nicolson_unitary_for_random_hermitian(reals, seed):
     state = GridFunction(small, values)
     final = evolve(state, factory, dt=0.3, steps=20)
     assert abs(final.norm() - state.norm()) < 1e-12 * max(1.0, state.norm())
+
+
+# ---------------------------------------------------------------------------
+# Driven Crank-Nicolson steps one step ahead: each LU on a worker thread
+
+
+def _refused_at_third_step(value, dt):
+    """H = `value` at the midpoint of the step from 2 dt and 0 elsewhere."""
+    driven = ScaleOp(lambda t: value if abs(t - 2.5 * dt) < dt / 4 else 0.0)
+    return HamiltonianFactory(MatrixOperator([[driven]]), "refused-at-step-3")
+
+
+# I + K = 0 for H = 2 i hbar / dt, exactly at dt = 1/8; an infinite H
+# leaves the finite range.
+_REFUSALS = {
+    "singular": (2j / 0.125, "the Crank-Nicolson matrix is singular; change the time step"),
+    "non-finite": (np.inf, "the Crank-Nicolson matrix left the finite range; reduce the time step"),
+}
+
+
+@pytest.mark.parametrize("refusal", sorted(_REFUSALS))
+def test_a_driven_refusal_lands_at_its_own_step(refusal):
+    # Step 3 is formed while step 2 is pending; its refusal waits for it.
+    from bundlewave.bundle import PathSampling, evolution_transport
+
+    value, message = _REFUSALS[refusal]
+    grid, dt = SpatialGrid1D(8, 1.0), 0.125
+    factory = _refused_at_third_step(value, dt)
+    state = GridFunction(grid, np.ones((1, grid.npoints), dtype=complex))
+    seen = []
+    with pytest.raises(EvolutionError, match=f"^{re.escape(message)}$"):
+        evolve(state, factory, dt=dt, steps=5, callback=lambda t, s: seen.append(t))
+    assert seen == [dt, 2 * dt]
+    # The transport's third interval, of one substep, holds the same
+    # midpoint; its substeps go backward, of size -dt.
+    with pytest.raises(EvolutionError, match=f"^{re.escape(message)}$"):
+        evolution_transport(_refused_at_third_step(-value, dt), grid,
+                            PathSampling.uniform(0.0, 0.625, 6), "crank-nicolson")
+
+
+def test_no_step_worker_outlives_its_march():
+    from bundlewave.bundle import PathSampling, evolution_transport
+
+    before = threading.active_count()
+    blocks = march(_random_state(4, 3), _driven_dirac(), 0.01, 10)
+    next(blocks)
+    assert threading.active_count() == before + 1
+    blocks.close()
+    assert threading.active_count() == before
+    grid, dt = SpatialGrid1D(8, 1.0), 0.125
+    factory = _refused_at_third_step(_REFUSALS["singular"][0], dt)
+    state = GridFunction(grid, np.ones((1, grid.npoints), dtype=complex))
+    with pytest.raises(EvolutionError, match="singular"):
+        evolve(state, factory, dt=dt, steps=5)
+    assert threading.active_count() == before
+    backward = _refused_at_third_step(-_REFUSALS["singular"][0], dt)
+    with pytest.raises(EvolutionError, match="singular"):
+        evolution_transport(backward, grid, PathSampling.uniform(0.0, 0.625, 6), "crank-nicolson")
+    assert threading.active_count() == before
+    evolution_transport(_driven_dirac(), GRID, PathSampling.uniform(0.0, 0.1, 3), "crank-nicolson")
+    assert threading.active_count() == before
+
+
+def _serial_driven_dirac(npoints: int) -> list:
+    """Whether a driven Dirac march and transport on N = `npoints` hold the
+    bits of a serial loop of `scipy.linalg.lu_factor` and `lu_solve` on the
+    group blocks: [march, transport]."""
+    from bundlewave.bundle import PathSampling, evolution_transport
+
+    grid = SpatialGrid1D(npoints, 20.0)
+    profile = 0.3 * np.cos(2.0 * np.pi * grid.points / grid.length)
+    factory = dirac_hamiltonian(1.0, 1.0, Potentials(scalar=lambda t: profile * np.cos(3.0 * t)))
+    rng = np.random.default_rng(29)
+    values = rng.normal(size=(4, npoints)) + 1j * rng.normal(size=(4, npoints))
+    psi, dt, steps = values.reshape(-1), 0.01, 12
+    for k in range(steps):
+        following = np.empty_like(psi)
+        for at, matrix in _reference_formed(factory, grid, k * dt, dt, "crank-nicolson"):
+            following[at] = _reference_apply(matrix, psi[at], "crank-nicolson", right=False)
+        psi = following
+    marched = evolve(GridFunction(grid, values), factory, dt, steps).flatten()
+    times, substeps, size = np.array([0.0, 0.05, 0.12]), 3, 4 * npoints
+    frames = np.zeros((times.size, size, size), dtype=complex)
+    frames[0] = np.eye(size)
+    for i in range(times.size - 1):
+        delta = (times[i + 1] - times[i]) / substeps
+        frame = frames[i]
+        for k in range(substeps):
+            following = np.zeros_like(frame)
+            for at, matrix in _reference_formed(factory, grid, times[i] + (k + 1) * delta,
+                                                -delta, "crank-nicolson"):
+                block = np.ix_(at, at)
+                following[block] = _reference_apply(matrix, frame[block], "crank-nicolson",
+                                                     right=True)
+            frame = following
+        frames[i + 1] = frame
+    transport = evolution_transport(factory, grid, PathSampling(times), "crank-nicolson", substeps)
+    return [bool(np.array_equal(marched, psi)), bool(np.array_equal(transport.frames, frames))]
+
+
+def test_driven_steps_at_two_blas_threads_hold_the_serial_bits():
+    # The pool size is read when numpy loads, so the case runs in a fresh
+    # interpreter.
+    tests = Path(__file__).resolve().parent
+    script = (f"import sys; sys.path[:0] = [{str(tests.parent / 'src')!r}, {str(tests)!r}]\n"
+              "import test_evolution\n"
+              "print(test_evolution._serial_driven_dirac(32))\n")
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "2", "OMP_NUM_THREADS": "2"}
+    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == ["[True,", "True]"]
+
+
+def test_worker_lus_beside_caller_solves_hold_the_serial_bits():
+    # As in a driven march: the LU of matrix k runs on a worker thread while
+    # the caller solves against the LU of matrix k - 1, with many right-hand
+    # sides as a transport does.  Each result holds the bits of the same
+    # calls made one after another.
+    n, count = 64, 200
+    rng = np.random.default_rng(31)
+    rhs = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+
+    def matrix(k):
+        own = np.random.default_rng(k)
+        return np.eye(n) * 8.0 + own.normal(size=(n, n)) + 1j * own.normal(size=(n, n))
+
+    def solved(lu, piv):
+        out = rhs.copy()
+        scipy.linalg.lu_solve((lu, piv), out, trans=1, overwrite_b=True, check_finite=False)
+        return out
+
+    serial = [evolution._getrf(matrix(k))[:2] for k in range(count)]
+    serial_solved = [solved(*lu) for lu in serial]
+    # Frequent switches between the threads while both hold the interpreter.
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=1) as worker:
+            pending = worker.submit(evolution._getrf, matrix(0))
+            for k in range(1, count + 1):
+                lu, piv, info = pending.result(timeout=60)
+                assert info == 0
+                if k < count:
+                    pending = worker.submit(evolution._getrf, matrix(k))
+                assert np.array_equal(lu, serial[k - 1][0])
+                assert np.array_equal(piv, serial[k - 1][1])
+                assert np.array_equal(solved(lu, piv), serial_solved[k - 1])
+    finally:
+        sys.setswitchinterval(interval)
