@@ -21,7 +21,6 @@ from functools import reduce
 from typing import Sequence
 
 import numpy as np
-import scipy.linalg
 
 from .grid import GridFunction, SpatialGrid1D, derivative_values
 
@@ -412,8 +411,12 @@ def singular_index(matrices: np.ndarray) -> int | None:
     SINGULAR_RCOND = 1e-12, i.e. solving with it could lose more than 12 of
     16 digits; a matrix that is not finite counts as singular too.  The test
     is scale-free: c A passes exactly when A does, whatever the fibre size.
-    It costs one LU per matrix and no SVD.
+    It costs one LU per matrix and no SVD or inverse, which suits the large
+    frame stacks and gauges of `bundle.TransportAlongMap`; scipy is
+    imported on the first call.
     """
+    import scipy.linalg
+
     stack = np.asarray(matrices, dtype=complex)
     stack = stack.reshape((-1,) + stack.shape[-2:])
     lange, getrf, gecon = scipy.linalg.get_lapack_funcs(("lange", "getrf", "gecon"), (stack,))
@@ -430,11 +433,21 @@ def singular_index(matrices: np.ndarray) -> int | None:
 
 
 def _frame_inverse(frame: np.ndarray) -> np.ndarray:
-    """Inverse of a frame matrix (n, n), or per point of a field (N, n, n),
-    refused if singular: the one guarded frame inverse."""
-    bad = singular_index(frame)
-    if bad is not None:
-        raise AlgebraError(f"frame is singular at point index {bad}")
+    """Inverse of a frame matrix (m, m), or per point of a field (N, m, m),
+    refused if singular: the one guarded frame inverse.
+
+    The guard is `singular_index`'s test taken exactly: a point is refused
+    when the reciprocal of numpy's batched infinity-norm condition number
+    |f| |f^-1| is below SINGULAR_RCOND or is not a number, as for a frame
+    that is not finite.  The exact value is at most LAPACK's estimate, so
+    whatever `singular_index` refuses is refused here too, up to rounding.
+    For fibres of m <= 5 it costs one more small inverse per point, and it
+    loads no scipy.
+    """
+    rcond = 1.0 / np.linalg.cond(frame, np.inf)
+    bad = np.flatnonzero(~(rcond >= SINGULAR_RCOND))
+    if bad.size:
+        raise AlgebraError(f"frame is singular at point index {bad[0]}")
     return np.linalg.inv(frame)
 
 

@@ -48,19 +48,23 @@ step k + 1 are formed and checked on the caller's thread, and their
 `getrf` handed to a worker thread, before step k is applied, so that on a
 host with a second core the LU of one step runs beside the solve of the
 step before it.  The LU depends on H alone, never on the state or the
-frame.  The worker runs `getrf` and nothing else: two threads in scipy's
-`zgetrs` at once were seen to corrupt the heap, while `getrf` beside
-`getrs` stayed bit for bit the serial result, so every solve stays on the
-caller's thread.  Each march or transport starts its own worker and joins
-it when it ends, fails or is closed; none is shared by the process, which a
-forked child would inherit without its thread.  The exponential's `expm`
-stays on the caller's thread.
+frame.  The worker runs `getrf` and nothing else: two threads solving on
+one shared LU in scipy's `zgetrs` at once corrupted the heap, while
+`getrf` beside `getrs` stayed bit for bit the serial result, so every
+solve stays on the caller's thread.  Each march or transport starts its
+own worker and joins it when it ends, fails or is closed; none is shared
+by the process, which a forked child would inherit without its thread.
+The exponential's `expm` stays on the caller's thread.
 
 numpy and scipy each bring their own OpenBLAS with its own thread pool,
 and a pool's workers keep spinning for a while after a threaded call, so
 on a small host a scipy call between numpy products leaves more busy
 threads than cores.  Everything that forms a Crank-Nicolson step matrix
-therefore runs in numpy's pool alone.
+therefore runs in numpy's pool alone, and scipy is loaded only where a
+route calls it: the exponential's `expm`, and the `getrf` and solve of a
+Crank-Nicolson apply.  A stepper imports it once, on the caller's thread
+(`_bind_scipy`), so a static Crank-Nicolson march, `step_matrix` and
+`EvolutionOperator` never map scipy's OpenBLAS.
 
 Every route names a step by its start time t and size dt; the stepper
 alone evaluates H at the midpoint t + dt / 2.  Time enters only through
@@ -108,7 +112,6 @@ from functools import partial
 from operator import is_
 
 import numpy as np
-import scipy.linalg
 
 from .grid import GridFunction, SpatialGrid1D, inner
 from .algebra import MatrixOperator
@@ -151,6 +154,20 @@ def _formed(h: np.ndarray, coeff: complex, shift: float) -> np.ndarray:
 
 _SINGULAR = "the Crank-Nicolson matrix is singular; change the time step"
 
+# scipy.linalg once `_bind_scipy` has imported it, else None.
+_linalg = None
+
+
+def _bind_scipy() -> None:
+    """Import scipy.linalg on the calling thread unless it is bound already.
+    Calls look their function up on the module, so a wrapper placed on
+    `scipy.linalg` sees them."""
+    global _linalg
+    if _linalg is None:
+        import scipy.linalg
+
+        _linalg = scipy.linalg
+
 
 def _check_cayley(written) -> None:
     """Refuse a Crank-Nicolson matrix with a non-finite entry among the
@@ -161,8 +178,9 @@ def _check_cayley(written) -> None:
 
 def _getrf(a: np.ndarray):
     """(lu, piv, info) of LAPACK's `getrf` of (I + K)^T, factored in place in
-    the C-ordered storage of the formed I + K: all that a step worker runs."""
-    return scipy.linalg.lapack.zgetrf(a.T, overwrite_a=True)
+    the C-ordered storage of the formed I + K: all that a step worker runs,
+    after `_bind_scipy`."""
+    return _linalg.lapack.zgetrf(a.T, overwrite_a=True)
 
 
 def _cayley_unit(a: np.ndarray) -> np.ndarray:
@@ -202,8 +220,8 @@ def _cayley(lu: Future, x: np.ndarray, right: bool = True,
         out = np.empty(x.shape, dtype=complex)
     out[...] = x
     # out, or for x U its F-ordered transpose, is solved in place by LAPACK.
-    scipy.linalg.lu_solve((lu, piv), out.T if right else out, trans=0 if right else 1,
-                          overwrite_b=True, check_finite=False)
+    _linalg.lu_solve((lu, piv), out.T if right else out, trans=0 if right else 1,
+                     overwrite_b=True, check_finite=False)
     out *= 2.0
     out -= x
     return out
@@ -349,6 +367,8 @@ class _StepFactors:
     Applies are taken through `ahead`, one step ahead: a Crank-Nicolson
     matrix is formed, compared and checked finite on the caller's thread,
     and only its `getrf` runs on the worker thread that `ahead` owns.
+    scipy is bound once, on the caller's thread: when the stepper is made
+    for the exponential, and when `ahead` starts (`_bind_scipy`).
     """
 
     def __init__(self, factory: HamiltonianFactory, grid: SpatialGrid1D, method: str):
@@ -371,6 +391,8 @@ class _StepFactors:
                              for (_, _, part), block in zip(self.parts, self._static)]
             self._dt = self._bases = None
         self._worker = None
+        if method == "midpoint-exponential":
+            _bind_scipy()
 
     def __call__(self, t: float, dt: float, units: bool = False) -> list:
         """(components, positions, step) per component group of
@@ -411,6 +433,8 @@ class _StepFactors:
         the current ones.  The worker belongs to the generator, which joins
         it, after any LU it runs, when it ends, fails or is closed.
         """
+        # The LUs and solves of the applies; bound before the worker starts.
+        _bind_scipy()
         with ThreadPoolExecutor(max_workers=1) as self._worker:
             try:
                 pending = []
@@ -483,7 +507,7 @@ class _StepFactors:
         entries of `a` not yet checked finite.  A singular I + K_S is
         refused, by the apply when its LU is taken on the worker."""
         if self.method == "midpoint-exponential":
-            unit = scipy.linalg.expm(a)
+            unit = _linalg.expm(a)
             return unit if units else partial(_product, unit)
         _check_cayley(written)
         if not units:

@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from bundlewave.algebra import (
     METRIC_SIGNATURE,
+    SINGULAR_RCOND,
     AlgebraError,
     DerivativeOp,
     IdentityOp,
@@ -28,6 +29,7 @@ from bundlewave.algebra import (
     promote,
     singular_index,
     slashed_contract,
+    _frame_inverse,
 )
 from bundlewave.grid import GridFunction, SpatialGrid1D, derivative_matrix
 from bundlewave.reduction import (
@@ -333,6 +335,68 @@ def test_singularity_guard_tests_conditioning_not_scale():
         matrix_in_frame(MatrixOperator.identity(2), ill)
     halves = np.broadcast_to(0.5 * np.eye(2), (GRID.npoints, 2, 2))
     assert matrix_in_frame(MatrixOperator.identity(2), halves).shape == (2, 2)
+
+
+def _conditioned(rng, m: int, rcond: float) -> np.ndarray:
+    """A complex (m, m) matrix U diag(s) V^H with random unitary U and V
+    and singular values s spaced evenly in log from 1 down to `rcond`."""
+    def unitary():
+        q, _ = np.linalg.qr(rng.normal(size=(m, m)) + 1j * rng.normal(size=(m, m)))
+        return q
+
+    return unitary() @ np.diag(np.logspace(0.0, np.log10(rcond), m)) @ unitary().conj().T
+
+
+def _refused(frame) -> bool:
+    try:
+        inverse = _frame_inverse(frame)
+    except AlgebraError:
+        return True
+    assert np.array_equal(inverse, np.linalg.inv(frame))
+    return False
+
+
+def test_frame_inverse_agrees_with_singular_index_outside_the_threshold_band():
+    # The frame guard takes the infinity-norm reciprocal condition exactly,
+    # `singular_index` estimates it with LAPACK; the verdicts may differ only
+    # where the exact value lies within a factor 10 of SINGULAR_RCOND.
+    rng = np.random.default_rng(2929)
+    verdicts = []
+    for m in (2, 3, 4, 5):
+        for _ in range(250):
+            frame = _conditioned(rng, m, 10.0 ** rng.uniform(-16.0, 0.0))
+            exact = 1.0 / np.linalg.cond(frame, np.inf)
+            if SINGULAR_RCOND / 10.0 <= exact <= SINGULAR_RCOND * 10.0:
+                continue
+            refused = _refused(frame)
+            assert refused == (singular_index(frame) is not None), (m, exact)
+            verdicts.append(refused)
+    assert len(verdicts) > 800
+    assert 0.1 < np.mean(verdicts) < 0.4
+
+
+@pytest.mark.parametrize("m", [2, 3, 4, 5])
+@pytest.mark.parametrize("kind", ["singular", "nan", "inf"])
+def test_frame_inverse_refuses_one_bad_point_at_its_index(kind, m):
+    rng = np.random.default_rng(m)
+    field = np.stack([_conditioned(rng, m, 0.1) for _ in range(9)])
+    k = m + 2
+    if kind == "singular":
+        field[k, :, 1] = field[k, :, 0]
+    else:
+        field[k, m - 1, 0] = np.nan if kind == "nan" else np.inf
+    with pytest.raises(AlgebraError, match=f"singular at point index {k}$"):
+        _frame_inverse(field)
+    assert singular_index(field) == k
+
+
+@pytest.mark.parametrize("scale", [1e-30, 1e8])
+def test_frame_inverse_passes_scaled_fields(scale):
+    rng = np.random.default_rng(7)
+    for m in (2, 3, 4, 5):
+        field = scale * np.stack([_conditioned(rng, m, 1e-3) for _ in range(9)])
+        assert not _refused(field)
+        assert singular_index(field) is None
 
 
 # ---------------------------------------------------------------------------

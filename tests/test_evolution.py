@@ -500,7 +500,8 @@ def test_static_crank_nicolson_runs_without_scipy(monkeypatch):
         raise AssertionError("scipy was called")
 
     for name in ("lu_factor", "lu_solve", "expm"):
-        monkeypatch.setattr(evolution.scipy.linalg, name, refused)
+        monkeypatch.setattr(scipy.linalg, name, refused)
+    monkeypatch.setattr(scipy.linalg.lapack, "zgetrf", refused)
     for name, route in routes.items():
         assert np.array_equal(route(), expected[name]), name
 
@@ -1421,6 +1422,8 @@ def test_worker_lus_beside_caller_solves_hold_the_serial_bits():
         scipy.linalg.lu_solve((lu, piv), out, trans=1, overwrite_b=True, check_finite=False)
         return out
 
+    # A stepper binds scipy on the caller's thread before its worker starts.
+    evolution._bind_scipy()
     serial = [evolution._getrf(matrix(k))[:2] for k in range(count)]
     serial_solved = [solved(*lu) for lu in serial]
     # Frequent switches between the threads while both hold the interpreter.
