@@ -16,17 +16,18 @@ numbers give directories that `diff -r` finds equal.  Prints one
 `table,exit_code` line per table and fails unless every command exits 0.
 
 The last digits of some tables depend on the size of the BLAS thread pool,
-which numpy reads when it loads.  Run as a script, this pins the pool to
-one thread first, as `perfbench/run.py` does; imported into a process
-that has loaded numpy, it pins nothing.  Either way OUT/blas.txt records
-the pool variables it ran under, so two outputs taken at different
-settings differ in that file.
+which numpy reads when it loads.  Unless numpy is loaded already, `main`
+pins the pool to `--threads` threads (default 1) first, as
+`perfbench/run.py` does; called in a process that has loaded numpy, it
+pins nothing.  Either way OUT/blas.txt records the pool variables it ran
+under, so two outputs taken at different settings differ in that file.
 
-Example:
+Example, at one and at two BLAS threads:
 
     PYTHONPATH=src python3 scripts/table_gate.py /tmp/tables-before
     PYTHONPATH=src python3 scripts/table_gate.py /tmp/tables-after
     diff -r /tmp/tables-before /tmp/tables-after
+    PYTHONPATH=src python3 scripts/table_gate.py --threads 2 /tmp/tables-2
 """
 
 import argparse
@@ -81,13 +82,18 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("out", type=Path, help="directory that receives the tables")
     parser.add_argument("--seeds", type=int, nargs="+", default=[5, 7, 1001])
+    parser.add_argument("--threads", type=int, default=1,
+                        help="BLAS threads, pinned unless numpy is loaded already")
     return parser
 
 
 def main(argv=None) -> int:
+    args = build_parser().parse_args(argv)
+    if "numpy" not in sys.modules:
+        for variable in BLAS_VARIABLES:
+            os.environ[variable] = str(args.threads)
     from bundlewave.cli import EXIT_OK, main as cli_main
 
-    args = build_parser().parse_args(argv)
     args.out.mkdir(parents=True, exist_ok=True)
     (args.out / "blas.txt").write_text(
         "".join(f"{name}={os.environ.get(name, '')}\n" for name in BLAS_VARIABLES),
@@ -135,7 +141,4 @@ def main(argv=None) -> int:
 
 
 if __name__ == "__main__":
-    # Before bundlewave, and so numpy, is imported.
-    for variable in BLAS_VARIABLES:
-        os.environ[variable] = "1"
     raise SystemExit(main())

@@ -16,8 +16,9 @@ frame constant in t.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
-from functools import reduce
+from functools import cached_property, reduce
 from typing import Sequence
 
 import numpy as np
@@ -400,6 +401,44 @@ def kron_component_matrix(matrix: np.ndarray, npoints: int) -> np.ndarray:
     return np.kron(matrix, np.eye(npoints, dtype=complex))
 
 
+# The idle spin of scipy's OpenBLAS pool, as a power of two of CPU cycles:
+# after a threaded call its workers spin 2^25 cycles (about 17 ms at
+# 2 GHz) before they sleep, against OpenBLAS's default of 2^28 (about
+# 0.13 s).  A longer spin keeps a worker busy beside numpy's pool, which
+# runs the products around a scipy call; a shorter one puts the workers to
+# sleep between the few-millisecond steps of a driven transport, whose
+# solves then pay for waking them.  The spin changes no work split and no
+# bits.
+SCIPY_SPIN_EXPONENT = 25
+
+# scipy.linalg once `_bind_scipy` has imported it, else None.
+_linalg = None
+
+
+def _bind_scipy():
+    """scipy.linalg, imported on the calling thread unless it is bound
+    already: the one place where bundlewave loads scipy.
+
+    OpenBLAS reads `OPENBLAS_THREAD_TIMEOUT` once, when its library loads,
+    so the import runs with it set to SCIPY_SPIN_EXPONENT, unless it is set
+    already, and the environment is restored afterwards.  Callers look
+    their function up on the returned module, so a wrapper placed on
+    `scipy.linalg` sees them.
+    """
+    global _linalg
+    if _linalg is None:
+        preset = "OPENBLAS_THREAD_TIMEOUT" in os.environ
+        if not preset:
+            os.environ["OPENBLAS_THREAD_TIMEOUT"] = str(SCIPY_SPIN_EXPONENT)
+        try:
+            import scipy.linalg
+        finally:
+            if not preset:
+                del os.environ["OPENBLAS_THREAD_TIMEOUT"]
+        _linalg = scipy.linalg
+    return _linalg
+
+
 SINGULAR_RCOND = 1e-12
 
 
@@ -413,13 +452,11 @@ def singular_index(matrices: np.ndarray) -> int | None:
     is scale-free: c A passes exactly when A does, whatever the fibre size.
     It costs one LU per matrix and no SVD or inverse, which suits the large
     frame stacks and gauges of `bundle.TransportAlongMap`; scipy is
-    imported on the first call.
+    bound on the first call (`_bind_scipy`).
     """
-    import scipy.linalg
-
     stack = np.asarray(matrices, dtype=complex)
     stack = stack.reshape((-1,) + stack.shape[-2:])
-    lange, getrf, gecon = scipy.linalg.get_lapack_funcs(("lange", "getrf", "gecon"), (stack,))
+    lange, getrf, gecon = _bind_scipy().get_lapack_funcs(("lange", "getrf", "gecon"), (stack,))
     for i, matrix in enumerate(stack):
         # LAPACK reads the C-ordered matrix as its transpose, without a copy;
         # the 1-norm condition of the transpose is the infinity-norm one.
@@ -461,6 +498,8 @@ class Frame:
     callable t -> df/dt, and a constant takes none.  One convention serves
     every caller: the state in the frame is f^{-1} psi, an operator H becomes
     f^{-1} H f - i*hbar f^{-1} df/dt, and a kernel f(t)^{-1} G(t, s) f(s).
+    A constant frame is inverted once, on first use, and every later
+    `inverse` hands out that read-only result.
     """
 
     matrix: object
@@ -483,7 +522,13 @@ class Frame:
         return m
 
     def inverse(self, t: float = 0.0) -> np.ndarray:
-        return _frame_inverse(self.at(t))
+        return _frame_inverse(self.at(t)) if self.time_dependent else self._constant_inverse
+
+    @cached_property
+    def _constant_inverse(self) -> np.ndarray:
+        inverse = _frame_inverse(self.at())
+        inverse.flags.writeable = False
+        return inverse
 
 
 def matrix_in_frame(op: MatrixOperator, frame: np.ndarray) -> MatrixOperator:

@@ -62,9 +62,17 @@ on a small host a scipy call between numpy products leaves more busy
 threads than cores.  Everything that forms a Crank-Nicolson step matrix
 therefore runs in numpy's pool alone, and scipy is loaded only where a
 route calls it: the exponential's `expm`, and the `getrf` and solve of a
-Crank-Nicolson apply.  A stepper imports it once, on the caller's thread
-(`_bind_scipy`), so a static Crank-Nicolson march, `step_matrix` and
-`EvolutionOperator` never map scipy's OpenBLAS.
+Crank-Nicolson apply.  A stepper binds it once, on the caller's thread
+(`algebra._bind_scipy`), so a static Crank-Nicolson march, `step_matrix`
+and `EvolutionOperator` never map scipy's OpenBLAS.  The binder loads
+scipy's OpenBLAS with an idle spin of 2^SCIPY_SPIN_EXPONENT cycles
+instead of OpenBLAS's 2^28, so after an `expm` its worker sleeps within
+about 17 ms instead of spinning beside numpy's products for a tenth of a
+second, while it stays awake between the steps of a driven transport.
+The thread counts, the work split and the bits stay as they were.
+numpy's pool keeps its default spin: it is loaded before bundlewave can
+set one, and a static march's back-to-back products would pay for every
+wake-up.
 
 Every route names a step by its start time t and size dt; the stepper
 alone evaluates H at the midpoint t + dt / 2.  Time enters only through
@@ -114,7 +122,7 @@ from operator import is_
 import numpy as np
 
 from .grid import GridFunction, SpatialGrid1D, inner
-from .algebra import MatrixOperator
+from .algebra import MatrixOperator, _bind_scipy
 from .reduction import HamiltonianFactory
 
 DENSE_STATE_LIMIT = 1024
@@ -154,21 +162,6 @@ def _formed(h: np.ndarray, coeff: complex, shift: float) -> np.ndarray:
 
 _SINGULAR = "the Crank-Nicolson matrix is singular; change the time step"
 
-# scipy.linalg once `_bind_scipy` has imported it, else None.
-_linalg = None
-
-
-def _bind_scipy() -> None:
-    """Import scipy.linalg on the calling thread unless it is bound already.
-    Calls look their function up on the module, so a wrapper placed on
-    `scipy.linalg` sees them."""
-    global _linalg
-    if _linalg is None:
-        import scipy.linalg
-
-        _linalg = scipy.linalg
-
-
 def _check_cayley(written) -> None:
     """Refuse a Crank-Nicolson matrix with a non-finite entry among the
     arrays `written`, which hold its entries not yet checked."""
@@ -180,7 +173,7 @@ def _getrf(a: np.ndarray):
     """(lu, piv, info) of LAPACK's `getrf` of (I + K)^T, factored in place in
     the C-ordered storage of the formed I + K: all that a step worker runs,
     after `_bind_scipy`."""
-    return _linalg.lapack.zgetrf(a.T, overwrite_a=True)
+    return _bind_scipy().lapack.zgetrf(a.T, overwrite_a=True)
 
 
 def _cayley_unit(a: np.ndarray) -> np.ndarray:
@@ -220,8 +213,8 @@ def _cayley(lu: Future, x: np.ndarray, right: bool = True,
         out = np.empty(x.shape, dtype=complex)
     out[...] = x
     # out, or for x U its F-ordered transpose, is solved in place by LAPACK.
-    _linalg.lu_solve((lu, piv), out.T if right else out, trans=0 if right else 1,
-                     overwrite_b=True, check_finite=False)
+    _bind_scipy().lu_solve((lu, piv), out.T if right else out, trans=0 if right else 1,
+                           overwrite_b=True, check_finite=False)
     out *= 2.0
     out -= x
     return out
@@ -507,7 +500,7 @@ class _StepFactors:
         entries of `a` not yet checked finite.  A singular I + K_S is
         refused, by the apply when its LU is taken on the worker."""
         if self.method == "midpoint-exponential":
-            unit = _linalg.expm(a)
+            unit = _bind_scipy().expm(a)
             return unit if units else partial(_product, unit)
         _check_cayley(written)
         if not units:

@@ -38,10 +38,10 @@ from .algebra import (
     kg_gammas,
     alpha_matrices,
     beta_matrix,
-    matrix_in_frame,
     op_compose,
     op_scale,
     op_sum,
+    promote,
 )
 from .grid import GridFunction, derivative_values
 
@@ -399,7 +399,8 @@ def gauge_transform(factory: HamiltonianFactory, frame: Frame) -> HamiltonianFac
     """H' = f^{-1} H f - i*hbar f^{-1} df/dt for the state f^{-1} psi in the
     frame f, built once; a frame singular at t = 0 is refused here.
 
-    A frame constant in t enters through `matrix_in_frame`.  A driven frame
+    A frame constant in t enters as f^{-1} (.) H (.) f, as in
+    `matrix_in_frame`, with the frame's own inverse.  A driven frame
     enters as one callable scale factor per entry of f(t)^-1, f(t) and the
     rate term, all reading one evaluation of the frame per t; a driven field
     gives each entry its (N,) samples.  They are placed on the union of the
@@ -412,7 +413,8 @@ def gauge_transform(factory: HamiltonianFactory, frame: Frame) -> HamiltonianFac
         raise ReductionError(f"frame of shape {shape} does not fit dimension {dim}")
     label = f"{factory.label}-gauged"
     if not frame.time_dependent:
-        return HamiltonianFactory(matrix_in_frame(factory.op, frame.at()), label, hbar)
+        framed = promote(frame.inverse()).odot(factory.op).odot(promote(frame.at()))
+        return HamiltonianFactory(framed, label, hbar)
 
     def terms(t: float) -> np.ndarray:
         f_inv = frame.inverse(t)

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bundlewave import evolution
+from bundlewave import algebra, evolution
 from bundlewave.cli import (
     EXIT_CONFIG,
     EXIT_INVARIANT,
@@ -248,6 +248,25 @@ def test_framed_step_zero_norm_is_summed_like_the_marched_rows(tmp_path, capsys)
     assert main(["run", "--config", cfg, "--seed", "2"]) == EXIT_OK
     step0 = capsys.readouterr().out.splitlines()[1].split(",")
     assert step0[2] == format(float(norm), ".17g") == "0.99999999999999989"
+
+
+@pytest.mark.parametrize("frame", ["profile = phase\namplitude = 0.7",
+                                   "profile = constant\nangle = 0.4"])
+def test_a_framed_run_inverts_its_frame_once(tmp_path, monkeypatch, frame):
+    # The state f^{-1} psi and the operator f^{-1} H f share one inverse.
+    inverses = []
+
+    def counted(matrix):
+        inverses.append(matrix.shape)
+        return inverse(matrix)
+
+    inverse = algebra._frame_inverse
+    monkeypatch.setattr(algebra, "_frame_inverse", counted)
+    cfg = _write(tmp_path, "framed.cfg", "[model]\nkind = dirac\n[grid]\npoints = 16\n"
+                 "[evolution]\ntime-step = 0.01\nsteps = 3\n[initial]\nprofile = random\n"
+                 f"[frame]\n{frame}\n")
+    assert main(["run", "--config", cfg, "--out", str(tmp_path / "out")]) == EXIT_OK
+    assert inverses == [(16, 4, 4)]
 
 
 @pytest.mark.parametrize("kind", ["dirac", "schrodinger"])

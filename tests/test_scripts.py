@@ -1,6 +1,9 @@
 """Smoke tests for the experiment scripts under scripts/."""
 
 import importlib.util
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -71,6 +74,27 @@ def test_table_gate_writes_every_table_once(tmp_path, capsys):
     # In process numpy is already loaded, so the pool is recorded, not pinned.
     recorded = (tmp_path / "blas.txt").read_text(encoding="utf-8").splitlines()
     assert [line.split("=")[0] for line in recorded] == list(script.BLAS_VARIABLES)
+
+
+def test_table_gate_pins_the_threads_it_is_given(tmp_path):
+    # Fresh interpreters, where the pool is pinned before numpy loads.
+    env = {name: value for name, value in os.environ.items()
+           if name not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}
+    env["PYTHONPATH"] = str(SCRIPTS.parent / "src")
+    for threads in (1, 2):
+        command = [sys.executable, str(SCRIPTS / "table_gate.py"), str(tmp_path / str(threads)),
+                   "--seeds", "7", "--threads", str(threads)]
+        done = subprocess.run(command, capture_output=True, text=True, env=env, timeout=300)
+        assert done.returncode == 0, done.stderr
+        lines = done.stdout.splitlines()
+        assert lines[0] == "table,exit_code" and all(line.endswith(",0") for line in lines[1:])
+        assert (tmp_path / str(threads) / "blas.txt").read_text(encoding="utf-8") == (
+            f"OPENBLAS_NUM_THREADS={threads}\nOMP_NUM_THREADS={threads}\n"
+            f"MKL_NUM_THREADS={threads}\n")
+    if len(os.sched_getaffinity(0)) >= 2:
+        # The last digits of the Born table follow the pool size.
+        table = Path("green-dirac-born-seed7", "green.csv")
+        assert (tmp_path / "1" / table).read_bytes() != (tmp_path / "2" / table).read_bytes()
 
 
 def _bench_run(wall, rss, load):
