@@ -259,6 +259,35 @@ def op_sum(*ops: LinearGridOperator) -> LinearGridOperator:
     return SumOp(terms)
 
 
+def _split_term(op: LinearGridOperator, walk):
+    """(symbol, pointwise part) of one operator other than a derivative for
+    `MatrixOperator.symbol`, taking its parts through `walk`; None if it
+    has a term that is neither."""
+    if op.is_zero():
+        return 0j, ZeroOp()
+    if isinstance(op, IdentityOp):
+        return 1 + 0j, ZeroOp()
+    if isinstance(op, ScaleOp) and not callable(op.factor) and np.ndim(op.factor) == 0:
+        return complex(op.factor), ZeroOp()
+    if isinstance(op, (SumOp, ComposeOp)):
+        parts = [walk(term) for term in (op.terms if isinstance(op, SumOp) else op.factors)]
+        if any(part is None for part in parts):
+            return None
+        if isinstance(op, SumOp):
+            return sum(symbol for symbol, _ in parts), op_sum(*(rest for _, rest in parts))
+        symbol, rest = parts[0]
+        for factor, factor_rest in parts[1:]:
+            # (s + P)(s' + P') = s s' + s P' + s' P + P P', where a pointwise
+            # P may meet a number s' only.
+            if (not rest.is_zero() and np.ndim(factor)) or (not factor_rest.is_zero() and np.ndim(symbol)):
+                return None
+            rest = op_sum(op_compose(rest, factor_rest), op_scale(symbol, factor_rest),
+                          op_scale(factor, rest))
+            symbol = symbol * factor
+        return symbol, rest
+    return (0j, op) if op.pointwise() else None
+
+
 # ---------------------------------------------------------------------------
 # Matrices of operators
 
@@ -374,6 +403,68 @@ class MatrixOperator:
                     blocks[id(entry)] = entry.dense(grid, t)
                 out[i * n:(i + 1) * n, j * n:(j + 1) * n] = blocks[id(entry)]
         return out
+
+    def fields(self, grid: SpatialGrid1D, t: float = 0.0) -> np.ndarray:
+        """The (N, n, p) per-point matrices of a matrix of pointwise
+        operators, from each entry's `diagonal`: the inverse of
+        `from_fields`.  An entry object that appears more than once is
+        realized once."""
+        rows, cols = self.shape
+        out = np.zeros((grid.npoints, rows, cols), dtype=complex)
+        values: dict = {}
+        for i in range(rows):
+            for j in range(cols):
+                entry = self.entries[i][j]
+                if not entry.is_zero():
+                    if id(entry) not in values:
+                        values[id(entry)] = entry.diagonal(grid, t)
+                    out[:, i, j] = values[id(entry)]
+        return out
+
+    def symbol(self, grid: SpatialGrid1D) -> tuple[np.ndarray, "MatrixOperator"] | None:
+        """(C^, P) with the operator C + P on a periodic grid, C translation
+        invariant and static, P pointwise; None if an entry has a term that
+        is neither, such as a field or driven factor around a derivative,
+        and on a reflecting grid.
+
+        C^ is the (N, n, p) symbol of C: C^(k) its matrix at each wavenumber
+        k, in FFT order.  P is a matrix of pointwise operators.  One walk
+        of each entry: identities and scale factors constant in x and t
+        are numbers, a derivative is the FFT of its `apply` to the unit
+        impulse at x = 0, its first column, so the Nyquist rule of
+        `derivative_values` holds; sums add and compositions multiply
+        symbols, and a pointwise term is composed with numbers only.  Each
+        derivative object is realized once, and no N x N matrix is formed.
+        """
+        if grid.boundary != "periodic":
+            return None
+        impulse = np.zeros(grid.npoints, dtype=complex)
+        impulse[0] = 1.0
+        # A first walk reads only which symbols are numbers, so an operator
+        # that is refused realizes no derivative.
+        stand_in = np.ones(grid.npoints, dtype=complex)
+        for realize in (False, True):
+            walked: dict = {}
+
+            def walk(op):
+                """(symbol, pointwise part) of `op`: the symbol a number or
+                an (N,) array; None if `op` has a term that is neither."""
+                if id(op) not in walked:
+                    if isinstance(op, DerivativeOp):
+                        symbol = np.fft.fft(op.apply(impulse, grid)) if realize else stand_in
+                        walked[id(op)] = symbol, ZeroOp()
+                    else:
+                        walked[id(op)] = _split_term(op, walk)
+                return walked[id(op)]
+
+            splits = [[walk(entry) for entry in row] for row in self.entries]
+            if any(split is None for row in splits for split in row):
+                return None
+        rows, cols = self.shape
+        symbol = np.zeros((grid.npoints, rows, cols), dtype=complex)
+        for i, j in np.ndindex(rows, cols):
+            symbol[:, i, j] = splits[i][j][0]
+        return symbol, MatrixOperator([[rest for _, rest in row] for row in splits])
 
     def describe(self) -> list:
         """(row, col, text) triples for the non-trivial entries."""

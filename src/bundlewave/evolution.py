@@ -37,59 +37,47 @@ step matrix U_S itself.  Crank-Nicolson is used in Cayley form,
 U_S = 2 (I + K_S)^-1 - I.  A step matrix, the one `step_matrix`,
 `EvolutionOperator` and a static march hold, comes from `numpy.linalg.inv`
 of (I + K_S)^T per distinct group block, which factors the same F-ordered
-matrix as an LU would and solves it against the identity.  A driven march
-and a transport apply the step without forming it: one in-place LAPACK
-`getrf` of (I + K_S)^T per distinct group block and step, applied by
-`_cayley` with one solve against the group's part psi_S of a driven state,
-or against the group's transport frame with |S| N right-hand sides.
+matrix as an LU would and solves it against the identity.  A transport,
+and a driven march off the spectral route below, apply the step without
+forming it: one in-place LAPACK `getrf` of (I + K_S)^T per distinct group
+block and step, applied by `_cayley` with one solve against psi_S or
+against the group's transport frame with |S| N right-hand sides.  Those
+applies run one step ahead (`_StepFactors.ahead`): step k + 1 is formed
+and checked on the caller's thread and its `getrf` handed to a worker
+thread, which runs nothing else, before step k is solved.  Two threads
+solving on one shared LU in scipy's `zgetrs` at once corrupted the heap,
+so every solve stays on the caller's thread.  Each march or transport
+joins its own worker when it ends, fails or is closed.
 
-Those applies run one step ahead (`_StepFactors.ahead`): the matrices of
-step k + 1 are formed and checked on the caller's thread, and their
-`getrf` handed to a worker thread, before step k is applied, so that on a
-host with a second core the LU of one step runs beside the solve of the
-step before it.  The LU depends on H alone, never on the state or the
-frame.  The worker runs `getrf` and nothing else: two threads solving on
-one shared LU in scipy's `zgetrs` at once corrupted the heap, while
-`getrf` beside `getrs` stayed bit for bit the serial result, so every
-solve stays on the caller's thread.  Each march or transport starts its
-own worker and joins it when it ends, fails or is closed; none is shared
-by the process, which a forked child would inherit without its thread.
-The exponential's `expm` stays on the caller's thread.
+Every route names a step by its start time t and size dt, and takes H at
+the midpoint t + dt / 2 through `_midpoint` alone.  Time enters only
+through callable scale factors, so `MatrixOperator.split` writes H(t) as
+S + D(t), S holding the terms that do not vary, such as the derivatives,
+realized once per stepper.  Each group keeps its S block and a *base*,
+coeff S_S + shift I, formed again only when dt changes; a step copies it
+once per distinct group and writes only the entries that D(t) reaches:
+the N values of a pointwise entry on the diagonal of its block
+(`LinearGridOperator.diagonal`), or the whole block of any other.  Only
+those entries are checked finite and compared between twins.
+
+On a periodic grid a driven Crank-Nicolson march needs no LU when
+`MatrixOperator.symbol` splits H(t) as C + P(t), C translation invariant
+with an m x m symbol per wavenumber and P pointwise (`_spectral_blocks`).
+Each step solves the same (I + K) psi' = (I - K) psi by sweeps
+psi' <- F^-1 (I + K^_C)^-1 F [(I - K) psi - K_P psi'] of two FFTs each,
+while their contraction bound rho stays at most 1/2; from the first step
+past it the march goes on by LU.  No worker is started and no scipy is
+loaded.  An x-dependent or driven factor around a derivative, as in a
+field frame or (p - qA)^2, and a reflecting grid take the LU route.
 
 numpy and scipy each bring their own OpenBLAS with its own thread pool,
-and a pool's workers keep spinning for a while after a threaded call, so
-on a small host a scipy call between numpy products leaves more busy
-threads than cores.  Everything that forms a Crank-Nicolson step matrix
-therefore runs in numpy's pool alone, and scipy is loaded only where a
-route calls it: the exponential's `expm`, and the `getrf` and solve of a
-Crank-Nicolson apply.  A stepper binds it once, on the caller's thread
-(`algebra._bind_scipy`), so a static Crank-Nicolson march, `step_matrix`
-and `EvolutionOperator` never map scipy's OpenBLAS.  The binder loads
-scipy's OpenBLAS with an idle spin of 2^SCIPY_SPIN_EXPONENT cycles
-instead of OpenBLAS's 2^28, so after an `expm` its worker sleeps within
-about 17 ms instead of spinning beside numpy's products for a tenth of a
-second, while it stays awake between the steps of a driven transport.
-The thread counts, the work split and the bits stay as they were.
-numpy's pool keeps its default spin: it is loaded before bundlewave can
-set one, and a static march's back-to-back products would pay for every
-wake-up.
-
-Every route names a step by its start time t and size dt; the stepper
-alone evaluates H at the midpoint t + dt / 2.  Time enters only through
-callable scale factors, so `MatrixOperator.split` writes H(t) as S + D(t),
-S holding the terms that do not vary, such as the derivatives.  `march` and
-`bundle.evolution_transport` split the factory's operator once per march
-and realize S once.  Each group keeps its S block and a *base*,
-coeff S_S + shift I: the part that does not vary of the matrix a step
-factors, I + K_S or the exponential's argument.  The base is formed again
-only when dt changes.  A step copies the base once per distinct group and
-writes only the entries that D(t) reaches, as (S + D(t)) coeff plus shift
-on the diagonal: the N values of a pointwise entry on the diagonal of its
-block (`LinearGridOperator.diagonal`), or the whole block of any other.
-Only those entries are checked finite and compared between twins.  Then
-it takes one LU of I + K_S per distinct group, on the worker, and one solve
-per group (for the exponential, one expm per distinct group and one
-product per group).
+and a pool's workers keep spinning for a while after a threaded call.  So
+a Crank-Nicolson step matrix runs in numpy's pool alone, and scipy is
+loaded only where a route calls it: `expm`, and the `getrf` and solve of
+an LU apply, bound once on the caller's thread (`algebra._bind_scipy`),
+with an idle spin of 2^SCIPY_SPIN_EXPONENT cycles instead of 2^28: after
+an `expm` its worker sleeps within about 17 ms, yet stays awake between
+the steps of a driven transport.  numpy's pool keeps its default spin.
 
 A static H makes the propagator over B steps U_S^B from every lattice time,
 so `march` advances it in blocks of B steps, the dense form of a
@@ -132,6 +120,7 @@ METHODS = ("crank-nicolson", "midpoint-exponential")
 # level with B = 8, but its rule would need 2064 steps at |S| N = 512.
 _SQUARINGS = 3
 _BLOCK = 2**_SQUARINGS
+_EPS = np.finfo(float).eps
 
 
 class EvolutionError(RuntimeError):
@@ -149,6 +138,11 @@ def _check_dense(factory: HamiltonianFactory, grid: SpatialGrid1D, what: str) ->
     size = factory.dimension * grid.npoints
     if size > DENSE_STATE_LIMIT:
         raise EvolutionError(f"{what} of size {size} exceeds limit {DENSE_STATE_LIMIT}")
+
+
+def _midpoint(t: float, dt: float) -> float:
+    """The time at which the step of size dt from t takes H, on every route."""
+    return t + dt / 2.0
 
 
 def _formed(h: np.ndarray, coeff: complex, shift: float) -> np.ndarray:
@@ -401,7 +395,7 @@ class _StepFactors:
         group's, a twin, is handed that group's step object, so each
         distinct matrix takes one LU, inverse or expm.
         """
-        mid = t + dt / 2.0
+        mid = _midpoint(t, dt)
         if self.method == "midpoint-exponential":
             coeff, shift = -1j * dt / self.factory.hbar, 0.0
         else:
@@ -617,9 +611,11 @@ def _static_blocks(psi: np.ndarray, units: list, steps: int):
         window, done = block, done + rows
 
 
-def _driven_blocks(psi: np.ndarray, factors: _StepFactors, t0: float, dt: float, steps: int):
-    """Yield the states after steps 1..steps of a time-dependent H from psi,
-    one per step, as the single row of a fresh array.
+def _driven_blocks(psi: np.ndarray, factors: _StepFactors, t0: float, dt: float, steps: int,
+                   first: int = 0):
+    """Yield the states after steps first + 1..steps of a time-dependent H
+    from psi, the state after step `first`, one per step, as the single row
+    of a fresh array.
 
     The step from t0 + k dt writes the entries that D reaches at its
     midpoint into a copy of each distinct group's base, factors it once,
@@ -628,7 +624,7 @@ def _driven_blocks(psi: np.ndarray, factors: _StepFactors, t0: float, dt: float,
     LU of step k + 1 runs while step k is applied.  The static part S is
     realized once, when the stepper is made.
     """
-    with closing(factors.ahead((t0 + k * dt, dt) for k in range(steps))) as ahead:
+    with closing(factors.ahead((t0 + k * dt, dt) for k in range(first, steps))) as ahead:
         for parts in ahead:
             block = np.empty((1, psi.size), dtype=complex)
             # Overflow surfaces as a non-finite state, checked by the caller.
@@ -637,6 +633,92 @@ def _driven_blocks(psi: np.ndarray, factors: _StepFactors, t0: float, dt: float,
                     block[0, positions] = step(psi[positions], right=False)
             yield block
             psi = block[0]
+
+
+# A spectral step runs while its sweeps contract by at most this factor; it
+# then converges to rounding within _SWEEPS sweeps.
+_CONTRACTION = 0.5
+_SWEEPS = 60
+
+
+def _at_points(matrices: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """The (m, N) products of (m, m, N) matrices, one per point or
+    wavenumber, with the (m, N) x."""
+    return (matrices * x).sum(axis=1)
+
+
+def _sweeps(state: np.ndarray, cayley: np.ndarray, inverse: np.ndarray, kp: np.ndarray,
+            rho: float) -> np.ndarray:
+    """psi' of a spectral Crank-Nicolson step from the (m, N) `state`: the
+    sweeps psi' <- F^-1 [M F psi - A F K_P (psi + psi')], with `cayley` M
+    and `inverse` A per wavenumber and K_P = `kp` per point, each changing
+    psi' by at most `rho` times the change before it."""
+    # The part of each sweep that psi' does not enter.
+    fixed = np.fft.ifft(_at_points(cayley, np.fft.fft(state))
+                        - _at_points(inverse, np.fft.fft(_at_points(kp, state))))
+    following, last = fixed, np.inf
+    for _ in range(_SWEEPS):
+        swept = fixed - np.fft.ifft(_at_points(inverse, np.fft.fft(_at_points(kp, following))))
+        # The 2-norm of the change relative to max|psi'|, which neither
+        # overflows nor underflows.
+        change = (swept - following) / np.max(np.abs(swept))
+        following = swept
+        size = np.sqrt(np.vdot(change, change).real)
+        if not (np.isfinite(size) and size < last and rho * size > 4 * _EPS):
+            return following
+        last = size
+    raise EvolutionError(f"the spectral Crank-Nicolson sweeps did not converge in {_SWEEPS}; "
+                         "reduce the time step")
+
+
+def _spectral_blocks(psi: np.ndarray, symbol: np.ndarray, pointwise: MatrixOperator,
+                     factory: HamiltonianFactory, grid: SpatialGrid1D, t0: float, dt: float,
+                     steps: int):
+    """Yield the states after steps 1..steps of a driven H = C + P(t) on a
+    periodic grid by Crank-Nicolson, one per step, as the single row of a
+    fresh array.
+
+    C has the (N, m, m) `symbol` C^(k), and P is `pointwise`.  The step from
+    t solves (I + K) psi' = (I - K) psi, K = i dt H(t + dt / 2) / 2 hbar, by
+    sweeps psi' <- F^-1 A F [(I - K) psi - K_P psi'], A(k) = (I + K^_C(k))^-1
+    (`_sweeps`): each takes two FFTs, a product per wavenumber and one per
+    point.  A sweep changes psi' by at most
+    rho = max_k |A(k)|_2 max_x |K_P(x)|_F times the change before it, in
+    2-norm.  The sweeps stop when that bound is within 4 ulp of max|psi'|,
+    or when the change stops falling.  From the first step with rho above
+    _CONTRACTION, or not finite, the march goes on by `_driven_blocks` from
+    that step's state.
+    """
+    m, n = factory.dimension, grid.npoints
+    coeff = 1j * dt / (2.0 * factory.hbar)
+    eye = np.eye(m)
+    static, driven = pointwise.split()
+    static_values = static.fields(grid)
+    state = psi.reshape(m, n)
+    # Overflow surfaces as a non-finite bound, or a non-finite state checked
+    # by the caller.
+    ignored = partial(np.errstate, over="ignore", invalid="ignore", divide="ignore")
+    with ignored():
+        try:
+            inverse = np.linalg.inv(eye + coeff * symbol)
+            bound = abs(coeff) * np.max(np.linalg.norm(inverse, 2, axis=(1, 2)))
+        except np.linalg.LinAlgError:
+            bound = np.inf
+        if np.isfinite(bound):
+            # (m, m, N): the Cayley step of C alone, A(k) (I - K^_C(k)), and A.
+            cayley, inverse = (np.ascontiguousarray(a.transpose(1, 2, 0))
+                               for a in (inverse @ (eye - coeff * symbol), inverse))
+    for k in range(steps):
+        values = static_values + driven.fields(grid, _midpoint(t0 + k * dt, dt))
+        with ignored():
+            rho = bound * np.sqrt(np.max(np.sum(values.real**2 + values.imag**2, axis=(1, 2))))
+            if rho <= _CONTRACTION:
+                state = _sweeps(state, cayley, inverse, coeff * values.transpose(1, 2, 0), rho)
+        if not rho <= _CONTRACTION:
+            factors = _StepFactors(factory, grid, "crank-nicolson")
+            yield from _driven_blocks(state.reshape(-1), factors, t0, dt, steps, k)
+            return
+        yield state.reshape(1, -1)
 
 
 def march(
@@ -656,9 +738,10 @@ def march(
     component group S of H is stepped on its own entries of the state.  A
     static H gets one propagator U_S per group and is marched in blocks of
     B steps, by matvecs or by U_S^B as the module docstring describes.  A
-    time-dependent H is factored at every step midpoint, one step ahead on
-    a worker thread, and applied with one single-RHS solve per group, one
-    step per block.
+    time-dependent H comes one step per block: by Crank-Nicolson on a
+    periodic grid, where H is C + P(t), by FFT sweeps; otherwise factored at
+    every step midpoint, one step ahead on a worker thread, and applied
+    with one single-RHS solve per group.
 
     The arguments are checked when `march` is called.  States are checked
     for finiteness once per block: a block that holds a non-finite state
@@ -681,10 +764,15 @@ def march(
     psi = initial.flatten()
     if not np.all(np.isfinite(psi)):
         raise EvolutionError("initial state is outside the finite range")
-    factors = _StepFactors(factory, grid, method)
+    # A driven Crank-Nicolson march on C + P(t) goes by the spectral route.
+    split = (factory.op.symbol(grid) if factory.time_dependent and method == "crank-nicolson"
+             else None)
+    factors = None if split is not None else _StepFactors(factory, grid, method)
     if steps == 0:
         return iter(())
-    if factory.time_dependent:
+    if split is not None:
+        blocks = _spectral_blocks(psi, *split, factory, grid, t0, dt, steps)
+    elif factory.time_dependent:
         blocks = _driven_blocks(psi, factors, t0, dt, steps)
     else:
         blocks = _static_blocks(psi, _group_steps(factors, t0, dt), steps)

@@ -185,6 +185,15 @@ def test_an_operator_with_a_derivative_is_not_pointwise(op):
         op.diagonal(GRID)
 
 
+def test_fields_invert_from_fields():
+    rng = np.random.default_rng(2)
+    fields = rng.normal(size=(GRID.npoints, 2, 3)) + 1j * rng.normal(size=(GRID.npoints, 2, 3))
+    fields[:, 1, 2] = 0.0
+    assert np.array_equal(MatrixOperator.from_fields(fields).fields(GRID), fields)
+    with pytest.raises(AlgebraError, match="pointwise"):
+        MatrixOperator([[DerivativeOp(1)]]).fields(GRID)
+
+
 def test_scale_factor_shape_check():
     with pytest.raises(AlgebraError):
         ScaleOp(np.ones(5)).factor_values(GRID)

@@ -58,6 +58,9 @@ from bundlewave.reduction import (
 )
 
 GRID = SpatialGrid1D(16, 2.0 * np.pi)
+# A driven Crank-Nicolson march on GRID goes by the spectral route; on a
+# reflecting grid of as many points it takes an LU per step.
+REFLECTING = SpatialGrid1D(16, 2.0 * np.pi, "reflecting")
 
 
 def _gaussian(grid: SpatialGrid1D, center: float, width: float, k: float = 0.0):
@@ -167,8 +170,8 @@ def test_static_evolve_matches_per_step_lu_route(kind):
     rebuilt = _plus_at_origin(static, ScaleOp(lambda t: 0.0), "rebuilt")
     assert rebuilt.time_dependent
     rng = np.random.default_rng(7)
-    shape = (static.dimension, GRID.npoints)
-    state = GridFunction(GRID, rng.normal(size=shape) + 1j * rng.normal(size=shape))
+    shape = (static.dimension, REFLECTING.npoints)
+    state = GridFunction(REFLECTING, rng.normal(size=shape) + 1j * rng.normal(size=shape))
     state = (1.0 / state.norm()) * state
     cached = evolve(state, static, dt=0.02, steps=200)
     stepped = evolve(state, rebuilt, dt=0.02, steps=200)
@@ -258,17 +261,18 @@ def _scipy_cayley_step(h, dt, hbar):
 
 
 def _full_matrix_evolve(state, factory, dt, steps, method):
-    """`steps` steps with full-matrix factors: a static H reuses one step
-    matrix, a time-dependent H is factored at every midpoint."""
-    psi = state.flatten()
-    unit = None if factory.time_dependent else _full_matrix_step(factory, GRID, 0.0, dt, method)
+    """`steps` steps with full-matrix factors on the state's grid: a static H
+    reuses one step matrix, a time-dependent H is factored at every
+    midpoint."""
+    psi, grid = state.flatten(), state.grid
+    unit = None if factory.time_dependent else _full_matrix_step(factory, grid, 0.0, dt, method)
     for k in range(steps):
         if unit is not None:
             psi = unit @ psi
         elif method == "midpoint-exponential":
-            psi = _full_matrix_step(factory, GRID, k * dt, dt, method) @ psi
+            psi = _full_matrix_step(factory, grid, k * dt, dt, method) @ psi
         else:
-            h = factory.at().dense(GRID, k * dt + dt / 2.0)
+            h = factory.at().dense(grid, k * dt + dt / 2.0)
             h *= 1j * dt / (2.0 * factory.hbar)
             h[np.diag_indices_from(h)] += 1.0
             lu = scipy.linalg.lu_factor(h.T)
@@ -354,11 +358,11 @@ def test_grouped_step_matrix_matches_the_full_matrix_step(model, method, dt):
 @pytest.mark.parametrize("model", sorted(_ONE_GROUP))
 def test_one_group_steps_are_the_full_matrix_steps(model, method):
     factory = _ONE_GROUP[model]()
-    step = step_matrix(factory, GRID, 0.2, 0.03, method)
-    assert np.array_equal(step, _full_matrix_step(factory, GRID, 0.2, 0.03, method))
+    step = step_matrix(factory, REFLECTING, 0.2, 0.03, method)
+    assert np.array_equal(step, _full_matrix_step(factory, REFLECTING, 0.2, 0.03, method))
     rng = np.random.default_rng(5)
-    shape = (factory.dimension, GRID.npoints)
-    state = GridFunction(GRID, rng.normal(size=shape) + 1j * rng.normal(size=shape))
+    shape = (factory.dimension, REFLECTING.npoints)
+    state = GridFunction(REFLECTING, rng.normal(size=shape) + 1j * rng.normal(size=shape))
     final = evolve(state, factory, dt=0.03, steps=20, method=method)
     assert np.array_equal(final.flatten(), _full_matrix_evolve(state, factory, 0.03, 20, method))
 
@@ -420,10 +424,10 @@ _POWERED = {
 }
 
 
-def _random_state(dimension, seed):
+def _random_state(dimension, seed, grid=GRID):
     rng = np.random.default_rng(seed)
-    shape = (dimension, GRID.npoints)
-    state = GridFunction(GRID, rng.normal(size=shape) + 1j * rng.normal(size=shape))
+    shape = (dimension, grid.npoints)
+    state = GridFunction(grid, rng.normal(size=shape) + 1j * rng.normal(size=shape))
     return (1.0 / state.norm()) * state
 
 
@@ -672,7 +676,8 @@ def test_kg_charges_rows_equal_kg_charge_bitwise():
 
 
 def test_overflow_on_the_driven_march_is_an_evolution_error():
-    small = SpatialGrid1D(4, 1.0)
+    # On a reflecting grid, where the march takes an LU per step.
+    small = SpatialGrid1D(4, 1.0, "reflecting")
     # H = 0.4 i grows each state by 1.5 per Crank-Nicolson step as before,
     # but the Cayley apply forms 2 (I + K)^-1 psi = 2.5 psi first, which
     # leaves the float range one step earlier than the state itself.
@@ -699,14 +704,40 @@ def test_overflow_on_the_driven_march_is_an_evolution_error():
     assert np.allclose([held.values[0, 0] for held in kept], 1e300 * 1.5 ** np.arange(1, 46), rtol=1e-12)
 
 
+def test_overflow_on_the_spectral_march_is_an_evolution_error():
+    # The same growth on a periodic grid, by the spectral route: its first
+    # FFT sums the four equal values, which leaves the float range at step
+    # 45, one step before the LU route's solve does.
+    small = SpatialGrid1D(4, 1.0)
+    factory = HamiltonianFactory(
+        MatrixOperator([[ScaleOp(lambda t: np.full(4, 0.4j))]]), "driven-growth"
+    )
+    state = GridFunction(small, np.full((1, 4), 1e300 + 0j))
+    kept = []
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(EvolutionError, match="at step 45"):
+            evolve(state, factory, dt=1.0, steps=60, callback=lambda t, s: kept.append(s))
+    assert np.allclose([held.values[0, 0] for held in kept], 1e300 * 1.5 ** np.arange(1, 45), rtol=1e-12)
+
+
 @pytest.mark.parametrize("method", ["crank-nicolson", "midpoint-exponential"])
 def test_driven_march_realizes_derivatives_at_its_first_step_only(method, derivative_calls):
     factory = dirac_hamiltonian(1.0, 1.0, Potentials(scalar=_driven_profile))
     seen = []
-    evolve(_random_state(4, 5), factory, dt=0.01, steps=40, method=method,
+    evolve(_random_state(4, 5, REFLECTING), factory, dt=0.01, steps=40, method=method,
            callback=lambda t, state: seen.append(len(derivative_calls)))
     # The four derivative entries are one shared momentum operator: one
     # realization in all, at the first step.
+    assert seen == [1] * 40
+
+
+def test_spectral_march_realizes_derivatives_at_its_first_step_only(derivative_calls):
+    factory = dirac_hamiltonian(1.0, 1.0, Potentials(scalar=_driven_profile))
+    seen = []
+    evolve(_random_state(4, 5), factory, dt=0.01, steps=40,
+           callback=lambda t, state: seen.append(len(derivative_calls)))
+    # The shared momentum is realized once, for the symbol.
     assert seen == [1] * 40
 
 
@@ -737,9 +768,10 @@ def test_driven_shared_operators_realize_derivatives_at_the_first_step_only(
     factory = _plus_at_origin(make(1.0), probe)
     assert not derivative_calls
     if route == "evolve":
-        evolve(_random_state(factory.dimension, 5), factory, dt=0.01, steps=40, method=method)
+        evolve(_random_state(factory.dimension, 5, REFLECTING), factory, dt=0.01, steps=40,
+               method=method)
     else:
-        evolution_transport(factory, GRID, PathSampling(np.linspace(0.0, 0.4, 11)), method, 4)
+        evolution_transport(factory, REFLECTING, PathSampling(np.linspace(0.0, 0.4, 11)), method, 4)
     seen.append(len(derivative_calls))
     assert seen == [realizations] * 41
 
@@ -799,10 +831,33 @@ def test_gauged_and_stacked_marches_realize_their_entries_once(model, method, de
     make, realizations = {**_WRAPPED_ONCE, **_WRAPPED_DRIVEN}[model]
     factory = make()
     assert factory.time_dependent
-    evolve(_random_state(factory.dimension, 5), factory, dt=0.01, steps=40, method=method)
+    evolve(_random_state(factory.dimension, 5, REFLECTING), factory, dt=0.01, steps=40,
+           method=method)
     if model in _WRAPPED_ONCE:
         assert len(derivative_calls) == realizations
     else:
+        assert 0 < len(derivative_calls) <= realizations
+
+
+# The derivative objects of the operators of _WRAPPED_ONCE, each of which
+# the spectral route realizes once, for the symbol: the one momentum of
+# Dirac and of kg-canonical, Schrodinger's d^2/dx^2 and Maxwell's four.
+_SYMBOL_REALIZATIONS = {"dirac-phase-frame": 1, "kg-canonical-nonrel-frame": 1,
+                        "stacked-dirac": 1, "stacked-schrodinger-maxwell": 5}
+
+
+@pytest.mark.parametrize("model", sorted(_WRAPPED_ONCE) + sorted(_WRAPPED_DRIVEN))
+def test_spectral_marches_realize_each_derivative_once(model, derivative_calls):
+    make, realizations = {**_WRAPPED_ONCE, **_WRAPPED_DRIVEN}[model]
+    factory = make()
+    seen = []
+    evolve(_random_state(factory.dimension, 5), factory, dt=0.01, steps=40,
+           callback=lambda t, state: seen.append(len(derivative_calls)))
+    if model in _WRAPPED_ONCE:
+        assert seen == [_SYMBOL_REALIZATIONS[model]] * 40
+    else:
+        # A driven frame around a derivative is not C + P(t): the march
+        # takes an LU per step, and refusing the symbol realizes nothing.
         assert 0 < len(derivative_calls) <= realizations
 
 
@@ -842,7 +897,7 @@ def test_driven_march_factors_each_distinct_group_block_once(model, monkeypatch)
         return getrf(a)
 
     monkeypatch.setattr(evolution, "_getrf", counted)
-    evolve(_random_state(factory.dimension, 5), factory, dt=0.01, steps=40)
+    evolve(_random_state(factory.dimension, 5, REFLECTING), factory, dt=0.01, steps=40)
     assert calls == [(2 * GRID.npoints,) * 2] * (40 * per_step)
 
 
@@ -977,12 +1032,12 @@ def test_driven_steps_equal_the_whole_formula_bit_for_bit(model, method):
     for at, matrix in _reference_formed(factory, GRID, t, dt, method):
         expected[np.ix_(at, at)] = _reference_unit(matrix, method)
     assert np.array_equal(step_matrix(factory, GRID, t, dt, method), expected)
-    # evolve
-    state, steps = _random_state(factory.dimension, 9), 12
+    # evolve, with an LU per step
+    state, steps = _random_state(factory.dimension, 9, REFLECTING), 12
     psi = state.flatten()
     for k in range(steps):
         following = np.empty_like(psi)
-        for at, matrix in _reference_formed(factory, GRID, k * dt, dt, method):
+        for at, matrix in _reference_formed(factory, REFLECTING, k * dt, dt, method):
             following[at] = _reference_apply(matrix, psi[at], method, right=False)
         psi = following
     assert np.array_equal(evolve(state, factory, dt, steps, method=method).flatten(), psi)
@@ -1005,9 +1060,9 @@ def test_driven_steps_equal_the_whole_formula_bit_for_bit(model, method):
     assert np.array_equal(transport.frames, frames)
 
 
-def test_a_driven_march_realizes_no_operator_matrix_per_step(monkeypatch):
-    # S is realized once, when the stepper is made; the steps write D's
-    # pointwise diagonals without a dense operator matrix.
+def _dense_calls_per_step(grid, monkeypatch) -> list:
+    """The operator matrices realized before each step of a 40-step driven
+    Dirac march on `grid`."""
     realizations = []
     dense = MatrixOperator.dense
 
@@ -1017,9 +1072,19 @@ def test_a_driven_march_realizes_no_operator_matrix_per_step(monkeypatch):
 
     monkeypatch.setattr(MatrixOperator, "dense", counted)
     seen = []
-    evolve(_random_state(4, 5), _driven_dirac(), dt=0.01, steps=40,
+    evolve(_random_state(4, 5, grid), _driven_dirac(), dt=0.01, steps=40,
            callback=lambda t, state: seen.append(len(realizations)))
-    assert seen == [1] * 40
+    return seen
+
+
+def test_a_driven_march_realizes_no_operator_matrix_per_step(monkeypatch):
+    # S is realized once, when the stepper is made; the steps write D's
+    # pointwise diagonals without a dense operator matrix.
+    assert _dense_calls_per_step(REFLECTING, monkeypatch) == [1] * 40
+
+
+def test_a_spectral_march_realizes_no_operator_matrix(monkeypatch):
+    assert _dense_calls_per_step(GRID, monkeypatch) == [0] * 40
 
 
 # ---------------------------------------------------------------------------
@@ -1316,7 +1381,8 @@ def test_a_driven_refusal_lands_at_its_own_step(refusal):
     from bundlewave.bundle import PathSampling, evolution_transport
 
     value, message = _REFUSALS[refusal]
-    grid, dt = SpatialGrid1D(8, 1.0), 0.125
+    # On a reflecting grid, where a Crank-Nicolson march takes an LU per step.
+    grid, dt = SpatialGrid1D(8, 1.0, "reflecting"), 0.125
     factory = _refused_at_third_step(value, dt)
     state = GridFunction(grid, np.ones((1, grid.npoints), dtype=complex))
     seen = []
@@ -1334,12 +1400,17 @@ def test_no_step_worker_outlives_its_march():
     from bundlewave.bundle import PathSampling, evolution_transport
 
     before = threading.active_count()
-    blocks = march(_random_state(4, 3), _driven_dirac(), 0.01, 10)
+    blocks = march(_random_state(4, 3, REFLECTING), _driven_dirac(), 0.01, 10)
     next(blocks)
     assert threading.active_count() == before + 1
     blocks.close()
     assert threading.active_count() == before
-    grid, dt = SpatialGrid1D(8, 1.0), 0.125
+    # The spectral route starts no worker.
+    blocks = march(_random_state(4, 3), _driven_dirac(), 0.01, 10)
+    next(blocks)
+    assert threading.active_count() == before
+    blocks.close()
+    grid, dt = SpatialGrid1D(8, 1.0, "reflecting"), 0.125
     factory = _refused_at_third_step(_REFUSALS["singular"][0], dt)
     state = GridFunction(grid, np.ones((1, grid.npoints), dtype=complex))
     with pytest.raises(EvolutionError, match="singular"):
@@ -1359,7 +1430,8 @@ def _serial_driven_dirac(npoints: int) -> list:
     group blocks: [march, transport]."""
     from bundlewave.bundle import PathSampling, evolution_transport
 
-    grid = SpatialGrid1D(npoints, 20.0)
+    # A reflecting grid, where a Crank-Nicolson march takes an LU per step.
+    grid = SpatialGrid1D(npoints, 20.0, "reflecting")
     profile = 0.3 * np.cos(2.0 * np.pi * grid.points / grid.length)
     factory = dirac_hamiltonian(1.0, 1.0, Potentials(scalar=lambda t: profile * np.cos(3.0 * t)))
     rng = np.random.default_rng(29)
