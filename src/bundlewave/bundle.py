@@ -192,20 +192,22 @@ def evolution_transport(
     component groups of H, so the frames are held as one stack F_S per
     group S, and a substep multiplies F_S by U_S.  A Crank-Nicolson substep
     does so in Cayley form, F_S U_S = 2 F_S (I + K_S)^-1 - F_S: one LU of
-    size |S| N and one solve with |S| N right-hand sides per group, and no
-    step matrix.  A substep writes only the entries of its matrix that the
-    driven part D(t) of H reaches, into a copy of each distinct group's
-    base (see `evolution`), and solves into a frame: the substeps of an
-    interval alternate between the frame slot and one spare frame per
-    stack, so that the last lands in the slot.  Groups of one size start on
-    one stack, kept while the stepper hands them one step object (twins):
-    one LU and one solve serve them all.  A group moves to a copy of the
+    size |S| N and one blocked substitution over the rows of F_S per group
+    (`blocked.apply_rows`), and no step matrix.  A substep writes only
+    the entries of its matrix that the driven part D(t) of H reaches, into
+    a copy of each distinct group's base (see `evolution`), and is applied
+    into a frame: the substeps of an interval alternate between the frame
+    slot and one spare frame per stack, so that the last lands in the slot.
+    Groups of one size start on one stack, kept while the stepper hands
+    them one step object (twins):
+    one LU and one apply serve them all.  A group moves to a copy of the
     stack, and of its spare, on the first substep where they part.
     Substep U(tau_k <- tau_{k+1}) is the stepper's step of size -delta from
     tau_{k+1}.  The substeps come one ahead (`_StepFactors.ahead`): the LU
-    of the next one is taken on a worker thread while this one is solved
-    into the frames, and a refusal met while forming the next one is raised
-    when it is due.  Overflow ends in EvolutionError, as in `step_matrix`.
+    of the next one is taken on a worker thread while this one is applied
+    to the frames, the worker taking a sixth of their rows once that LU is
+    done, and a refusal met while forming the next one is raised when it
+    is due.  Overflow ends in EvolutionError, as in `step_matrix`.
     The frames skip the conditioning guard, which `with_gauge` applies to
     the dense gauged frames; a singular one is refused when solved against.
     """
@@ -237,7 +239,8 @@ def evolution_transport(
     # alternately, so that the last one lands in the slot.
     spares = {}
     # Overflow surfaces as non-finite entries, refused after each interval.
-    with closing(factors.ahead(starts())) as ahead, np.errstate(over="ignore", invalid="ignore"):
+    with (closing(factors.ahead(starts(), right=True)) as ahead,
+          np.errstate(over="ignore", invalid="ignore")):
         for i in range(sampling.nsamples - 1):
             for k in range(substeps):
                 steps = [step for _, _, step in next(ahead)]

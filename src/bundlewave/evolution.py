@@ -40,13 +40,13 @@ of (I + K_S)^T per distinct group block, which factors the same F-ordered
 matrix as an LU would and solves it against the identity.  A transport,
 and a driven march off the spectral route below, apply the step without
 forming it: one in-place LAPACK `getrf` of (I + K_S)^T per distinct group
-block and step, applied by `_cayley` with one solve against psi_S or
-against the group's transport frame with |S| N right-hand sides.  Those
-applies run one step ahead (`_StepFactors.ahead`): step k + 1 is formed
-and checked on the caller's thread and its `getrf` handed to a worker
-thread, which runs nothing else, before step k is solved.  Two threads
-solving on one shared LU in scipy's `zgetrs` at once corrupted the heap,
-so every solve stays on the caller's thread.  Each march or transport
+block and step.  A march solves against psi_S (`_cayley`).  A transport
+substitutes over 64-column blocks of its frame by BLAS products with the
+LU's blocks, its diagonal ones inverted (`blocked`), and calls no
+`getrs`: two threads in scipy's `zgetrs` on one LU corrupted the heap.
+Applies run one step ahead (`_StepFactors.ahead`): step k + 1 is formed
+on the caller's thread and factored on a worker thread, which then takes
+a sixth of a transport frame's rows of step k.  Each march or transport
 joins its own worker when it ends, fails or is closed.
 
 Every route names a step by its start time t and size dt, and takes H at
@@ -72,9 +72,9 @@ field frame or (p - qA)^2, and a reflecting grid take the LU route.
 
 numpy and scipy each bring their own OpenBLAS with its own thread pool,
 and a pool's workers keep spinning for a while after a threaded call.  So
-a Crank-Nicolson step matrix runs in numpy's pool alone, and scipy is
-loaded only where a route calls it: `expm`, and the `getrf` and solve of
-an LU apply, bound once on the caller's thread (`algebra._bind_scipy`),
+a Crank-Nicolson step matrix runs in numpy's pool alone, and an LU
+apply in scipy's, which is loaded only where a route calls it: `expm`
+and LU applies bind it once on the caller's thread (`algebra._bind_scipy`),
 with an idle spin of 2^SCIPY_SPIN_EXPONENT cycles instead of 2^28: after
 an `expm` its worker sleeps within about 17 ms, yet stays awake between
 the steps of a driven transport.  numpy's pool keeps its default spin.
@@ -187,30 +187,59 @@ def _cayley_unit(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def _cayley(lu: Future, x: np.ndarray, right: bool = True,
-            out: np.ndarray | None = None) -> np.ndarray:
-    """x U if `right`, else U x for a state x, for the Crank-Nicolson step
-    U = 2 (I + K)^-1 - I, given the future of `_getrf` of (I + K)^T.
+def _cayley(lu: Future, x: np.ndarray) -> np.ndarray:
+    """U x for a march's state x and the Crank-Nicolson step
+    U = 2 (I + K)^-1 - I, given the future of `_getrf` of (I + K)^T, in a
+    fresh array.
 
-    The first call waits for the LU; a singular I + K, which `getrf`
-    reports in its `info`, is refused then.  x (I + K)^-1 is the transpose
-    of a solve of (I + K)^T against x^T, and (I + K)^-1 x a transposed
-    solve against x, so either product takes one solve with as many
-    right-hand sides as x has rows or columns.  `x` is left untouched.  The
-    solve runs in the storage of `out`, a C-ordered array apart from x, or
-    a fresh one, which is returned.
+    The call waits for the LU; a singular I + K, which `getrf` reports in
+    its `info`, is refused then.  (I + K)^-1 x is one transposed solve
+    against x, on the caller's thread; `x` is left untouched.
     """
     lu, piv, info = lu.result()
     if info > 0:
         raise EvolutionError(_SINGULAR)
-    if out is None:
-        out = np.empty(x.shape, dtype=complex)
-    out[...] = x
-    # out, or for x U its F-ordered transpose, is solved in place by LAPACK.
-    _bind_scipy().lu_solve((lu, piv), out.T if right else out, trans=0 if right else 1,
-                           overwrite_b=True, check_finite=False)
+    out = x.copy()
+    _bind_scipy().lu_solve((lu, piv), out, trans=1, overwrite_b=True, check_finite=False)
     out *= 2.0
     out -= x
+    return out
+
+
+def _blocked_lu(a: np.ndarray) -> tuple:
+    """(info, factors): `_getrf` of (I + K)^T, in the storage of the formed
+    I + K, made ready by `blocked.prepare`, or None for a singular I + K.
+    All that a transport's step worker runs besides its slabs."""
+    from . import blocked
+
+    lu, piv, info = _getrf(a)
+    return info, None if info > 0 else blocked.prepare(lu, piv)
+
+
+def _split_cayley(worker: ThreadPoolExecutor, factored: Future, x: np.ndarray,
+                  out: np.ndarray) -> np.ndarray:
+    """x U into `out`, C-ordered and apart from x, for a transport frame x
+    and the Crank-Nicolson step U = 2 (I + K)^-1 - I, given the future of
+    `_blocked_lu` of (I + K)^T.
+
+    The call waits for the factors; a singular I + K is refused then.  The
+    first `blocked.worker_rows` rows go to the worker, queued behind the LU
+    of the next step, while the caller applies the rest, so each row holds
+    the bits of one `blocked.apply_rows` over the whole frame.  The call
+    returns once both slabs are written.
+    """
+    from . import blocked
+
+    info, factors = factored.result()
+    if info > 0:
+        raise EvolutionError(_SINGULAR)
+    rows = blocked.worker_rows(x.shape[0])
+    slab = worker.submit(blocked.apply_rows, factors, x[:rows], out[:rows]) if rows else None
+    try:
+        blocked.apply_rows(factors, x[rows:], out[rows:])
+    finally:
+        if slab is not None:
+            slab.result()
     return out
 
 
@@ -353,7 +382,8 @@ class _StepFactors:
 
     Applies are taken through `ahead`, one step ahead: a Crank-Nicolson
     matrix is formed, compared and checked finite on the caller's thread,
-    and only its `getrf` runs on the worker thread that `ahead` owns.
+    and its `getrf`, with a transport's block inverses and slab of rows,
+    runs on the worker thread that `ahead` owns.
     scipy is bound once, on the caller's thread: when the stepper is made
     for the exponential, and when `ahead` starts (`_bind_scipy`).
     """
@@ -377,7 +407,7 @@ class _StepFactors:
             self._entries = [_driven_entries(part, block, grid.npoints)
                              for (_, _, part), block in zip(self.parts, self._static)]
             self._dt = self._bases = None
-        self._worker = None
+        self._worker = self._right = None
         if method == "midpoint-exponential":
             _bind_scipy()
 
@@ -385,15 +415,16 @@ class _StepFactors:
         """(components, positions, step) per component group of
         H(t + dt / 2) for the step of size dt from t.
 
-        step(x, right=True) is x U_S if `right`, else U_S x: a Cayley solve
-        for Crank-Nicolson, a product with expm(-i dt H_S / hbar) for the
-        exponential.  With `units`, step is the step matrix U_S itself;
-        without, a Crank-Nicolson step is factored on the worker of `ahead`,
-        inside which alone it may be called.  Every group's matrix is
-        formed, or for a driven H its written entries computed, before any
-        is factored.  A group whose matrix holds the same bits as an earlier
-        group's, a twin, is handed that group's step object, so each
-        distinct matrix takes one LU, inverse or expm.
+        step(x, out=None) applies U_S from the side that `ahead` was given:
+        a Cayley apply for Crank-Nicolson, a product with
+        expm(-i dt H_S / hbar) for the exponential.  With `units`, step is
+        the step matrix U_S itself; without, a Crank-Nicolson step is
+        factored on the worker of `ahead`, inside which alone it may be
+        called.  Every group's matrix is formed, or for a driven H its
+        written entries computed, before any is factored.  A group whose
+        matrix holds the same bits as an earlier group's, a twin, is handed
+        that group's step object, so each distinct matrix takes one LU,
+        inverse or expm.
         """
         mid = _midpoint(t, dt)
         if self.method == "midpoint-exponential":
@@ -409,19 +440,24 @@ class _StepFactors:
                                    for _, _, part in self.parts))
         return [(group, at, step) for (group, at, _), step in zip(self.parts, steps)]
 
-    def ahead(self, starts):
+    def ahead(self, starts, right: bool):
         """Yield the steps, as `__call__` hands them without `units`, of
-        size dt from t for each (t, dt) of `starts`, one step ahead.
+        size dt from t for each (t, dt) of `starts`, one step ahead: each
+        applies its U_S from the right, x U_S, to a transport's frames if
+        `right`, else from the left, U_S x, to a march's state.
 
         The steps from the next start are formed, and their Crank-Nicolson
         LUs handed to a worker thread, before the current ones are yielded,
-        so that an LU runs while the step before it is applied.  A refusal
-        met while forming the next steps is raised when they are due, after
-        the current ones.  The worker belongs to the generator, which joins
-        it, after any LU it runs, when it ends, fails or is closed.
+        so that an LU runs while the step before it is applied.  A right
+        apply also hands the worker a slab of the frame's rows, queued
+        behind that LU (`_split_cayley`).  A refusal met while forming the
+        next steps is raised when they are due, after the current ones.
+        The worker belongs to the generator, which joins it, after any work
+        it runs, when it ends, fails or is closed.
         """
         # The LUs and solves of the applies; bound before the worker starts.
         _bind_scipy()
+        self._right = right
         with ThreadPoolExecutor(max_workers=1) as self._worker:
             try:
                 pending = []
@@ -495,14 +531,16 @@ class _StepFactors:
         refused, by the apply when its LU is taken on the worker."""
         if self.method == "midpoint-exponential":
             unit = _bind_scipy().expm(a)
-            return unit if units else partial(_product, unit)
+            return unit if units else partial(_product, unit, right=self._right)
         _check_cayley(written)
-        if not units:
-            return partial(_cayley, self._worker.submit(_getrf, a))
-        try:
-            return _cayley_unit(a)
-        except np.linalg.LinAlgError:
-            raise EvolutionError(_SINGULAR) from None
+        if units:
+            try:
+                return _cayley_unit(a)
+            except np.linalg.LinAlgError:
+                raise EvolutionError(_SINGULAR) from None
+        if self._right:
+            return partial(_split_cayley, self._worker, self._worker.submit(_blocked_lu, a))
+        return partial(_cayley, self._worker.submit(_getrf, a))
 
     def matrix(self, t: float, dt: float) -> np.ndarray:
         """Dense step over [t, t + dt]; entries between different component
@@ -624,13 +662,14 @@ def _driven_blocks(psi: np.ndarray, factors: _StepFactors, t0: float, dt: float,
     LU of step k + 1 runs while step k is applied.  The static part S is
     realized once, when the stepper is made.
     """
-    with closing(factors.ahead((t0 + k * dt, dt) for k in range(first, steps))) as ahead:
+    starts = ((t0 + k * dt, dt) for k in range(first, steps))
+    with closing(factors.ahead(starts, right=False)) as ahead:
         for parts in ahead:
             block = np.empty((1, psi.size), dtype=complex)
             # Overflow surfaces as a non-finite state, checked by the caller.
             with np.errstate(over="ignore", invalid="ignore"):
                 for _, positions, step in parts:
-                    block[0, positions] = step(psi[positions], right=False)
+                    block[0, positions] = step(psi[positions])
             yield block
             psi = block[0]
 
@@ -645,6 +684,14 @@ def _at_points(matrices: np.ndarray, x: np.ndarray) -> np.ndarray:
     """The (m, N) products of (m, m, N) matrices, one per point or
     wavenumber, with the (m, N) x."""
     return (matrices * x).sum(axis=1)
+
+
+def _norm_bound(matrices: np.ndarray) -> np.ndarray:
+    """An upper bound on the 2-norm of each of the (..., m, m) matrices that
+    needs no LAPACK: min(|A|_F, sqrt(|A|_1 |A|_inf))."""
+    size = np.abs(matrices)
+    columns, rows = (np.max(size.sum(axis=axis), axis=-1) for axis in (-2, -1))
+    return np.minimum(np.sqrt(np.sum(size**2, axis=(-2, -1))), np.sqrt(columns * rows))
 
 
 def _sweeps(state: np.ndarray, cayley: np.ndarray, inverse: np.ndarray, kp: np.ndarray,
@@ -684,8 +731,9 @@ def _spectral_blocks(psi: np.ndarray, symbol: np.ndarray, pointwise: MatrixOpera
     (`_sweeps`): each takes two FFTs, a product per wavenumber and one per
     point.  A sweep changes psi' by at most
     rho = max_k |A(k)|_2 max_x |K_P(x)|_F times the change before it, in
-    2-norm.  The sweeps stop when that bound is within 4 ulp of max|psi'|,
-    or when the change stops falling.  From the first step with rho above
+    2-norm; rho takes `_norm_bound` of A(k), which is no smaller.  The
+    sweeps stop when that bound is within 4 ulp of max|psi'|, or when the
+    change stops falling.  From the first step with rho above
     _CONTRACTION, or not finite, the march goes on by `_driven_blocks` from
     that step's state.
     """
@@ -701,7 +749,7 @@ def _spectral_blocks(psi: np.ndarray, symbol: np.ndarray, pointwise: MatrixOpera
     with ignored():
         try:
             inverse = np.linalg.inv(eye + coeff * symbol)
-            bound = abs(coeff) * np.max(np.linalg.norm(inverse, 2, axis=(1, 2)))
+            bound = abs(coeff) * np.max(_norm_bound(inverse))
         except np.linalg.LinAlgError:
             bound = np.inf
         if np.isfinite(bound):

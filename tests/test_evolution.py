@@ -15,7 +15,7 @@ import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bundlewave import evolution
+from bundlewave import blocked, evolution
 from bundlewave.algebra import (
     Frame,
     DerivativeOp,
@@ -1005,14 +1005,51 @@ def _reference_unit(matrix, method):
 
 def _reference_apply(matrix, x, method, right):
     """x U if `right`, else U x, from a formed matrix: a product with expm,
-    or a Cayley solve against scipy's LU of (I + K)^T."""
+    or a Cayley apply, for x U the blocked kernel of a transport run on one
+    thread, for U x a solve against scipy's LU of (I + K)^T."""
     if method == "midpoint-exponential":
         unit = scipy.linalg.expm(matrix)
         return x @ unit if right else unit @ x
+    if right:
+        out = np.empty_like(x)
+        blocked.apply_rows(evolution._blocked_lu(np.array(matrix, order="C"))[1], x, out)
+        return out
+    return _solved_apply(matrix, x, method, right)
+
+
+def _solved_apply(matrix, x, method, right):
+    """x U if `right`, else U x, for the Crank-Nicolson step of a formed
+    matrix: a Cayley solve against scipy's LU of (I + K)^T."""
     lu = scipy.linalg.lu_factor(matrix.T, check_finite=False)
     solved = scipy.linalg.lu_solve(lu, x.T if right else x, trans=0 if right else 1,
                                    check_finite=False)
     return 2.0 * (solved.T if right else solved) - x
+
+
+def _reference_frames(factory, grid, times, substeps, method, apply=_reference_apply):
+    """The frames of `evolution_transport` over `times` with `substeps`
+    substeps per interval, each substep applied per group by `apply`."""
+    size = factory.dimension * grid.npoints
+    frames = np.zeros((times.size, size, size), dtype=complex)
+    frames[0] = np.eye(size)
+    for i in range(times.size - 1):
+        delta = (times[i + 1] - times[i]) / substeps
+        frame = frames[i]
+        for k in range(substeps):
+            following = np.zeros_like(frame)
+            for at, matrix in _reference_formed(factory, grid, times[i] + (k + 1) * delta,
+                                                -delta, method):
+                block = np.ix_(at, at)
+                following[block] = apply(matrix, frame[block], method, right=True)
+            frame = following
+        frames[i + 1] = frame
+    return frames
+
+
+def _near(frames, reference) -> bool:
+    """Whether `frames` lie within 1e-13 of `reference`, relative to its
+    largest entry."""
+    return bool(np.max(np.abs(frames - reference)) <= 1e-13 * np.max(np.abs(reference)))
 
 
 @pytest.mark.parametrize("method", ["crank-nicolson", "midpoint-exponential"])
@@ -1043,21 +1080,12 @@ def test_driven_steps_equal_the_whole_formula_bit_for_bit(model, method):
     assert np.array_equal(evolve(state, factory, dt, steps, method=method).flatten(), psi)
     # evolution_transport: uneven intervals, so that the base is formed again
     times, substeps = np.array([0.0, 0.07, 0.2, 0.23]), 3
-    frames = np.zeros((times.size, size, size), dtype=complex)
-    frames[0] = np.eye(size)
-    for i in range(times.size - 1):
-        delta = (times[i + 1] - times[i]) / substeps
-        frame = frames[i]
-        for k in range(substeps):
-            following = np.zeros_like(frame)
-            for at, matrix in _reference_formed(factory, GRID, times[i] + (k + 1) * delta,
-                                                -delta, method):
-                block = np.ix_(at, at)
-                following[block] = _reference_apply(matrix, frame[block], method, right=True)
-            frame = following
-        frames[i + 1] = frame
+    frames = _reference_frames(factory, GRID, times, substeps, method)
     transport = evolution_transport(factory, GRID, PathSampling(times), method, substeps)
     assert np.array_equal(transport.frames, frames)
+    if method == "crank-nicolson":
+        assert _near(frames, _reference_frames(factory, GRID, times, substeps, method,
+                                               _solved_apply))
 
 
 def _dense_calls_per_step(grid, monkeypatch) -> list:
@@ -1422,12 +1450,28 @@ def test_no_step_worker_outlives_its_march():
     assert threading.active_count() == before
     evolution_transport(_driven_dirac(), GRID, PathSampling.uniform(0.0, 0.1, 3), "crank-nicolson")
     assert threading.active_count() == before
+    # At N = 48 the worker applies a slab of each frame's rows, behind the
+    # LU of the next substep: refused there, a singular I + K, and a frame
+    # that leaves the finite range, keep their messages.
+    grid, sampling = SpatialGrid1D(48, 1.0, "reflecting"), PathSampling.uniform(0.0, 0.625, 6)
+    assert blocked.worker_rows(grid.npoints) > 0
+    with pytest.raises(EvolutionError, match=f"^{re.escape(_REFUSALS['singular'][1])}$"):
+        evolution_transport(backward, grid, sampling, "crank-nicolson")
+    assert threading.active_count() == before
+    # I + K = i 1e-320 at the third substep, whose U overflows.
+    overflowing = _refused_at_third_step(-1.6e-319 - 16j, dt)
+    message = "transport frame 3 left the finite range; reduce the sampling step"
+    with pytest.raises(EvolutionError, match=f"^{re.escape(message)}$"):
+        evolution_transport(overflowing, grid, sampling, "crank-nicolson")
+    assert threading.active_count() == before
 
 
 def _serial_driven_dirac(npoints: int) -> list:
     """Whether a driven Dirac march and transport on N = `npoints` hold the
-    bits of a serial loop of `scipy.linalg.lu_factor` and `lu_solve` on the
-    group blocks: [march, transport]."""
+    bits of a serial loop on the group blocks, of `scipy.linalg.lu_factor`
+    and `lu_solve` for the march and of the blocked kernel for the
+    transport, and whether those transport frames lie within 1e-13 of
+    scipy's solves: [march, transport, transport near the solves]."""
     from bundlewave.bundle import PathSampling, evolution_transport
 
     # A reflecting grid, where a Crank-Nicolson march takes an LU per step.
@@ -1443,23 +1487,12 @@ def _serial_driven_dirac(npoints: int) -> list:
             following[at] = _reference_apply(matrix, psi[at], "crank-nicolson", right=False)
         psi = following
     marched = evolve(GridFunction(grid, values), factory, dt, steps).flatten()
-    times, substeps, size = np.array([0.0, 0.05, 0.12]), 3, 4 * npoints
-    frames = np.zeros((times.size, size, size), dtype=complex)
-    frames[0] = np.eye(size)
-    for i in range(times.size - 1):
-        delta = (times[i + 1] - times[i]) / substeps
-        frame = frames[i]
-        for k in range(substeps):
-            following = np.zeros_like(frame)
-            for at, matrix in _reference_formed(factory, grid, times[i] + (k + 1) * delta,
-                                                -delta, "crank-nicolson"):
-                block = np.ix_(at, at)
-                following[block] = _reference_apply(matrix, frame[block], "crank-nicolson",
-                                                     right=True)
-            frame = following
-        frames[i + 1] = frame
+    times, substeps = np.array([0.0, 0.05, 0.12]), 3
+    frames = _reference_frames(factory, grid, times, substeps, "crank-nicolson")
+    solved = _reference_frames(factory, grid, times, substeps, "crank-nicolson", _solved_apply)
     transport = evolution_transport(factory, grid, PathSampling(times), "crank-nicolson", substeps)
-    return [bool(np.array_equal(marched, psi)), bool(np.array_equal(transport.frames, frames))]
+    return [bool(np.array_equal(marched, psi)), bool(np.array_equal(transport.frames, frames)),
+            _near(frames, solved)]
 
 
 def test_driven_steps_at_two_blas_threads_hold_the_serial_bits():
@@ -1473,7 +1506,7 @@ def test_driven_steps_at_two_blas_threads_hold_the_serial_bits():
     done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
                           text=True, timeout=120)
     assert done.returncode == 0, done.stderr
-    assert done.stdout.split() == ["[True,", "True]"]
+    assert done.stdout.split() == ["[True,", "True,", "True]"]
 
 
 def test_worker_lus_beside_caller_solves_hold_the_serial_bits():
@@ -1514,3 +1547,61 @@ def test_worker_lus_beside_caller_solves_hold_the_serial_bits():
                 assert np.array_equal(solved(lu, piv), serial_solved[k - 1])
     finally:
         sys.setswitchinterval(interval)
+
+
+def _split_applies_hold_the_serial_bits(n: int = 160, count: int = 200) -> bool:
+    """Whether `count` chained transport substeps of size n, applied as a
+    transport applies them, hold the bits of the blocked kernel run
+    serially on one thread: the worker runs the LU and block inverses of
+    step k + 1 and then its slab of step k's rows while the caller applies
+    the rest.  n = 160 takes three column blocks, the last one partial."""
+    rng = np.random.default_rng(37)
+
+    def matrix(k):
+        # I + K for K = i H / 8, H hermitian, so that every step is unitary.
+        own = np.random.default_rng(k)
+        h = own.normal(size=(n, n)) + 1j * own.normal(size=(n, n))
+        return np.eye(n) + 0.0625j * (h + h.conj().T)
+
+    start = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+    serial = [start]
+    for k in range(count):
+        serial.append(np.empty_like(start))
+        blocked.apply_rows(evolution._blocked_lu(matrix(k))[1], serial[k], serial[k + 1])
+    # Frequent switches between the threads while both hold the interpreter.
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        frame, spare = start.copy(), np.empty_like(start)
+        with ThreadPoolExecutor(max_workers=1) as worker:
+            following = worker.submit(evolution._blocked_lu, matrix(0))
+            for k in range(count):
+                current = following
+                if k + 1 < count:
+                    following = worker.submit(evolution._blocked_lu, matrix(k + 1))
+                evolution._split_cayley(worker, current, frame, spare)
+                if not np.array_equal(spare, serial[k + 1]):
+                    return False
+                frame, spare = spare, frame
+    finally:
+        sys.setswitchinterval(interval)
+    return True
+
+
+def test_worker_slabs_beside_caller_slabs_hold_the_serial_bits():
+    assert blocked.worker_rows(160) > 0
+    evolution._bind_scipy()
+    assert _split_applies_hold_the_serial_bits()
+
+
+def test_worker_slabs_at_two_blas_threads_hold_the_serial_bits():
+    tests = Path(__file__).resolve().parent
+    script = (f"import sys; sys.path[:0] = [{str(tests.parent / 'src')!r}, {str(tests)!r}]\n"
+              "import test_evolution\n"
+              "test_evolution.evolution._bind_scipy()\n"
+              "print(test_evolution._split_applies_hold_the_serial_bits())\n")
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "2", "OMP_NUM_THREADS": "2"}
+    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == ["True"]

@@ -175,6 +175,29 @@ def test_spectral_march_agrees_with_the_lu_march(kind, hbar, c, npoints, lus):
     assert np.max(np.abs(spectral - lu)) <= TOLERANCE * np.max(np.abs(lu))
 
 
+@pytest.mark.parametrize("kind", KINDS)
+def test_the_norm_bound_is_no_smaller_than_the_two_norm(kind):
+    # On the symbols C^(k) and on A(k) = (I + K^_C(k))^-1 at two steps; the
+    # bound holds exactly, the comparison to within rounding.
+    grid = SpatialGrid1D(64, 20.0)
+    factory = _factory(kind, grid, hbar=0.7, c=1.3)
+    symbol = factory.op.symbol(grid)[0]
+    eye = np.eye(factory.dimension)
+    for dt in (0.01, 0.5):
+        inverse = np.linalg.inv(eye + 1j * dt / (2.0 * factory.hbar) * symbol)
+        for matrices in (symbol, inverse):
+            norms = np.linalg.norm(matrices, 2, axis=(1, 2))
+            assert np.all(evolution._norm_bound(matrices) >= norms * (1.0 - 4 * np.finfo(float).eps))
+
+
+def test_the_benchmark_march_stays_spectral(lus):
+    # The march of `timedep-dirac-routes`: 40 steps of 0.01 at N = 128, L = 20.
+    grid = SpatialGrid1D(128, 20.0)
+    factory = _factory("dirac-scalar", grid)
+    assert len(list(march(_state(factory, grid), factory, 0.01, 40))) == 40
+    assert not lus
+
+
 def _ineligible(kind):
     """(factory, grid) of a driven H that is not C + P(t) on its grid."""
     periodic = SpatialGrid1D(12, 20.0)
