@@ -49,6 +49,12 @@ on the caller's thread and factored on a worker thread, which then takes
 a sixth of a transport frame's rows of step k.  Each march or transport
 joins its own worker when it ends, fails or is closed.
 
+Overflow while a step is formed is ignored in `_StepFactors.__call__`
+alone; the non-finite entries it leaves are refused before a Crank-Nicolson
+matrix is factored, and in every step matrix that `_factored` returns.
+Applies and powers ignore overflow where they run; the states, frames and
+powers are checked.
+
 Every route names a step by its start time t and size dt, and takes H at
 the midpoint t + dt / 2 through `_midpoint` alone.  Time enters only
 through callable scale factors, so `MatrixOperator.split` writes H(t) as
@@ -91,8 +97,7 @@ block into that one product.
 
 `march` hands the states over a block at a time, (rows, m, N) per block,
 so a caller can measure a whole block with one stacked reduction, as
-`bundlewave run` does with `grid.stacked_inner` and `kg_charges`.  `evolve`
-consumes `march` and hands each state to a per-step callback.
+`bundlewave run` does with `grid.stacked_inner` and `kg_charges`.
 
 `EvolutionOperator` materialises the propagator between lattice times as a
 dense matrix so that composition, inversion, and derivative probes can be
@@ -309,12 +314,12 @@ def _block(rows, cols):
 
 def _same_bits(a: np.ndarray, b: np.ndarray) -> bool:
     """Whether two arrays hold the same bits (-0.0 is not 0.0, a NaN is
-    itself), compared part by part as integers of the item size."""
+    itself): C-ordered copies of them, where they are not C-ordered already,
+    are compared as unsigned integers of at most 8 bytes."""
     if a.shape != b.shape or a.dtype != b.dtype:
         return False
-    if np.iscomplexobj(a):
-        return _same_bits(a.real, b.real) and _same_bits(a.imag, b.imag)
-    return np.array_equal(a.view(f"u{a.itemsize}"), b.view(f"u{b.itemsize}"))
+    bits = f"u{min(a.itemsize, 8)}"
+    return np.array_equal(np.ascontiguousarray(a).view(bits), np.ascontiguousarray(b).view(bits))
 
 
 def _map_distinct(function, items, same=_same_bits) -> list:
@@ -371,21 +376,19 @@ class _StepFactors:
 
     A step is named by its start t and size dt; only here is H taken at the
     midpoint t + dt / 2.  Each step forms per component group the matrix
-    coeff H_S + shift I that it factors: I + K_S for Crank-Nicolson,
-    (coeff, shift) = (i dt / 2 hbar, 1), and the exponential's argument,
-    (-i dt / hbar, 0).  A static operator keeps nothing and realizes each
-    group's block at every step.  A driven one is split into S + D(t) per
-    group once, when the stepper is made: S is realized whole then, and each
-    group keeps its S block and the *base* coeff S_S + shift I, formed again
-    only when dt changes.  Twin groups, whose S blocks hold the same bits,
-    share one S block and one base.
+    coeff H_S + shift I that it factors: I + K_S for Crank-Nicolson, and
+    the exponential's argument -i dt H_S / hbar.  A static operator keeps
+    nothing and realizes each group's block at every step.  A driven one is
+    split into S + D(t) once, when the stepper is made: S is realized whole
+    then, and each group keeps its S block and the *base* coeff S_S +
+    shift I, formed again only when dt changes.  Twin groups, whose S blocks
+    hold the same bits, share one S block and one base.
 
-    Applies are taken through `ahead`, one step ahead: a Crank-Nicolson
-    matrix is formed, compared and checked finite on the caller's thread,
-    and its `getrf`, with a transport's block inverses and slab of rows,
-    runs on the worker thread that `ahead` owns.
-    scipy is bound once, on the caller's thread: when the stepper is made
-    for the exponential, and when `ahead` starts (`_bind_scipy`).
+    `__call__` is the one place that ignores overflow while a step is
+    formed, and `_factored` the one place that checks a step matrix finite.
+    Applies are taken one step ahead, through `ahead`, which owns the worker
+    thread.  scipy is bound once, on the caller's thread: when the stepper
+    is made for the exponential, and when `ahead` starts.
     """
 
     def __init__(self, factory: HamiltonianFactory, grid: SpatialGrid1D, method: str):
@@ -415,29 +418,29 @@ class _StepFactors:
         """(components, positions, step) per component group of
         H(t + dt / 2) for the step of size dt from t.
 
-        step(x, out=None) applies U_S from the side that `ahead` was given:
-        a Cayley apply for Crank-Nicolson, a product with
-        expm(-i dt H_S / hbar) for the exponential.  With `units`, step is
-        the step matrix U_S itself; without, a Crank-Nicolson step is
-        factored on the worker of `ahead`, inside which alone it may be
-        called.  Every group's matrix is formed, or for a driven H its
-        written entries computed, before any is factored.  A group whose
-        matrix holds the same bits as an earlier group's, a twin, is handed
-        that group's step object, so each distinct matrix takes one LU,
-        inverse or expm.
+        step(x, out=None) applies U_S from the side that `ahead` was given.
+        With `units`, step is the step matrix U_S itself, finite; without, a
+        Crank-Nicolson step is factored on the worker of `ahead`, inside
+        which alone it may be called.  Every group's matrix is formed, or for
+        a driven H its written entries computed, before any is factored.  A
+        group whose matrix holds the same bits as an earlier group's, a
+        twin, is handed that group's step object, so each distinct matrix
+        takes one LU, inverse or expm.  Overflow is ignored here alone while
+        the steps are formed and factored, and refused by `_factored`.
         """
         mid = _midpoint(t, dt)
         if self.method == "midpoint-exponential":
             coeff, shift = -1j * dt / self.factory.hbar, 0.0
         else:
             coeff, shift = 1j * dt / (2.0 * self.factory.hbar), 1.0
-        if self.driven:
-            steps = self._driven_steps(mid, dt, coeff, shift, units)
-        else:
-            # A generator, so that a twin's matrix is dropped once compared.
-            steps = _map_distinct(lambda a: self._factored(units, a, [a]),
-                                  (_formed(part.dense(self.grid, mid), coeff, shift)
-                                   for _, _, part in self.parts))
+        with np.errstate(over="ignore", invalid="ignore"):
+            if self.driven:
+                steps = self._driven_steps(mid, dt, coeff, shift, units)
+            else:
+                # A generator, so that a twin's matrix is dropped once compared.
+                steps = _map_distinct(lambda a: self._factored(units, a, [a]),
+                                      (_formed(part.dense(self.grid, mid), coeff, shift)
+                                       for _, _, part in self.parts))
         return [(group, at, step) for (group, at, _), step in zip(self.parts, steps)]
 
     def ahead(self, starts, right: bool):
@@ -451,9 +454,10 @@ class _StepFactors:
         so that an LU runs while the step before it is applied.  A right
         apply also hands the worker a slab of the frame's rows, queued
         behind that LU (`_split_cayley`).  A refusal met while forming the
-        next steps is raised when they are due, after the current ones.
-        The worker belongs to the generator, which joins it, after any work
-        it runs, when it ends, fails or is closed.
+        next steps is raised when they are due, after the current ones;
+        overflow in the applies is the caller's to handle.  The worker
+        belongs to the generator, which joins it, after any work it runs,
+        when it ends, fails or is closed.
         """
         # The LUs and solves of the applies; bound before the worker starts.
         _bind_scipy()
@@ -463,9 +467,7 @@ class _StepFactors:
                 pending = []
                 for t, dt in starts:
                     try:
-                        # Overflow surfaces as non-finite entries, refused by `_check_cayley`.
-                        with np.errstate(over="ignore", invalid="ignore"):
-                            following = self(t, dt)
+                        following = self(t, dt)
                     except EvolutionError:
                         yield from pending
                         raise
@@ -526,42 +528,33 @@ class _StepFactors:
 
     def _factored(self, units: bool, a: np.ndarray, written):
         """The step from the formed matrix `a`, factored in a's storage: its
-        apply, or with `units` its step matrix.  `written` holds the
-        entries of `a` not yet checked finite.  A singular I + K_S is
-        refused, by the apply when its LU is taken on the worker."""
+        apply, or with `units` its step matrix, which is refused unless
+        finite.  `written` holds the entries of a Crank-Nicolson `a` not yet
+        checked finite.  A singular I + K_S is refused, by the apply when
+        its LU is taken on the worker."""
         if self.method == "midpoint-exponential":
             unit = _bind_scipy().expm(a)
-            return unit if units else partial(_product, unit, right=self._right)
-        _check_cayley(written)
-        if units:
+            if not units:
+                return partial(_product, unit, right=self._right)
+        else:
+            _check_cayley(written)
+            if not units:
+                if self._right:
+                    return partial(_split_cayley, self._worker, self._worker.submit(_blocked_lu, a))
+                return partial(_cayley, self._worker.submit(_getrf, a))
             try:
-                return _cayley_unit(a)
+                unit = _cayley_unit(a)
             except np.linalg.LinAlgError:
                 raise EvolutionError(_SINGULAR) from None
-        if self._right:
-            return partial(_split_cayley, self._worker, self._worker.submit(_blocked_lu, a))
-        return partial(_cayley, self._worker.submit(_getrf, a))
+        if not np.all(np.isfinite(unit)):
+            raise EvolutionError("the step matrix left the finite range; reduce the time step")
+        return unit
 
     def matrix(self, t: float, dt: float) -> np.ndarray:
         """Dense step over [t, t + dt]; entries between different component
         groups are exactly zero."""
         size = self.factory.dimension * self.grid.npoints
-        return _block_diagonal(size, [(at, unit) for _, at, unit in _group_steps(self, t, dt)])
-
-
-def _group_steps(factors: _StepFactors, t: float, dt: float) -> list:
-    """(components, positions, U_S) per component group: the step over
-    [t, t + dt] restricted to the group.
-
-    Each distinct block is formed into its U_S once; twin groups hold the
-    same U_S."""
-    # Overflow surfaces as non-finite entries, refused below.
-    with np.errstate(over="ignore", invalid="ignore"):
-        parts = factors(t, dt, units=True)
-    for _, _, unit in parts:
-        if not np.all(np.isfinite(unit)):
-            raise EvolutionError("the step matrix left the finite range; reduce the time step")
-    return parts
+        return _block_diagonal(size, [(at, unit) for _, at, unit in self(t, dt, units=True)])
 
 
 def step_matrix(
@@ -583,8 +576,8 @@ def step_matrix(
 
 def _power(unit: np.ndarray, spare: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(unit^B, the other buffer): log2 B squarings ping-ponged between the
-    storage of `unit` and `spare`, so no third array is made."""
-    # Overflow surfaces as non-finite entries, refused below.
+    storage of `unit` and `spare`.  Overflow in the squarings is ignored,
+    and a power that is not finite is an `EvolutionError`."""
     with np.errstate(over="ignore", invalid="ignore"):
         for _ in range(_SQUARINGS):
             np.matmul(unit, unit, out=spare)
@@ -610,29 +603,25 @@ def _static_blocks(psi: np.ndarray, units: list, steps: int):
     one product.  That product holds the bits of the per-group products
     only where each group brings a multiple of four rows (OpenBLAS 0.3.31,
     1 and 2 threads), so a partial last block keeps one product per group.
+    Each powered U_S is squared into a fresh partner buffer (`_power`).
+    Overflow in the products is ignored; the caller checks the states.
     """
     # One (U_S, positions of the groups that hold it) per distinct U_S.
     shared = {}
     for _, at, unit in units:
         shared.setdefault(id(unit), (unit, []))[1].append(at)
     shared = list(shared.values())
+    # Held by `shared` alone, so each U_S is freed once its power replaces it.
+    del units
     powered = [steps - _BLOCK >= _SQUARINGS * unit.shape[0] for unit, _ in shared]
     window, done = psi[np.newaxis], 0
     while done < steps:
         if done == _BLOCK:
-            # Each distinct U_S is overwritten by its power, and the buffer
-            # left over serves the next U_S of the same size.
-            spare = None
             for k, (unit, ats) in enumerate(shared):
                 if powered[k]:
-                    if spare is None or spare.shape != unit.shape:
-                        spare = np.empty_like(unit)
-                    unit, spare = _power(unit, spare)
-                    shared[k] = (unit, ats)
-            del spare
+                    shared[k] = (_power(unit, np.empty_like(unit))[0], ats)
         rows = min(_BLOCK, steps - done)
         block = np.empty((rows, psi.size), dtype=complex)
-        # Overflow surfaces as non-finite states, checked by the caller.
         with np.errstate(over="ignore", invalid="ignore"):
             for (unit, ats), power in zip(shared, powered):
                 if power and done:
@@ -823,7 +812,7 @@ def march(
     elif factory.time_dependent:
         blocks = _driven_blocks(psi, factors, t0, dt, steps)
     else:
-        blocks = _static_blocks(psi, _group_steps(factors, t0, dt), steps)
+        blocks = _static_blocks(psi, factors(t0, dt, units=True), steps)
     return _checked_blocks(blocks, t0, dt, initial.values.shape)
 
 

@@ -8,6 +8,7 @@ from bundlewave.algebra import (
     METRIC_SIGNATURE,
     SINGULAR_RCOND,
     AlgebraError,
+    ComposeOp,
     DerivativeOp,
     IdentityOp,
     MatrixOperator,
@@ -197,6 +198,18 @@ def test_fields_invert_from_fields():
 def test_scale_factor_shape_check():
     with pytest.raises(AlgebraError):
         ScaleOp(np.ones(5)).factor_values(GRID)
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: DerivativeOp(0), "order must be >= 1"),
+    (lambda: ComposeOp([]), "at least one factor"),
+    (lambda: MatrixOperator([]), "at least one entry"),
+    (lambda: MatrixOperator([[IdentityOp()], [IdentityOp(), IdentityOp()]]), "unequal lengths"),
+    (lambda: MatrixOperator([[IdentityOp(), 1.0]]), "not a linear grid operator"),
+], ids=["derivative-order-0", "empty-composition", "empty-matrix", "ragged-rows", "number-entry"])
+def test_malformed_operators_are_refused(build, message):
+    with pytest.raises(AlgebraError, match=message):
+        build()
 
 
 # ---------------------------------------------------------------------------

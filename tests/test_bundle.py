@@ -665,3 +665,7 @@ def test_derivation_input_validation():
     other = Lifting(PathSampling.uniform(0.0, 0.6, 4), lifting.values)
     with pytest.raises(BundleError):
         derivation_along_path(transport, other, 1)
+    with pytest.raises(BundleError, match="must be"):
+        Lifting(lifting.sampling, lifting.values[0])
+    with pytest.raises(BundleError, match="3 lifting values for 4 samples"):
+        Lifting(lifting.sampling, lifting.values[:3])

@@ -294,21 +294,25 @@ def test_gaussian_initial_state_carries_configured_momentum():
     assert np.max(np.abs(boosted.values[0].imag)) > 1e-3
 
 
-def test_harmonic_potential_profile():
+@pytest.mark.parametrize("profile, shape", [
+    ("harmonic", lambda u: u**2),
+    ("gaussian", lambda u: np.exp(-(u**2) / 2.0)),
+])
+def test_potential_profiles_with_a_width(profile, shape):
     cfg = parse_config(
-        """
+        f"""
         [grid]
         points = 16
         length = 4.0
         [potential]
-        scalar-profile = harmonic
+        scalar-profile = {profile}
         scalar-amplitude = 0.5
         scalar-width = 2.0
         """
     )
     grid = build_grid(cfg)
     pots = build_potentials(cfg, grid)
-    expected = 0.5 * ((grid.points - 2.0) / 2.0) ** 2
+    expected = 0.5 * shape((grid.points - 2.0) / 2.0)
     assert np.max(np.abs(pots.scalar - expected)) < 1e-14
 
 

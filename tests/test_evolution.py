@@ -524,7 +524,7 @@ class _CountedUnit(np.ndarray):
 def test_twin_groups_take_one_block_product(model, monkeypatch):
     factory = _POWERED[model][0]()
     factors = evolution._StepFactors(factory, GRID, "crank-nicolson")
-    units = evolution._group_steps(factors, 0.0, 0.02)
+    units = factors(0.0, 0.02, units=True)
     psi = _random_state(4, 11).flatten()
     monkeypatch.setattr(_CountedUnit, "operands", [])
     # Twins share one U_S; copies stand for groups that do not.
@@ -872,6 +872,15 @@ def test_twin_blocks_are_told_apart_by_their_bits():
     assert not _same_bits(block, block.astype(np.complex64))
     nan = np.full(3, np.nan)
     assert _same_bits(nan, nan.copy()) and not np.array_equal(nan, nan.copy())
+    # C-ordered blocks of every item size, and a 0-d array, each against
+    # itself and against a copy with one part of one entry changed.
+    for same in (block, block.astype(np.complex64), (10 * block.real).astype(np.int64),
+                 block.real > 5.0, np.array(1.5 - 0.0j)):
+        assert same.flags.c_contiguous and _same_bits(same, same.copy())
+        other = same.copy()
+        last = other.reshape(-1)
+        last[-1] = np.conj(last[-1]) if other.dtype.kind == "c" else ~last[-1]
+        assert not _same_bits(same, other)
 
 
 # Driven marches and the Crank-Nicolson LUs each of their steps takes: one

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from bundlewave.algebra import AlgebraError, Frame, dirac_gammas
 from bundlewave.evolution import (
+    DENSE_STATE_LIMIT,
     _block,
     _connected_sets,
     _coupling,
@@ -491,10 +492,13 @@ def test_two_slot_kernel_forms_g_once(monkeypatch):
 def test_scalar_kernel_guards():
     kernel = ScalarFieldKernel.build(GRID, 1.0)
     assert np.all(kernel.scalar(0.2, 0.2) == 0)
+    assert np.all(kernel.scalar_rate(0.2, 0.3) == 0)
     with pytest.raises(GreenError):
         kernel.vector(0.2, 0.2)
     with pytest.raises(GreenError):
         kernel.propagate(_packet(GRID), 0.5, 0.0)
+    with pytest.raises(GreenError, match="exceeds limit"):
+        ScalarFieldKernel.build(SpatialGrid1D(2 * DENSE_STATE_LIMIT, 1.0), 1.0)
 
 
 # ---------------------------------------------------------------------------

@@ -43,7 +43,7 @@ def test_spectral_derivative_is_exact_on_modes():
     grid = SpatialGrid1D(16, 2.0 * np.pi)
     for k in (1, 3, -5):
         mode = np.exp(1j * k * grid.points)
-        for order in (1, 2, 3):
+        for order in (0, 1, 2, 3):
             got = derivative_values(grid, mode, order=order)
             assert np.max(np.abs(got - (1j * k) ** order * mode)) < 1e-12
 
@@ -218,6 +218,10 @@ def test_discrete_delta_has_unit_mass():
     # <delta_x0, f> picks out the value at the nearest grid point.
     x0 = grid.points[grid.nearest_index(0.7)]
     assert inner(delta, probe) == pytest.approx(np.cos(x0))
+    # Past a reflecting grid's walls, the delta sits on the nearer wall.
+    box = SpatialGrid1D(9, 4.0, "reflecting")
+    for x0, wall in ((-1.0, 0), (5.0, 8)):
+        assert np.flatnonzero(discrete_delta(box, x0).values[0]).tolist() == [wall]
 
 
 def test_mismatched_grids_refused():

@@ -346,6 +346,10 @@ def test_block_diag_stacks_factories():
     assert np.max(np.abs(dense[:n, :n] - a.at().dense(GRID))) == 0.0
     assert np.max(np.abs(dense[n:, n:] - b.at().dense(GRID))) == 0.0
     assert np.max(np.abs(dense[:n, n:])) == 0.0
+    with pytest.raises(ReductionError, match="at least one factory"):
+        block_diag_hamiltonian([])
+    with pytest.raises(ReductionError, match="disagree on hbar"):
+        block_diag_hamiltonian([a, schrodinger_hamiltonian(mass=1.0, hbar=0.5)])
 
 
 # ---------------------------------------------------------------------------

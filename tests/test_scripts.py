@@ -2,6 +2,7 @@
 
 import importlib.util
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -95,6 +96,28 @@ def test_table_gate_pins_the_threads_it_is_given(tmp_path):
         # The last digits of the Born table follow the pool size.
         table = Path("green-dirac-born-seed7", "green.csv")
         assert (tmp_path / "1" / table).read_bytes() != (tmp_path / "2" / table).read_bytes()
+
+
+def test_line_trace_lists_the_package_lines_a_run_never_executes(tmp_path):
+    # A fresh interpreter, so that the package is imported under the trace.
+    env = {**os.environ, "PYTHONPATH": ""}
+    command = [sys.executable, str(SCRIPTS / "line_trace.py"), "-q", "-p", "no:cacheprovider",
+               str(SCRIPTS.parent / "tests" / "test_grid.py")]
+    done = subprocess.run(command, capture_output=True, text=True, env=env, cwd=tmp_path,
+                          timeout=300)
+    assert done.returncode == 0, done.stderr
+    lines = done.stdout.splitlines()
+    header = next(k for k, line in enumerate(lines) if line.startswith("line trace: "))
+    match = re.fullmatch(r"line trace: (\d+) of (\d+) executable lines in src/bundlewave never ran",
+                         lines[header])
+    missing, total = int(match[1]), int(match[2])
+    listed = lines[header + 1:]
+    assert 0 < missing < total and len(listed) == missing
+    places = [re.fullmatch(r"src/bundlewave/(\w+)\.py:(\d+): \S.*", line) for line in listed]
+    assert all(places)
+    assert [(m[1], int(m[2])) for m in places] == sorted((m[1], int(m[2])) for m in places)
+    # The grid tests march nothing.
+    assert "src/bundlewave/evolution.py" in {line.split(":")[0] for line in listed}
 
 
 def _bench_run(wall, rss, load):

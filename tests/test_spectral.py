@@ -270,6 +270,21 @@ def test_the_handover_is_one_way(lus):
     assert len(lus) == 6
 
 
+def test_a_singular_symbol_takes_the_lu_from_the_first_step(lus):
+    # With hbar = 1 and dt = 0.5, H = 4i I + (1 + cos(x) / 2) cos(t) makes
+    # I + K^_C = 0 at every wavenumber, so it has no inverse to sweep with.
+    grid, dt, steps = SpatialGrid1D(8, 2.0 * np.pi), 0.5, 6
+    profile = 1.0 + 0.5 * np.cos(grid.points)
+    op = MatrixOperator([[ScaleOp(4j) + ScaleOp(lambda t: profile * np.cos(t))]])
+    factory = HamiltonianFactory(op, "singular-symbol")
+    assert op.symbol(grid) is not None
+    state = _state(factory, grid)
+    marched = np.concatenate([states.reshape(len(states), -1)
+                              for _, states in march(state, factory, dt, steps)])
+    assert len(lus) == steps
+    assert np.array_equal(marched, _lu_states(factory, state, dt, steps))
+
+
 def test_sweeps_that_do_not_converge_are_an_evolution_error(monkeypatch):
     # With one sweep allowed, a step whose second sweep still changes psi'
     # beyond rounding cannot finish.
