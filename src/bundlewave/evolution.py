@@ -44,16 +44,14 @@ block and step.  A march solves against psi_S (`_cayley`).  A transport
 substitutes over 64-column blocks of its frame by BLAS products with the
 LU's blocks, its diagonal ones inverted (`blocked`), and calls no
 `getrs`: two threads in scipy's `zgetrs` on one LU corrupted the heap.
-Applies run one step ahead (`_StepFactors.ahead`): step k + 1 is formed
-on the caller's thread and factored on a worker thread, which then takes
-a sixth of a transport frame's rows of step k.  Each march or transport
-joins its own worker when it ends, fails or is closed.
+Applies run one step ahead: step k + 1 is formed on the caller's thread
+and factored on the worker thread of the march's or transport's own
+`_StepFactors.ahead`, which then takes a sixth of a frame's rows of step k.
 
 Overflow while a step is formed is ignored in `_StepFactors.__call__`
 alone; the non-finite entries it leaves are refused before a Crank-Nicolson
-matrix is factored, and in every step matrix that `_factored` returns.
-Applies and powers ignore overflow where they run; the states, frames and
-powers are checked.
+matrix is factored, and in every step matrix.  Applies and powers ignore
+overflow where they run; the states, frames and powers are checked.
 
 Every route names a step by its start time t and size dt, and takes H at
 the midpoint t + dt / 2 through `_midpoint` alone.  Time enters only
@@ -64,7 +62,9 @@ coeff S_S + shift I, formed again only when dt changes; a step copies it
 once per distinct group and writes only the entries that D(t) reaches:
 the N values of a pointwise entry on the diagonal of its block
 (`LinearGridOperator.diagonal`), or the whole block of any other.  Only
-those entries are checked finite and compared between twins.
+those entries are checked finite, and two groups of a driven H are twins
+when they hold one base object, write the same blocks, and those blocks
+hold the same bits.
 
 On a periodic grid a driven Crank-Nicolson march needs no LU when
 `MatrixOperator.symbol` splits H(t) as C + P(t), C translation invariant
@@ -314,12 +314,14 @@ def _block(rows, cols):
 
 def _same_bits(a: np.ndarray, b: np.ndarray) -> bool:
     """Whether two arrays hold the same bits (-0.0 is not 0.0, a NaN is
-    itself): C-ordered copies of them, where they are not C-ordered already,
-    are compared as unsigned integers of at most 8 bytes."""
+    itself), compared as unsigned integers of at most 8 bytes: in place
+    where the last axis is contiguous, else as C-ordered copies."""
     if a.shape != b.shape or a.dtype != b.dtype:
         return False
+    a, b = (x if x.ndim and x.strides[-1] == x.itemsize else np.ascontiguousarray(x)
+            for x in (a, b))
     bits = f"u{min(a.itemsize, 8)}"
-    return np.array_equal(np.ascontiguousarray(a).view(bits), np.ascontiguousarray(b).view(bits))
+    return np.array_equal(a.view(bits), b.view(bits))
 
 
 def _map_distinct(function, items, same=_same_bits) -> list:
@@ -381,14 +383,16 @@ class _StepFactors:
     nothing and realizes each group's block at every step.  A driven one is
     split into S + D(t) once, when the stepper is made: S is realized whole
     then, and each group keeps its S block and the *base* coeff S_S +
-    shift I, formed again only when dt changes.  Twin groups, whose S blocks
-    hold the same bits, share one S block and one base.
+    shift I, formed again only when dt changes.  Groups whose S blocks hold
+    the same bits share one S block and one base object; they are twins at
+    a step when they also write the same blocks with the same bits.
 
-    `__call__` is the one place that ignores overflow while a step is
-    formed, and `_factored` the one place that checks a step matrix finite.
-    Applies are taken one step ahead, through `ahead`, which owns the worker
-    thread.  scipy is bound once, on the caller's thread: when the stepper
-    is made for the exponential, and when `ahead` starts.
+    Besides the base, the stepper keeps nothing between calls.  `__call__`
+    is the one place that ignores overflow while a step is formed, and
+    `_unit` the one place that checks a step matrix finite.  Applies are
+    taken one step ahead through `ahead`, which owns its worker thread.
+    scipy is bound once, on the caller's thread: when the stepper is made
+    for the exponential, and when `ahead` starts.
     """
 
     def __init__(self, factory: HamiltonianFactory, grid: SpatialGrid1D, method: str):
@@ -410,24 +414,25 @@ class _StepFactors:
             self._entries = [_driven_entries(part, block, grid.npoints)
                              for (_, _, part), block in zip(self.parts, self._static)]
             self._dt = self._bases = None
-        self._worker = self._right = None
         if method == "midpoint-exponential":
             _bind_scipy()
 
-    def __call__(self, t: float, dt: float, units: bool = False) -> list:
+    def __call__(self, t: float, dt: float, finish=None) -> list:
         """(components, positions, step) per component group of
         H(t + dt / 2) for the step of size dt from t.
 
-        step(x, out=None) applies U_S from the side that `ahead` was given.
-        With `units`, step is the step matrix U_S itself, finite; without, a
-        Crank-Nicolson step is factored on the worker of `ahead`, inside
-        which alone it may be called.  Every group's matrix is formed, or for
-        a driven H its written entries computed, before any is factored.  A
-        group whose matrix holds the same bits as an earlier group's, a
-        twin, is handed that group's step object, so each distinct matrix
-        takes one LU, inverse or expm.  Overflow is ignored here alone while
-        the steps are formed and factored, and refused by `_factored`.
+        Each distinct formed matrix a goes to finish(a, written), whose
+        result is the step; `written` holds the entries of a not yet checked
+        finite.  The default, `_unit`, returns the finite step matrix U_S;
+        `ahead` passes one that hands the LU to its own worker.  Every
+        group's matrix is formed, or for a driven H its written entries
+        computed, before any is finished.  Twins, groups whose matrices
+        hold the same bits (`_driven_steps` for a driven H), share one step
+        object, so each distinct matrix takes one LU, inverse or expm.
+        Overflow is ignored here alone while the steps are formed and
+        finished.
         """
+        finish = finish or self._unit
         mid = _midpoint(t, dt)
         if self.method == "midpoint-exponential":
             coeff, shift = -1j * dt / self.factory.hbar, 0.0
@@ -435,54 +440,74 @@ class _StepFactors:
             coeff, shift = 1j * dt / (2.0 * self.factory.hbar), 1.0
         with np.errstate(over="ignore", invalid="ignore"):
             if self.driven:
-                steps = self._driven_steps(mid, dt, coeff, shift, units)
+                steps = self._driven_steps(mid, dt, coeff, shift, finish)
             else:
                 # A generator, so that a twin's matrix is dropped once compared.
-                steps = _map_distinct(lambda a: self._factored(units, a, [a]),
+                steps = _map_distinct(lambda a: finish(a, [a]),
                                       (_formed(part.dense(self.grid, mid), coeff, shift)
                                        for _, _, part in self.parts))
         return [(group, at, step) for (group, at, _), step in zip(self.parts, steps)]
 
-    def ahead(self, starts, right: bool):
-        """Yield the steps, as `__call__` hands them without `units`, of
-        size dt from t for each (t, dt) of `starts`, one step ahead: each
-        applies its U_S from the right, x U_S, to a transport's frames if
-        `right`, else from the left, U_S x, to a march's state.
+    def _unit(self, a: np.ndarray, written) -> np.ndarray:
+        """The step matrix U_S from the formed matrix `a`, in a's storage,
+        refused unless finite, or for Crank-Nicolson singular."""
+        if self.method == "midpoint-exponential":
+            unit = _bind_scipy().expm(a)
+        else:
+            _check_cayley(written)
+            try:
+                unit = _cayley_unit(a)
+            except np.linalg.LinAlgError:
+                raise EvolutionError(_SINGULAR) from None
+        if not np.all(np.isfinite(unit)):
+            raise EvolutionError("the step matrix left the finite range; reduce the time step")
+        return unit
 
-        The steps from the next start are formed, and their Crank-Nicolson
-        LUs handed to a worker thread, before the current ones are yielded,
-        so that an LU runs while the step before it is applied.  A right
-        apply also hands the worker a slab of the frame's rows, queued
-        behind that LU (`_split_cayley`).  A refusal met while forming the
-        next steps is raised when they are due, after the current ones;
-        overflow in the applies is the caller's to handle.  The worker
-        belongs to the generator, which joins it, after any work it runs,
-        when it ends, fails or is closed.
+    def ahead(self, starts, right: bool):
+        """Yield the steps of size dt from t for each (t, dt) of `starts`,
+        one step ahead: each applies its U_S from the right, x U_S, to a
+        transport's frames if `right`, else from the left, U_S x, to a
+        march's state.
+
+        The generator owns a worker thread, which it joins, after any work
+        it runs, when it ends, fails or is closed.  The steps from the next
+        start are formed, and their Crank-Nicolson LUs handed to the worker
+        (`_getrf` for a march, `_blocked_lu` for a transport), before the
+        current ones are yielded.  A right apply also hands the worker a
+        slab of the frame's rows, queued behind the next LU
+        (`_split_cayley`).  A refusal met while forming the next steps is
+        raised when they are due, after the current ones; overflow in the
+        applies is the caller's to handle.
         """
         # The LUs and solves of the applies; bound before the worker starts.
         _bind_scipy()
-        self._right = right
-        with ThreadPoolExecutor(max_workers=1) as self._worker:
-            try:
-                pending = []
-                for t, dt in starts:
-                    try:
-                        following = self(t, dt)
-                    except EvolutionError:
-                        yield from pending
-                        raise
-                    yield from pending
-                    pending = [following]
-                yield from pending
-            finally:
-                self._worker = None
+        with ThreadPoolExecutor(max_workers=1) as worker:
+            def finish(a: np.ndarray, written):
+                if self.method == "midpoint-exponential":
+                    return partial(_product, _bind_scipy().expm(a), right=right)
+                _check_cayley(written)
+                if right:
+                    return partial(_split_cayley, worker, worker.submit(_blocked_lu, a))
+                return partial(_cayley, worker.submit(_getrf, a))
 
-    def _driven_steps(self, mid: float, dt: float, coeff: complex, shift: float, units: bool) -> list:
+            pending = []
+            for t, dt in starts:
+                try:
+                    following = self(t, dt, finish)
+                except EvolutionError:
+                    yield from pending
+                    raise
+                yield from pending
+                pending = [following]
+            yield from pending
+
+    def _driven_steps(self, mid: float, dt: float, coeff: complex, shift: float, finish) -> list:
         """The step per group of a driven H: a copy of the group's base per
         distinct group, with the entries that D reaches written as
-        (S + D(mid)) coeff, plus shift on the diagonal.  Only those entries
-        are checked finite and compared between groups that share a base:
-        where one group writes and the other does not, against the base."""
+        (S + D(mid)) coeff, plus shift on the diagonal, then finished.  Only
+        those entries are checked finite and compared: two groups are twins
+        when they hold one base object, write the same blocks, and those
+        blocks hold the same bits."""
         if dt != self._dt:
             def base(static):
                 # + 0.0 stands for the exact zeros of D that a step adds to S.
@@ -491,8 +516,8 @@ class _StepFactors:
                     _check_cayley([formed])
                 return formed
 
-            # One base per held S block, and one object for bases with the same bits.
-            self._bases = _map_distinct(lambda same: same, _map_distinct(base, self._static, is_))
+            # One base per held S block.
+            self._bases = _map_distinct(base, self._static, is_)
             self._dt = dt
         realized = {}
 
@@ -509,52 +534,23 @@ class _StepFactors:
         writes = [written(entries) for entries in self._entries]
 
         def twins(g: int, h: int) -> bool:
-            if self._bases[g] is not self._bases[h]:
-                return False
-            for block in writes[g].keys() | writes[h].keys():
-                index, _ = writes[g].get(block) or writes[h][block]
-                unwritten = index, self._bases[g][index]
-                if not _same_bits(*(writes[k].get(block, unwritten)[1] for k in (g, h))):
-                    return False
-            return True
+            return (self._bases[g] is self._bases[h] and writes[g].keys() == writes[h].keys()
+                    and all(_same_bits(writes[g][block][1], writes[h][block][1])
+                            for block in writes[g]))
 
-        def factored(g: int):
+        def finished(g: int):
             a = self._bases[g].copy()
             for index, values in writes[g].values():
                 a[index] = values
-            return self._factored(units, a, [values for _, values in writes[g].values()])
+            return finish(a, [values for _, values in writes[g].values()])
 
-        return _map_distinct(factored, range(len(self.parts)), twins)
-
-    def _factored(self, units: bool, a: np.ndarray, written):
-        """The step from the formed matrix `a`, factored in a's storage: its
-        apply, or with `units` its step matrix, which is refused unless
-        finite.  `written` holds the entries of a Crank-Nicolson `a` not yet
-        checked finite.  A singular I + K_S is refused, by the apply when
-        its LU is taken on the worker."""
-        if self.method == "midpoint-exponential":
-            unit = _bind_scipy().expm(a)
-            if not units:
-                return partial(_product, unit, right=self._right)
-        else:
-            _check_cayley(written)
-            if not units:
-                if self._right:
-                    return partial(_split_cayley, self._worker, self._worker.submit(_blocked_lu, a))
-                return partial(_cayley, self._worker.submit(_getrf, a))
-            try:
-                unit = _cayley_unit(a)
-            except np.linalg.LinAlgError:
-                raise EvolutionError(_SINGULAR) from None
-        if not np.all(np.isfinite(unit)):
-            raise EvolutionError("the step matrix left the finite range; reduce the time step")
-        return unit
+        return _map_distinct(finished, range(len(self.parts)), twins)
 
     def matrix(self, t: float, dt: float) -> np.ndarray:
         """Dense step over [t, t + dt]; entries between different component
         groups are exactly zero."""
         size = self.factory.dimension * self.grid.npoints
-        return _block_diagonal(size, [(at, unit) for _, at, unit in self(t, dt, units=True)])
+        return _block_diagonal(size, [(at, unit) for _, at, unit in self(t, dt)])
 
 
 def step_matrix(
@@ -812,7 +808,7 @@ def march(
     elif factory.time_dependent:
         blocks = _driven_blocks(psi, factors, t0, dt, steps)
     else:
-        blocks = _static_blocks(psi, factors(t0, dt, units=True), steps)
+        blocks = _static_blocks(psi, factors(t0, dt), steps)
     return _checked_blocks(blocks, t0, dt, initial.values.shape)
 
 

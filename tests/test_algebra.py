@@ -10,7 +10,9 @@ from bundlewave.algebra import (
     AlgebraError,
     ComposeOp,
     DerivativeOp,
+    GammaSet,
     IdentityOp,
+    LinearGridOperator,
     MatrixOperator,
     ScaleOp,
     SumOp,
@@ -206,10 +208,31 @@ def test_scale_factor_shape_check():
     (lambda: MatrixOperator([]), "at least one entry"),
     (lambda: MatrixOperator([[IdentityOp()], [IdentityOp(), IdentityOp()]]), "unequal lengths"),
     (lambda: MatrixOperator([[IdentityOp(), 1.0]]), "not a linear grid operator"),
-], ids=["derivative-order-0", "empty-composition", "empty-matrix", "ragged-rows", "number-entry"])
+    (lambda: MatrixOperator.from_fields(np.ones((4, 2))), r"expected \(N, n, p\)"),
+    (lambda: MatrixOperator.zeros(2, 2).apply(GridFunction(GRID, np.ones((3, GRID.npoints)))),
+     "is 2x2, state has 3 components"),
+    (lambda: MatrixOperator.zeros(2, 2) + MatrixOperator.zeros(3, 3), "cannot add shapes"),
+    (lambda: promote(np.ones(3)), r"cannot promote object of shape \(3,\)"),
+    (lambda: kron_component_matrix(np.ones((2, 3)), 4), "must be square"),
+    (lambda: matrix_in_frame(MatrixOperator.zeros(2, 3), np.eye(2)), "square operator matrix"),
+    (lambda: matrix_in_frame(MatrixOperator.zeros(2, 2), np.eye(3)), "does not fit"),
+    (lambda: GammaSet((np.eye(2),) * 3), "expected 4 matrices, got 3"),
+    (lambda: GammaSet((np.eye(2),) * 3 + (np.eye(3),)), "square and equally sized"),
+    (lambda: slashed_contract(dirac_gammas(), (1.0, 2.0)), "need 4 covector components"),
+    (lambda: slashed_contract(dirac_gammas(), (np.ones(3), np.ones(4), 0.0, 0.0)),
+     "inconsistent sampling"),
+], ids=["derivative-order-0", "empty-composition", "empty-matrix", "ragged-rows", "number-entry",
+        "fields-2d", "apply-components", "add-shapes", "promote-1d", "kron-non-square",
+        "frame-non-square-operator", "frame-misfit", "gammas-count", "gammas-shape",
+        "covector-count", "covector-sampling"])
 def test_malformed_operators_are_refused(build, message):
     with pytest.raises(AlgebraError, match=message):
         build()
+
+
+def test_the_base_grid_operator_has_no_apply():
+    with pytest.raises(NotImplementedError):
+        LinearGridOperator().apply(np.zeros(GRID.npoints), GRID)
 
 
 # ---------------------------------------------------------------------------

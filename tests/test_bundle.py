@@ -398,14 +398,14 @@ def _switched(t_star: float) -> HamiltonianFactory:
 
 @pytest.mark.parametrize("method", ["crank-nicolson", "midpoint-exponential"])
 def test_twin_groups_that_diverge_match_each_group_marched_alone(method, monkeypatch):
-    # A stack of a static Schrodinger and a copy whose potential switches on
-    # at t* = 0.36: the groups are twins at every step midpoint before t*
-    # and differ from it on.  Alone, a static factory takes the static
-    # route, whose arithmetic differs, so the first group's reference
-    # carries a callable potential that is 0 at every t: the driven route.
+    # A stack of two Schrodinger copies whose potentials switch on at
+    # t = inf and at t* = 0.36: both write the same diagonal, so the groups
+    # are twins at every step midpoint before t* and differ from it on.
+    # The first one's potential is 0 at every t, yet it takes the driven
+    # route, as its reference alone does.
     from bundlewave import evolution
 
-    stacked = block_diag_hamiltonian([schrodinger_hamiltonian(1.0), _switched(0.36)])
+    stacked = block_diag_hamiltonian([_switched(np.inf), _switched(0.36)])
     alone = (_switched(np.inf), _switched(0.36))
     n = GRID.npoints
     calls = []

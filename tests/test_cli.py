@@ -16,6 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bundlewave import algebra, evolution
+from bundlewave.checks import run_checks
 from bundlewave.cli import (
     EXIT_CONFIG,
     EXIT_INVARIANT,
@@ -471,6 +472,9 @@ def test_check_rejects_unknown_suite(capsys):
     err = capsys.readouterr().err
     assert "unknown check suite" in err
     assert "bundle" in err
+    # The library call, past the command line's own test.
+    with pytest.raises(KeyError, match="spectra"):
+        run_checks("spectra")
 
 
 # ---------------------------------------------------------------------------

@@ -97,6 +97,20 @@ def test_bad_value_type_is_rejected():
 def test_bad_choice_is_rejected():
     with pytest.raises(ConfigError, match="kind must be one of"):
         parse_config("[model]\nkind = proca\n")
+    # A configuration built in code skips the parser; the builders refuse
+    # an unknown choice themselves.
+    grid = build_grid(RunConfig())
+    for section, values, build in [
+        ("potential", {"scalar_profile": "proca", "scalar_amplitude": 1.0}, build_potentials),
+        ("model", {"kind": "proca"}, build_factory),
+        ("initial", {"profile": "proca"}, build_initial_state),
+        ("frame", {"profile": "proca"}, build_frame),
+    ]:
+        cfg = RunConfig()
+        for name, value in values.items():
+            setattr(getattr(cfg, section), name, value)
+        with pytest.raises(ConfigError, match="unknown .* 'proca'"):
+            build(cfg, grid)
 
 
 def test_key_outside_section_is_rejected():

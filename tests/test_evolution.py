@@ -5,6 +5,7 @@ import re
 import subprocess
 import sys
 import threading
+import tracemalloc
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
@@ -524,7 +525,7 @@ class _CountedUnit(np.ndarray):
 def test_twin_groups_take_one_block_product(model, monkeypatch):
     factory = _POWERED[model][0]()
     factors = evolution._StepFactors(factory, GRID, "crank-nicolson")
-    units = factors(0.0, 0.02, units=True)
+    units = factors(0.0, 0.02)
     psi = _random_state(4, 11).flatten()
     monkeypatch.setattr(_CountedUnit, "operands", [])
     # Twins share one U_S; copies stand for groups that do not.
@@ -881,6 +882,21 @@ def test_twin_blocks_are_told_apart_by_their_bits():
         last = other.reshape(-1)
         last[-1] = np.conj(last[-1]) if other.dtype.kind == "c" else ~last[-1]
         assert not _same_bits(same, other)
+    # An F-ordered block is copied, and matches its C-ordered twin only.
+    assert _same_bits(np.asfortranarray(block), block)
+    assert not _same_bits(np.asfortranarray(block), block.T)
+    # Slice views with a contiguous last axis, two 256^2 complex blocks of
+    # one matrix, are compared in place: copies of both would take 2 MiB.
+    whole = np.ones((512, 512), dtype=complex)
+    whole[300, 300] = 2.0
+    tracemalloc.start()
+    try:
+        same = _same_bits(whole[:256, :256], whole[256:, :256])
+        apart = _same_bits(whole[:256, :256], whole[256:, 256:])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert same and not apart and peak < 512 * 1024
 
 
 # Driven marches and the Crank-Nicolson LUs each of their steps takes: one

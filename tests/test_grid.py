@@ -36,6 +36,10 @@ def test_grid_validation():
         SpatialGrid1D(8, 1.0, "absorbing")
     with pytest.raises(GridError):
         SpatialGrid1D(8, 1.0, "reflecting").wavenumbers
+    with pytest.raises(GridError, match="non-negative"):
+        derivative_values(SpatialGrid1D(8, 1.0), np.zeros(8), order=-1)
+    with pytest.raises(GridError, match="7 points, grid has 8"):
+        derivative_values(SpatialGrid1D(8, 1.0), np.zeros(7))
 
 
 def test_spectral_derivative_is_exact_on_modes():
@@ -107,6 +111,8 @@ def test_grid_function_shape_checks():
         GridFunction(grid, np.zeros((2, 7)))
     with pytest.raises(GridError):
         GridFunction.from_flat(grid, np.zeros(15), 2)
+    with pytest.raises(GridError, match=r"must be \(components, npoints\)"):
+        GridFunction(grid, np.zeros((2, 2, 8)))
 
 
 def test_inner_product_conjugate_linear_in_first_slot():
@@ -145,6 +151,8 @@ def test_fibre_product_rejects_bad_weights():
         per_point[1, 1, 1] = bad
         with pytest.raises(GridError, match="finite"):
             FibreProduct(per_point)
+    with pytest.raises(GridError, match="sampled at 3 points, grid has 4"):
+        FibreProduct(np.tile(np.eye(2), (3, 1, 1))).by_point(4)
 
 
 def test_weighted_inner_positive():
@@ -229,3 +237,5 @@ def test_mismatched_grids_refused():
     b = GridFunction(SpatialGrid1D(8, 2.0), np.zeros((1, 8)))
     with pytest.raises(GridError):
         inner(a, b)
+    with pytest.raises(GridError, match="component mismatch: 1 vs 2"):
+        inner(a, GridFunction(a.grid, np.zeros((2, 8))))

@@ -3,10 +3,13 @@
 One hypothesis strategy draws a factory (the six model builders, a gauge
 transform by a constant, driven-phase, driven-rotation or driven x-field
 frame, or a block-diagonal stack, a stack of a builder with itself, whose
-groups are twins, or a stack of a static Schrodinger and a copy whose
-potential switches on at a drawn time, whose groups are twins before it and
-differ after it), a grid, hbar, c, potentials, a method, a step count and
-a start time.  Each example propagates one random state along every route
+groups are twins, or a stack of two Schrodinger copies whose potentials
+switch on at t = inf and at a drawn time, whose groups are twins before it
+and differ after it), a grid, hbar, c, potentials, a method, a step count
+and a start time.  Two groups of a driven H are twins at a step when they
+hold one base, write the same blocks, and those blocks hold the same bits;
+twins share one step, which each march or transport applies one step ahead
+from a worker thread that its `ahead` generator owns.  Each example propagates one random state along every route
 and holds each route against `evolve`, or the reference named below,
 with one tolerance per pair of routes written once below:
 
@@ -133,14 +136,19 @@ def _wrapped(kind, base, other, grid):
 
 
 def _diverging(grid, hbar, t_star):
-    """A static Schrodinger stacked with a copy whose potential is exactly 0
-    before t_star and driven from it on."""
+    """Two Schrodinger copies whose potentials are exactly 0 before their
+    switch-on time and driven from it on: the first at t = inf, the second
+    at t_star.  Both write the same diagonal, so they are twins before
+    t_star."""
     profile = 0.3 * np.cos(2.0 * np.pi * grid.points / grid.length)
     off = np.zeros(grid.npoints)
-    switched = schrodinger_hamiltonian(
-        1.0, lambda t: profile * np.cos(3.0 * t) if t >= t_star else off, hbar
-    )
-    return block_diag_hamiltonian([schrodinger_hamiltonian(1.0, 0.0, hbar), switched])
+
+    def switched(start):
+        return schrodinger_hamiltonian(
+            1.0, lambda t: profile * np.cos(3.0 * t) if t >= start else off, hbar
+        )
+
+    return block_diag_hamiltonian([switched(np.inf), switched(t_star)])
 
 
 def _frame_field(rng, grid, m):

@@ -98,6 +98,23 @@ def test_table_gate_pins_the_threads_it_is_given(tmp_path):
         assert (tmp_path / "1" / table).read_bytes() != (tmp_path / "2" / table).read_bytes()
 
 
+def test_route_sweep_prints_each_column_against_its_tolerance(capsys, monkeypatch):
+    script = _load("route_sweep")
+    assert script.main(["3"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "column,worst,tolerance,factory"
+    rows = [line.split(",") for line in lines[1:]]
+    assert [row[0] for row in rows] == list(script.TOLERANCE)
+    seen = [(float(worst), float(tolerance), factory) for _, worst, tolerance, factory in rows
+            if worst != "-"]
+    assert seen and all(worst <= tolerance for worst, tolerance, _ in seen)
+    assert all(factory.endswith(("crank-nicolson", "midpoint-exponential"))
+               for _, _, factory in seen)
+    # A column past its tolerance fails the sweep; no difference is below -1.
+    monkeypatch.setattr(script, "TOLERANCE", {name: -1.0 for name in script.TOLERANCE})
+    assert script.main(["3"]) == 1
+
+
 def test_line_trace_lists_the_package_lines_a_run_never_executes(tmp_path):
     # A fresh interpreter, so that the package is imported under the trace.
     env = {**os.environ, "PYTHONPATH": ""}
