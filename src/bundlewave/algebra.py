@@ -16,9 +16,11 @@ frame constant in t.
 
 from __future__ import annotations
 
+import ctypes
 import os
 from dataclasses import dataclass
 from functools import cached_property, reduce
+from types import SimpleNamespace
 from typing import Sequence
 
 import numpy as np
@@ -492,14 +494,10 @@ def kron_component_matrix(matrix: np.ndarray, npoints: int) -> np.ndarray:
     return np.kron(matrix, np.eye(npoints, dtype=complex))
 
 
-# The idle spin of scipy's OpenBLAS pool, as a power of two of CPU cycles:
-# after a threaded call its workers spin 2^25 cycles (about 17 ms at
-# 2 GHz) before they sleep, against OpenBLAS's default of 2^28 (about
-# 0.13 s).  A longer spin keeps a worker busy beside numpy's pool, which
-# runs the products around a scipy call; a shorter one puts the workers to
-# sleep between the few-millisecond steps of a driven transport, whose
-# solves then pay for waking them.  The spin changes no work split and no
-# bits.
+# The idle spin of scipy's OpenBLAS pool, which serves `expm` alone, as a
+# power of two of CPU cycles: 2^25 (about 17 ms at 2 GHz) against
+# OpenBLAS's default of 2^28, which kept its workers busy beside numpy's
+# pool after `green`'s `expm`.  The spin changes no work split and no bits.
 SCIPY_SPIN_EXPONENT = 25
 
 # scipy.linalg once `_bind_scipy` has imported it, else None.
@@ -530,6 +528,55 @@ def _bind_scipy():
     return _linalg
 
 
+# The routines of numpy's bundled OpenBLAS that bundlewave calls, by their
+# number of pointer arguments.  zgecon and zlange, built from Fortran, take
+# a size_t length of their character argument after those.
+_ROUTINES = {"zgetrf": 6, "zgetrs": 9, "zgemm": 13, "ztrmm": 11, "ztrtri": 6, "zgecon": 9,
+             "zlange": 6}
+
+# The bound `_ROUTINES` once `_bind_lapack` has bound them, else None.
+_lapack = None
+
+
+def _bind_lapack():
+    """The `_ROUTINES` of numpy's bundled OpenBLAS, as attributes of their
+    names, bound on the first call: the one place where bundlewave binds
+    BLAS and LAPACK.  They run in numpy's own thread pool, without the
+    interpreter lock, and take ILP64 integers (`ctypes.c_int64`).  numpy 2
+    wheels export them as scipy_<name>_64_, numpy 1 wheels as <name>_64_;
+    a routine exported as neither is an `AlgebraError`.
+    """
+    global _lapack
+    if _lapack is None:
+        library, bound = ctypes.CDLL(np.linalg._umath_linalg.__file__), SimpleNamespace()
+        for name, pointers in _ROUTINES.items():
+            spellings = [f"scipy_{name}_64_", f"{name}_64_"]
+            found = [getattr(library, symbol) for symbol in spellings if hasattr(library, symbol)]
+            if not found:
+                raise AlgebraError(f"numpy's OpenBLAS exports neither {' nor '.join(spellings)}; "
+                                   "bundlewave needs a numpy that bundles ILP64 LAPACK")
+            lengths = [ctypes.c_size_t] if name in ("zgecon", "zlange") else []
+            found[0].argtypes = [ctypes.c_void_p] * pointers + lengths
+            setattr(bound, name, found[0])
+        bound.zlange.restype = ctypes.c_double
+        _lapack = bound
+    return _lapack
+
+
+def _getrf(a: np.ndarray) -> tuple:
+    """(lu, piv, info) of LAPACK's `getrf` of a^T, for a square complex
+    C-ordered a, factored in place: lu is a^T, F-ordered, piv holds the
+    0-based pivots, and info > 0 marks a singular a."""
+    if a.dtype != complex or a.ndim != 2 or a.shape[0] != a.shape[1] or not a.flags.c_contiguous:
+        raise ValueError("getrf factors a square complex C-ordered matrix in place")
+    size, info = ctypes.c_int64(a.shape[0]), ctypes.c_int64()
+    piv = np.empty(a.shape[0], dtype=np.int64)
+    _bind_lapack().zgetrf(ctypes.byref(size), ctypes.byref(size), a.ctypes.data,
+                          ctypes.byref(size), piv.ctypes.data, ctypes.byref(info))
+    piv -= 1
+    return a.T, piv, info.value
+
+
 SINGULAR_RCOND = 1e-12
 
 
@@ -542,20 +589,24 @@ def singular_index(matrices: np.ndarray) -> int | None:
     16 digits; a matrix that is not finite counts as singular too.  The test
     is scale-free: c A passes exactly when A does, whatever the fibre size.
     It costs one LU per matrix and no SVD or inverse, which suits the large
-    frame stacks and gauges of `bundle.TransportAlongMap`; scipy is
-    bound on the first call (`_bind_scipy`).
+    frame stacks and gauges of `bundle.TransportAlongMap`; LAPACK is bound
+    on the first call (`_bind_lapack`).
     """
     stack = np.asarray(matrices, dtype=complex)
     stack = stack.reshape((-1,) + stack.shape[-2:])
-    lange, getrf, gecon = _bind_scipy().get_lapack_funcs(("lange", "getrf", "gecon"), (stack,))
+    lapack, size = _bind_lapack(), ctypes.byref(ctypes.c_int64(stack.shape[-1]))
+    norm, rcond, info = ctypes.c_double(), ctypes.c_double(), ctypes.c_int64()
+    work, rwork = np.empty(2 * stack.shape[-1], dtype=complex), np.empty(2 * stack.shape[-1])
     for i, matrix in enumerate(stack):
-        # LAPACK reads the C-ordered matrix as its transpose, without a copy;
-        # the 1-norm condition of the transpose is the infinity-norm one.
-        norm = lange("1", matrix.T)
-        if not np.isfinite(norm):
+        # LAPACK reads a C-ordered copy of the matrix as its transpose; the
+        # 1-norm condition of the transpose is the infinity-norm one.
+        lu = np.array(matrix, order="C")
+        norm.value = lapack.zlange(b"1", size, size, lu.ctypes.data, size, rwork.ctypes.data, 1)
+        if not np.isfinite(norm.value) or _getrf(lu)[2] > 0:
             return i
-        lu, _, info = getrf(matrix.T)
-        if info > 0 or gecon(lu, norm)[0] < SINGULAR_RCOND:
+        lapack.zgecon(b"1", size, lu.ctypes.data, size, ctypes.byref(norm), ctypes.byref(rcond),
+                      work.ctypes.data, rwork.ctypes.data, ctypes.byref(info), 1)
+        if rcond.value < SINGULAR_RCOND:
             return i
     return None
 

@@ -6,18 +6,12 @@ x (I + K)^-1 = x P L^-T U^-T: a triangular solve with as many right-hand
 sides as x has rows.  `prepare` inverts the diagonal blocks of L and U in
 place, and `apply_rows` substitutes over blocks of PANEL columns of x with
 BLAS products that read the blocks of the LU where they are, so no L, U
-or inverse is formed whole.  The rows of x are independent, and a
-product's rows keep their bits when the rows it is given start at a
-multiple of 8: a frame applied in slabs of rows from such starts, on two
-threads, holds the bits of one apply over all its rows.
+or inverse is formed whole.
 
-The BLAS and LAPACK calls go through the pointers that
-`scipy.linalg.cython_blas` and `cython_lapack` export.  Unlike scipy's
-f2py wrappers they take leading dimensions, so blocks are passed in
-place, and ctypes releases the interpreter lock while they run.  They run
-in scipy's OpenBLAS, beside the `getrf`: numpy's products there took a
-driven transport five times as long at two BLAS threads, two pools
-taking turns on two cores.  No `getrs` is called.
+The BLAS and LAPACK calls go to numpy's bundled OpenBLAS, bound once by
+`algebra._bind_lapack`, the library that runs the `getrf` too.  They take
+leading dimensions, so blocks are passed in place, and ctypes releases
+the interpreter lock while they run.  No `getrs` is called.
 
 `evolution` loads this module when a transport first applies a
 Crank-Nicolson step, so other routes never compile it.
@@ -26,11 +20,10 @@ Crank-Nicolson step, so other routes never compile it.
 from __future__ import annotations
 
 import ctypes
-from functools import cache
 
 import numpy as np
 
-from .algebra import _bind_scipy
+from .algebra import _bind_lapack
 
 PANEL = 64
 # The scalars -1 and 1 of the BLAS calls, at fixed addresses.
@@ -38,28 +31,14 @@ _UNITS = np.array([-1.0, 1.0], dtype=complex)
 _MINUS, _PLUS = (_UNITS.ctypes.data + k * _UNITS.itemsize for k in range(2))
 
 
-@cache
-def _native(module: str, name: str, arguments: int):
-    """scipy's BLAS or LAPACK function `name`, called through the pointer
-    that `scipy.linalg.<module>` exports for Cython, as a ctypes function
-    of `arguments` pointers."""
-    capsule = getattr(_bind_scipy(), module).__pyx_capi__[name]
-    capsule_name = ctypes.PYFUNCTYPE(ctypes.c_char_p, ctypes.py_object)(
-        ("PyCapsule_GetName", ctypes.pythonapi))
-    pointer = ctypes.PYFUNCTYPE(ctypes.c_void_p, ctypes.py_object, ctypes.c_char_p)(
-        ("PyCapsule_GetPointer", ctypes.pythonapi))
-    prototype = ctypes.CFUNCTYPE(None, *[ctypes.c_void_p] * arguments)
-    return prototype(pointer(capsule, capsule_name(capsule)))
-
-
-def _lead(x: np.ndarray) -> ctypes.c_int:
+def _lead(x: np.ndarray) -> ctypes.c_int64:
     """The leading dimension with which BLAS reads a complex 2-D array laid
     out by rows, each row contiguous, as its column-major transpose."""
     rows, columns = x.shape
     lead = x.strides[0] // x.itemsize if rows > 1 else max(columns, 1)
     if x.dtype != complex or (columns > 1 and x.strides[1] != x.itemsize) or lead < columns:
         raise ValueError("BLAS takes complex arrays whose rows are contiguous")
-    return ctypes.c_int(lead)
+    return ctypes.c_int64(lead)
 
 
 def _subtract(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> None:
@@ -71,8 +50,8 @@ def _subtract(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> None:
         raise ValueError(f"cannot multiply {a.shape} by {b.shape} into {c.shape}")
     leads = [_lead(x) for x in (a, b, c)]
     if m and n and k:
-        sizes = [ctypes.c_int(size) for size in (n, m, k)]
-        _native("cython_blas", "zgemm", 13)(
+        sizes = [ctypes.c_int64(size) for size in (n, m, k)]
+        _bind_lapack().zgemm(
             b"N", b"N", *map(ctypes.byref, sizes), _MINUS, b.ctypes.data, ctypes.byref(leads[1]),
             a.ctypes.data, ctypes.byref(leads[0]), _PLUS, c.ctypes.data, ctypes.byref(leads[2]))
 
@@ -90,9 +69,9 @@ def _invert(lower: bool, a: np.ndarray) -> None:
     """Invert in place the L or U (`_triangle`) of a diagonal block a of T
     (`prepare`) by `trtri`, which leaves the other triangle as it was."""
     uplo, diag = _triangle(lower, a)
-    size, info = ctypes.c_int(a.shape[0]), ctypes.c_int()
-    _native("cython_lapack", "ztrtri", 6)(uplo, diag, ctypes.byref(size), a.ctypes.data,
-                                           ctypes.byref(_lead(a)), ctypes.byref(info))
+    size, info = ctypes.c_int64(a.shape[0]), ctypes.c_int64()
+    _bind_lapack().ztrtri(uplo, diag, ctypes.byref(size), a.ctypes.data,
+                          ctypes.byref(_lead(a)), ctypes.byref(info))
 
 
 def _multiply(lower: bool, a: np.ndarray, b: np.ndarray) -> None:
@@ -102,8 +81,8 @@ def _multiply(lower: bool, a: np.ndarray, b: np.ndarray) -> None:
         raise ValueError(f"cannot multiply {b.shape} by {a.shape}")
     if b.shape[0]:
         uplo, diag = _triangle(lower, a)
-        size, rows = ctypes.c_int(a.shape[0]), ctypes.c_int(b.shape[0])
-        _native("cython_blas", "ztrmm", 11)(
+        size, rows = ctypes.c_int64(a.shape[0]), ctypes.c_int64(b.shape[0])
+        _bind_lapack().ztrmm(
             b"L", uplo, b"N", diag, ctypes.byref(size), ctypes.byref(rows), _PLUS,
             a.ctypes.data, ctypes.byref(_lead(a)), b.ctypes.data, ctypes.byref(_lead(b)))
 
@@ -135,8 +114,7 @@ def apply_rows(factors: tuple, x: np.ndarray, out: np.ndarray) -> None:
     """
     t, order = factors
     panels = range(0, t.shape[0], PANEL)
-    # Overflow surfaces as non-finite frames, refused by the transport; a
-    # worker thread starts in numpy's default error state.
+    # Overflow surfaces as non-finite frames, refused by the transport.
     with np.errstate(over="ignore", invalid="ignore"):
         np.take(x, order, axis=1, out=out, mode="clip")
         for j in panels:
@@ -149,14 +127,3 @@ def apply_rows(factors: tuple, x: np.ndarray, out: np.ndarray) -> None:
             _multiply(False, t[at, at], out[:, at])
         out *= 2.0
         out -= x
-
-
-def worker_rows(n: int) -> int:
-    """Rows of an n x n frame that a transport's step worker applies, the
-    first ones: a multiple of 8 near n / 6, so that the caller's slab also
-    starts at a multiple of 8.  The worker's LU and block inverses take
-    about 3/5 of a whole apply, and a slab runs slower beside the caller
-    than alone.  On a two-core Xeon at one BLAS thread and n = 256 they took
-    2.2 against 3.7 ms, and a driven Dirac transport 209, 190, 183, 193 and
-    212 ms with 0, 32, 40, 48 and 56 worker rows (medians of 12)."""
-    return 8 * (n // 48)

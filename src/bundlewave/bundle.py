@@ -205,9 +205,8 @@ def evolution_transport(
     Substep U(tau_k <- tau_{k+1}) is the stepper's step of size -delta from
     tau_{k+1}.  The substeps come one ahead (`_StepFactors.ahead`): the LU
     of the next one is taken on a worker thread while this one is applied
-    to the frames, the worker taking a sixth of their rows once that LU is
-    done, and a refusal met while forming the next one is raised when it
-    is due.  Overflow ends in EvolutionError, as in `step_matrix`.
+    to the frames, and a refusal met while forming the next one is raised
+    when it is due.  Overflow ends in EvolutionError, as in `step_matrix`.
     The frames skip the conditioning guard, which `with_gauge` applies to
     the dense gauged frames; a singular one is refused when solved against.
     """

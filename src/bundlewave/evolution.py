@@ -43,10 +43,10 @@ forming it: one in-place LAPACK `getrf` of (I + K_S)^T per distinct group
 block and step.  A march solves against psi_S (`_cayley`).  A transport
 substitutes over 64-column blocks of its frame by BLAS products with the
 LU's blocks, its diagonal ones inverted (`blocked`), and calls no
-`getrs`: two threads in scipy's `zgetrs` on one LU corrupted the heap.
-Applies run one step ahead: step k + 1 is formed on the caller's thread
-and factored on the worker thread of the march's or transport's own
-`_StepFactors.ahead`, which then takes a sixth of a frame's rows of step k.
+`getrs`: two threads in `zgetrs` on one LU corrupted the heap.  Applies
+run one step ahead: step k + 1 is formed on the caller's thread and
+factored on the worker thread of the march's or transport's own
+`_StepFactors.ahead`, while the caller applies step k.
 
 Overflow while a step is formed is ignored in `_StepFactors.__call__`
 alone; the non-finite entries it leaves are refused before a Crank-Nicolson
@@ -72,18 +72,14 @@ with an m x m symbol per wavenumber and P pointwise (`_spectral_blocks`).
 Each step solves the same (I + K) psi' = (I - K) psi by sweeps
 psi' <- F^-1 (I + K^_C)^-1 F [(I - K) psi - K_P psi'] of two FFTs each,
 while their contraction bound rho stays at most 1/2; from the first step
-past it the march goes on by LU.  No worker is started and no scipy is
-loaded.  An x-dependent or driven factor around a derivative, as in a
+past it the march goes on by LU.  No worker is started and no LAPACK is
+bound.  An x-dependent or driven factor around a derivative, as in a
 field frame or (p - qA)^2, and a reflecting grid take the LU route.
 
-numpy and scipy each bring their own OpenBLAS with its own thread pool,
-and a pool's workers keep spinning for a while after a threaded call.  So
-a Crank-Nicolson step matrix runs in numpy's pool alone, and an LU
-apply in scipy's, which is loaded only where a route calls it: `expm`
-and LU applies bind it once on the caller's thread (`algebra._bind_scipy`),
-with an idle spin of 2^SCIPY_SPIN_EXPONENT cycles instead of 2^28: after
-an `expm` its worker sleeps within about 17 ms, yet stays awake between
-the steps of a driven transport.  numpy's pool keeps its default spin.
+Every Crank-Nicolson route runs in numpy's bundled OpenBLAS and its one
+thread pool: the LUs, solves and products through `algebra._bind_lapack`.
+scipy, with a second OpenBLAS, is loaded for `expm` alone
+(`algebra._bind_scipy`).
 
 A static H makes the propagator over B steps U_S^B from every lattice time,
 so `march` advances it in blocks of B steps, the dense form of a
@@ -106,6 +102,7 @@ taken literally; it refuses off-lattice times and oversized systems.
 
 from __future__ import annotations
 
+import ctypes
 import numbers
 from concurrent.futures import Future, ThreadPoolExecutor
 from contextlib import closing
@@ -115,7 +112,7 @@ from operator import is_
 import numpy as np
 
 from .grid import GridFunction, SpatialGrid1D, inner
-from .algebra import MatrixOperator, _bind_scipy
+from .algebra import AlgebraError, MatrixOperator, _bind_lapack, _bind_scipy, _getrf
 from .reduction import HamiltonianFactory
 
 DENSE_STATE_LIMIT = 1024
@@ -168,13 +165,6 @@ def _check_cayley(written) -> None:
         raise EvolutionError("the Crank-Nicolson matrix left the finite range; reduce the time step")
 
 
-def _getrf(a: np.ndarray):
-    """(lu, piv, info) of LAPACK's `getrf` of (I + K)^T, factored in place in
-    the C-ordered storage of the formed I + K: all that a step worker runs,
-    after `_bind_scipy`."""
-    return _bind_scipy().lapack.zgetrf(a.T, overwrite_a=True)
-
-
 def _cayley_unit(a: np.ndarray) -> np.ndarray:
     """The Crank-Nicolson step U = 2 (I + K)^-1 - I, formed in the
     C-ordered storage of the formed I + K.
@@ -198,14 +188,16 @@ def _cayley(lu: Future, x: np.ndarray) -> np.ndarray:
     fresh array.
 
     The call waits for the LU; a singular I + K, which `getrf` reports in
-    its `info`, is refused then.  (I + K)^-1 x is one transposed solve
-    against x, on the caller's thread; `x` is left untouched.
+    its `info`, is refused then.  (I + K)^-1 x is one transposed solve,
+    `getrs` with 'T', against x on the caller's thread; `x` is left as it is.
     """
     lu, piv, info = lu.result()
     if info > 0:
         raise EvolutionError(_SINGULAR)
     out = x.copy()
-    _bind_scipy().lu_solve((lu, piv), out, trans=1, overwrite_b=True, check_finite=False)
+    size, one, piv = ctypes.byref(ctypes.c_int64(lu.shape[0])), ctypes.c_int64(1), piv + 1
+    _bind_lapack().zgetrs(b"T", size, ctypes.byref(one), lu.ctypes.data, size, piv.ctypes.data,
+                          out.ctypes.data, size, ctypes.byref(ctypes.c_int64()))
     out *= 2.0
     out -= x
     return out
@@ -213,38 +205,25 @@ def _cayley(lu: Future, x: np.ndarray) -> np.ndarray:
 
 def _blocked_lu(a: np.ndarray) -> tuple:
     """(info, factors): `_getrf` of (I + K)^T, in the storage of the formed
-    I + K, made ready by `blocked.prepare`, or None for a singular I + K.
-    All that a transport's step worker runs besides its slabs."""
+    I + K, made ready by `blocked.prepare`, or None for a singular I + K:
+    all that a transport's step worker runs."""
     from . import blocked
 
     lu, piv, info = _getrf(a)
     return info, None if info > 0 else blocked.prepare(lu, piv)
 
 
-def _split_cayley(worker: ThreadPoolExecutor, factored: Future, x: np.ndarray,
-                  out: np.ndarray) -> np.ndarray:
+def _blocked_cayley(factored: Future, x: np.ndarray, out: np.ndarray) -> np.ndarray:
     """x U into `out`, C-ordered and apart from x, for a transport frame x
-    and the Crank-Nicolson step U = 2 (I + K)^-1 - I, given the future of
-    `_blocked_lu` of (I + K)^T.
-
-    The call waits for the factors; a singular I + K is refused then.  The
-    first `blocked.worker_rows` rows go to the worker, queued behind the LU
-    of the next step, while the caller applies the rest, so each row holds
-    the bits of one `blocked.apply_rows` over the whole frame.  The call
-    returns once both slabs are written.
-    """
+    and the Crank-Nicolson step U = 2 (I + K)^-1 - I, by `blocked.apply_rows`
+    once the future of `_blocked_lu` of (I + K)^T is done; a singular
+    I + K is refused then."""
     from . import blocked
 
     info, factors = factored.result()
     if info > 0:
         raise EvolutionError(_SINGULAR)
-    rows = blocked.worker_rows(x.shape[0])
-    slab = worker.submit(blocked.apply_rows, factors, x[:rows], out[:rows]) if rows else None
-    try:
-        blocked.apply_rows(factors, x[rows:], out[rows:])
-    finally:
-        if slab is not None:
-            slab.result()
+    blocked.apply_rows(factors, x, out)
     return out
 
 
@@ -391,8 +370,8 @@ class _StepFactors:
     is the one place that ignores overflow while a step is formed, and
     `_unit` the one place that checks a step matrix finite.  Applies are
     taken one step ahead through `ahead`, which owns its worker thread.
-    scipy is bound once, on the caller's thread: when the stepper is made
-    for the exponential, and when `ahead` starts.
+    On the caller's thread, scipy is bound when the stepper is made for the
+    exponential, and numpy's LAPACK when `ahead` starts for Crank-Nicolson.
     """
 
     def __init__(self, factory: HamiltonianFactory, grid: SpatialGrid1D, method: str):
@@ -473,21 +452,23 @@ class _StepFactors:
         it runs, when it ends, fails or is closed.  The steps from the next
         start are formed, and their Crank-Nicolson LUs handed to the worker
         (`_getrf` for a march, `_blocked_lu` for a transport), before the
-        current ones are yielded.  A right apply also hands the worker a
-        slab of the frame's rows, queued behind the next LU
-        (`_split_cayley`).  A refusal met while forming the next steps is
-        raised when they are due, after the current ones; overflow in the
-        applies is the caller's to handle.
+        current ones are yielded; the caller applies them.  A refusal met
+        while forming the next steps is raised when they are due, after the
+        current ones; overflow in the applies is the caller's to handle.  A
+        numpy without LAPACK (`_bind_lapack`) is refused at the first step.
         """
-        # The LUs and solves of the applies; bound before the worker starts.
-        _bind_scipy()
+        if self.method == "crank-nicolson":
+            try:
+                _bind_lapack()
+            except AlgebraError as err:
+                raise EvolutionError(str(err)) from None
         with ThreadPoolExecutor(max_workers=1) as worker:
             def finish(a: np.ndarray, written):
                 if self.method == "midpoint-exponential":
                     return partial(_product, _bind_scipy().expm(a), right=right)
                 _check_cayley(written)
                 if right:
-                    return partial(_split_cayley, worker, worker.submit(_blocked_lu, a))
+                    return partial(_blocked_cayley, worker.submit(_blocked_lu, a))
                 return partial(_cayley, worker.submit(_getrf, a))
 
             pending = []

@@ -33,6 +33,7 @@ from bundlewave.algebra import (
     singular_index,
     slashed_contract,
     _frame_inverse,
+    _getrf,
 )
 from bundlewave.grid import GridFunction, SpatialGrid1D, derivative_matrix
 from bundlewave.reduction import (
@@ -368,12 +369,31 @@ def test_singular_frame_detected():
         matrix_in_frame(MatrixOperator([[IdentityOp()]]), frame)
 
 
+def test_numpy_getrf_factors_the_transpose_in_place_with_scipys_pivots():
+    import scipy.linalg
+
+    rng = np.random.default_rng(41)
+    a = rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6))
+    lu, piv, info = _getrf(a.copy())
+    expected, expected_piv = scipy.linalg.lu_factor(a.T)
+    assert info == 0 and lu.flags.f_contiguous
+    assert np.array_equal(piv, expected_piv)
+    assert np.max(np.abs(lu - expected)) <= 1e-14 * np.max(np.abs(expected))
+    assert _getrf(np.zeros((3, 3), dtype=complex))[2] > 0
+    # Only a square complex C-ordered matrix is factored in place.
+    for refused in (a.T, a.real.copy(), a[:, :5].copy()):
+        with pytest.raises(ValueError, match="square complex C-ordered"):
+            _getrf(refused)
+
+
 def test_singularity_guard_tests_conditioning_not_scale():
     assert singular_index(0.5 * np.eye(64)) is None
     assert singular_index(1e-30 * np.eye(3)) is None
     assert singular_index(np.diag([1e8, 1e-9])) == 0
     assert singular_index(np.stack([np.eye(2), np.zeros((2, 2))])) == 1
     assert singular_index(np.stack([np.eye(2), np.full((2, 2), np.nan)])) == 1
+    # A transposed view of a stack gets the verdicts of its copy.
+    assert singular_index(np.stack([np.diag([1e8, 1e-9]), np.eye(2)]).transpose(0, 2, 1)) == 0
     ill = np.broadcast_to(np.diag([1e8, 1e-9]), (GRID.npoints, 2, 2)).copy()
     ill[:5] = np.eye(2)
     with pytest.raises(AlgebraError, match="point index 5"):

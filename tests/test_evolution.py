@@ -7,7 +7,7 @@ import sys
 import threading
 import tracemalloc
 import warnings
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import Future, ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -24,6 +24,7 @@ from bundlewave.algebra import (
     MatrixOperator,
     ScaleOp,
     ZeroOp,
+    _bind_lapack,
     matrix_in_frame,
     op_compose,
 )
@@ -1475,11 +1476,10 @@ def test_no_step_worker_outlives_its_march():
     assert threading.active_count() == before
     evolution_transport(_driven_dirac(), GRID, PathSampling.uniform(0.0, 0.1, 3), "crank-nicolson")
     assert threading.active_count() == before
-    # At N = 48 the worker applies a slab of each frame's rows, behind the
-    # LU of the next substep: refused there, a singular I + K, and a frame
-    # that leaves the finite range, keep their messages.
+    # At N = 48, with frames of a full column block of the blocked kernel: a
+    # singular I + K, and a frame that leaves the finite range, keep their
+    # messages.
     grid, sampling = SpatialGrid1D(48, 1.0, "reflecting"), PathSampling.uniform(0.0, 0.625, 6)
-    assert blocked.worker_rows(grid.npoints) > 0
     with pytest.raises(EvolutionError, match=f"^{re.escape(_REFUSALS['singular'][1])}$"):
         evolution_transport(backward, grid, sampling, "crank-nicolson")
     assert threading.active_count() == before
@@ -1536,26 +1536,26 @@ def test_driven_steps_at_two_blas_threads_hold_the_serial_bits():
 
 def test_worker_lus_beside_caller_solves_hold_the_serial_bits():
     # As in a driven march: the LU of matrix k runs on a worker thread while
-    # the caller solves against the LU of matrix k - 1, with many right-hand
-    # sides as a transport does.  Each result holds the bits of the same
-    # calls made one after another.
+    # the caller solves against the LU of matrix k - 1 (`_cayley`).  Each
+    # result holds the bits of the same calls made one after another.
     n, count = 64, 200
     rng = np.random.default_rng(31)
-    rhs = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+    rhs = rng.normal(size=n) + 1j * rng.normal(size=n)
 
     def matrix(k):
         own = np.random.default_rng(k)
         return np.eye(n) * 8.0 + own.normal(size=(n, n)) + 1j * own.normal(size=(n, n))
 
-    def solved(lu, piv):
-        out = rhs.copy()
-        scipy.linalg.lu_solve((lu, piv), out, trans=1, overwrite_b=True, check_finite=False)
-        return out
+    def factored(lu):
+        done = Future()
+        done.set_result(lu)
+        return done
 
-    # A stepper binds scipy on the caller's thread before its worker starts.
-    evolution._bind_scipy()
-    serial = [evolution._getrf(matrix(k))[:2] for k in range(count)]
-    serial_solved = [solved(*lu) for lu in serial]
+    # A stepper binds numpy's LAPACK on the caller's thread before its
+    # worker starts.
+    _bind_lapack()
+    serial = [evolution._getrf(matrix(k)) for k in range(count)]
+    serial_solved = [evolution._cayley(factored(lu), rhs) for lu in serial]
     # Frequent switches between the threads while both hold the interpreter.
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -1563,70 +1563,13 @@ def test_worker_lus_beside_caller_solves_hold_the_serial_bits():
         with ThreadPoolExecutor(max_workers=1) as worker:
             pending = worker.submit(evolution._getrf, matrix(0))
             for k in range(1, count + 1):
-                lu, piv, info = pending.result(timeout=60)
+                current = pending
+                lu, piv, info = current.result(timeout=60)
                 assert info == 0
                 if k < count:
                     pending = worker.submit(evolution._getrf, matrix(k))
                 assert np.array_equal(lu, serial[k - 1][0])
                 assert np.array_equal(piv, serial[k - 1][1])
-                assert np.array_equal(solved(lu, piv), serial_solved[k - 1])
+                assert np.array_equal(evolution._cayley(current, rhs), serial_solved[k - 1])
     finally:
         sys.setswitchinterval(interval)
-
-
-def _split_applies_hold_the_serial_bits(n: int = 160, count: int = 200) -> bool:
-    """Whether `count` chained transport substeps of size n, applied as a
-    transport applies them, hold the bits of the blocked kernel run
-    serially on one thread: the worker runs the LU and block inverses of
-    step k + 1 and then its slab of step k's rows while the caller applies
-    the rest.  n = 160 takes three column blocks, the last one partial."""
-    rng = np.random.default_rng(37)
-
-    def matrix(k):
-        # I + K for K = i H / 8, H hermitian, so that every step is unitary.
-        own = np.random.default_rng(k)
-        h = own.normal(size=(n, n)) + 1j * own.normal(size=(n, n))
-        return np.eye(n) + 0.0625j * (h + h.conj().T)
-
-    start = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
-    serial = [start]
-    for k in range(count):
-        serial.append(np.empty_like(start))
-        blocked.apply_rows(evolution._blocked_lu(matrix(k))[1], serial[k], serial[k + 1])
-    # Frequent switches between the threads while both hold the interpreter.
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        frame, spare = start.copy(), np.empty_like(start)
-        with ThreadPoolExecutor(max_workers=1) as worker:
-            following = worker.submit(evolution._blocked_lu, matrix(0))
-            for k in range(count):
-                current = following
-                if k + 1 < count:
-                    following = worker.submit(evolution._blocked_lu, matrix(k + 1))
-                evolution._split_cayley(worker, current, frame, spare)
-                if not np.array_equal(spare, serial[k + 1]):
-                    return False
-                frame, spare = spare, frame
-    finally:
-        sys.setswitchinterval(interval)
-    return True
-
-
-def test_worker_slabs_beside_caller_slabs_hold_the_serial_bits():
-    assert blocked.worker_rows(160) > 0
-    evolution._bind_scipy()
-    assert _split_applies_hold_the_serial_bits()
-
-
-def test_worker_slabs_at_two_blas_threads_hold_the_serial_bits():
-    tests = Path(__file__).resolve().parent
-    script = (f"import sys; sys.path[:0] = [{str(tests.parent / 'src')!r}, {str(tests)!r}]\n"
-              "import test_evolution\n"
-              "test_evolution.evolution._bind_scipy()\n"
-              "print(test_evolution._split_applies_hold_the_serial_bits())\n")
-    env = {**os.environ, "OPENBLAS_NUM_THREADS": "2", "OMP_NUM_THREADS": "2"}
-    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
-                          text=True, timeout=120)
-    assert done.returncode == 0, done.stderr
-    assert done.stdout.split() == ["True"]

@@ -1,16 +1,20 @@
 """Where scipy is loaded: only on the routes that call it, and with a
-bounded idle spin.
+bounded idle spin; and where numpy's own LAPACK is bound.
 
 Each case runs in a fresh interpreter, since the test process has scipy
 loaded already.  A `sys.meta_path` finder placed first records the thread
-that first looks for `scipy.linalg`; a driven march that takes an LU per
-step must import it on the calling thread, never on its LU worker.  The OpenBLAS libraries that a
-route maps (read from /proc/self/maps) report the idle spin they loaded
-with through their `openblas_thread_timeout()`.
+that first looks for `scipy.linalg`, which must be the calling thread.
+Every Crank-Nicolson LU runs in numpy's bundled OpenBLAS
+(`algebra._bind_lapack`), so only the midpoint exponential loads scipy.
+The OpenBLAS libraries that a route maps (read from /proc/self/maps)
+report the idle spin they loaded with through their
+`openblas_thread_timeout()`.
 """
 
+import _ctypes
 import json
 import os
+import re
 import subprocess
 import sys
 import textwrap
@@ -19,7 +23,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from bundlewave import algebra, cli
 from bundlewave.algebra import SCIPY_SPIN_EXPONENT
+from bundlewave.bundle import PathSampling, evolution_transport
+from bundlewave.evolution import EvolutionError, evolve
+from bundlewave.grid import GridFunction, SpatialGrid1D
+from bundlewave.reduction import Potentials, dirac_hamiltonian
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src"
@@ -55,7 +64,9 @@ before = openblas()
 getenv = ctypes.CDLL(None).getenv
 getenv.restype = ctypes.c_char_p
 variable = getenv(b"OPENBLAS_THREAD_TIMEOUT")
+algebra = sys.modules.get("bundlewave.algebra")
 print(json.dumps({{"loaded": "scipy.linalg" in sys.modules, "thread": FirstImport.thread,
+                  "lapack": algebra is not None and algebra._lapack is not None,
                   "numpy_spin": spins(before), "scipy_spin": spins(openblas() - before),
                   "environ": os.environ.get("OPENBLAS_THREAD_TIMEOUT"),
                   "getenv": variable and variable.decode()}}))
@@ -105,7 +116,7 @@ ROUTES = {
                False),
     "static march": (_DIRAC + "evolve(state, dirac_hamiltonian(1.0, 1.0), 0.01, 20)", False),
     # A driven Crank-Nicolson march takes FFTs on a periodic grid, and an LU
-    # per step on a reflecting one.
+    # per step in numpy's OpenBLAS on a reflecting one.
     "driven march": (_DIRAC + "factory = dirac_hamiltonian(1.0, 1.0, Potentials(\n"
                               "    scalar=lambda t: profile * np.cos(3.0 * t)))\n"
                               "evolve(state, factory, 0.01, 5)", False),
@@ -113,17 +124,26 @@ ROUTES = {
         _DIRAC + "walled = SpatialGrid1D(16, 20.0, 'reflecting')\n"
                  "factory = dirac_hamiltonian(1.0, 1.0, Potentials(\n"
                  "    scalar=lambda t: profile * np.cos(3.0 * t)))\n"
-                 "evolve(GridFunction(walled, state.values), factory, 0.01, 5)", True),
+                 "evolve(GridFunction(walled, state.values), factory, 0.01, 5)", False),
     "exponential march": (_DIRAC + "evolve(state, dirac_hamiltonian(1.0, 1.0), 0.01, 5,\n"
                                    "       method='midpoint-exponential')", True),
     "transport": ("import numpy as np\n"
                   "from bundlewave.bundle import PathSampling, TransportAlongMap\n"
                   "TransportAlongMap(PathSampling.uniform(0.0, 1.0, 3), np.stack([np.eye(2)] * 3))",
-                  True),
+                  False),
+    "crank-nicolson transport": (
+        _DIRAC + "from bundlewave.bundle import PathSampling, evolution_transport\n"
+                 "factory = dirac_hamiltonian(1.0, 1.0, Potentials(\n"
+                 "    scalar=lambda t: profile * np.cos(3.0 * t)))\n"
+                 "evolution_transport(factory, grid, PathSampling.uniform(0.0, 0.1, 3),\n"
+                 "                    'crank-nicolson', 2)", False),
     "singular index": ("import numpy as np\n"
                        "from bundlewave.algebra import singular_index\n"
-                       "assert singular_index(np.stack([np.eye(2)] * 3)) is None", True),
+                       "assert singular_index(np.stack([np.eye(2)] * 3)) is None", False),
 }
+# The routes that bind numpy's LAPACK: the Crank-Nicolson LUs and the
+# conditioning guard.  A static march, and the FFT march, bind nothing.
+BINDS = {"reflecting driven march", "crank-nicolson transport", "transport", "singular index"}
 
 
 def _probe(route, tmp_path, env=None) -> dict:
@@ -155,13 +175,40 @@ def test_scipy_is_loaded_only_by_the_routes_that_call_it(route, tmp_path):
     assert seen["scipy_spin"] == ([SCIPY_SPIN_EXPONENT] if loads else [])
     assert seen["numpy_spin"] == [0]
     assert seen["environ"] is None and seen["getenv"] is None
+    assert seen["lapack"] is (route in BINDS)
 
 
-@pytest.mark.parametrize("route", ["exponential march", "singular index"])
+@pytest.mark.parametrize("route", ["exponential march"])
 def test_a_spin_set_by_the_user_is_kept(route, tmp_path):
     seen = _probe(route, tmp_path, env={**os.environ, "OPENBLAS_THREAD_TIMEOUT": "26"})
     assert seen["scipy_spin"] == [26] and seen["numpy_spin"] == [26]
     assert seen["environ"] == "26" and seen["getenv"] == "26"
+
+
+def test_a_numpy_without_ilp64_lapack_is_refused_at_the_first_lu(monkeypatch, capsys):
+    # numpy's linalg extension taken to be ctypes' own, which exports
+    # neither spelling of any LAPACK routine.
+    monkeypatch.setattr(algebra, "_lapack", None)
+    monkeypatch.setattr(np.linalg._umath_linalg, "__file__", _ctypes.__file__)
+    message = ("numpy's OpenBLAS exports neither scipy_zgetrf_64_ nor zgetrf_64_; "
+               "bundlewave needs a numpy that bundles ILP64 LAPACK")
+    grid = SpatialGrid1D(16, 20.0, "reflecting")
+    profile = 0.3 * np.cos(2.0 * np.pi * grid.points / grid.length)
+    factory = dirac_hamiltonian(1.0, 1.0, Potentials(scalar=lambda t: profile * np.cos(3.0 * t)))
+    state = GridFunction(grid, np.exp(-grid.points**2) * np.ones((4, 1)))
+    seen = []
+    with pytest.raises(EvolutionError, match=f"^{re.escape(message)}$"):
+        evolve(state, factory, 0.01, 5, callback=lambda t, s: seen.append(t))
+    assert seen == []
+    with pytest.raises(EvolutionError, match=f"^{re.escape(message)}$"):
+        evolution_transport(factory, grid, PathSampling.uniform(0.0, 0.1, 3), "crank-nicolson")
+    # A static march needs no LU; the CLI's conditioning guard, in the
+    # bundle checks' gauge change, ends in exit 3 with one line.
+    static = dirac_hamiltonian(1.0, 1.0, Potentials(scalar=profile))
+    assert np.all(np.isfinite(evolve(state, static, 0.01, 5).values))
+    assert cli.main(["check", "bundle"]) == cli.EXIT_NUMERICAL == 3
+    assert capsys.readouterr().err == f"numerical failure: {message}\n"
+    assert algebra._lapack is None
 
 
 _BITS = """\

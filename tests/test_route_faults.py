@@ -17,9 +17,11 @@ from test_routes import TOLERANCE, examples, route_differences
 EXAMPLES = 50
 
 
-def _exceeded(columns) -> list:
+def _exceeded(columns, drawn=None) -> list:
     """(column, difference) beyond tolerance, among `columns`, at the first
-    of the suite's first EXAMPLES derandomized examples that has any."""
+    of the suite's first EXAMPLES derandomized examples that has any.  The
+    (method, differences) of each example run, up to that one, are
+    appended to `drawn` if given."""
     seen = []
 
     @settings(max_examples=EXAMPLES, derandomize=True, database=None, deadline=None,
@@ -29,6 +31,8 @@ def _exceeded(columns) -> list:
         if seen:
             return
         differences = route_differences(**example)
+        if drawn is not None:
+            drawn.append((example["method"], differences))
         seen.extend((name, differences[name]) for name in columns
                     if name in differences and differences[name] > TOLERANCE[name])
 
@@ -36,12 +40,13 @@ def _exceeded(columns) -> list:
     return seen
 
 
-def test_crank_nicolson_at_half_the_step_is_caught_by_the_spectral_march(monkeypatch):
+def test_crank_nicolson_at_half_the_step_is_caught_by_the_eigenbasis(monkeypatch):
     # `_StepFactors` serves `EvolutionOperator` and `evolution_transport`,
-    # and `evolve` wherever the spectral route does not.  Only a driven
-    # Crank-Nicolson `evolve` on a periodic grid sets them against code
-    # that is not theirs.  The faulty step keeps its midpoint,
-    # t + dt / 4 + (dt / 2) / 2, so only its size is wrong.
+    # and `evolve` wherever the spectral route does not.  The eigenbasis
+    # column sets a static Hermitian Crank-Nicolson `evolve` against its
+    # Cayley phases, and a driven `evolve` on a periodic grid sets the
+    # other routes against the spectral march.  The faulty step keeps its
+    # midpoint, t + dt / 4 + (dt / 2) / 2, so only its size is wrong.
     call = evolution._StepFactors.__call__
 
     def halved(self, t, dt, finish=None):
@@ -50,7 +55,13 @@ def test_crank_nicolson_at_half_the_step_is_caught_by_the_spectral_march(monkeyp
         return call(self, t + dt / 4.0, dt / 2.0, finish)
 
     monkeypatch.setattr(evolution._StepFactors, "__call__", halved)
-    assert _exceeded(("operator", "transport"))
+    drawn = []
+    assert _exceeded(("operator", "transport", "eigenbasis"), drawn)
+    # Seen no later than at the first static Hermitian Crank-Nicolson
+    # example, the first with an eigenbasis column for that method.
+    static = [k for k, (method, differences) in enumerate(drawn)
+              if method == "crank-nicolson" and "eigenbasis" in differences]
+    assert static in ([], [len(drawn) - 1])
 
 
 def test_component_groups_split_into_singletons_are_caught(monkeypatch):

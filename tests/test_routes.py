@@ -26,8 +26,11 @@ with one tolerance per pair of routes written once below:
   read as K(t_i <- t_j) for a drawn pair of samples after t0, against
   `EvolutionOperator.matrix`: neither frame is the identity, so each
   group's solve is a full one;
-* `eigenbasis`: for a static Hermitian H, `EigenBasis.propagator` over the
-  march against midpoint-exponential `evolve`, which is exact there;
+* `eigenbasis`: for a static Hermitian H, `evolve` against the state
+  propagated in the eigenbasis of H: by `EigenBasis.propagator` for the
+  midpoint exponential, which is exact there, and for Crank-Nicolson by
+  the Cayley phases ((1 - i E dt / 2 hbar) / (1 + i E dt / 2 hbar))^n
+  of its n steps on each energy E;
 * `frame`: `evolve` of `matrix_in_frame(op, f)` from f^-1 psi, mapped
   back by f, for an x-dependent phase or rotation field f drawn from the
   example's seed.
@@ -215,6 +218,18 @@ def _textbook_march(factory, grid, psi, method, steps, dt, t0):
     return psi
 
 
+def _cayley_in_basis(basis, psi, dt, steps):
+    """psi after `steps` Crank-Nicolson steps of size dt under the static H
+    of `basis`: each mode's coefficient times its Cayley phase to the
+    power `steps`."""
+    half = 0.5j * dt * basis.energies / basis.hbar
+    phases = ((1.0 - half) / (1.0 + half)) ** steps
+    out = np.empty_like(psi)
+    for at, modes in basis.blocks:
+        out[at] = basis.grid.spacing * (modes @ (phases[at] * (modes.conj().T @ psi[at])))
+    return out
+
+
 def route_differences(factory, grid, method, steps, dt, t0, seed):
     """Relative difference of every route to its reference, by route."""
     rng = np.random.default_rng(seed)
@@ -246,10 +261,10 @@ def route_differences(factory, grid, method, steps, dt, t0, seed):
         # A drawn H is Hermitian to rounding or far from it.
         h = factory.at().dense(grid)
         if np.max(np.abs(h - h.conj().T)) <= 1e-12 * max(1.0, np.max(np.abs(h))):
-            exact = final if method == "midpoint-exponential" else evolve(
-                state, factory, dt, steps, t0, "midpoint-exponential").flatten()
             basis = EigenBasis.from_factory(factory, grid)
-            routes["eigenbasis"] = (basis.propagator(t_end, t0) @ psi, exact)
+            got = (basis.propagator(t_end, t0) @ psi if method == "midpoint-exponential"
+                   else _cayley_in_basis(basis, psi, dt, steps))
+            routes["eigenbasis"] = (got, final)
     return {
         name: float(np.max(np.abs(got - want)) / np.max(np.abs(want)))
         for name, (got, want) in routes.items()

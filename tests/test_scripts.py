@@ -115,6 +115,21 @@ def test_route_sweep_prints_each_column_against_its_tolerance(capsys, monkeypatc
     assert script.main(["3"]) == 1
 
 
+def test_blas_stress_holds_every_frame_to_its_serial_bits(capsys, monkeypatch):
+    from bundlewave import evolution
+
+    script = _load("blas_stress")
+    assert script.main(["20"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "substeps,size,threads,mismatches,seconds"
+    substeps, size, _, mismatches, _ = lines[1].split(",")
+    assert (substeps, size, mismatches) == ("20", "256", "0")
+    # A frame that differs from its serial one fails the run.
+    monkeypatch.setattr(evolution, "_same_bits", lambda a, b: False)
+    assert script.main(["2"]) == 1
+    assert capsys.readouterr().out.splitlines()[1].split(",")[3] == "2"
+
+
 def test_line_trace_lists_the_package_lines_a_run_never_executes(tmp_path):
     # A fresh interpreter, so that the package is imported under the trace.
     env = {**os.environ, "PYTHONPATH": ""}
